@@ -1,0 +1,145 @@
+"""Exact integer primitives, the package's only copy of each: standard
+library only, and nothing imported from weylkit."""
+
+from math import gcd
+
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3317044064679887385961981
+
+
+def _bareiss(rows: list[list[int]], n: int) -> int:
+    """Bareiss's fraction-free Gauss-Jordan (Math. Comp. 22, 1968) on n
+    rows, in place: the determinant of their first n columns, or 0 at
+    the first column without a pivot.  A swap negates a row to keep the
+    determinant; if nonzero, the rows end as adj(block) times the input.
+    """
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], [-x for x in rows[k]]
+        pk = rows[k]
+        d = pk[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(d * x - f * y) // prev
+                           for x, y in zip(rows[i], pk)]
+        prev = d
+    return prev
+
+
+def det_adjugate(m) -> tuple[int, list[list[int]]]:
+    """Determinant and adjugate of a square integer matrix:
+    m * adj = adj * m = det * I.
+
+    >>> det_adjugate([[2, -1], [-1, 2]]), det_adjugate([[1, 2], [2, 4]])
+    ((3, [[2, 1], [1, 2]]), (0, [[4, -2], [-2, 1]]))
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(m)]
+    det = _bareiss(rows, n)
+    if det:
+        return det, [row[n:] for row in rows]
+    # singular: adj[i][j] is the (j, i) cofactor
+    return 0, [[(-1) ** (i + j) * _bareiss(
+        [[m[r][c] for c in range(n) if c != i] for r in range(n) if r != j],
+        n - 1) for j in range(n)] for i in range(n)]
+
+
+def smith_diagonal(mat: list[list[int]]) -> list[int]:
+    """Diagonal of the Smith normal form: nonnegative, each dividing
+    the next, length min(rows, cols), zeros included.
+    """
+    m = [list(row) for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    diag = []
+    top = 0
+    while top < min(rows, cols):
+        # the first nonzero pivot of smallest absolute value
+        nonzero = [(abs(m[i][j]), i, j) for i in range(top, rows)
+                   for j in range(top, cols) if m[i][j]]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        m[top], m[i] = m[i], m[top]
+        for r in range(rows):
+            m[r][top], m[r][j] = m[r][j], m[r][top]
+        for r in range(top + 1, rows):
+            q = m[r][top] // m[top][top]
+            if q:
+                m[r] = [a - q * b for a, b in zip(m[r], m[top])]
+        for c in range(top + 1, cols):
+            q = m[top][c] // m[top][top]
+            if q:
+                for r in range(rows):
+                    m[r][c] -= q * m[r][top]
+        # remainders left in the pivot row or column: pivot again
+        if (any(m[r][top] for r in range(top + 1, rows))
+                or any(m[top][top + 1:])):
+            continue
+        diag.append(abs(m[top][top]))
+        top += 1
+    diag += [0] * (min(rows, cols) - len(diag))
+    # enforce the divisibility chain (zeros are already last)
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            if a and b and b % a != 0:
+                g = gcd(a, b)
+                diag[i], diag[j] = g, a * b // g
+    return diag
+
+
+def is_prime(n: int) -> bool:
+    """Trial division by the 13 primes up to 41, then Miller-Rabin with
+    them as bases, which is exact below psi_13 (Sorenson and Webster,
+    Math. Comp. 86, 2017); ValueError from psi_13 on.
+
+    >>> is_prime(2 ** 61 - 1), is_prime(3215031751)
+    (True, False)
+    """
+    if n >= _PSI13:
+        raise ValueError("p too large to certify prime")
+    if n < 2:
+        return False
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def base_p_digits(n: int, p: int) -> list[int]:
+    """Base-p digits of n >= 0, least significant first.
+
+    >>> base_p_digits(0, 7), base_p_digits(48, 5)
+    ([0], [3, 4, 1])
+    """
+    if p < 2 or n < 0:
+        raise ValueError("need a base p >= 2 and n >= 0")
+    digits = []
+    while True:
+        n, r = divmod(n, p)
+        digits.append(r)
+        if n == 0:
+            return digits

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
+from weylkit._exact import base_p_digits, det_adjugate, is_prime
 from weylkit.lattice import (
     RootDatum,
     Weight,
@@ -151,38 +152,14 @@ def dimension(ch: Character) -> int:
     return sum(c for _, c in ch.terms)
 
 
-@lru_cache(maxsize=None)
-def _alpha_row_sums(datum: RootDatum) -> tuple[Fraction, ...]:
-    """Row sums of the inverse Cartan matrix, as Fractions.
-
-    The dot product with fundamental-weight coordinates is the sum of
-    the simple-root coordinates, the height used for term ordering.
+def _height(datum: RootDatum):
+    """Height (sum of simple-root coordinates) of fundamental-weight
+    coordinates, times det C > 0 to stay an integer; sorting by
+    (height, coords) refines dominance.
     """
-    n = datum.rank
-    aug = [[Fraction(datum.cartan[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = [row[n:] for row in aug]
-    return tuple(sum(inv[i][j] for i in range(n)) for j in range(n))
-
-
-def _height(datum: RootDatum, coords: tuple[int, ...]) -> Fraction:
-    rows = _alpha_row_sums(datum)
-    return sum((r * c for r, c in zip(rows, coords)), Fraction(0))
-
-
-def _order_key(datum: RootDatum, coords: tuple[int, ...]):
-    """Total order refining dominance: height, then lexicographic."""
-    return (_height(datum, coords), coords)
+    _, adj = det_adjugate(datum.cartan)
+    row = tuple(sum(col) for col in zip(*adj))
+    return lambda coords: sum(r * c for r, c in zip(row, coords))
 
 
 def weyl_character(datum: RootDatum, highest: Weight,
@@ -203,6 +180,9 @@ def weyl_character(datum: RootDatum, highest: Weight,
         raise ValueError("weight rank does not match the datum")
     if not is_dominant(highest):
         raise ValueError("highest weight must be dominant")
+    if max_terms < 1:
+        raise ValueError("max_terms must be positive")
+    height = _height(datum)
     rank = datum.rank
     wf = enumerate_finite_weyl(datum)
     rho1 = Weight((1,) * rank)
@@ -214,7 +194,7 @@ def weyl_character(datum: RootDatum, highest: Weight,
         mu = w.apply(lam1).coords
         remainder[mu] = remainder.get(mu, 0) + (-1 if ln % 2 else 1)
     quotient: dict[tuple[int, ...], int] = {}
-    heap = [(-_height(datum, mu), tuple(-c for c in mu)) for mu in remainder]
+    heap = [(-height(mu), tuple(-c for c in mu)) for mu in remainder]
     heapq.heapify(heap)
     steps = 0
     while heap:
@@ -237,7 +217,7 @@ def weyl_character(datum: RootDatum, highest: Weight,
                 remainder[key] = new
                 if old == 0:
                     heapq.heappush(
-                        heap, (-_height(datum, key), tuple(-x for x in key)))
+                        heap, (-height(key), tuple(-x for x in key)))
             else:
                 remainder.pop(key, None)
     if remainder:
@@ -275,6 +255,8 @@ def tensor(a: Character, b: Character,
            max_terms: int = DEFAULT_MAX_TERMS) -> Character:
     """Product of characters (convolution of supports)."""
     a._check_rank(b)
+    if max_terms < 1:
+        raise ValueError("max_terms must be positive")
     acc: dict[Weight, int] = {}
     for wa, ca in a.terms:
         for wb, cb in b.terms:
@@ -284,21 +266,6 @@ def tensor(a: Character, b: Character,
             raise ResourceLimitError(
                 f"character support exceeded {max_terms} terms")
     return Character.from_dict(acc)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -316,23 +283,14 @@ def sl2_simple_character(n: int, p: int,
     """
     if n < 0:
         raise ValueError("highest weight must be nonnegative")
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
     d = _a1()
     out = trivial_character(1)
-    power = 1
-    rem = n
-    while True:
-        digit = rem % p
+    for i, digit in enumerate(steinberg_digits(Weight((n,)), p)):
         out = tensor(
             out,
-            frobenius_twist(weyl_character(d, Weight((digit,)), max_terms),
-                            power),
+            frobenius_twist(weyl_character(d, digit, max_terms), p ** i),
             max_terms)
-        rem //= p
-        power *= p
-        if rem == 0:
-            return out
+    return out
 
 
 def steinberg_digits(lam: Weight, p: int) -> list[Weight]:
@@ -342,17 +300,12 @@ def steinberg_digits(lam: Weight, p: int) -> list[Weight]:
     >>> steinberg_digits(Weight((10,)), 5)
     [Weight(coords=(0,)), Weight(coords=(2,))]
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not is_dominant(lam):
         raise ValueError("weight must be dominant")
-    digits = []
-    rem = list(lam.coords)
-    while True:
-        digits.append(Weight(tuple(c % p for c in rem)))
-        rem = [c // p for c in rem]
-        if all(c == 0 for c in rem):
-            return digits
+    return [Weight(digits) for digits in zip_longest(
+        *(base_p_digits(c, p) for c in lam.coords), fillvalue=0)]
 
 
 @lru_cache(maxsize=None)
@@ -374,10 +327,11 @@ def expand_in_standard_basis(datum: RootDatum, ch: Character
     """
     if not is_weyl_invariant(datum, ch):
         raise ValueError("character is not Weyl-invariant")
+    height = _height(datum)
     out: dict[Weight, int] = {}
     rem = ch.as_dict()
     while rem:
-        mu = max(rem, key=lambda w: _order_key(datum, w.coords))
+        mu = max(rem, key=lambda w: (height(w.coords), w.coords))
         c = rem[mu]
         if not is_dominant(mu):
             raise RuntimeError("leading term of an invariant character "

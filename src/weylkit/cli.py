@@ -14,6 +14,7 @@ import json
 import re
 import sys
 
+from weylkit._exact import base_p_digits
 from weylkit.lattice import (
     UnsupportedDatumError,
     Weight,
@@ -172,22 +173,13 @@ def _cmd_char(args) -> str:
     return str(ch) + "\n"
 
 
-def _base_p_digits(n: int, p: int) -> list[int]:
-    digits = []
-    while True:
-        digits.append(n % p)
-        n //= p
-        if n == 0:
-            return digits
-
-
 def _cmd_sl2_check(args) -> str:
     p, upto = args.p, args.upto
     rows = []
     for n in range(0, upto + 1):
         if n != 0 and n % (2 * p) not in (0, 2 * p - 2):
             continue
-        digits = _base_p_digits(n, p)
+        digits = base_p_digits(n, p)
         rows.append((n, digits, sl2_lcf_valid(n, p)))
     if args.format == "json":
         return _json_text({
@@ -212,9 +204,11 @@ def _cmd_sl2_check(args) -> str:
 def _parse_link(spec: str) -> GradedAbelianGroup:
     if spec.lstrip().startswith("{"):
         raw = json.loads(spec)
+        if any(not isinstance(body, dict) for body in raw.values()):
+            raise ValueError("each link degree must map to a JSON object")
         return GradedAbelianGroup.from_dict({
             int(deg): FgAbelianGroup(body.get("free", 0),
-                                     tuple(body.get("torsion", ())))
+                                     body.get("torsion", ()))
             for deg, body in raw.items()})
     return link_preset(spec)
 

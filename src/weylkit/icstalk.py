@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from weylkit._exact import det_adjugate, is_prime, smith_diagonal
+
 __all__ = [
     "FgAbelianGroup",
     "GradedAbelianGroup",
@@ -36,59 +38,10 @@ __all__ = [
 ]
 
 
-def _smith_diagonal(mat: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form: nonnegative, each dividing
-    the next, length min(rows, cols), zeros included.
-    """
-    m = [list(row) for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    diag = []
-    top = 0
-    while top < min(rows, cols):
-        # find a nonzero pivot of smallest absolute value
-        piv = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if m[i][j] and (piv is None
-                                or abs(m[i][j]) < abs(m[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i, j = piv
-        m[top], m[i] = m[i], m[top]
-        for r in range(rows):
-            m[r][top], m[r][j] = m[r][j], m[r][top]
-        again = False
-        for r in range(top + 1, rows):
-            q = m[r][top] // m[top][top]
-            if q:
-                m[r] = [a - q * b for a, b in zip(m[r], m[top])]
-            if m[r][top]:
-                again = True
-        for c in range(top + 1, cols):
-            q = m[top][c] // m[top][top]
-            if q:
-                for r in range(rows):
-                    m[r][c] -= q * m[r][top]
-            if m[top][c]:
-                again = True
-        if again:
-            continue
-        diag.append(abs(m[top][top]))
-        top += 1
-    diag += [0] * (min(rows, cols) - len(diag))
-    # enforce the divisibility chain
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            a, b = diag[i], diag[j]
-            if a and b and b % a != 0:
-                from math import gcd
-                g = gcd(a, b)
-                diag[i], diag[j] = g, a * b // g
-            elif a == 0 and b != 0:
-                diag[i], diag[j] = b, 0
-    return diag
+def _check_ints(values, what: str) -> None:
+    """Exact input only: reject anything but an int, bool included."""
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+        raise ValueError(f"{what} must be integers")
 
 
 @dataclass(frozen=True)
@@ -99,9 +52,13 @@ class FgAbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.torsion, (tuple, list)):
+            raise ValueError("torsion must be a sequence of integers")
+        _check_ints((self.free_rank, *self.torsion),
+                    "free rank and invariant factors")
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(int(t) for t in self.torsion))
+        object.__setattr__(self, "torsion", tuple(self.torsion))
         for t in self.torsion:
             if t < 2:
                 raise ValueError("invariant factors must be at least 2")
@@ -130,9 +87,8 @@ class FgAbelianGroup:
         """Cokernel of the relation matrix (rows = relations)."""
         if any(len(r) != num_generators for r in relations):
             raise ValueError("relation rows must match the generator count")
-        if not relations:
-            return cls.free(num_generators)
-        diag = _smith_diagonal(relations)
+        _check_ints([x for r in relations for x in r], "relation entries")
+        diag = smith_diagonal(relations)
         nonzero = [d for d in diag if d != 0]
         return cls(num_generators - len(nonzero),
                    tuple(d for d in nonzero if d >= 2))
@@ -224,9 +180,7 @@ def link_preset(name: str) -> GradedAbelianGroup:
 
 
 def _check_characteristic(p: int) -> None:
-    if p == 0:
-        return
-    if p < 2 or any(p % f == 0 for f in range(2, int(p ** 0.5) + 1)):
+    if p != 0 and not is_prime(p):
         raise ValueError("characteristic must be 0 or a prime")
 
 
@@ -405,17 +359,14 @@ def intersection_form_semisimple(form, p: int) -> bool:
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("matrix must be square")
+    _check_ints([x for row in mat for x in row], "matrix entries")
     for i in range(n):
         for j in range(n):
             if mat[i][j] != mat[j][i]:
                 raise ValueError("matrix must be symmetric")
     _check_characteristic(p)
-    if n == 0:
-        return True
-    diag = _smith_diagonal(mat)
-    if p == 0:
-        return all(e != 0 for e in diag)
-    return all(e % p != 0 for e in diag)
+    det, _ = det_adjugate(mat)
+    return det % p != 0 if p else det != 0
 
 
 def cotangent_self_intersection(euler_characteristic: int) -> int:

@@ -31,7 +31,8 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+
+from weylkit._exact import det_adjugate
 
 __all__ = [
     "Coroot",
@@ -312,27 +313,6 @@ def is_p_restricted(weight: Weight, p: int) -> bool:
     return all(0 <= c < p for c in weight.coords)
 
 
-def _solve_in_basis(
-    basis: tuple[tuple[int, ...], ...], target: tuple[int, ...]
-) -> list[Fraction] | None:
-    """Coordinates of ``target`` in ``basis`` (rows), or None if singular."""
-    n = len(basis)
-    aug = [[Fraction(basis[j][i]) for j in range(n)] + [Fraction(target[i])]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def rho(datum: RootDatum) -> Weight:
     """Half-sum of the positive roots, as an element of the lattice.
 
@@ -343,12 +323,12 @@ def rho(datum: RootDatum) -> Weight:
     >>> rho(build_root_datum("G2"))
     Weight(coords=(1, 1))
     """
-    target = tuple(1 for _ in range(datum.rank))
-    coords = _solve_in_basis(datum.lattice_basis, target)
-    if coords is None or any(c.denominator != 1 for c in coords):
+    # x * B = (1, ..., 1) is solved by x = adj(B^T) (1, ..., 1) / det B
+    det, adj = det_adjugate(tuple(zip(*datum.lattice_basis)))
+    if det == 0 or any(sum(row) % det for row in adj):
         raise ValueError(
             f"rho is not in the weight lattice of the {datum.variant} variant")
-    return Weight(target)
+    return Weight((1,) * datum.rank)
 
 
 def coxeter_number(datum: RootDatum) -> int:
@@ -360,28 +340,6 @@ def coxeter_number(datum: RootDatum) -> int:
     return 1 + max(sum(c.coords) for _, c in datum.positive_roots)
 
 
-def _det(matrix: tuple[tuple[int, ...], ...]) -> int:
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    if det.denominator != 1:
-        raise AssertionError("integer determinant expected")
-    return int(det)
-
-
 def index_of_connection(datum: RootDatum) -> int:
     """Order of (weight lattice) / (root lattice) for this variant.
 
@@ -390,11 +348,8 @@ def index_of_connection(datum: RootDatum) -> int:
     >>> index_of_connection(build_root_datum("G2"))
     1
     """
-    num = abs(_det(datum.cartan))
-    den = abs(_det(datum.lattice_basis))
-    if den == 0 or num % den != 0:
-        raise AssertionError("root lattice is not inside the weight lattice")
-    return num // den
+    return (abs(det_adjugate(datum.cartan)[0])
+            // abs(det_adjugate(datum.lattice_basis)[0]))
 
 
 _DUAL_SERIES = {"B2": "C2", "C2": "B2"}

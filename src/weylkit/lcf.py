@@ -40,11 +40,11 @@ from weylkit.coxeter import (
 from weylkit.hecke import evaluate_at_one, kl_basis_element
 from weylkit.charring import (
     Character,
-    _is_prime,
-    _order_key,
+    _height,
     _weyl_cached,
     sl2_simple_character,
 )
+from weylkit._exact import det_adjugate, is_prime
 
 __all__ = [
     "DecompositionMatrix",
@@ -244,9 +244,11 @@ def decomposition_matrix(datum: RootDatum, p: int,
         raise ValueError(f"p must be at least the Coxeter number {h}")
     if max_len is None and max_weight is None:
         raise ValueError("need max_len or max_weight")
+    if max_weight is not None and max_weight < 0:
+        raise ValueError("max_weight must be nonnegative")
     if entries not in ("auto", "lcf", "simple"):
         raise ValueError(f"unknown entries mode {entries!r}")
-    sl2 = datum.series == "A1" and datum.variant == "sc" and _is_prime(p)
+    sl2 = datum.series == "A1" and datum.variant == "sc" and is_prime(p)
     if entries == "auto":
         entries = "simple" if sl2 else "lcf"
     if entries == "simple" and not sl2:
@@ -258,7 +260,8 @@ def decomposition_matrix(datum: RootDatum, p: int,
     if max_weight is not None:
         orbit = [(x, w) for x, w in orbit
                  if all(c <= max_weight for c in w.coords)]
-    orbit.sort(key=lambda xw: _order_key(datum, xw[1].coords))
+    height = _height(datum)
+    orbit.sort(key=lambda xw: (height(xw[1].coords), xw[1].coords))
     labels = tuple(orbit)
     index = {x: i for i, (x, _) in enumerate(orbit)}
     rows = []
@@ -298,11 +301,7 @@ def invert_decomposition(m: DecompositionMatrix) -> DecompositionMatrix:
         for j in range(i + 1, n):
             if a[i][j] != 0:
                 raise ValueError("matrix is not unitriangular")
-    inv = [[0] * n for _ in range(n)]
-    for i in range(n):
-        inv[i][i] = 1
-        for j in range(i - 1, -1, -1):
-            inv[i][j] = -sum(a[i][k] * inv[k][j] for k in range(j, i))
+    _, inv = det_adjugate(a)  # det a = 1: the adjugate is the inverse
     kind = ("standard-in-simple" if m.kind == "simple-in-standard"
             else "simple-in-standard")
     return DecompositionMatrix(
@@ -317,7 +316,7 @@ def sl2_lcf_valid(n: int, p: int) -> bool:
     >>> sl2_lcf_valid(0, 5)
     True
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 0:
         raise ValueError("weight must be nonnegative")

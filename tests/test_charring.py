@@ -224,3 +224,11 @@ def test_resource_limits():
         tensor(big, big, max_terms=20)
     with pytest.raises(ResourceLimitError):
         sl2_simple_character(24, 5, max_terms=3)
+    # a cap below one term is invalid input, not an exceeded limit
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="max_terms must be positive"):
+            weyl_character(a1, Weight((3,)), max_terms=cap)
+        with pytest.raises(ValueError, match="max_terms must be positive"):
+            tensor(big, big, max_terms=cap)
+        with pytest.raises(ValueError, match="max_terms must be positive"):
+            sl2_simple_character(3, 5, max_terms=cap)

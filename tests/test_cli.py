@@ -259,11 +259,28 @@ def test_intersection_form_json(capsys):
     (["intersection-form", "--matrix", "[[1,2]]", "--p", "3"], 3),
     (["intersection-form", "--matrix", "not json", "--p", "3"], 3),
     (["char", "--n", "24", "--p", "5", "--max-terms", "3"], 4),
+    (["char", "--n", "3", "--p", "5", "--max-terms", "-1"], 3),
+    (["lcf", "A2", "--p", "5", "--max-weight", "-3"], 3),
+    (["ic-cone", "--link", '{"0":5}', "--d", "2"], 3),
+    (["ic-cone", "--link", '{"0":{"free":1.5}}', "--d", "2"], 3),
+    (["intersection-form", "--matrix", '[["a"]]', "--p", "3"], 3),
+    (["intersection-form", "--matrix", "[[1.5]]", "--p", "3"], 3),
+    (["intersection-form", "--matrix", "[[true]]", "--p", "3"], 3),
+    # p beyond the range where primality can be certified
+    (["ic-cone", "--link", "rp3", "--d", "2", "--p", str(10 ** 400 + 1)], 3),
+    (["intersection-form", "--matrix", "[[-2]]", "--p", str(10 ** 400 + 1)],
+     3),
+    (["sl2-check", "--p", "0", "--upto", "3"], 3),
+    # the Mersenne prime 2^61 - 1: certified without trial division
+    (["char", "--n", "1", "--p", "2305843009213693951"], 0),
+    (["ic-cone", "--link", "rp3", "--d", "2", "--p", "2305843009213693951"],
+     0),
+    (["sl2-check", "--p", "2305843009213693951", "--upto", "5"], 0),
 ])
 def test_exit_codes(capsys, argv, code):
     got, out, err = run(capsys, argv)
     assert got == code
-    assert err.startswith("error:")
+    assert err.startswith("error:") if code else err == ""
 
 
 def test_argparse_errors_exit_two(capsys):

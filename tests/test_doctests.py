@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+import weylkit._exact
 import weylkit.charring
 import weylkit.cli
 import weylkit.coxeter
@@ -13,6 +14,7 @@ import weylkit.lattice
 import weylkit.lcf
 
 MODULES = [
+    weylkit._exact,
     weylkit.lattice,
     weylkit.coxeter,
     weylkit.hecke,

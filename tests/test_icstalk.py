@@ -47,6 +47,14 @@ def test_group_validation():
         FgAbelianGroup(-1, ())
     with pytest.raises(ValueError):
         FgAbelianGroup(0, (3, 2))  # not a divisibility chain
+    # exact input only: no floats, strings or bools, no silent int()
+    for free, torsion in [(1.5, ()), (True, ()), ("1", ()), (0, (2.0,)),
+                          (0, (True,)), (0, ("2",)), (0, 5)]:
+        with pytest.raises(ValueError):
+            FgAbelianGroup(free, torsion)
+    for rel in ([[1.5]], [[True]], [["a"]]):
+        with pytest.raises(ValueError):
+            FgAbelianGroup.from_presentation(1, rel)
 
 
 def test_presentations_reduce_to_invariant_factors():
@@ -269,6 +277,9 @@ def test_intersection_forms():
         intersection_form_semisimple([[1, 2]], 5)
     with pytest.raises(ValueError):
         intersection_form_semisimple([[0, 1], [2, 0]], 5)
+    for form in ([["a"]], [[1.5]], [[True]], [[2, 1.0], [1.0, 2]]):
+        with pytest.raises(ValueError):
+            intersection_form_semisimple(form, 3)
 
 
 def test_cotangent_self_intersection():

@@ -201,6 +201,8 @@ def test_decomposition_matrix_validation():
         decomposition_matrix(a2, 5, max_len=2, entries="simple")
     with pytest.raises(ValueError):
         decomposition_matrix(a2, 2, max_len=2)  # p below Coxeter number
+    with pytest.raises(ValueError, match="max_weight must be nonnegative"):
+        decomposition_matrix(a2, 5, max_weight=-3)
 
 
 def test_rank_two_formula_matrix():
