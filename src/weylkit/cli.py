@@ -206,6 +206,11 @@ def _parse_link(spec: str) -> GradedAbelianGroup:
         raw = json.loads(spec)
         if any(not isinstance(body, dict) for body in raw.values()):
             raise ValueError("each link degree must map to a JSON object")
+        unknown = sorted({k for body in raw.values() for k in body}
+                         - {"free", "torsion"})
+        if unknown:
+            raise ValueError(f"unknown link keys {unknown}; "
+                             "expected 'free' and 'torsion'")
         return GradedAbelianGroup.from_dict({
             int(deg): FgAbelianGroup(body.get("free", 0),
                                      body.get("torsion", ()))

@@ -1,10 +1,12 @@
 """Finite and affine Weyl groups of a root datum.
 
 Elements of the affine group W = W_f x ZR are stored as a finite part
-(acting on the weight lattice) together with a root-lattice translation,
-so equality is a plain component comparison and no word rewriting is
-needed.  Words, lengths, Bruhat order and the p-dilated dot action are
-all derived from that normal form.
+(one integer matrix acting on weight coordinates) together with a
+root-lattice translation written in weight coordinates, so equality is
+a plain component comparison, a product is one matrix product and one
+matrix-vector product, and no word rewriting is needed.  Words,
+lengths, Bruhat order and the p-dilated dot action are all derived
+from that normal form.
 
 Generator indexing: indices 0 .. rank-1 are the finite simple
 reflections, index rank is the extra affine reflection s0.
@@ -24,6 +26,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from weylkit._exact import det_adjugate
 from weylkit.lattice import (
     Coroot,
     RootDatum,
@@ -78,16 +81,12 @@ def _mat_vec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
 class FiniteWeylElement:
     """Finite Weyl group element.
 
-    ``matrix`` acts on fundamental-weight coordinates, ``root_matrix`` on
-    simple-root coordinates; both inverses are kept so that group
-    inversion and the length formula stay integer matrix arithmetic.
+    ``matrix`` acts on fundamental-weight coordinates.  The inverse and
+    the inversion set are derived from it when needed.
     """
 
     datum: RootDatum
     matrix: Matrix
-    inv_matrix: Matrix
-    root_matrix: Matrix
-    inv_root_matrix: Matrix
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteWeylElement):
@@ -114,16 +113,12 @@ class FiniteWeylElement:
 class AffineWeylElement:
     """Affine Weyl group element t_gamma * w.
 
-    ``translation`` is gamma in simple-root coordinates (an element of
-    the root lattice), ``finite`` is w.
+    ``translation`` is gamma, an element of the root lattice, in
+    fundamental-weight coordinates; ``finite`` is w.
     """
 
     finite: FiniteWeylElement
     translation: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "translation",
-                           tuple(int(c) for c in self.translation))
 
     @property
     def datum(self) -> RootDatum:
@@ -148,60 +143,60 @@ class AffineWeylElement:
                 and self.finite.is_identity)
 
 
-def _simple_reflection(datum: RootDatum, i: int) -> FiniteWeylElement:
+def _reflection(datum: RootDatum, root: Weight, coroot: Coroot
+                ) -> FiniteWeylElement:
+    """lam -> lam - <lam, a_check> a, on weight coordinates."""
     rank = datum.rank
-    m = [[1 if a == b else 0 for b in range(rank)] for a in range(rank)]
-    for a in range(rank):
-        m[a][i] -= datum.cartan[a][i]
-    n = [[1 if a == b else 0 for b in range(rank)] for a in range(rank)]
-    for j in range(rank):
-        n[i][j] -= datum.cartan[i][j]
-    mt = tuple(tuple(row) for row in m)
-    nt = tuple(tuple(row) for row in n)
-    return FiniteWeylElement(datum, mt, mt, nt, nt)
-
-
-def _reflection_for_root(datum: RootDatum, index: int) -> FiniteWeylElement:
-    """Reflection in the positive root at ``index``."""
-    rank = datum.rank
-    wt = datum.positive_roots[index][0].coords
-    c = datum.positive_roots[index][1].coords
-    alpha = datum.root_alpha[index]
-    m = tuple(tuple((1 if a == b else 0) - c[b] * wt[a] for b in range(rank))
-              for a in range(rank))
-    n = tuple(tuple(
-        (1 if a == j else 0)
-        - sum(datum.cartan[k][j] * c[k] for k in range(rank)) * alpha[a]
-        for j in range(rank)) for a in range(rank))
-    return FiniteWeylElement(datum, m, m, n, n)
+    wt, c = root.coords, coroot.coords
+    return FiniteWeylElement(datum, tuple(
+        tuple((1 if a == b else 0) - c[b] * wt[a] for b in range(rank))
+        for a in range(rank)))
 
 
 class _Context:
-    """Per-datum caches: generators, root signs, Bruhat memo, W_f list."""
+    """Per-datum caches, the only owner of each: generators, the
+    inversion sets of finite parts, lengths, reduced words, the Bruhat
+    memo and the W_f list."""
 
     def __init__(self, datum: RootDatum) -> None:
         self.datum = datum
         rank = datum.rank
         zero = (0,) * rank
-        ident = FiniteWeylElement(datum, _identity(rank), _identity(rank),
-                                  _identity(rank), _identity(rank))
-        self.identity = AffineWeylElement(ident, zero)
-        finite_gens = [_simple_reflection(datum, i) for i in range(rank)]
-        self.finite_gens = [AffineWeylElement(g, zero) for g in finite_gens]
+        self.identity = AffineWeylElement(
+            FiniteWeylElement(datum, _identity(rank)), zero)
+        self.finite_gens = [
+            AffineWeylElement(_reflection(datum, *datum.simple_root(i)), zero)
+            for i in range(rank)]
         # the affine generator reflects in the wall cut out by the
         # highest coroot; its root is the dominant short root
-        short_idx = max(range(len(datum.positive_roots)),
-                        key=lambda k: sum(datum.positive_roots[k][1].coords))
-        s_beta = _reflection_for_root(datum, short_idx)
-        self.s0 = AffineWeylElement(s_beta, datum.root_alpha[short_idx])
+        short_wt, short_c = datum.highest_coroot()
+        self.s0 = AffineWeylElement(_reflection(datum, short_wt, short_c),
+                                    short_wt.coords)
         self.gens = self.finite_gens + [self.s0]
-        self.pos_pairs = [(w.coords, c.coords) for w, c in datum.positive_roots]
-        self.root_sign: dict[tuple[int, ...], int] = {}
-        for w, _ in datum.positive_roots:
-            self.root_sign[w.coords] = 1
-            self.root_sign[tuple(-x for x in w.coords)] = -1
+        self.coroots = [c.coords for _, c in datum.positive_roots]
+        self.root_index: dict[tuple[int, ...], int] = {
+            w.coords: k for k, (w, _) in enumerate(datum.positive_roots)}
+        self.inversions_memo: dict[Matrix, tuple[bool, ...]] = {}
+        self.length_memo: dict[AffineWeylElement, int] = {}
+        self.word_memo: dict[AffineWeylElement, tuple[int, ...]] = {}
         self.bruhat_memo: dict[tuple[AffineWeylElement, AffineWeylElement], bool] = {}
         self._finite_list: list[tuple[FiniteWeylElement, int]] | None = None
+
+    def inversions(self, w: FiniteWeylElement) -> tuple[bool, ...]:
+        """Per positive root a (in datum order): is w^{-1}(a) negative?
+
+        These a form the set {-w(b) : b > 0, w(b) < 0}.
+        """
+        got = self.inversions_memo.get(w.matrix)
+        if got is None:
+            flags = [False] * len(self.root_index)
+            for wt in self.root_index:
+                k = self.root_index.get(
+                    tuple(-c for c in _mat_vec(w.matrix, wt)))
+                if k is not None:
+                    flags[k] = True
+            got = self.inversions_memo[w.matrix] = tuple(flags)
+        return got
 
     def finite_elements(self) -> list[tuple[FiniteWeylElement, int]]:
         if self._finite_list is None:
@@ -213,7 +208,8 @@ class _Context:
                 nxt = []
                 for w in frontier:
                     for g in self.finite_gens:
-                        prod = _compose(w, g.finite)
+                        prod = FiniteWeylElement(
+                            self.datum, _mat_mul(w.matrix, g.finite.matrix))
                         if prod not in seen:
                             seen[prod] = depth
                             nxt.append(prod)
@@ -226,16 +222,6 @@ class _Context:
 @lru_cache(maxsize=None)
 def _context(datum: RootDatum) -> _Context:
     return _Context(datum)
-
-
-def _compose(a: FiniteWeylElement, b: FiniteWeylElement) -> FiniteWeylElement:
-    return FiniteWeylElement(
-        a.datum,
-        _mat_mul(a.matrix, b.matrix),
-        _mat_mul(b.inv_matrix, a.inv_matrix),
-        _mat_mul(a.root_matrix, b.root_matrix),
-        _mat_mul(b.inv_root_matrix, a.inv_root_matrix),
-    )
 
 
 def identity_element(datum: RootDatum) -> AffineWeylElement:
@@ -261,18 +247,19 @@ def multiply(x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
     """Group law (t_g1 w1)(t_g2 w2) = t_{g1 + w1(g2)} (w1 w2)."""
     if x.datum is not y.datum and x.datum != y.datum:
         raise ValueError("elements belong to different root data")
-    moved = _mat_vec(x.finite.root_matrix, y.translation)
-    trans = tuple(a + b for a, b in zip(x.translation, moved))
-    return AffineWeylElement(_compose(x.finite, y.finite), trans)
+    m = x.finite.matrix
+    trans = tuple(a + b for a, b in zip(x.translation,
+                                         _mat_vec(m, y.translation)))
+    return AffineWeylElement(
+        FiniteWeylElement(x.datum, _mat_mul(m, y.finite.matrix)), trans)
 
 
 def inverse(x: AffineWeylElement) -> AffineWeylElement:
     """Group inverse t_{-w^{-1}(gamma)} w^{-1}."""
-    f = x.finite
-    finv = FiniteWeylElement(f.datum, f.inv_matrix, f.matrix,
-                             f.inv_root_matrix, f.root_matrix)
-    trans = tuple(-c for c in _mat_vec(f.inv_root_matrix, x.translation))
-    return AffineWeylElement(finv, trans)
+    det, adj = det_adjugate(x.finite.matrix)  # det w = +-1
+    inv = tuple(tuple(det * c for c in row) for row in adj)
+    trans = tuple(-c for c in _mat_vec(inv, x.translation))
+    return AffineWeylElement(FiniteWeylElement(x.datum, inv), trans)
 
 
 def dot_p(x: AffineWeylElement, weight: Weight, p: int) -> Weight:
@@ -286,14 +273,8 @@ def dot_p(x: AffineWeylElement, weight: Weight, p: int) -> Weight:
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    datum = x.datum
-    rank = datum.rank
-    shifted = tuple(c + 1 for c in weight.coords)
-    moved = _mat_vec(x.finite.matrix, shifted)
-    gamma_wt = tuple(
-        sum(datum.cartan[a][j] * x.translation[j] for j in range(rank))
-        for a in range(rank))
-    return Weight(tuple(moved[a] - 1 + p * gamma_wt[a] for a in range(rank)))
+    moved = _mat_vec(x.finite.matrix, tuple(c + 1 for c in weight.coords))
+    return Weight(tuple(m - 1 + p * g for m, g in zip(moved, x.translation)))
 
 
 def _as_affine(x: AffineWeylElement | FiniteWeylElement) -> AffineWeylElement:
@@ -302,26 +283,19 @@ def _as_affine(x: AffineWeylElement | FiniteWeylElement) -> AffineWeylElement:
     return x
 
 
-@lru_cache(maxsize=None)
 def _length(x: AffineWeylElement) -> int:
     # Iwahori-Matsumoto: sum over positive roots a of |<gamma, a_check>|
     # when w^{-1}(a) stays positive and |<gamma, a_check> - 1| otherwise.
     ctx = _context(x.datum)
-    datum = x.datum
-    rank = datum.rank
-    gamma_wt = tuple(
-        sum(datum.cartan[a][j] * x.translation[j] for j in range(rank))
-        for a in range(rank))
-    inv = x.finite.inv_matrix
-    total = 0
-    for wt, c in ctx.pos_pairs:
-        n = sum(gamma_wt[k] * c[k] for k in range(rank))
-        image = _mat_vec(inv, wt)
-        if ctx.root_sign[image] > 0:
-            total += abs(n)
-        else:
-            total += abs(n - 1)
-    return total
+    got = ctx.length_memo.get(x)
+    if got is None:
+        gamma = x.translation
+        got = 0
+        for c, neg in zip(ctx.coroots, ctx.inversions(x.finite)):
+            n = sum(g * a for g, a in zip(gamma, c))
+            got += abs(n - 1) if neg else abs(n)
+        ctx.length_memo[x] = got
+    return got
 
 
 def length(x: AffineWeylElement | FiniteWeylElement) -> int:
@@ -336,9 +310,11 @@ def length(x: AffineWeylElement | FiniteWeylElement) -> int:
     return _length(_as_affine(x))
 
 
-@lru_cache(maxsize=None)
 def _reduced_word_t(x: AffineWeylElement) -> tuple[int, ...]:
     ctx = _context(x.datum)
+    got = ctx.word_memo.get(x)
+    if got is not None:
+        return got
     word: list[int] = []
     cur = x
     cur_len = _length(cur)
@@ -352,7 +328,8 @@ def _reduced_word_t(x: AffineWeylElement) -> tuple[int, ...]:
                 break
         else:
             raise AssertionError("element of positive length has no descent")
-    return tuple(word)
+    got = ctx.word_memo[x] = tuple(word)
+    return got
 
 
 def reduced_word(x: AffineWeylElement | FiniteWeylElement) -> list[int]:
@@ -559,10 +536,13 @@ def longest_finite_element(datum: RootDatum) -> FiniteWeylElement:
 
 
 def element_to_json(x: AffineWeylElement) -> dict:
+    """Reduced word, finite matrix and the translation in simple-root
+    coordinates."""
+    det, adj = det_adjugate(x.datum.cartan)
     return {
         "word": reduced_word(x),
         "finite_matrix": [list(row) for row in x.finite.matrix],
-        "translation": list(x.translation),
+        "translation": [c // det for c in _mat_vec(adj, x.translation)],
     }
 
 

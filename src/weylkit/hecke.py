@@ -9,6 +9,23 @@ In this normalization every b_x = h_x + sum over y < x of P_{y,x} h_y
 where P_{y,x} has nonnegative coefficients supported on exponents in
 [1, l(x) - l(y)] of the correct parity.
 
+The basis {b_x} comes from a private integer-indexed engine in the
+style of du Cloux (Experiment. Math. 11, 2002), one per algebra
+handle, under the handle's lock:
+
+* ids: the group is enumerated level by level, every element of length
+  <= L gets an integer id in (length, reduced word) order, and the
+  enumeration is extended when a longer x is asked for;
+* action tables: per generator s, the ids of x s and s x, so lengths,
+  descents and the term order need no group arithmetic;
+* dense polynomials: b_x is {id of y: coefficients of P_{y,x} indexed
+  by exponent}, from the recursion of Kazhdan and Lusztig (Invent.
+  Math. 53, 1979) b_x = b_{xs} b_s - sum of mu(y, xs) b_y over y < xs
+  with ys < y, where s is the last letter of the reduced word of x and
+  mu is the coefficient of v;
+* views: ``HeckeElement`` objects are built only at the API boundary,
+  by ``kl_basis_element``; ``kl_polynomial`` reads one table entry.
+
 >>> from weylkit.lattice import build_root_datum
 >>> from weylkit.coxeter import generators, multiply
 >>> d = build_root_datum("A1")
@@ -275,11 +292,152 @@ class HeckeElement:
         }
 
 
+def _axpy(acc: dict[int, list[int]], y: int, c: int, p: list[int],
+          shift: int) -> None:
+    """acc[y] += c * v^shift * p, polynomials as dense coefficient lists
+    indexed by exponent."""
+    q = acc.get(y)
+    if q is None:
+        acc[y] = [0] * shift + [c * a for a in p]
+        return
+    if len(q) < len(p) + shift:
+        q.extend([0] * (len(p) + shift - len(q)))
+    for e, a in enumerate(p, shift):
+        if a:
+            q[e] += c * a
+
+
+def _laurent(p: list[int]) -> LaurentPolynomial:
+    return LaurentPolynomial(tuple((e, c) for e, c in enumerate(p) if c))
+
+
+class _KLEngine:
+    """Integer-indexed Kazhdan-Lusztig tables of one Hecke algebra.
+
+    Elements get ids level by level in (length, reduced word) order, so
+    sorting ids sorts terms.  ``right[s][i]`` and ``left[s][i]`` are the
+    ids of x_i s and s x_i (-1 while that element is longer than every
+    enumerated one), ``last[i]`` is the last letter of the reduced word
+    of x_i, and ``kl[i]`` maps each y <= x_i to P_{y,x_i} as a dense
+    coefficient list indexed by exponent.  Not locked by itself: the
+    owning algebra calls it under its lock.
+    """
+
+    def __init__(self, identity: AffineWeylElement,
+                 gens: list[AffineWeylElement]) -> None:
+        self.gens = gens
+        self.elems = [identity]
+        self.index = {identity: 0}
+        self.lens = [0]
+        self.right = [[-1] for _ in gens]
+        self.left = [[-1] for _ in gens]
+        self.last = [-1]
+        self.top_start = 0  # first id of the longest enumerated length
+        self.complete = False
+        self.kl: dict[int, dict[int, list[int]]] = {0: {0: [1]}}
+
+    def element_id(self, x: AffineWeylElement) -> int:
+        got = self.index.get(x)
+        if got is None:
+            target = length(x)
+            while self.lens[-1] < target and not self.complete:
+                self._grow()
+            got = self.index[x]
+        return got
+
+    def _grow(self) -> None:
+        """Enumerate the elements one longer than the longest so far.
+
+        Every unknown edge from the top level leads one level up; each
+        edge is found by one group multiply, and its other end follows
+        because generators are involutions.
+        """
+        lo, hi = self.top_start, len(self.elems)
+        found: dict[AffineWeylElement, tuple[list, list]] = {}
+        for side, table in enumerate((self.right, self.left)):
+            for s, g in enumerate(self.gens):
+                col = table[s]
+                for i in range(lo, hi):
+                    if col[i] < 0:
+                        x = self.elems[i]
+                        y = multiply(x, g) if side == 0 else multiply(g, x)
+                        found.setdefault(y, ([], []))[side].append((s, i))
+        if not found:
+            self.complete = True
+            return
+        # word(y) is its smallest left descent s followed by word(s y),
+        # and the ids of the level below are already in word order
+        level = self.lens[-1] + 1
+        self.top_start = hi
+        for j, y in enumerate(sorted(found, key=lambda y: min(found[y][1])),
+                              hi):
+            self.elems.append(y)
+            self.index[y] = j
+            self.lens.append(level)
+            right_edges, left_edges = found[y]
+            for table, edges in ((self.right, right_edges),
+                                 (self.left, left_edges)):
+                for col in table:
+                    col.append(-1)
+                for s, i in edges:
+                    table[s][i] = j
+                    table[s][j] = i
+            s, i = min(left_edges)
+            self.last.append(self.last[i] if level > 1 else s)
+
+    def basis(self, x: int) -> dict[int, list[int]]:
+        """b_x as {y: P_{y,x}}, computing what it needs, longest last."""
+        kl = self.kl
+        todo = [x]
+        while todo:
+            z = todo[-1]
+            if z in kl:
+                todo.pop()
+                continue
+            s = self.last[z]
+            prev = kl.get(self.right[s][z])
+            if prev is None:
+                todo.append(self.right[s][z])
+                continue
+            mus = self._mu_terms(prev, s)
+            missing = [y for y, _ in mus if y not in kl]
+            if missing:
+                todo.extend(missing)
+                continue
+            kl[z] = self._step(prev, s, mus)
+            todo.pop()
+        return kl[x]
+
+    def _mu_terms(self, prev: dict[int, list[int]], s: int
+                  ) -> list[tuple[int, int]]:
+        """(y, mu) with ys < y and mu the v-coefficient of P_{y,xs} != 0."""
+        right, lens = self.right[s], self.lens
+        return [(y, p[1]) for y, p in prev.items()
+                if len(p) > 1 and p[1] and lens[right[y]] < lens[y]]
+
+    def _step(self, prev: dict[int, list[int]], s: int,
+              mus: list[tuple[int, int]]) -> dict[int, list[int]]:
+        """b_x = b_{xs} b_s - sum of mu b_y, with b_s = h_s + v."""
+        right, lens = self.right[s], self.lens
+        acc: dict[int, list[int]] = {}
+        for y, p in prev.items():
+            ys = right[y]
+            _axpy(acc, ys, 1, p, 0)
+            if lens[ys] > lens[y]:
+                _axpy(acc, y, 1, p, 1)       # h_y b_s = h_ys + v h_y
+            else:
+                _axpy(acc, y, 1, p[1:], 0)   # h_y b_s = h_ys + v^-1 h_y
+        for y, mu in mus:
+            for z, p in self.kl[y].items():
+                _axpy(acc, z, -mu, p, 0)
+        return {y: p for y, p in acc.items() if any(p)}
+
+
 class HeckeAlgebra:
     """Hecke algebra of the finite or affine Weyl group of a datum.
 
-    The Kazhdan-Lusztig memo cache is shared per algebra handle and
-    guarded by a lock, so concurrent reads see a single logical map.
+    Each handle owns its Kazhdan-Lusztig engine and its bar memo; one
+    lock guards both, so concurrent calls see a single logical table.
     """
 
     def __init__(self, datum: RootDatum, affine: bool = True) -> None:
@@ -287,7 +445,7 @@ class HeckeAlgebra:
         self.affine = affine
         all_gens = generators(datum)
         self.gens = all_gens if affine else all_gens[:datum.rank]
-        self._kl: dict[AffineWeylElement, HeckeElement] = {}
+        self._engine = _KLEngine(identity_element(datum), self.gens)
         self._bar_std: dict[AffineWeylElement, HeckeElement] = {}
         self._lock = threading.RLock()
 
@@ -393,33 +551,20 @@ class HeckeAlgebra:
         """The self-dual basis element b_x = sum_{y <= x} P_{y,x} h_y."""
         x = self._check_member(x)
         with self._lock:
-            return self._kl_locked(x)
-
-    def _kl_locked(self, x: AffineWeylElement) -> HeckeElement:
-        got = self._kl.get(x)
-        if got is not None:
-            return got
-        word = reduced_word(x)
-        if not word:
-            out = self.unit()
-        else:
-            s = self.gens[word[-1]]
-            shorter = multiply(x, s)
-            b_prev = self._kl_locked(shorter)
-            # b_{x'} b_s, then strip the mu-correction terms
-            out = self.mult_standard_by_gen(b_prev, s) + b_prev.scale(_V)
-            for y, p in b_prev.terms:
-                if length(multiply(y, s)) < length(y):
-                    mu = p.coefficient(1)
-                    if mu:
-                        out = out - self._kl_locked(y).scale(mu)
-        self._kl[x] = out
-        return out
+            eng = self._engine
+            b = eng.basis(eng.element_id(x))
+            return HeckeElement(self, tuple(
+                (eng.elems[y], _laurent(b[y])) for y in sorted(b)))
 
     def kl_polynomial(self, y, x) -> LaurentPolynomial:
         """Coefficient of h_y in b_x; zero unless y <= x in Bruhat order."""
         y = self._check_member(y)
-        return self.kl_basis_element(x).coefficient(y)
+        x = self._check_member(x)
+        with self._lock:
+            eng = self._engine
+            b = eng.basis(eng.element_id(x))
+            p = b.get(eng.index.get(y, -1))
+        return _laurent(p) if p else LaurentPolynomial.zero()
 
 
 @lru_cache(maxsize=None)

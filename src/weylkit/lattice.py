@@ -54,6 +54,16 @@ class UnsupportedDatumError(ValueError):
     """Raised for a series or variant this package does not model."""
 
 
+def _int_coords(obj) -> None:
+    """Store ``obj.coords`` as a tuple of exact ints; bool and float are
+    rejected, never truncated."""
+    coords = tuple(obj.coords)
+    if any(type(c) is not int for c in coords):
+        raise ValueError(f"{type(obj).__name__} coordinates must be int, "
+                         f"got {coords!r}")
+    object.__setattr__(obj, "coords", coords)
+
+
 @dataclass(frozen=True)
 class Weight:
     """Element of the weight lattice, in fundamental-weight coordinates.
@@ -67,7 +77,7 @@ class Weight:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        _int_coords(self)
 
     def __add__(self, other: "Weight") -> "Weight":
         if len(self.coords) != len(other.coords):
@@ -93,7 +103,7 @@ class Coroot:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        _int_coords(self)
 
 
 def pairing(weight: Weight, coroot: Coroot) -> int:

@@ -276,6 +276,8 @@ def test_intersection_form_json(capsys):
     (["ic-cone", "--link", "rp3", "--d", "2", "--p", "2305843009213693951"],
      0),
     (["sl2-check", "--p", "2305843009213693951", "--upto", "5"], 0),
+    # a misspelt link key is an error, not a torsion-free link
+    (["ic-cone", "--link", '{"0":{"free":1,"torsoin":[2]}}', "--d", "2"], 3),
 ])
 def test_exit_codes(capsys, argv, code):
     got, out, err = run(capsys, argv)

@@ -9,11 +9,14 @@ Oracles used here and frozen below:
     |W_affine mod translations| / index = |W| / kappa per p-box.
 """
 
+import dataclasses
 import itertools
+import random
 
 import pytest
 
 from weylkit import (
+    FiniteWeylElement,
     bruhat_leq,
     build_root_datum,
     count_p_restricted_in_orbit,
@@ -254,3 +257,60 @@ def test_inverse_and_length_symmetry():
         inv = inverse(el)
         assert multiply(el, inv) == identity_element(datum)
         assert length(inv) == length(el)
+
+
+# ------------------------------------------------- one-matrix group element
+
+def random_element(datum, rng, max_word):
+    gens = generators(datum)
+    x = identity_element(datum)
+    for _ in range(rng.randrange(max_word + 1)):
+        x = multiply(x, rng.choice(gens))
+    return x
+
+
+def test_finite_element_stores_one_matrix():
+    assert [f.name for f in dataclasses.fields(FiniteWeylElement)] == [
+        "datum", "matrix"]
+
+
+@pytest.mark.parametrize("series", ["A1", "A2", "A3", "B2", "C2", "G2"])
+def test_group_law_on_random_words(series):
+    rng = random.Random(series)
+    for variant in ("sc", "adjoint"):
+        datum = build_root_datum(series, variant)
+        e = identity_element(datum)
+        for _ in range(40):
+            a, b, c = (random_element(datum, rng, 12) for _ in range(3))
+            assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+            assert multiply(inverse(a), a) == e
+            assert multiply(a, inverse(a)) == e
+            word = reduced_word(a)
+            assert length(a) == len(word)
+            rebuilt = e
+            for i in word:
+                rebuilt = multiply(rebuilt, generators(datum)[i])
+            assert rebuilt == a
+
+
+def test_element_json_unchanged():
+    # values recorded from the four-matrix element it replaced
+    cases = [
+        ("A2", "sc", [0, 1, 2], [[1, 1], [0, -1]], [-1, 0]),
+        ("A2", "sc", [2, 1, 0, 2], [[-1, -1], [1, 0]], [2, 1]),
+        ("A2", "sc", [2, 0, 1, 2, 0], [[1, 1], [0, -1]], [1, 2]),
+        ("B2", "sc", [0, 1, 2], [[1, 0], [-2, -1]], [0, 1]),
+        ("B2", "sc", [1, 2, 0, 2], [[-1, -1], [2, 1]], [1, 0]),
+        ("G2", "sc", [0, 1, 2], [[1, 0], [-1, -1]], [1, 1]),
+        ("G2", "sc", [1, 0, 2, 0], [[-1, -3], [1, 2]], [1, 0]),
+        ("G2", "sc", [0, 2, 0, 1, 0], [[1, 3], [0, -1]], [1, 1]),
+        ("B2", "adjoint", [2, 0, 1, 2], [[1, 1], [-2, -1]], [1, 2]),
+    ]
+    for series, variant, word, matrix, translation in cases:
+        datum = build_root_datum(series, variant)
+        x = identity_element(datum)
+        for i in word:
+            x = multiply(x, generators(datum)[i])
+        assert element_to_json(x) == {
+            "word": word, "finite_matrix": matrix,
+            "translation": translation}

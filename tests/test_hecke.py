@@ -6,9 +6,13 @@ Independent oracles frozen here:
   * the closed form for dihedral groups (every polynomial is a single
     power of v) over all pairs up to length six;
   * structural bounds (exponent window, parity, positivity, unit top
-    coefficient) that the recursion must satisfy for every pair.
+    coefficient) that the recursion must satisfy for every pair;
+  * the Kazhdan-Lusztig recursion written directly on Hecke elements
+    with the public mult_standard_by_gen, against which the
+    integer-indexed engine is compared element by element.
 """
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -19,6 +23,7 @@ from weylkit import (
     affine_hecke,
     bar,
     build_root_datum,
+    embed_finite,
     enumerate_finite_weyl,
     evaluate_at_one,
     finite_hecke,
@@ -238,7 +243,6 @@ def test_module_level_dispatch_finite_vs_affine():
     # finite elements dispatch to the finite algebra
     assert kl_polynomial(e, w0) == LaurentPolynomial.monomial(1, 3)
     # and agree with the affine algebra on the embedded pair
-    from weylkit import embed_finite
     assert kl_polynomial(embed_finite(e), embed_finite(w0)) == (
         LaurentPolynomial.monomial(1, 3))
 
@@ -283,6 +287,93 @@ def test_concurrent_kl_computation():
         results = list(pool.map(work, els * 2))
     for x, b in zip(els * 2, results):
         assert b.coefficient(x) == ONE
+
+
+# ------------------------------------------------ engine against an oracle
+
+def oracle_kl_basis(alg, x, memo):
+    """b_x = b_{xs} b_s - sum of mu(y, xs) b_y over y < xs with ys < y,
+    with s the last letter of the reduced word of x and b_s = h_s + v;
+    every step a HeckeElement."""
+    got = memo.get(x)
+    if got is not None:
+        return got
+    word = reduced_word(x)
+    if not word:
+        out = alg.unit()
+    else:
+        s = generators(alg.datum)[word[-1]]
+        prev = oracle_kl_basis(alg, multiply(x, s), memo)
+        out = mult_standard_by_gen(prev, s) + prev.scale(V)
+        for y, p in prev.terms:
+            mu = p.coefficient(1)
+            if mu and length(multiply(y, s)) < length(y):
+                out = out - oracle_kl_basis(alg, y, memo).scale(mu)
+    memo[x] = out
+    return out
+
+
+def assert_engine_matches_oracle(alg, elements):
+    memo = {}
+    for x in elements:
+        b = alg.kl_basis_element(x)
+        assert b == oracle_kl_basis(alg, x, memo)
+        keys = [(length(y), reduced_word(y)) for y in b.support()]
+        assert keys == sorted(keys)
+        for y in elements:
+            assert alg.kl_polynomial(y, x) == b.coefficient(y)
+
+
+@pytest.mark.parametrize("series", ["A2", "B2", "G2"])
+def test_engine_matches_oracle_affine(series):
+    datum = build_root_datum(series)
+    assert_engine_matches_oracle(affine_hecke(datum), elements_up_to(datum, 8))
+
+
+@pytest.mark.parametrize("series", ["A3", "B2"])
+def test_engine_matches_oracle_finite(series):
+    datum = build_root_datum(series)
+    elements = [embed_finite(w) for w, _ in enumerate_finite_weyl(datum)]
+    assert_engine_matches_oracle(finite_hecke(datum), elements)
+
+
+def test_kl_polynomial_beyond_the_enumerated_lengths():
+    # y longer than x: zero, whether or not y was ever enumerated
+    datum = build_root_datum("B2")
+    alg = HeckeAlgebra(datum)
+    s = generators(datum)
+    x, y = s[0], identity_element(datum)
+    for i in (2, 1, 0, 2, 1, 2):
+        y = multiply(y, s[i])
+    assert alg.kl_polynomial(y, x) == ZERO
+    assert alg.kl_polynomial(identity_element(datum), x) == V
+    assert alg.kl_polynomial(identity_element(datum), y) != ZERO
+
+
+def test_engine_shared_by_many_threads():
+    # more threads than cores on one fresh handle, switching often: a
+    # race in growing the tables would enumerate an element twice or
+    # give some thread a wrong b_x
+    datum = build_root_datum("B2")
+    els = elements_up_to(datum, 7)
+    ref = HeckeAlgebra(datum)
+    expected = {x: ref.kl_basis_element(x).terms for x in els}
+    order = list(reversed(els)) + els
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            alg = HeckeAlgebra(datum)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(alg.kl_basis_element, x)
+                           for x in order]
+                results = [f.result(timeout=120) for f in futures]
+            for x, b in zip(order, results):
+                assert b.terms == expected[x]
+            eng = alg._engine
+            assert len(set(eng.elems)) == len(eng.elems) == len(eng.index)
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_algebra_caching():

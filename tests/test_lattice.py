@@ -171,3 +171,27 @@ def test_datum_hash_and_equality():
     b = build_root_datum("A2")
     assert a == b and hash(a) == hash(b)
     assert a != build_root_datum("A2", "adjoint")
+
+
+@pytest.mark.parametrize("cls", [Weight, Coroot])
+@pytest.mark.parametrize("coords", [(1.5, 0), (True, 1), (1, False),
+                                    (2.0,), ("1",), (1, None)])
+def test_non_int_coordinates_rejected(cls, coords):
+    with pytest.raises(ValueError):
+        cls(coords)
+
+
+def test_int_coordinates_kept_exactly():
+    assert Weight([1, -2]).coords == (1, -2)
+    assert Coroot(iter([0, 3])).coords == (0, 3)
+    assert Weight((10 ** 30,)).coords == (10 ** 30,)
+    with pytest.raises(ValueError):
+        1.5 * Weight((1, 1))
+
+
+def test_float_weight_never_reaches_a_character():
+    from weylkit import dimension, weyl_character
+    d = build_root_datum("A2")
+    with pytest.raises(ValueError):
+        dimension(weyl_character(d, Weight((1.7, 0))))
+    assert dimension(weyl_character(d, Weight((1, 0)))) == 3
