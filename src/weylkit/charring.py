@@ -1,9 +1,25 @@
 """Characters in the group algebra of the weight lattice.
 
 Exact integer maps Weight -> multiplicity, with the Weyl character
-formula (by exact leading-term division), Frobenius twist, tensor
-product, the SL2 simple characters via the p-adic digit product, and
-expansion of an invariant character in the standard-character basis.
+formula, Frobenius twist, tensor product, the SL2 simple characters
+via the p-adic digit product, and expansion of an invariant character
+in the standard-character basis.
+
+The Weyl character formula divides the alternating sum
+sum_w sign(w) e^{w(lam+rho)} by the Weyl denominator
+e^rho prod_{a>0} (1 - e^{-a}), one positive root at a time.  Dividing
+R by (1 - e^{-a}) is a prefix sum along each a-string of the support:
+walking a string from its top down, Q(mu) = R(mu) + Q(mu + a), and the
+sum must be back at zero at the bottom of the string (else the
+division is not exact).  After the last root the quotient is shifted
+by -rho.
+
+Budget: ``max_terms`` caps the support of the result, and
+ResourceLimitError is raised exactly when the character has more
+terms than that.  To stop early, after k of n roots the quotient is
+e^rho chi prod_{remaining} (1 - e^{-a}), which has at most
+max_terms * 2^(n-k) terms while chi fits the budget; the division
+raises as soon as it has written more than that.
 
 >>> from weylkit.lattice import build_root_datum, Weight
 >>> d = build_root_datum("A1")
@@ -15,7 +31,6 @@ e^{-2} + e^{0} + e^{2}
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
@@ -26,7 +41,6 @@ from weylkit.lattice import (
     Weight,
     build_root_datum,
     is_dominant,
-    is_p_restricted,
 )
 from weylkit.coxeter import enumerate_finite_weyl
 
@@ -167,7 +181,8 @@ def weyl_character(datum: RootDatum, highest: Weight,
     """Character of the induced module with the given highest weight.
 
     Alternating sum over the finite Weyl group divided exactly by the
-    same sum at zero; the quotient is the character.
+    Weyl denominator, one prefix-sum division per positive root (see
+    the module docstring, also for the ``max_terms`` rule).
 
     >>> from weylkit.lattice import build_root_datum, Weight
     >>> d = build_root_datum("A2")
@@ -182,47 +197,38 @@ def weyl_character(datum: RootDatum, highest: Weight,
         raise ValueError("highest weight must be dominant")
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
-    height = _height(datum)
-    rank = datum.rank
-    wf = enumerate_finite_weyl(datum)
-    rho1 = Weight((1,) * rank)
     lam1 = Weight(tuple(c + 1 for c in highest.coords))
-    # denominator terms e^{w(rho)} and numerator terms e^{w(lam+rho)}
-    denom = [(w.apply(rho1).coords, -1 if ln % 2 else 1) for w, ln in wf]
-    remainder: dict[tuple[int, ...], int] = {}
-    for w, ln in wf:
+    quot: dict[tuple[int, ...], int] = {}
+    for w, ln in enumerate_finite_weyl(datum):
         mu = w.apply(lam1).coords
-        remainder[mu] = remainder.get(mu, 0) + (-1 if ln % 2 else 1)
-    quotient: dict[tuple[int, ...], int] = {}
-    heap = [(-height(mu), tuple(-c for c in mu)) for mu in remainder]
-    heapq.heapify(heap)
-    steps = 0
-    while heap:
-        negh, negc = heapq.heappop(heap)
-        mu = tuple(-c for c in negc)
-        c = remainder.get(mu, 0)
-        if c == 0:
-            continue
-        steps += 1
-        if steps > max_terms:
-            raise ResourceLimitError(
-                f"character support exceeded {max_terms} terms")
-        nu = tuple(m - 1 for m in mu)  # divide the leading term by e^rho
-        quotient[nu] = quotient.get(nu, 0) + c
-        for wr, sign in denom:
-            key = tuple(n + r for n, r in zip(nu, wr))
-            old = remainder.get(key, 0)
-            new = old - c * sign
-            if new:
-                remainder[key] = new
-                if old == 0:
-                    heapq.heappush(
-                        heap, (-height(key), tuple(-x for x in key)))
-            else:
-                remainder.pop(key, None)
-    if remainder:
-        raise RuntimeError("character division left a nonzero remainder")
-    return Character.from_dict({Weight(k): v for k, v in quotient.items()})
+        quot[mu] = quot.get(mu, 0) + (-1 if ln % 2 else 1)
+    roots = [wt.coords for wt, _ in datum.positive_roots]
+    for k, alpha in enumerate(roots, 1):
+        # at most 2^(roots left) terms per term of chi (module docstring)
+        cap = max_terms << (len(roots) - k)
+        i = next(j for j, a in enumerate(alpha) if a)
+        strings: dict[tuple[int, ...], dict[int, int]] = {}
+        for mu, c in quot.items():
+            t = mu[i] // alpha[i]
+            rep = tuple(m - t * a for m, a in zip(mu, alpha))
+            strings.setdefault(rep, {})[t] = c
+        quot = {}
+        for rep, line in strings.items():
+            # Q(mu) = R(mu) + Q(mu + alpha), from the top of the string down
+            bottom = min(line)
+            run = 0
+            for t in range(max(line), bottom, -1):
+                run += line.get(t, 0)
+                if run:
+                    quot[tuple(r + t * a for r, a in zip(rep, alpha))] = run
+                    if len(quot) > cap:
+                        raise ResourceLimitError(
+                            f"character support exceeded {max_terms} terms")
+            if run + line[bottom]:
+                raise RuntimeError(
+                    "character division left a nonzero remainder")
+    return Character.from_dict(
+        {Weight(tuple(m - 1 for m in mu)): c for mu, c in quot.items()})
 
 
 def is_weyl_invariant(datum: RootDatum, ch: Character) -> bool:

@@ -17,7 +17,6 @@ import sys
 from weylkit._exact import base_p_digits
 from weylkit.lattice import (
     UnsupportedDatumError,
-    Weight,
     build_root_datum,
     coxeter_number,
     index_of_connection,

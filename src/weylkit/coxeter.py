@@ -33,7 +33,6 @@ from weylkit.lattice import (
     Weight,
     coxeter_number,
     is_dominant,
-    is_p_restricted,
 )
 
 __all__ = [
@@ -311,8 +310,12 @@ def length(x: AffineWeylElement | FiniteWeylElement) -> int:
 
 
 def _reduced_word_t(x: AffineWeylElement) -> tuple[int, ...]:
+    # Left-greedy: the first letter is the smallest left descent.  Only
+    # this function fills word_memo, so a memoised suffix is the word
+    # the walk would have produced from there on.
     ctx = _context(x.datum)
-    got = ctx.word_memo.get(x)
+    memo = ctx.word_memo
+    got = memo.get(x)
     if got is not None:
         return got
     word: list[int] = []
@@ -328,7 +331,11 @@ def _reduced_word_t(x: AffineWeylElement) -> tuple[int, ...]:
                 break
         else:
             raise AssertionError("element of positive length has no descent")
-    got = ctx.word_memo[x] = tuple(word)
+        tail = memo.get(cur)
+        if tail is not None:
+            word.extend(tail)
+            break
+    got = memo[x] = tuple(word)
     return got
 
 

@@ -37,7 +37,7 @@ v^2
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from weylkit.lattice import RootDatum

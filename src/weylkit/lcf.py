@@ -117,10 +117,11 @@ def lcf_character(x: AffineWeylElement, p: int) -> Character:
     """
     datum = x.datum
     zero = Weight((0,) * datum.rank)
-    out = Character(())
+    acc: dict[tuple[int, ...], int] = {}
     for y, a in lcf_coefficients(x, p).items():
-        out = out + _weyl_cached(datum, dot_p(y, zero, p)) * a
-    return out
+        for w, c in _weyl_cached(datum, dot_p(y, zero, p)).terms:
+            acc[w.coords] = acc.get(w.coords, 0) + a * c
+    return Character.from_dict({Weight(k): c for k, c in acc.items()})
 
 
 def _weight_label(prefix: str, w: Weight) -> str:

@@ -3,9 +3,12 @@
 The dimension oracle below evaluates the product formula
 prod (<lam+rho, alpha_check> / <rho, alpha_check>) over positive
 coroots with exact fractions, independently of the character-division
-algorithm under test.
+algorithm under test.  A second oracle is the leading-term heap
+division of the alternating sum by the Weyl denominator, which the
+per-root division replaced.
 """
 
+import heapq
 import itertools
 from fractions import Fraction
 
@@ -17,6 +20,7 @@ from weylkit import (
     Weight,
     build_root_datum,
     dimension,
+    enumerate_finite_weyl,
     expand_in_standard_basis,
     frobenius_twist,
     is_weyl_invariant,
@@ -28,6 +32,7 @@ from weylkit import (
     trivial_character,
     weyl_character,
 )
+from weylkit.charring import _height
 
 
 def dimension_formula(datum, lam):
@@ -39,6 +44,82 @@ def dimension_formula(datum, lam):
                           pairing(rho(datum), coroot))
     assert value.denominator == 1
     return int(value)
+
+
+def heap_weyl_character(datum, lam):
+    """Oracle: divide sum sign(w) e^{w(lam+rho)} by sum sign(w) e^{w(rho)},
+    one leading (height-maximal) term at a time."""
+    height = _height(datum)
+    wf = enumerate_finite_weyl(datum)
+    rho1 = Weight((1,) * datum.rank)
+    lam1 = Weight(tuple(c + 1 for c in lam.coords))
+    denom = [(w.apply(rho1).coords, -1 if ln % 2 else 1) for w, ln in wf]
+    remainder = {}
+    for w, ln in wf:
+        mu = w.apply(lam1).coords
+        remainder[mu] = remainder.get(mu, 0) + (-1 if ln % 2 else 1)
+    quotient = {}
+    heap = [(-height(mu), tuple(-c for c in mu)) for mu in remainder]
+    heapq.heapify(heap)
+    while heap:
+        _, negc = heapq.heappop(heap)
+        mu = tuple(-c for c in negc)
+        c = remainder.get(mu, 0)
+        if c == 0:
+            continue
+        nu = tuple(m - 1 for m in mu)  # divide the leading term by e^rho
+        quotient[nu] = quotient.get(nu, 0) + c
+        for wr, sign in denom:
+            key = tuple(n + r for n, r in zip(nu, wr))
+            old = remainder.get(key, 0)
+            new = old - c * sign
+            if new:
+                remainder[key] = new
+                if old == 0:
+                    heapq.heappush(
+                        heap, (-height(key), tuple(-x for x in key)))
+            else:
+                remainder.pop(key, None)
+    assert not remainder
+    return Character.from_dict({Weight(k): v for k, v in quotient.items()})
+
+
+ORACLE_BOXES = {
+    "A1": (61, 1),
+    "A2": (9, 2),
+    "B2": (9, 2),
+    "C2": (9, 2),
+    "G2": (7, 2),
+    "A3": (3, 3),
+}
+
+
+@pytest.mark.parametrize("series", sorted(ORACLE_BOXES))
+def test_weyl_character_matches_heap_division(series):
+    datum = build_root_datum(series)
+    top, rank = ORACLE_BOXES[series]
+    for coords in itertools.product(range(top), repeat=rank):
+        lam = Weight(coords)
+        assert weyl_character(datum, lam) == heap_weyl_character(datum, lam)
+
+
+BUDGET_BOXES = {"A1": 12, "A2": 4, "B2": 4, "C2": 4, "G2": 3, "A3": 2}
+
+
+@pytest.mark.parametrize("series", sorted(BUDGET_BOXES))
+def test_max_terms_is_the_exact_support_size(series):
+    # only the final support counts: each box holds lam = 0, whose
+    # intermediate quotients have more than one term at max_terms=1
+    datum = build_root_datum(series)
+    for coords in itertools.product(range(BUDGET_BOXES[series]),
+                                    repeat=datum.rank):
+        lam = Weight(coords)
+        full = weyl_character(datum, lam)
+        support = len(full.terms)
+        assert weyl_character(datum, lam, max_terms=support) == full
+        if support > 1:
+            with pytest.raises(ResourceLimitError):
+                weyl_character(datum, lam, max_terms=support - 1)
 
 
 @pytest.mark.parametrize("series", ["A1", "A2", "B2", "C2", "G2"])

@@ -39,6 +39,7 @@ from weylkit import (
     same_block,
     Weight,
 )
+from weylkit.coxeter import _context
 
 
 def bfs_lengths(datum, max_len):
@@ -314,3 +315,32 @@ def test_element_json_unchanged():
         assert element_to_json(x) == {
             "word": word, "finite_matrix": matrix,
             "translation": translation}
+
+
+def greedy_word(x):
+    """Oracle from lengths alone: the first letter is the smallest i
+    with l(s_i x) < l(x), then recurse on s_i x."""
+    gens = generators(x.datum)
+    word = []
+    while length(x) > 0:
+        i = next(i for i, s in enumerate(gens)
+                 if length(multiply(s, x)) < length(x))
+        word.append(i)
+        x = multiply(gens[i], x)
+    return word
+
+
+@pytest.mark.parametrize("series", ["A2", "B2", "G2"])
+def test_reduced_words_do_not_depend_on_request_order(series):
+    datum = build_root_datum(series)
+    elements = list(bfs_lengths(datum, 8))
+    expected = {x: greedy_word(x) for x in elements}
+    rng = random.Random(series)
+    shuffled = rng.sample(elements, len(elements))
+    orders = [shuffled,
+              sorted(shuffled, key=length, reverse=True),
+              sorted(shuffled, key=length)]
+    for order in orders:
+        _context.cache_clear()
+        for x in order:
+            assert reduced_word(x) == expected[x]

@@ -9,6 +9,7 @@ wall-crossing bound marks exactly those two rows as out of range.
 import pytest
 
 from weylkit import (
+    Character,
     Weight,
     build_root_datum,
     decomposition_matrix,
@@ -28,6 +29,7 @@ from weylkit import (
     sl3_multiplicity_fixtures,
     weyl_character,
 )
+from weylkit.charring import _weyl_cached
 
 A1 = build_root_datum("A1")
 
@@ -181,6 +183,24 @@ def test_lcf_character_matches_simple_in_range_only():
         assert lcf_character(orbit[i][0], 5) == sl2_simple_character(n, 5)
     assert lcf_character(orbit[5][0], 5) != sl2_simple_character(28, 5)
     assert lcf_character(orbit[6][0], 5) != sl2_simple_character(30, 5)
+
+
+def folded_lcf_character(x, p):
+    """Oracle: the a_{y,x}-weighted standard characters summed one at a
+    time with Character arithmetic."""
+    zero = Weight((0,) * x.datum.rank)
+    out = Character(())
+    for y, a in lcf_coefficients(x, p).items():
+        out = out + _weyl_cached(x.datum, dot_p(y, zero, p)) * a
+    return out
+
+
+def test_lcf_character_matches_character_fold():
+    sl2 = [x for x, w in dominant_orbit(A1, 5, 42) if w.coords[0] <= 200]
+    assert len(sl2) == 41
+    a2 = [x for x, _ in dominant_orbit(build_root_datum("A2"), 5, 6)]
+    for x in sl2 + a2:
+        assert lcf_character(x, 5) == folded_lcf_character(x, 5)
 
 
 def test_lcf_input_validation():
