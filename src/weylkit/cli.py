@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-len", type=int, default=None, dest="max_len",
                    help="word-length bound for the orbit (default 8)")
     s.add_argument("--max-weight", type=int, default=None, dest="max_weight",
-                   help="largest weight coordinate to keep")
+                   help="largest weight coordinate; keeps the weights "
+                   "whose rows stay within it")
     s.add_argument("--jantzen-only", action="store_true", dest="jantzen_only")
     s.add_argument("--entries", choices=("auto", "lcf", "simple"),
                    default="auto")

@@ -23,6 +23,7 @@ Weight(coords=(8,))
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -395,16 +396,22 @@ def is_min_coset_rep_fW(x: AffineWeylElement) -> bool:
     return all(_length(multiply(s, x)) > lx for s in ctx.finite_gens)
 
 
-def _elements_up_to_length(datum: RootDatum, max_len: int) -> list[AffineWeylElement]:
+def _elements_up_to_length(
+        datum: RootDatum, max_len: int,
+        keep: Callable[[AffineWeylElement], bool] = lambda x: True,
+) -> list[AffineWeylElement]:
+    # Breadth-first by right multiplication.  x*s is one longer than x
+    # unless it is a prefix of x, which a level below already holds:
+    # so ``keep`` must be closed under prefixes.
     ctx = _context(datum)
     seen = {ctx.identity}
     frontier = [ctx.identity]
-    for target in range(1, max_len + 1):
+    for _ in range(max_len):
         nxt = []
         for x in frontier:
             for s in ctx.gens:
                 y = multiply(x, s)
-                if y not in seen and _length(y) == target:
+                if y not in seen and keep(y):
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
@@ -415,7 +422,7 @@ def dominant_orbit(datum: RootDatum, p: int, max_len: int
                    ) -> list[tuple[AffineWeylElement, Weight]]:
     """Minimal coset representatives with dominant dot-image of zero.
 
-    All x of length <= max_len with no finite left descent and with
+    Walks the dominant alcoves alone: all x of length <= max_len with
     x . 0 dominant, paired with that weight, sorted by length and then
     by reduced word.
 
@@ -430,13 +437,11 @@ def dominant_orbit(datum: RootDatum, p: int, max_len: int
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     zero = Weight((0,) * datum.rank)
-    out = []
-    for x in _elements_up_to_length(datum, max_len):
-        if not is_min_coset_rep_fW(x):
-            continue
-        w = dot_p(x, zero, p)
-        if is_dominant(w):
-            out.append((x, w))
+    # 0 is p-regular for p >= h, so x . 0 lies inside the alcove of x
+    # and x has no finite left descent exactly when x . 0 is dominant.
+    # Prefixes of minimal representatives are minimal.
+    out = [(x, dot_p(x, zero, p)) for x in _elements_up_to_length(
+        datum, max_len, lambda x: is_dominant(dot_p(x, zero, p)))]
     out.sort(key=lambda xw: (_length(xw[0]), _reduced_word_t(xw[0])))
     return out
 

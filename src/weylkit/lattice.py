@@ -173,12 +173,6 @@ class RootDatum:
                   key=lambda k: sum(self.positive_roots[k][1].coords))
         return self.positive_roots[idx]
 
-    def root_weight_from_alpha(self, alpha_coords: tuple[int, ...]) -> Weight:
-        """Convert simple-root coordinates to fundamental-weight ones."""
-        return Weight(tuple(
-            sum(self.cartan[a][j] * alpha_coords[j] for j in range(self.rank))
-            for a in range(self.rank)))
-
     def as_json_dict(self) -> dict:
         return {
             "series": self.series,

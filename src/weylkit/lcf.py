@@ -30,7 +30,6 @@ from weylkit.coxeter import (
     dominant_orbit,
     dot_p,
     embed_finite,
-    is_min_coset_rep_fW,
     jantzen_condition,
     length,
     longest_finite_element,
@@ -42,6 +41,7 @@ from weylkit.charring import (
     Character,
     _height,
     _weyl_cached,
+    expand_in_standard_basis,
     sl2_simple_character,
 )
 from weylkit._exact import det_adjugate, is_prime
@@ -81,11 +81,9 @@ def _check_lcf_input(x: AffineWeylElement, p: int) -> None:
     h = coxeter_number(x.datum)
     if p < h:
         raise ValueError(f"p must be at least the Coxeter number {h}")
-    if not is_min_coset_rep_fW(x):
+    # 0 is p-regular for p >= h: x is minimal iff x . 0 is dominant
+    if not is_dominant(dot_p(x, Weight((0,) * x.datum.rank), p)):
         raise ValueError("x must be a minimal coset representative")
-    zero = Weight((0,) * x.datum.rank)
-    if not is_dominant(dot_p(x, zero, p)):
-        raise ValueError("x must have a dominant dot-image of zero")
 
 
 def lcf_coefficients(x: AffineWeylElement, p: int
@@ -100,11 +98,12 @@ def lcf_coefficients(x: AffineWeylElement, p: int
     zero = Weight((0,) * datum.rank)
     pairs = []
     for z, poly in kl_basis_element(multiply(w0, x)).terms:
+        # (w0 z) . 0 = w0(z . 0 + rho) - rho, so w0 z is minimal (its
+        # dot-image dominant, 0 being p-regular) iff z . 0 + rho is
+        # strictly antidominant
+        if any(c >= -1 for c in dot_p(z, zero, p).coords):
+            continue
         y = multiply(w0, z)
-        if not is_min_coset_rep_fW(y):
-            continue
-        if not is_dominant(dot_p(y, zero, p)):
-            continue
         sign = -1 if (lx + length(y)) % 2 else 1
         pairs.append((y, sign * evaluate_at_one(poly)))
     pairs.sort(key=lambda ya: (length(ya[0]), reduced_word(ya[0])))
@@ -144,14 +143,6 @@ class DecompositionMatrix:
     labels: tuple[tuple[AffineWeylElement, Weight], ...]
     entries: tuple[tuple[int, ...], ...]
     jantzen: tuple[bool, ...]
-
-    @property
-    def row_labels(self) -> list[tuple[AffineWeylElement, Weight]]:
-        return list(self.labels)
-
-    @property
-    def col_labels(self) -> list[tuple[AffineWeylElement, Weight]]:
-        return list(self.labels)
 
     def weights(self) -> list[Weight]:
         return [w for _, w in self.labels]
@@ -235,7 +226,8 @@ def decomposition_matrix(datum: RootDatum, p: int,
     """Decomposition matrix of the block of zero.
 
     Rows and columns run over the dominant orbit, bounded either by
-    word length or by largest weight coordinate.  Entry source:
+    word length or by largest weight coordinate; a weight bound keeps
+    only the labels whose rows stay within it.  Entry source:
     "lcf" uses the character-formula coefficients; "simple" expands
     the true simple characters (available for A1 with p prime);
     "auto" picks "simple" when available, else "lcf".
@@ -263,33 +255,32 @@ def decomposition_matrix(datum: RootDatum, p: int,
                  if all(c <= max_weight for c in w.coords)]
     height = _height(datum)
     orbit.sort(key=lambda xw: (height(xw[1].coords), xw[1].coords))
-    labels = tuple(orbit)
-    index = {x: i for i, (x, _) in enumerate(orbit)}
-    rows = []
+    # A weight box need not be closed downward (it is not in rank two):
+    # walking up by height, a label is kept only when every term of its
+    # row is a label kept already.  A length bound loses no term.
+    index: dict[AffineWeylElement, int] = {}
+    windex: dict[Weight, int] = {}
+    labels, rows = [], []
     for x, w in orbit:
-        row = [0] * len(orbit)
+        index[x] = windex[w] = len(labels)
         if entries == "lcf":
-            for y, a in lcf_coefficients(x, p).items():
-                pos = index.get(y)
-                if pos is None:
-                    raise RuntimeError("orbit truncation lost a term "
-                                       "below a kept label")
-                row[pos] = a
+            row = {index.get(y): a for y, a in lcf_coefficients(x, p).items()}
         else:
-            from weylkit.charring import expand_in_standard_basis
-            expansion = expand_in_standard_basis(
-                datum, sl2_simple_character(w.coords[0], p))
-            windex = {wt: i for i, (_, wt) in enumerate(orbit)}
-            for wt, a in expansion.items():
-                pos = windex.get(wt)
-                if pos is None:
-                    raise RuntimeError("orbit truncation lost a term "
-                                       "below a kept label")
-                row[pos] = a
-        rows.append(tuple(row))
+            row = {windex.get(wt): a for wt, a in expand_in_standard_basis(
+                datum, sl2_simple_character(w.coords[0], p)).items()}
+        if None in row:
+            if max_weight is None:
+                raise RuntimeError("orbit truncation lost a term "
+                                   "below a kept label")
+            del index[x], windex[w]
+            continue
+        labels.append((x, w))
+        rows.append(row)
     return DecompositionMatrix(
-        datum, p, "simple-in-standard", labels, tuple(rows),
-        tuple(jantzen_condition(x, p) for x, _ in orbit))
+        datum, p, "simple-in-standard", tuple(labels),
+        tuple(tuple(row.get(j, 0) for j in range(len(labels)))
+              for row in rows),
+        tuple(jantzen_condition(x, p) for x, _ in labels))
 
 
 def invert_decomposition(m: DecompositionMatrix) -> DecompositionMatrix:

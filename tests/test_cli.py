@@ -278,6 +278,8 @@ def test_intersection_form_json(capsys):
     (["sl2-check", "--p", "2305843009213693951", "--upto", "5"], 0),
     # a misspelt link key is an error, not a torsion-free link
     (["ic-cone", "--link", '{"0":{"free":1,"torsoin":[2]}}', "--d", "2"], 3),
+    # a weight box that is not closed downward keeps its closed part
+    (["lcf", "A2", "--p", "5", "--max-weight", "5"], 0),
 ])
 def test_exit_codes(capsys, argv, code):
     got, out, err = run(capsys, argv)

@@ -20,6 +20,7 @@ from weylkit import (
     bruhat_leq,
     build_root_datum,
     count_p_restricted_in_orbit,
+    coxeter_number,
     dominant_orbit,
     dot_p,
     element_to_json,
@@ -39,7 +40,7 @@ from weylkit import (
     same_block,
     Weight,
 )
-from weylkit.coxeter import _context
+from weylkit.coxeter import _context, _elements_up_to_length
 
 
 def bfs_lengths(datum, max_len):
@@ -344,3 +345,53 @@ def test_reduced_words_do_not_depend_on_request_order(series):
         _context.cache_clear()
         for x in order:
             assert reduced_word(x) == expected[x]
+
+
+# ------------------------------------- minimality from the dot action
+
+def filtered_orbit(datum, p, max_len):
+    """Oracle: the coset test, then the dominance test, over every
+    element up to max_len."""
+    zero = Weight((0,) * datum.rank)
+    out = [(x, dot_p(x, zero, p))
+           for x in _elements_up_to_length(datum, max_len)
+           if is_min_coset_rep_fW(x)]
+    out = [(x, w) for x, w in out if min(w.coords) >= 0]
+    out.sort(key=lambda xw: (length(xw[0]), reduced_word(xw[0])))
+    return out
+
+
+@pytest.mark.parametrize("variant", ["sc", "adjoint"])
+@pytest.mark.parametrize("series", ["A1", "A2", "A3", "B2", "C2", "G2"])
+def test_minimality_is_read_off_the_dot_action(series, variant):
+    datum = build_root_datum(series, variant)
+    h = coxeter_number(datum)
+    w0 = embed_finite(longest_finite_element(datum))
+    zero = Weight((0,) * datum.rank)
+    elements = list(bfs_lengths(datum, 8))
+    minimal = {x: is_min_coset_rep_fW(x) for x in elements}
+    minimal_after_w0 = {z: is_min_coset_rep_fW(multiply(w0, z))
+                        for z in elements}
+    for p in (h, h + 1, 2 * h + 1):
+        for x in elements:
+            image = dot_p(x, zero, p).coords
+            assert minimal[x] == (min(image) >= 0)
+            assert minimal_after_w0[x] == (max(image) < -1)
+
+
+def test_full_walk_is_every_element_up_to_length():
+    for series, cap in (("A1", 9), ("A2", 6), ("B2", 6), ("G2", 7)):
+        datum = build_root_datum(series)
+        walked = _elements_up_to_length(datum, cap)
+        assert len(walked) == len(set(walked))
+        assert set(walked) == set(bfs_lengths(datum, cap))
+
+
+@pytest.mark.parametrize("series,p,max_len", [
+    ("A1", 5, 12), ("A2", 3, 8), ("A2", 5, 8), ("A3", 4, 6), ("B2", 5, 8),
+    ("C2", 9, 8), ("G2", 7, 8), ("G2", 13, 8)])
+def test_dominant_orbit_matches_the_coset_filter(series, p, max_len):
+    for variant in ("sc", "adjoint"):
+        datum = build_root_datum(series, variant)
+        assert dominant_orbit(datum, p, max_len) == filtered_orbit(
+            datum, p, max_len)

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and every name
+the benchmark imports from the package exists.
 
 A name bound by an import at the top level of a module must be read
 somewhere in that module (code, annotations or doctests aside) or be
@@ -7,6 +8,7 @@ listed in its ``__all__``.  ``__init__.py`` exists to re-export, and
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -71,3 +73,29 @@ def test_scan_flags_an_unused_import():
     keep = _used(tree) | _exported(tree)
     assert sorted(n for n in _imported_names(tree) if n not in keep) == [
         "b", "os"]
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+
+def _weylkit_imports(path):
+    """(module, name) for every ``from weylkit... import name`` in a file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [(node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "weylkit"
+            for alias in node.names]
+
+
+def test_benchmark_imports_exist():
+    # the benchmark lies outside testpaths, so a renamed name it
+    # imports (private ones included) would otherwise go unnoticed
+    found = [(path.name, module, name)
+             for path in sorted(PERFBENCH.glob("*.py"))
+             for module, name in _weylkit_imports(path)]
+    assert ("make_refs.py", "weylkit.coxeter",
+            "_elements_up_to_length") in found
+    missing = [f"{file}: {module}.{name}" for file, module, name in found
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, f"names the benchmark imports are gone: {missing}"

@@ -16,13 +16,19 @@ from weylkit import (
     dimension,
     dominant_orbit,
     dot_p,
+    embed_finite,
+    evaluate_at_one,
     generators,
     invert_decomposition,
+    is_dominant,
+    is_min_coset_rep_fW,
+    kl_basis_element,
     kl_vector_finite,
     lcf_character,
     lcf_coefficients,
     length,
     longest_finite_element,
+    multiply,
     reduced_word,
     sl2_lcf_valid,
     sl2_simple_character,
@@ -30,6 +36,7 @@ from weylkit import (
     weyl_character,
 )
 from weylkit.charring import _weyl_cached
+from weylkit.lcf import _max_len_for_weight_bound
 
 A1 = build_root_datum("A1")
 
@@ -238,6 +245,51 @@ def test_rank_two_formula_matrix():
     )
     inv = invert_decomposition(m)
     assert all(e >= 0 for row in inv.entries for e in row)
+
+
+def filtered_lcf_coefficients(x, p):
+    """Oracle: a_{y,x} over the terms y = w0 z of b_{w0 x} that pass
+    both the coset test and the dominance test."""
+    datum = x.datum
+    w0 = embed_finite(longest_finite_element(datum))
+    zero = Weight((0,) * datum.rank)
+    pairs = []
+    for z, poly in kl_basis_element(multiply(w0, x)).terms:
+        y = multiply(w0, z)
+        if is_min_coset_rep_fW(y) and is_dominant(dot_p(y, zero, p)):
+            sign = (-1) ** (length(x) + length(y))
+            pairs.append((y, sign * evaluate_at_one(poly)))
+    pairs.sort(key=lambda ya: (length(ya[0]), reduced_word(ya[0])))
+    return pairs
+
+
+@pytest.mark.parametrize("series,p", [
+    ("A2", 5), ("B2", 5), ("C2", 5), ("G2", 7)])
+def test_lcf_coefficients_match_the_coset_filter(series, p):
+    for x, _ in dominant_orbit(build_root_datum(series), p, 8):
+        assert list(lcf_coefficients(x, p).items()) == \
+            filtered_lcf_coefficients(x, p)
+
+
+@pytest.mark.parametrize("max_weight", [3, 5, 8, 12, 20])
+@pytest.mark.parametrize("series,p", [
+    ("A2", 5), ("B2", 5), ("C2", 5), ("G2", 7)])
+def test_weight_bound_keeps_a_closed_unitriangular_matrix(
+        series, p, max_weight):
+    datum = build_root_datum(series)
+    m = decomposition_matrix(datum, p, max_weight=max_weight)
+    n = len(m.entries)
+    assert n == len(m.labels) and all(len(row) == n for row in m.entries)
+    for i in range(n):
+        assert m.entries[i][i] == 1
+        assert not any(m.entries[i][i + 1:])
+    kept = {x for x, _ in m.labels}
+    assert all(max(w.coords) <= max_weight for _, w in m.labels)
+    # a box label is dropped exactly when its row reaches a dropped one
+    depth = _max_len_for_weight_bound(datum, p, max_weight)
+    for x, w in dominant_orbit(datum, p, depth):
+        if max(w.coords) <= max_weight:
+            assert (x in kept) == (lcf_coefficients(x, p).keys() <= kept)
 
 
 @pytest.mark.parametrize("series,p,max_len", [
