@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
+from math import prod
 
 from weylkit._exact import base_p_digits, det_adjugate, is_prime
 from weylkit.lattice import (
@@ -297,6 +298,40 @@ def sl2_simple_character(n: int, p: int,
             frobenius_twist(weyl_character(d, digit, max_terms), p ** i),
             max_terms)
     return out
+
+
+def _sl2_simple_in_standard_basis(n: int, p: int) -> dict[Weight, int]:
+    """The SL2 simple character L(n) in characteristic p as integers
+    c_m with L(n) = sum of c_m * weyl_character(m), m >= 0.
+
+    The twisted digit product L(n) = prod_i chi(d_i)^{[p^i]} is
+    multiplied out one digit at a time by Brauer's formula
+    chi(lam) * ch M = sum_mu dim M_mu chi(lam + mu), with M the digit
+    factor (weights p^i (d_i - 2j), j = 0 .. d_i), and each chi(m) with
+    m < 0 folded back by chi(-1) = 0 and chi(-m-2) = -chi(m).  No
+    weight-space character is built.  The cap is the one of
+    ``sl2_simple_character``: L(n) has prod_i (d_i + 1) weights.
+
+    >>> _sl2_simple_in_standard_basis(8, 5)
+    {Weight(coords=(8,)): 1, Weight(coords=(0,)): -1}
+    """
+    digits = [d.coords[0] for d in steinberg_digits(Weight((n,)), p)]
+    if prod(d + 1 for d in digits) > DEFAULT_MAX_TERMS:
+        raise ResourceLimitError(
+            f"character support exceeded {DEFAULT_MAX_TERMS} terms")
+    acc = {0: 1}
+    for i, d in enumerate(digits):
+        q = p ** i
+        nxt: dict[int, int] = {}
+        for lam, c in acc.items():
+            for j in range(d + 1):
+                m = lam + q * (d - 2 * j)
+                if m >= 0:
+                    nxt[m] = nxt.get(m, 0) + c
+                elif m < -1:  # chi(-1) = 0 drops m = -1
+                    nxt[-m - 2] = nxt.get(-m - 2, 0) - c
+        acc = {m: c for m, c in nxt.items() if c}
+    return {Weight((m,)): c for m, c in acc.items()}
 
 
 def steinberg_digits(lam: Weight, p: int) -> list[Weight]:

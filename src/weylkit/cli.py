@@ -14,7 +14,7 @@ import json
 import re
 import sys
 
-from weylkit._exact import base_p_digits
+from weylkit._exact import base_p_digits, is_prime
 from weylkit.lattice import (
     UnsupportedDatumError,
     build_root_datum,
@@ -174,12 +174,16 @@ def _cmd_char(args) -> str:
 
 def _cmd_sl2_check(args) -> str:
     p, upto = args.p, args.upto
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if upto < 0:
+        raise ValueError("--upto must be nonnegative")
     rows = []
-    for n in range(0, upto + 1):
-        if n != 0 and n % (2 * p) not in (0, 2 * p - 2):
-            continue
-        digits = base_p_digits(n, p)
-        rows.append((n, digits, sl2_lcf_valid(n, p)))
+    # the dominant orbit of zero: 0, 2p-2, 2p, 4p-2, 4p, ...
+    for m in range(0, upto + 3, 2 * p):
+        for n in (m - 2, m):
+            if 0 <= n <= upto:
+                rows.append((n, base_p_digits(n, p), sl2_lcf_valid(n, p)))
     if args.format == "json":
         return _json_text({
             "schema": "weylkit/sl2-check/1",

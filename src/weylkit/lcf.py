@@ -6,6 +6,14 @@ characters they predict, decomposition matrices (with exact integer
 inversion), and the SL2 validity test against the Steinberg digit
 product as ground truth.
 
+The SL2 test compares coefficient vectors in the basis of Weyl
+characters chi(m), m >= 0, not weight multiplicities: the formula's
+side is {y . 0: a_{y,x}}, and the truth side is the digit product
+expanded by Brauer's formula chi(lam) * ch M = sum_mu dim M_mu
+chi(lam + mu) (J. C. Jantzen, Representations of Algebraic Groups,
+II.5).  The same expansion gives the "simple" entries of rank-one
+decomposition matrices.
+
 >>> from weylkit.lattice import build_root_datum
 >>> sl2_lcf_valid(20, 5)
 True
@@ -30,6 +38,7 @@ from weylkit.coxeter import (
     dominant_orbit,
     dot_p,
     embed_finite,
+    generators,
     jantzen_condition,
     length,
     longest_finite_element,
@@ -39,10 +48,10 @@ from weylkit.coxeter import (
 from weylkit.hecke import evaluate_at_one, kl_basis_element
 from weylkit.charring import (
     Character,
+    _a1,
     _height,
+    _sl2_simple_in_standard_basis,
     _weyl_cached,
-    expand_in_standard_basis,
-    sl2_simple_character,
 )
 from weylkit._exact import det_adjugate, is_prime
 
@@ -266,8 +275,8 @@ def decomposition_matrix(datum: RootDatum, p: int,
         if entries == "lcf":
             row = {index.get(y): a for y, a in lcf_coefficients(x, p).items()}
         else:
-            row = {windex.get(wt): a for wt, a in expand_in_standard_basis(
-                datum, sl2_simple_character(w.coords[0], p)).items()}
+            row = {windex.get(wt): a for wt, a in
+                   _sl2_simple_in_standard_basis(w.coords[0], p).items()}
         if None in row:
             if max_weight is None:
                 raise RuntimeError("orbit truncation lost a term "
@@ -301,9 +310,29 @@ def invert_decomposition(m: DecompositionMatrix) -> DecompositionMatrix:
         tuple(tuple(row) for row in inv), m.jantzen)
 
 
+def _sl2_orbit_element(n: int, p: int) -> AffineWeylElement:
+    """The x with x . 0 = n for SL2.  The dominant alcoves form a chain
+    0, 2p-2, 2p, 4p-2, ..., and the one of length l has the reduced word
+    s0 s1 s0 ... (l letters): (s0 s1)^(l // 2), then s0 if l is odd.
+    """
+    s1, s0 = generators(_a1())
+    t = multiply(s0, s1)  # the basic translation, finite part 1
+    ln = 2 * (n // (2 * p)) + (n % (2 * p) != 0)
+    x = AffineWeylElement(t.finite, tuple(ln // 2 * g for g in t.translation))
+    if ln % 2:
+        x = multiply(x, s0)
+    if dot_p(x, Weight((0,)), p) != Weight((n,)):
+        raise ValueError(f"{n} is not in the dominant orbit of zero")
+    return x
+
+
 def sl2_lcf_valid(n: int, p: int) -> bool:
     """Does the character formula give the true simple character at
     orbit weight n for SL2 in characteristic p?
+
+    Both sides are compared in the basis of Weyl characters: the
+    coefficients a_{y,x} keyed by y . 0, against the Steinberg digit
+    product expanded by Brauer's formula (see the module docstring).
 
     >>> sl2_lcf_valid(0, 5)
     True
@@ -312,16 +341,10 @@ def sl2_lcf_valid(n: int, p: int) -> bool:
         raise ValueError(f"{p} is not prime")
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    d = build_root_datum("A1", "sc")
-    target = Weight((n,))
-    found = None
-    for x, w in dominant_orbit(d, p, n // p + 2):
-        if w == target:
-            found = x
-            break
-    if found is None:
-        raise ValueError(f"{n} is not in the dominant orbit of zero")
-    return lcf_character(found, p) == sl2_simple_character(n, p)
+    x = _sl2_orbit_element(n, p)
+    zero = Weight((0,))
+    return ({dot_p(y, zero, p): a for y, a in lcf_coefficients(x, p).items()}
+            == _sl2_simple_in_standard_basis(n, p))
 
 
 def sl3_multiplicity_fixtures(p: int

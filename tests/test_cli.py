@@ -280,11 +280,24 @@ def test_intersection_form_json(capsys):
     (["ic-cone", "--link", '{"0":{"free":1,"torsoin":[2]}}', "--d", "2"], 3),
     # a weight box that is not closed downward keeps its closed part
     (["lcf", "A2", "--p", "5", "--max-weight", "5"], 0),
+    (["sl2-check", "--p", "1", "--upto", "3"], 3),
+    (["sl2-check", "--p", "4", "--upto", "3"], 3),
+    (["sl2-check", "--p", "5", "--upto", "-1"], 3),
+    # one orbit weight below the bound: one row, not a scan of 2*10^7
+    (["sl2-check", "--p", "2305843009213693951", "--upto", "20000000"], 0),
+    # the weight 2p - 2 has the digit p - 2: over the term cap
+    (["sl2-check", "--p", "2305843009213693951", "--upto", str(2 ** 62)], 4),
 ])
 def test_exit_codes(capsys, argv, code):
     got, out, err = run(capsys, argv)
     assert got == code
     assert err.startswith("error:") if code else err == ""
+
+
+def test_sl2_check_rejects_every_non_prime_alike(capsys):
+    for p in ("0", "1", "4"):
+        code, out, err = run(capsys, ["sl2-check", "--p", p, "--upto", "3"])
+        assert (code, out, err) == (3, "", f"error: {p} is not prime\n")
 
 
 def test_argparse_errors_exit_two(capsys):

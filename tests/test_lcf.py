@@ -17,6 +17,7 @@ from weylkit import (
     dominant_orbit,
     dot_p,
     embed_finite,
+    expand_in_standard_basis,
     evaluate_at_one,
     generators,
     invert_decomposition,
@@ -35,8 +36,13 @@ from weylkit import (
     sl3_multiplicity_fixtures,
     weyl_character,
 )
-from weylkit.charring import _weyl_cached
-from weylkit.lcf import _max_len_for_weight_bound
+from weylkit.charring import (
+    DEFAULT_MAX_TERMS,
+    ResourceLimitError,
+    _sl2_simple_in_standard_basis,
+    _weyl_cached,
+)
+from weylkit.lcf import _max_len_for_weight_bound, _sl2_orbit_element
 
 A1 = build_root_datum("A1")
 
@@ -319,6 +325,81 @@ def test_sl2_validity_spot_checks():
         sl2_lcf_valid(1, 5)  # not in the orbit of zero
     with pytest.raises(ValueError):
         sl2_lcf_valid(8, 4)  # p must be prime
+
+
+def sl2_orbit(p, count):
+    """The first ``count`` dominant alcoves of SL2 at p, as (x, n)."""
+    return [(x, w.coords[0]) for x, w in dominant_orbit(A1, p, count - 1)]
+
+
+def weight_space_lcf_valid(x, n, p):
+    """Oracle: the formula's character against the digit product, both
+    expanded into weight multiplicities."""
+    return lcf_character(x, p) == sl2_simple_character(n, p)
+
+
+@pytest.mark.parametrize("p,count", [
+    (2, 5), (3, 9), (5, 25), (7, 49), (11, 40)])
+def test_sl2_verdict_matches_the_weight_space_oracle(p, count):
+    # every orbit weight <= p^3 for p <= 7, the first 40 at p = 11
+    orbit = sl2_orbit(p, count + 1)
+    assert orbit[count - 1][1] <= p ** 3 < orbit[count][1] or p == 11
+    for x, n in orbit[:count]:
+        assert sl2_lcf_valid(n, p) == weight_space_lcf_valid(x, n, p), n
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_brauer_expansion_matches_leading_term_stripping(p):
+    # weights outside the orbit of 0 too: only there can a lost
+    # chi(-1) = 0 leave a term behind
+    orbit = [n for _, n in sl2_orbit(p, 60)]
+    for n in sorted(set(orbit) | set(range(60))):
+        assert _sl2_simple_in_standard_basis(n, p) == \
+            expand_in_standard_basis(A1, sl2_simple_character(n, p)), n
+
+
+def test_brauer_expansion_keeps_the_digit_product_cap():
+    # digits (999, 999) at p = 1009: L(n) has exactly 1000^2 weights
+    assert 1000 * 1000 == DEFAULT_MAX_TERMS
+    n = 999 + 999 * 1009
+    assert _sl2_simple_in_standard_basis(n, 1009)[Weight((n,))] == 1
+    with pytest.raises(ResourceLimitError):
+        _sl2_simple_in_standard_basis(n + 1, 1009)  # digits (1000, 999)
+    # one digit p - 2 of the Mersenne prime 2^61 - 1: refused at once
+    mersenne = 2 ** 61 - 1
+    with pytest.raises(ResourceLimitError):
+        sl2_lcf_valid(2 * mersenne - 2, mersenne)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_chain_element_is_the_dominant_orbit_element(p):
+    orbit = sl2_orbit(p, 41)
+    for x, n in orbit:
+        assert _sl2_orbit_element(n, p) == x
+    weights = {n for _, n in orbit}
+    for n in range(max(weights)):
+        if n not in weights:
+            with pytest.raises(ValueError, match="not in the dominant orbit"):
+                _sl2_orbit_element(n, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_simple_entries_match_leading_term_stripping(p):
+    full = decomposition_matrix(A1, p, max_len=20, entries="simple")
+    index = {w: i for i, w in enumerate(full.weights())}
+    size = len(index)
+    stripped = []
+    for w in full.weights():
+        row = [0] * size
+        for mu, c in expand_in_standard_basis(
+                A1, sl2_simple_character(w.coords[0], p)).items():
+            row[index[mu]] = c
+        stripped.append(tuple(row))
+    assert full.entries == tuple(stripped)
+    for max_len in range(20):
+        m = decomposition_matrix(A1, p, max_len=max_len, entries="simple")
+        k = max_len + 1
+        assert m.entries == tuple(row[:k] for row in stripped[:k])
 
 
 def test_kl_vector_finite():
