@@ -23,8 +23,9 @@ handle, under the handle's lock:
   Math. 53, 1979) b_x = b_{xs} b_s - sum of mu(y, xs) b_y over y < xs
   with ys < y, where s is the last letter of the reduced word of x and
   mu is the coefficient of v;
-* views: ``HeckeElement`` objects are built only at the API boundary,
-  by ``kl_basis_element``; ``kl_polynomial`` reads one table entry.
+* elements: a ``HeckeElement`` holds (id, Laurent polynomial) pairs,
+  and its arithmetic and ``bar`` read the action tables, not the group
+  law; ``kl_polynomial`` reads one table entry.
 
 >>> from weylkit.lattice import build_root_datum
 >>> from weylkit.coxeter import generators, multiply
@@ -191,60 +192,45 @@ def evaluate_at_one(p: LaurentPolynomial) -> int:
     return sum(c for _, c in p.coeffs)
 
 
-_V = LaurentPolynomial.v()
-_VINV = LaurentPolynomial.monomial(1, -1)
-_VINV_MINUS_V = _VINV - _V
-_V_MINUS_VINV = _V - _VINV
+_ZERO = LaurentPolynomial.zero()
+_VINV_MINUS_V = LaurentPolynomial(((-1, 1), (1, -1)))
+_V_MINUS_VINV = -_VINV_MINUS_V
+_Terms = tuple[tuple[int, LaurentPolynomial], ...]  # (id of x, coefficient)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HeckeElement:
     """Finitely supported combination of standard basis elements h_x.
 
     ``terms`` pairs group elements with nonzero Laurent polynomials,
-    sorted by (length, reduced word) for deterministic printing.
+    sorted by engine id, which is (length, reduced word) order; the
+    element holds them as (id, polynomial) on its algebra's engine.
     """
 
     algebra: "HeckeAlgebra"
-    terms: tuple[tuple[AffineWeylElement, LaurentPolynomial], ...]
+    _terms: _Terms
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((id(self.algebra), self.terms))
-
-    def _index(self) -> dict[AffineWeylElement, LaurentPolynomial]:
-        idx = self.__dict__.get("_idx")
-        if idx is None:
-            idx = dict(self.terms)
-            object.__setattr__(self, "_idx", idx)
-        return idx
+    @property
+    def terms(self) -> tuple[tuple[AffineWeylElement, LaurentPolynomial],
+                             ...]:
+        elems = self.algebra._engine.elems
+        return tuple((elems[x], p) for x, p in self._terms)
 
     def support(self) -> list[AffineWeylElement]:
         return [x for x, _ in self.terms]
 
     def coefficient(self, x: AffineWeylElement | FiniteWeylElement
                     ) -> LaurentPolynomial:
-        if isinstance(x, FiniteWeylElement):
-            x = embed_finite(x)
-        return self._index().get(x, LaurentPolynomial.zero())
+        i = self.algebra._engine.index.get(self.algebra._check_member(x))
+        return dict(self._terms).get(i, LaurentPolynomial.zero())
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         self.algebra._check_same(other)
-        acc = dict(self.terms)
-        for x, p in other.terms:
-            q = acc.get(x, LaurentPolynomial.zero()) + p
-            if q:
-                acc[x] = q
-            else:
-                acc.pop(x, None)
-        return self.algebra._from_map(acc)
+        return HeckeElement(self.algebra,
+                            _sum_terms(self._terms + other._terms))
 
     def __neg__(self) -> "HeckeElement":
-        return self.algebra._from_map({x: -p for x, p in self.terms})
+        return self.scale(-1)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
         return self + (-other)
@@ -262,13 +248,11 @@ class HeckeElement:
         return NotImplemented
 
     def scale(self, c) -> "HeckeElement":
-        if isinstance(c, int):
-            c = LaurentPolynomial.monomial(c, 0)
-        return self.algebra._from_map(
-            {x: p * c for x, p in self.terms})
+        return HeckeElement(self.algebra,
+                            _sum_terms((x, p * c) for x, p in self._terms))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
         for x, p in self.terms:
@@ -290,6 +274,15 @@ class HeckeElement:
                 for x, p in self.terms
             ]
         }
+
+
+def _sum_terms(pairs) -> _Terms:
+    """Sum of p h_x over (id of x, p) pairs, as nonzero terms by id."""
+    acc: dict[int, list[tuple[int, int]]] = {}
+    for x, p in pairs:
+        acc.setdefault(x, []).extend(p.coeffs)
+    terms = ((x, _norm_coeffs(c)) for x, c in sorted(acc.items()))
+    return tuple((x, LaurentPolynomial(c)) for x, c in terms if c)
 
 
 def _axpy(acc: dict[int, list[int]], y: int, c: int, p: list[int],
@@ -436,8 +429,9 @@ class _KLEngine:
 class HeckeAlgebra:
     """Hecke algebra of the finite or affine Weyl group of a datum.
 
-    Each handle owns its Kazhdan-Lusztig engine and its bar memo; one
-    lock guards both, so concurrent calls see a single logical table.
+    Each handle owns its Kazhdan-Lusztig engine and its bar memo, keyed
+    by engine id; one lock guards both, so concurrent calls see a single
+    logical table.
     """
 
     def __init__(self, datum: RootDatum, affine: bool = True) -> None:
@@ -446,7 +440,7 @@ class HeckeAlgebra:
         all_gens = generators(datum)
         self.gens = all_gens if affine else all_gens[:datum.rank]
         self._engine = _KLEngine(identity_element(datum), self.gens)
-        self._bar_std: dict[AffineWeylElement, HeckeElement] = {}
+        self._bar_memo = {0: self.unit()._terms}
         self._lock = threading.RLock()
 
     def _check_same(self, other: HeckeElement) -> None:
@@ -462,32 +456,42 @@ class HeckeAlgebra:
             raise ValueError("finite Hecke algebra got an affine element")
         return x
 
-    def _from_map(self, m: dict[AffineWeylElement, LaurentPolynomial]
-                  ) -> HeckeElement:
-        terms = tuple(sorted(
-            ((x, p) for x, p in m.items() if p),
-            key=lambda xp: (length(xp[0]), reduced_word(xp[0]))))
-        return HeckeElement(self, terms)
-
     def zero(self) -> HeckeElement:
         return HeckeElement(self, ())
 
     def unit(self) -> HeckeElement:
-        return self.standard_basis_element(identity_element(self.datum))
+        return HeckeElement(self, ((0, LaurentPolynomial.one()),))
 
     def standard_basis_element(self, x) -> HeckeElement:
         x = self._check_member(x)
+        with self._lock:
+            x = self._engine.element_id(x)
         return HeckeElement(self, ((x, LaurentPolynomial.one()),))
 
-    def _gen_element(self, s) -> AffineWeylElement:
+    def _gen_index(self, s) -> int:
         if isinstance(s, int):
             if not 0 <= s < len(self.gens):
                 raise ValueError(f"generator index {s} out of range")
-            return self.gens[s]
+            return s
         s = self._check_member(s)
         if s not in self.gens:
             raise ValueError("not a generator of this algebra")
-        return s
+        return self.gens.index(s)
+
+    def _times_gen(self, terms: _Terms, table: list[int],
+                   down: LaurentPolynomial, up: LaurentPolynomial) -> _Terms:
+        """terms times h_s + c, ``table`` being the action of s: h_x goes
+        to h_{xs} plus h_x times ``down`` (c + v^{-1} - v) if xs < x, else
+        ``up`` (c).  Under the lock; a new xs enumerates the next length."""
+        pairs = []
+        for x, p in terms:
+            if table[x] < 0:
+                self._engine._grow()
+            pairs.append((table[x], p))
+            d = down if table[x] < x else up
+            if d:
+                pairs.append((x, p * d))
+        return _sum_terms(pairs)
 
     def mult_standard_by_gen(self, h: HeckeElement, s,
                              side: str = "right") -> HeckeElement:
@@ -495,57 +499,46 @@ class HeckeAlgebra:
         self._check_same(h)
         if side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
-        se = self._gen_element(s)
-        acc: dict[AffineWeylElement, LaurentPolynomial] = {}
-
-        def bump(x, p):
-            q = acc.get(x, LaurentPolynomial.zero()) + p
-            if q:
-                acc[x] = q
-            else:
-                acc.pop(x, None)
-
-        for x, p in h.terms:
-            xs = multiply(x, se) if side == "right" else multiply(se, x)
-            bump(xs, p)
-            if length(xs) < length(x):
-                bump(x, p * _VINV_MINUS_V)
-        return self._from_map(acc)
+        s = self._gen_index(s)
+        eng = self._engine
+        with self._lock:
+            table = eng.right[s] if side == "right" else eng.left[s]
+            return HeckeElement(self, self._times_gen(
+                h._terms, table, _VINV_MINUS_V, _ZERO))
 
     def _product(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
         self._check_same(a)
         self._check_same(b)
-        out = self.zero()
-        for y, p in b.terms:
-            piece = a
-            for i in reduced_word(y):
-                piece = self.mult_standard_by_gen(piece, self.gens[i])
-            out = out + piece.scale(p)
-        return out
+        pairs = []
+        with self._lock:
+            memo = {0: a._terms}
+            for y, p in b._terms:
+                piece = self._times_word(memo, y, _VINV_MINUS_V, _ZERO)
+                pairs.extend((x, q * p) for x, q in piece)
+        return HeckeElement(self, _sum_terms(pairs))
 
-    def _bar_standard(self, x: AffineWeylElement) -> HeckeElement:
-        got = self._bar_std.get(x)
-        if got is not None:
-            return got
-        word = reduced_word(x)
-        if not word:
-            out = self.unit()
-        else:
-            s = self.gens[word[-1]]
-            shorter = multiply(x, s)  # generators are involutions
-            prev = self._bar_standard(shorter)
-            out = self.mult_standard_by_gen(prev, s) + prev.scale(_V_MINUS_VINV)
-        self._bar_std[x] = out
-        return out
+    def _times_word(self, memo: dict[int, _Terms], x: int,
+                    down: LaurentPolynomial, up: LaurentPolynomial) -> _Terms:
+        """memo[0] times the product of h_s + c over the reduced word of x
+        (see ``_times_gen``), memoised in memo[x] and read back through
+        ``last``.  Call under the lock."""
+        got = memo.get(x)
+        if got is None:
+            right = self._engine.right[self._engine.last[x]]
+            got = memo[x] = self._times_gen(
+                self._times_word(memo, right[x], down, up), right, down, up)
+        return got
 
     def bar(self, h: HeckeElement) -> HeckeElement:
         """Ring involution: bar(v) = v^{-1}, bar(h_s) = h_s + v - v^{-1}."""
         self._check_same(h)
+        pairs = []
         with self._lock:
-            out = self.zero()
-            for x, p in h.terms:
-                out = out + self._bar_standard(x).scale(p.bar())
-            return out
+            for x, p in h._terms:
+                pb = p.bar()  # bar(h_x) = product of h_s + v - v^{-1}
+                pairs.extend((y, q * pb) for y, q in self._times_word(
+                    self._bar_memo, x, _ZERO, _V_MINUS_VINV))
+        return HeckeElement(self, _sum_terms(pairs))
 
     def kl_basis_element(self, x) -> HeckeElement:
         """The self-dual basis element b_x = sum_{y <= x} P_{y,x} h_y."""
@@ -554,7 +547,7 @@ class HeckeAlgebra:
             eng = self._engine
             b = eng.basis(eng.element_id(x))
             return HeckeElement(self, tuple(
-                (eng.elems[y], _laurent(b[y])) for y in sorted(b)))
+                (y, _laurent(b[y])) for y in sorted(b)))
 
     def kl_polynomial(self, y, x) -> LaurentPolynomial:
         """Coefficient of h_y in b_x; zero unless y <= x in Bruhat order."""

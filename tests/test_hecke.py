@@ -9,7 +9,10 @@ Independent oracles frozen here:
     coefficient) that the recursion must satisfy for every pair;
   * the Kazhdan-Lusztig recursion written directly on Hecke elements
     with the public mult_standard_by_gen, against which the
-    integer-indexed engine is compared element by element.
+    integer-indexed engine is compared element by element;
+  * h_x h_s, h_s h_x and bar(h_x) written out with the group law
+    (multiply, length, reduced_word) alone, so that the arithmetic on
+    the engine's action tables has an oracle that reads no table.
 """
 
 import sys
@@ -61,6 +64,38 @@ def elements_up_to(datum, cap):
         frontier = nxt
         out.extend(nxt)
     return sorted(out, key=length)
+
+
+def oracle_times_gen(x, s, side):
+    """h_x h_s (or h_s h_x) as {element: polynomial}: h_{xs}, plus
+    (v^-1 - v) h_x when xs < x."""
+    xs = multiply(x, s) if side == "right" else multiply(s, x)
+    if length(xs) > length(x):
+        return {xs: ONE}
+    return {xs: ONE, x: VINV - V}
+
+
+def oracle_bar_standard(x):
+    """bar(h_x), the product of bar(h_s) = h_s + v - v^-1 over the
+    reduced word of x, as {element: polynomial}."""
+    gens = generators(x.datum)
+    out = {identity_element(x.datum): ONE}
+    for i in reduced_word(x):
+        nxt = {}
+        for y, p in out.items():
+            ys = multiply(y, gens[i])
+            nxt[ys] = nxt.get(ys, ZERO) + p
+            if length(ys) > length(y):
+                nxt[y] = nxt.get(y, ZERO) + p * (V - VINV)
+        out = {y: p for y, p in nxt.items() if p}
+    return out
+
+
+def assert_terms(h, expected):
+    """h has exactly the expected terms, in (length, reduced word) order."""
+    assert dict(h.terms) == expected
+    keys = [(length(y), reduced_word(y)) for y in h.support()]
+    assert keys == sorted(keys)
 
 
 # ---------------------------------------------------------------- laurent
@@ -133,6 +168,17 @@ def test_mult_standard_by_gen_agrees_with_product():
             h_s = alg.standard_basis_element(s)
             assert mult_standard_by_gen(h, s, side="right") == h * h_s
             assert mult_standard_by_gen(h, s, side="left") == h_s * h
+    # both sides against the group law, on fresh handles so that the
+    # top level's products are enumerated on demand
+    for series in ("A2", "B2", "G2"):
+        datum = build_root_datum(series)
+        alg = HeckeAlgebra(datum)
+        for x in elements_up_to(datum, 6):
+            h_x = alg.standard_basis_element(x)
+            for s in generators(datum):
+                for side in ("right", "left"):
+                    assert_terms(mult_standard_by_gen(h_x, s, side=side),
+                                 oracle_times_gen(x, s, side))
 
 
 def test_bar_is_an_involution_fixing_kl_basis():
@@ -252,6 +298,8 @@ def test_mixed_algebra_rejected():
     b = generators(build_root_datum("B2"))[0]
     with pytest.raises(ValueError):
         kl_polynomial(a, b)
+    with pytest.raises(ValueError):
+        kl_basis_element(b).coefficient(a)
 
 
 def test_finite_algebra_rejects_translations():
@@ -320,6 +368,8 @@ def assert_engine_matches_oracle(alg, elements):
         assert b == oracle_kl_basis(alg, x, memo)
         keys = [(length(y), reduced_word(y)) for y in b.support()]
         assert keys == sorted(keys)
+        assert [t["word"] for t in b.to_json_dict()["terms"]] == [
+            word for _, word in keys]
         for y in elements:
             assert alg.kl_polynomial(y, x) == b.coefficient(y)
 
@@ -348,12 +398,26 @@ def test_kl_polynomial_beyond_the_enumerated_lengths():
     assert alg.kl_polynomial(y, x) == ZERO
     assert alg.kl_polynomial(identity_element(datum), x) == V
     assert alg.kl_polynomial(identity_element(datum), y) != ZERO
+    # on a fresh handle, h_y, then h_y h_s and h_s h_y, then bar(h_z)
+    # with l(z) = l(y) + 2, each past the longest length enumerated
+    alg = HeckeAlgebra(datum)
+    h_y = alg.standard_basis_element(y)
+    assert_terms(h_y, {y: ONE})
+    for g in s:
+        for side in ("right", "left"):
+            assert_terms(mult_standard_by_gen(h_y, g, side=side),
+                         oracle_times_gen(y, g, side))
+    z = multiply(multiply(y, s[0]), s[2])
+    assert length(z) == length(y) + 2
+    assert_terms(bar(alg.standard_basis_element(z)), oracle_bar_standard(z))
+    eng = alg._engine
+    assert len(set(eng.elems)) == len(eng.elems) == len(eng.index)
 
 
 def test_engine_shared_by_many_threads():
     # more threads than cores on one fresh handle, switching often: a
-    # race in growing the tables would enumerate an element twice or
-    # give some thread a wrong b_x
+    # race in growing the tables or filling the bar memo would
+    # enumerate an element twice or give some thread a wrong result
     datum = build_root_datum("B2")
     els = elements_up_to(datum, 7)
     ref = HeckeAlgebra(datum)
@@ -364,11 +428,22 @@ def test_engine_shared_by_many_threads():
     try:
         for _ in range(4):
             alg = HeckeAlgebra(datum)
+
+            def barred(x):
+                b = alg.kl_basis_element(x)
+                return b, alg.bar(b)
+
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [pool.submit(alg.kl_basis_element, x)
                            for x in order]
+                bar_futures = [pool.submit(barred, x)
+                               for x in reversed(els)]
                 results = [f.result(timeout=120) for f in futures]
+                bar_results = [f.result(timeout=120) for f in bar_futures]
             for x, b in zip(order, results):
+                assert b.terms == expected[x]
+            for x, (b, b_bar) in zip(reversed(els), bar_results):
+                assert b_bar == b
                 assert b.terms == expected[x]
             eng = alg._engine
             assert len(set(eng.elems)) == len(eng.elems) == len(eng.index)
