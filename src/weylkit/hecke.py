@@ -27,6 +27,12 @@ handle, under the handle's lock:
   and its arithmetic and ``bar`` read the action tables, not the group
   law; ``kl_polynomial`` reads one table entry.
 
+An affine handle also owns the same recursion on the spherical module
+triv (x)_{H_f} H, whose ids run over the minimal coset representatives
+only: its rows are the m_{y,x} = P_{w0 y, w0 x} that the character
+formula reads (see ``weylkit.lcf``).  The sum of mu b_y then also runs
+over the y whose y s leaves the representatives.
+
 >>> from weylkit.lattice import build_root_datum
 >>> from weylkit.coxeter import generators, multiply
 >>> d = build_root_datum("A1")
@@ -41,10 +47,11 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
-from weylkit.lattice import RootDatum
+from weylkit.lattice import RootDatum, Weight, coxeter_number, is_dominant
 from weylkit.coxeter import (
     AffineWeylElement,
     FiniteWeylElement,
+    dot_p,
     embed_finite,
     generators,
     identity_element,
@@ -304,16 +311,20 @@ def _laurent(p: list[int]) -> LaurentPolynomial:
     return LaurentPolynomial(tuple((e, c) for e, c in enumerate(p) if c))
 
 
-class _KLEngine:
-    """Integer-indexed Kazhdan-Lusztig tables of one Hecke algebra.
+_LEAF = -2  # right-table mark of the spherical engine: x s leaves ^fW
 
-    Elements get ids level by level in (length, reduced word) order, so
-    sorting ids sorts terms.  ``right[s][i]`` and ``left[s][i]`` are the
-    ids of x_i s and s x_i (-1 while that element is longer than every
-    enumerated one), ``last[i]`` is the last letter of the reduced word
-    of x_i, and ``kl[i]`` maps each y <= x_i to P_{y,x_i} as a dense
-    coefficient list indexed by exponent.  Not locked by itself: the
-    owning algebra calls it under its lock.
+
+class _KLRecursion:
+    """Integer-indexed Kazhdan-Lusztig tables over an enumerated basis.
+
+    Basis elements get ids level by level in (length, reduced word)
+    order, so sorting ids sorts terms and ``y < x`` as ids whenever
+    l(y) < l(x).  ``right[s][i]`` is the id of x_i s (-1 while that
+    element is longer than every enumerated one), ``last[i]`` is the
+    last letter of the reduced word of x_i, and ``kl[i]`` maps each
+    y <= x_i to P_{y,x_i} as a dense coefficient list indexed by
+    exponent.  A subclass enumerates the basis (``_grow``).  Not locked
+    by itself: the owning algebra calls it under its lock.
     """
 
     def __init__(self, identity: AffineWeylElement,
@@ -323,7 +334,6 @@ class _KLEngine:
         self.index = {identity: 0}
         self.lens = [0]
         self.right = [[-1] for _ in gens]
-        self.left = [[-1] for _ in gens]
         self.last = [-1]
         self.top_start = 0  # first id of the longest enumerated length
         self.complete = False
@@ -337,6 +347,68 @@ class _KLEngine:
                 self._grow()
             got = self.index[x]
         return got
+
+    def basis(self, x: int) -> dict[int, list[int]]:
+        """b_x as {y: P_{y,x}}, computing what it needs, longest last."""
+        kl = self.kl
+        todo = [x]
+        while todo:
+            z = todo[-1]
+            if z in kl:
+                todo.pop()
+                continue
+            s = self.last[z]
+            prev = kl.get(self.right[s][z])
+            if prev is None:
+                todo.append(self.right[s][z])
+                continue
+            mus = self._mu_terms(prev, s)
+            missing = [y for y, _ in mus if y not in kl]
+            if missing:
+                todo.extend(missing)
+                continue
+            kl[z] = self._step(prev, s, mus)
+            todo.pop()
+        return kl[x]
+
+    def _mu_terms(self, prev: dict[int, list[int]], s: int
+                  ) -> list[tuple[int, int]]:
+        """(y, mu) with ys < y or ys a leaf, and mu the v-coefficient of
+        P_{y,xs} != 0."""
+        right = self.right[s]
+        return [(y, p[1]) for y, p in prev.items()
+                if len(p) > 1 and p[1] and right[y] < y]
+
+    def _step(self, prev: dict[int, list[int]], s: int,
+              mus: list[tuple[int, int]]) -> dict[int, list[int]]:
+        """b_x = b_{xs} b_s - sum of mu b_y, with b_s = h_s + v."""
+        right = self.right[s]
+        acc: dict[int, list[int]] = {}
+        for y, p in prev.items():
+            ys = right[y]
+            if ys > y:                       # h_y b_s = h_ys + v h_y
+                _axpy(acc, ys, 1, p, 0)
+                _axpy(acc, y, 1, p, 1)
+            elif ys >= 0:                    # h_y b_s = h_ys + v^-1 h_y
+                _axpy(acc, ys, 1, p, 0)
+                _axpy(acc, y, 1, p[1:], 0)
+            else:                            # a leaf: (v + v^-1) h_y
+                _axpy(acc, y, 1, p, 1)
+                _axpy(acc, y, 1, p[1:], 0)
+        for y, mu in mus:
+            for z, p in self.kl[y].items():
+                _axpy(acc, z, -mu, p, 0)
+        return {y: p for y, p in acc.items() if any(p)}
+
+
+class _KLEngine(_KLRecursion):
+    """The tables of the whole group, with ``left[s][i]``, the id of
+    s x_i, next to the right action."""
+
+    def __init__(self, identity: AffineWeylElement,
+                 gens: list[AffineWeylElement]) -> None:
+        super().__init__(identity, gens)
+        self.left = [[-1] for _ in gens]
 
     def _grow(self) -> None:
         """Enumerate the elements one longer than the longest so far.
@@ -378,60 +450,76 @@ class _KLEngine:
             s, i = min(left_edges)
             self.last.append(self.last[i] if level > 1 else s)
 
-    def basis(self, x: int) -> dict[int, list[int]]:
-        """b_x as {y: P_{y,x}}, computing what it needs, longest last."""
-        kl = self.kl
-        todo = [x]
-        while todo:
-            z = todo[-1]
-            if z in kl:
-                todo.pop()
-                continue
-            s = self.last[z]
-            prev = kl.get(self.right[s][z])
-            if prev is None:
-                todo.append(self.right[s][z])
-                continue
-            mus = self._mu_terms(prev, s)
-            missing = [y for y, _ in mus if y not in kl]
-            if missing:
-                todo.extend(missing)
-                continue
-            kl[z] = self._step(prev, s, mus)
-            todo.pop()
-        return kl[x]
 
-    def _mu_terms(self, prev: dict[int, list[int]], s: int
-                  ) -> list[tuple[int, int]]:
-        """(y, mu) with ys < y and mu the v-coefficient of P_{y,xs} != 0."""
-        right, lens = self.right[s], self.lens
-        return [(y, p[1]) for y, p in prev.items()
-                if len(p) > 1 and p[1] and lens[right[y]] < lens[y]]
+class _SphericalEngine(_KLRecursion):
+    """The tables of the spherical module M = triv (x) H over the minimal
+    coset representatives ^fW, the dominant alcoves.
 
-    def _step(self, prev: dict[int, list[int]], s: int,
-              mus: list[tuple[int, int]]) -> dict[int, list[int]]:
-        """b_x = b_{xs} b_s - sum of mu b_y, with b_s = h_s + v."""
-        right, lens = self.right[s], self.lens
-        acc: dict[int, list[int]] = {}
-        for y, p in prev.items():
-            ys = right[y]
-            _axpy(acc, ys, 1, p, 0)
-            if lens[ys] > lens[y]:
-                _axpy(acc, y, 1, p, 1)       # h_y b_s = h_ys + v h_y
-            else:
-                _axpy(acc, y, 1, p[1:], 0)   # h_y b_s = h_ys + v^-1 h_y
-        for y, mu in mus:
-            for z, p in self.kl[y].items():
-                _axpy(acc, z, -mu, p, 0)
-        return {y: p for y, p in acc.items() if any(p)}
+    For x in ^fW and a generator s, ``right[s][x]`` is the id of x s
+    when x s is in ^fW, and ``_LEAF`` when it is not; then x s = t x
+    for a finite simple t (Deodhar's lemma) and M_x b_s = (v + v^-1)
+    M_x.  ``kl[x]`` maps y to m_{y,x} = P_{w0 y, w0 x}.  Membership of
+    x s in ^fW is the dominance of x s . 0 at p = h: 0 is p-regular for
+    every p >= h, so the answer does not depend on p.
+    """
+
+    def __init__(self, identity: AffineWeylElement,
+                 gens: list[AffineWeylElement]) -> None:
+        super().__init__(identity, gens)
+        datum = identity.datum
+        self.zero = Weight((0,) * datum.rank)
+        self.p = coxeter_number(datum)
+
+    def _grow(self) -> None:
+        """Enumerate the representatives one longer than the longest so
+        far.  Every unknown edge x s from the top level leads one level
+        up, to a new representative or to a leaf (prefixes of minimal
+        representatives are minimal, so no edge leads back).
+        """
+        lo, hi = self.top_start, len(self.elems)
+        found: dict[AffineWeylElement, list[tuple[int, int]]] = {}
+        for s, g in enumerate(self.gens):
+            col = self.right[s]
+            for i in range(lo, hi):
+                if col[i] == -1:
+                    y = multiply(self.elems[i], g)
+                    if is_dominant(dot_p(y, self.zero, self.p)):
+                        found.setdefault(y, []).append((s, i))
+                    else:
+                        col[i] = _LEAF
+        words = {y: reduced_word(y) for y in found}
+        level = self.lens[-1] + 1
+        self.top_start = hi
+        for j, y in enumerate(sorted(found, key=words.__getitem__), hi):
+            self.elems.append(y)
+            self.index[y] = j
+            self.lens.append(level)
+            self.last.append(words[y][-1])
+            for col in self.right:
+                col.append(-1)
+            for s, i in found[y]:
+                self.right[s][i] = j
+                self.right[s][j] = i
+
+    def ideals(self, n: int) -> list[set[int]]:
+        """{y in ^fW : y <= x} for the first n ids x: the ideal of x is
+        that of xs together with every ys in ^fW of its members, s being
+        the last letter of x."""
+        out = [{0}]
+        for x in range(1, n):
+            right = self.right[self.last[x]]
+            below = out[right[x]]
+            out.append(below | {right[y] for y in below if right[y] >= 0})
+        return out
 
 
 class HeckeAlgebra:
     """Hecke algebra of the finite or affine Weyl group of a datum.
 
     Each handle owns its Kazhdan-Lusztig engine and its bar memo, keyed
-    by engine id; one lock guards both, so concurrent calls see a single
-    logical table.
+    by engine id, and an affine handle also owns the engine of its
+    spherical module; one lock guards all three, so concurrent calls see
+    a single logical table.
     """
 
     def __init__(self, datum: RootDatum, affine: bool = True) -> None:
@@ -440,6 +528,8 @@ class HeckeAlgebra:
         all_gens = generators(datum)
         self.gens = all_gens if affine else all_gens[:datum.rank]
         self._engine = _KLEngine(identity_element(datum), self.gens)
+        self._spherical = (_SphericalEngine(identity_element(datum), self.gens)
+                           if affine else None)
         self._bar_memo = {0: self.unit()._terms}
         self._lock = threading.RLock()
 
@@ -558,6 +648,24 @@ class HeckeAlgebra:
             b = eng.basis(eng.element_id(x))
             p = b.get(eng.index.get(y, -1))
         return _laurent(p) if p else LaurentPolynomial.zero()
+
+    def _spherical_row(self, x: AffineWeylElement
+                       ) -> tuple[_SphericalEngine, int, dict[int, list[int]]]:
+        """The spherical engine, the id of x and {y: m_{y,x}}, for x a
+        minimal coset representative and an affine handle."""
+        with self._lock:
+            eng = self._spherical
+            x = eng.element_id(x)
+            return eng, x, eng.basis(x)
+
+    def _spherical_ideals(self, elems: list[AffineWeylElement]
+                          ) -> tuple[list[int], list[set[int]]]:
+        """The ids of the minimal coset representatives ``elems`` and the
+        lower ideal of every id up to the largest of them."""
+        with self._lock:
+            eng = self._spherical
+            ids = [eng.element_id(x) for x in elems]
+            return ids, eng.ideals(max(ids) + 1)
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,29 @@
 """Grothendieck-group computations from Kazhdan-Lusztig data.
 
 Signed KL vectors for finite Weyl groups, the affine character-formula
-coefficients a_{y,x} = (-1)^{l(x)+l(y)} P_{w0 y, w0 x}(1), the
-characters they predict, decomposition matrices (with exact integer
-inversion), and the SL2 validity test against the Steinberg digit
-product as ground truth.
+coefficients a_{y,x} = (-1)^{l(x)+l(y)} m_{y,x}(1), the characters
+they predict, decomposition matrices (with exact integer inversion),
+and the SL2 validity test against the Steinberg digit product as
+ground truth.
+
+The m_{y,x} are the Kazhdan-Lusztig polynomials of the spherical
+module M = triv (x)_{H_f} H (V. Deodhar, J. Algebra 111, 1987; W.
+Soergel, Represent. Theory 1, 1997, section 3), in the normalisation
+of ``weylkit.hecke``: h_s^2 = 1 + (v^{-1} - v) h_s, b_s = h_s + v, and
+a finite simple h_t acts on triv by v^{-1}.  M has a basis M_x over
+the minimal coset representatives x in ^fW, which are the dominant
+alcoves, and b_s acts in one of three ways:
+
+* x s in ^fW and longer: M_x b_s = M_{xs} + v M_x;
+* x s in ^fW and shorter: M_x b_s = M_{xs} + v^{-1} M_x;
+* x s not in ^fW: then x s = t x for a finite simple t (Deodhar's
+  lemma), and M_x b_s = (v + v^{-1}) M_x.
+
+The self-dual basis is b_x = sum over y <= x in ^fW of m_{y,x} M_y.
+The map 1 (x) h -> b_{w0} h embeds M in H and sends b_x to b_{w0 x},
+so m_{y,x} = P_{w0 y, w0 x}, w0 being the longest finite element.
+The row of x is computed in M alone, without the other terms of
+b_{w0 x}, which the formula does not read.
 
 The SL2 test compares coefficient vectors in the basis of Weyl
 characters chi(m), m >= 0, not weight multiplicities: the formula's
@@ -37,15 +56,13 @@ from weylkit.coxeter import (
     FiniteWeylElement,
     dominant_orbit,
     dot_p,
-    embed_finite,
     generators,
     jantzen_condition,
     length,
-    longest_finite_element,
     multiply,
     reduced_word,
 )
-from weylkit.hecke import evaluate_at_one, kl_basis_element
+from weylkit.hecke import affine_hecke, evaluate_at_one, kl_basis_element
 from weylkit.charring import (
     Character,
     _a1,
@@ -97,26 +114,15 @@ def _check_lcf_input(x: AffineWeylElement, p: int) -> None:
 
 def lcf_coefficients(x: AffineWeylElement, p: int
                      ) -> dict[AffineWeylElement, int]:
-    """The character-formula coefficients a_{y,x} over minimal
-    representatives y below x with dominant dot-image.
+    """The character-formula coefficients a_{y,x} = (-1)^{l(x)+l(y)}
+    m_{y,x}(1) over the minimal representatives y <= x, in (length,
+    reduced word) order.
     """
     _check_lcf_input(x, p)
-    datum = x.datum
-    w0 = embed_finite(longest_finite_element(datum))
-    lx = length(x)
-    zero = Weight((0,) * datum.rank)
-    pairs = []
-    for z, poly in kl_basis_element(multiply(w0, x)).terms:
-        # (w0 z) . 0 = w0(z . 0 + rho) - rho, so w0 z is minimal (its
-        # dot-image dominant, 0 being p-regular) iff z . 0 + rho is
-        # strictly antidominant
-        if any(c >= -1 for c in dot_p(z, zero, p).coords):
-            continue
-        y = multiply(w0, z)
-        sign = -1 if (lx + length(y)) % 2 else 1
-        pairs.append((y, sign * evaluate_at_one(poly)))
-    pairs.sort(key=lambda ya: (length(ya[0]), reduced_word(ya[0])))
-    return dict(pairs)
+    eng, x, row = affine_hecke(x.datum)._spherical_row(x)
+    lx, lens, elems = eng.lens[x], eng.lens, eng.elems
+    return {elems[y]: -sum(row[y]) if (lx + lens[y]) % 2 else sum(row[y])
+            for y in sorted(row)}
 
 
 def lcf_character(x: AffineWeylElement, p: int) -> Character:
@@ -260,36 +266,35 @@ def decomposition_matrix(datum: RootDatum, p: int,
         max_len = _max_len_for_weight_bound(datum, p, max_weight)
     orbit = dominant_orbit(datum, p, max_len)
     if max_weight is not None:
-        orbit = [(x, w) for x, w in orbit
-                 if all(c <= max_weight for c in w.coords)]
+        # A weight box need not be closed downward (it is not in rank
+        # two).  The row of x involves exactly the y <= x in ^fW
+        # (m_{y,x}(1) >= 1 on the Bruhat interval), so x is kept when
+        # its lower ideal lies in the box, before any row is computed.
+        ids, ideals = affine_hecke(datum)._spherical_ideals(
+            [x for x, _ in orbit])
+        inside = {i for i, (_, w) in zip(ids, orbit)
+                  if max(w.coords) <= max_weight}
+        orbit = [xw for i, xw in zip(ids, orbit) if ideals[i] <= inside]
     height = _height(datum)
     orbit.sort(key=lambda xw: (height(xw[1].coords), xw[1].coords))
-    # A weight box need not be closed downward (it is not in rank two):
-    # walking up by height, a label is kept only when every term of its
-    # row is a label kept already.  A length bound loses no term.
-    index: dict[AffineWeylElement, int] = {}
-    windex: dict[Weight, int] = {}
-    labels, rows = [], []
+    index = {x: i for i, (x, _) in enumerate(orbit)}
+    windex = {w: i for i, (_, w) in enumerate(orbit)}
+    rows = []
     for x, w in orbit:
-        index[x] = windex[w] = len(labels)
         if entries == "lcf":
             row = {index.get(y): a for y, a in lcf_coefficients(x, p).items()}
         else:
             row = {windex.get(wt): a for wt, a in
                    _sl2_simple_in_standard_basis(w.coords[0], p).items()}
         if None in row:
-            if max_weight is None:
-                raise RuntimeError("orbit truncation lost a term "
-                                   "below a kept label")
-            del index[x], windex[w]
-            continue
-        labels.append((x, w))
+            raise RuntimeError("orbit truncation lost a term "
+                               "below a kept label")
         rows.append(row)
     return DecompositionMatrix(
-        datum, p, "simple-in-standard", tuple(labels),
-        tuple(tuple(row.get(j, 0) for j in range(len(labels)))
+        datum, p, "simple-in-standard", tuple(orbit),
+        tuple(tuple(row.get(j, 0) for j in range(len(orbit)))
               for row in rows),
-        tuple(jantzen_condition(x, p) for x, _ in labels))
+        tuple(jantzen_condition(x, p) for x, _ in orbit))
 
 
 def invert_decomposition(m: DecompositionMatrix) -> DecompositionMatrix:

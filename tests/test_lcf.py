@@ -6,11 +6,21 @@ expansions, the last two differ from the formula's prediction, and the
 wall-crossing bound marks exactly those two rows as out of range.
 """
 
-import pytest
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import weylkit.lcf
 from weylkit import (
     Character,
+    LaurentPolynomial,
     Weight,
+    affine_hecke,
+    bruhat_leq,
     build_root_datum,
     decomposition_matrix,
     dimension,
@@ -20,10 +30,12 @@ from weylkit import (
     expand_in_standard_basis,
     evaluate_at_one,
     generators,
+    identity_element,
     invert_decomposition,
     is_dominant,
     is_min_coset_rep_fW,
     kl_basis_element,
+    kl_polynomial,
     kl_vector_finite,
     lcf_character,
     lcf_coefficients,
@@ -275,6 +287,129 @@ def test_lcf_coefficients_match_the_coset_filter(series, p):
     for x, _ in dominant_orbit(build_root_datum(series), p, 8):
         assert list(lcf_coefficients(x, p).items()) == \
             filtered_lcf_coefficients(x, p)
+
+
+def w0_lcf_coefficients(x, p):
+    """Oracle: the coefficients read off b_{w0 x} in the full affine
+    Hecke algebra.  (w0 z) . 0 = w0(z . 0 + rho) - rho, so w0 z is a
+    minimal representative (its dot-image dominant, 0 being p-regular)
+    iff z . 0 + rho is strictly antidominant; the kept terms are sorted
+    by (length, reduced word)."""
+    datum = x.datum
+    w0 = embed_finite(longest_finite_element(datum))
+    lx = length(x)
+    zero = Weight((0,) * datum.rank)
+    pairs = []
+    for z, poly in kl_basis_element(multiply(w0, x)).terms:
+        if any(c >= -1 for c in dot_p(z, zero, p).coords):
+            continue
+        y = multiply(w0, z)
+        sign = -1 if (lx + length(y)) % 2 else 1
+        pairs.append((y, sign * evaluate_at_one(poly)))
+    pairs.sort(key=lambda ya: (length(ya[0]), reduced_word(ya[0])))
+    return dict(pairs)
+
+
+@pytest.mark.parametrize("series,p,max_len", [
+    ("A1", 5, 12), ("A2", 5, 12), ("B2", 5, 12), ("C2", 5, 12),
+    ("G2", 7, 12), ("A3", 5, 8)])
+def test_spherical_coefficients_match_the_w0_oracle(series, p, max_len):
+    for x, _ in dominant_orbit(build_root_datum(series), p, max_len):
+        got, want = lcf_coefficients(x, p), w0_lcf_coefficients(x, p)
+        assert list(got.items()) == list(want.items()), reduced_word(x)
+
+
+@lru_cache(maxsize=None)
+def orbit_elements(series, p, max_len):
+    return tuple(x for x, _ in dominant_orbit(
+        build_root_datum(series), p, max_len))
+
+
+def spherical_row(x):
+    """{y: m_{y,x}} as Laurent polynomials, read off the engine."""
+    eng, i, row = affine_hecke(x.datum)._spherical_row(x)
+    return {eng.elems[y]: LaurentPolynomial.from_dict(dict(enumerate(m)))
+            for y, m in row.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("A2", 5, 14), ("B2", 5, 14), ("C2", 5, 12),
+                        ("G2", 7, 12), ("A3", 5, 8)]), st.data())
+def test_spherical_rows_are_kl_polynomials_of_the_bruhat_ideal(case, data):
+    orbit = orbit_elements(*case)
+    x = data.draw(st.sampled_from(orbit))
+    w0 = embed_finite(longest_finite_element(x.datum))
+    row = spherical_row(x)
+    lx = length(x)
+    assert row[x] == LaurentPolynomial.one()
+    for y, m in row.items():
+        assert m == kl_polynomial(multiply(w0, y), multiply(w0, x))
+        if y != x:
+            gap = lx - length(y)
+            assert all(c > 0 and 1 <= e <= gap and (gap - e) % 2 == 0
+                       for e, c in m.coeffs), (y, m)
+    # the support is the whole lower ideal, and so is the keep rule's set
+    below = {y for y in orbit if length(y) <= lx and bruhat_leq(y, x)}
+    assert set(row) == below
+    assert all(evaluate_at_one(row[y]) >= 1 for y in below)
+    ids, ideals = affine_hecke(x.datum)._spherical_ideals([x])
+    eng = affine_hecke(x.datum)._spherical
+    assert {eng.elems[y] for y in ideals[ids[0]]} == below
+
+
+@pytest.fixture
+def fresh_affine_hecke():
+    affine_hecke.cache_clear()
+    yield
+    affine_hecke.cache_clear()
+
+
+def test_lcf_coefficients_shared_by_many_threads(fresh_affine_hecke):
+    # more threads than cores on one fresh spherical engine, switching
+    # often: a race in growing the tables would enumerate an element
+    # twice or give some thread a wrong row
+    datum = build_root_datum("B2")
+    orbit = orbit_elements("B2", 5, 12)
+    expected = {x: w0_lcf_coefficients(x, 5) for x in orbit}
+    order = list(reversed(orbit)) + list(orbit)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            affine_hecke.cache_clear()
+            eng = affine_hecke(datum)._spherical
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lcf_coefficients, x, 5) for x in order]
+                results = [f.result(timeout=120) for f in futures]
+            for x, got in zip(order, results):
+                assert list(got.items()) == list(expected[x].items())
+            assert len(set(eng.elems)) == len(eng.elems) == len(eng.index)
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_decomposition_matrix_leaves_the_full_affine_engine_empty(
+        fresh_affine_hecke):
+    datum = build_root_datum("A2")
+    decomposition_matrix(datum, 5, max_len=12)
+    decomposition_matrix(datum, 5, max_weight=12)
+    alg = affine_hecke(datum)
+    assert alg._engine.elems == [identity_element(datum)]
+    assert list(alg._engine.kl) == [0]
+    assert len(alg._spherical.kl) > 1
+
+
+def test_weight_bound_computes_rows_for_kept_labels_only(monkeypatch):
+    calls = []
+
+    def counted(x, p):
+        calls.append(x)
+        return lcf_coefficients(x, p)
+
+    monkeypatch.setattr(weylkit.lcf, "lcf_coefficients", counted)
+    m = decomposition_matrix(build_root_datum("G2"), 7, max_weight=20)
+    assert len(m.labels) == 46
+    assert calls == [x for x, _ in m.labels]
 
 
 @pytest.mark.parametrize("max_weight", [3, 5, 8, 12, 20])
