@@ -18,14 +18,18 @@ handle, under the handle's lock:
   enumeration is extended when a longer x is asked for;
 * action tables: per generator s, the ids of x s and s x, so lengths,
   descents and the term order need no group arithmetic;
-* dense polynomials: b_x is {id of y: coefficients of P_{y,x} indexed
-  by exponent}, from the recursion of Kazhdan and Lusztig (Invent.
-  Math. 53, 1979) b_x = b_{xs} b_s - sum of mu(y, xs) b_y over y < xs
-  with ys < y, where s is the last letter of the reduced word of x and
-  mu is the coefficient of v;
+* a polynomial pool: every distinct P_{y,x} is stored once per engine,
+  as its coefficients indexed by exponent, next to its coefficient of
+  v (mu) and, once asked for, the one ``LaurentPolynomial`` that every
+  b_x containing it shares;
+* compact rows: the row of x is two arrays, the ids of the y <= x in
+  ascending order and the pool ids of their P_{y,x}, from the
+  recursion of Kazhdan and Lusztig (Invent. Math. 53, 1979) b_x =
+  b_{xs} b_s - sum of mu(y, xs) b_y over y < xs with ys < y, where s
+  is the last letter of the reduced word of x;
 * elements: a ``HeckeElement`` holds (id, Laurent polynomial) pairs,
   and its arithmetic and ``bar`` read the action tables, not the group
-  law; ``kl_polynomial`` reads one table entry.
+  law; ``kl_polynomial`` bisects one row.
 
 An affine handle also owns the same recursion on the spherical module
 triv (x)_{H_f} H, whose ids run over the minimal coset representatives
@@ -44,8 +48,10 @@ v^2
 from __future__ import annotations
 
 import threading
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from weylkit.lattice import RootDatum, Weight, coxeter_number, is_dominant
 from weylkit.coxeter import (
@@ -74,11 +80,16 @@ __all__ = [
 ]
 
 
+def _nonzero(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The nonzero (exponent, coefficient) pairs of acc, ascending."""
+    return tuple([ec for ec in sorted(acc.items()) if ec[1]])
+
+
 def _norm_coeffs(pairs) -> tuple[tuple[int, int], ...]:
     acc: dict[int, int] = {}
     for exp, c in pairs:
         acc[exp] = acc.get(exp, 0) + c
-    return tuple(sorted((e, c) for e, c in acc.items() if c != 0))
+    return _nonzero(acc)
 
 
 @dataclass(frozen=True)
@@ -105,6 +116,16 @@ class LaurentPolynomial:
             raise ValueError("zero coefficients must not be stored")
 
     @classmethod
+    def _trusted(cls, coeffs: tuple[tuple[int, int], ...]
+                 ) -> "LaurentPolynomial":
+        """A polynomial from pairs known to be ascending and nonzero,
+        such as the output of ``_nonzero``: skips the checks of the
+        public constructor."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)  # as a frozen __init__ does
+        return p
+
+    @classmethod
     def zero(cls) -> "LaurentPolynomial":
         return cls(())
 
@@ -124,7 +145,7 @@ class LaurentPolynomial:
 
     @classmethod
     def from_dict(cls, d: dict[int, int]) -> "LaurentPolynomial":
-        return cls(_norm_coeffs(d.items()))
+        return cls._trusted(_norm_coeffs(d.items()))
 
     def coefficient(self, exponent: int) -> int:
         for e, c in self.coeffs:
@@ -136,22 +157,24 @@ class LaurentPolynomial:
         return bool(self.coeffs)
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return LaurentPolynomial(_norm_coeffs(self.coeffs + other.coeffs))
+        return LaurentPolynomial._trusted(
+            _norm_coeffs(self.coeffs + other.coeffs))
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(tuple((e, -c) for e, c in self.coeffs))
+        return LaurentPolynomial._trusted(
+            tuple((e, -c) for e, c in self.coeffs))
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, int):
-            return LaurentPolynomial(
+            return LaurentPolynomial._trusted(
                 tuple((e, c * other) for e, c in self.coeffs)
                 if other else ())
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return LaurentPolynomial(_norm_coeffs(
+        return LaurentPolynomial._trusted(_norm_coeffs(
             (e1 + e2, c1 * c2)
             for e1, c1 in self.coeffs for e2, c2 in other.coeffs))
 
@@ -160,7 +183,8 @@ class LaurentPolynomial:
 
     def bar(self) -> "LaurentPolynomial":
         """The involution v -> v^{-1}."""
-        return LaurentPolynomial(tuple(sorted((-e, c) for e, c in self.coeffs)))
+        return LaurentPolynomial._trusted(
+            tuple((-e, c) for e, c in reversed(self.coeffs)))
 
     def to_json_dict(self) -> dict[str, int]:
         return {str(e): c for e, c in self.coeffs}
@@ -200,6 +224,7 @@ def evaluate_at_one(p: LaurentPolynomial) -> int:
 
 
 _ZERO = LaurentPolynomial.zero()
+_ONE = LaurentPolynomial.one()
 _VINV_MINUS_V = LaurentPolynomial(((-1, 1), (1, -1)))
 _V_MINUS_VINV = -_VINV_MINUS_V
 _Terms = tuple[tuple[int, LaurentPolynomial], ...]  # (id of x, coefficient)
@@ -233,8 +258,8 @@ class HeckeElement:
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         self.algebra._check_same(other)
-        return HeckeElement(self.algebra,
-                            _sum_terms(self._terms + other._terms))
+        return HeckeElement(self.algebra, _sum_terms(
+            (x, p, _ONE) for x, p in self._terms + other._terms))
 
     def __neg__(self) -> "HeckeElement":
         return self.scale(-1)
@@ -255,8 +280,10 @@ class HeckeElement:
         return NotImplemented
 
     def scale(self, c) -> "HeckeElement":
+        if isinstance(c, int):
+            c = LaurentPolynomial.monomial(c, 0)
         return HeckeElement(self.algebra,
-                            _sum_terms((x, p * c) for x, p in self._terms))
+                            _sum_terms((x, p, c) for x, p in self._terms))
 
     def __str__(self) -> str:
         if not self._terms:
@@ -283,19 +310,25 @@ class HeckeElement:
         }
 
 
-def _sum_terms(pairs) -> _Terms:
-    """Sum of p h_x over (id of x, p) pairs, as nonzero terms by id."""
-    acc: dict[int, list[tuple[int, int]]] = {}
-    for x, p in pairs:
-        acc.setdefault(x, []).extend(p.coeffs)
-    terms = ((x, _norm_coeffs(c)) for x, c in sorted(acc.items()))
-    return tuple((x, LaurentPolynomial(c)) for x, c in terms if c)
+def _sum_terms(triples) -> _Terms:
+    """Sum of p q h_x over (id of x, p, q) triples, as nonzero terms by
+    id; the products are summed without building them."""
+    acc: dict[int, dict[int, int]] = {}
+    for x, p, q in triples:
+        a = acc.get(x)
+        if a is None:
+            a = acc[x] = {}
+        for e1, c1 in p.coeffs:
+            for e2, c2 in q.coeffs:
+                e = e1 + e2
+                a[e] = a.get(e, 0) + c1 * c2
+    terms = ((x, _nonzero(acc[x])) for x in sorted(acc))
+    return tuple((x, LaurentPolynomial._trusted(c)) for x, c in terms if c)
 
 
-def _axpy(acc: dict[int, list[int]], y: int, c: int, p: list[int],
-          shift: int) -> None:
-    """acc[y] += c * v^shift * p, polynomials as dense coefficient lists
-    indexed by exponent."""
+def _axpy(acc: dict[int, list[int]], y: int, c: int, p, shift: int) -> None:
+    """acc[y] += c * v^shift * p, polynomials as dense coefficient
+    sequences indexed by exponent."""
     q = acc.get(y)
     if q is None:
         acc[y] = [0] * shift + [c * a for a in p]
@@ -307,11 +340,8 @@ def _axpy(acc: dict[int, list[int]], y: int, c: int, p: list[int],
             q[e] += c * a
 
 
-def _laurent(p: list[int]) -> LaurentPolynomial:
-    return LaurentPolynomial(tuple((e, c) for e, c in enumerate(p) if c))
-
-
 _LEAF = -2  # right-table mark of the spherical engine: x s leaves ^fW
+_Row = tuple[array, array]  # (ids of y, ascending; pool ids of P_{y,x})
 
 
 class _KLRecursion:
@@ -320,11 +350,18 @@ class _KLRecursion:
     Basis elements get ids level by level in (length, reduced word)
     order, so sorting ids sorts terms and ``y < x`` as ids whenever
     l(y) < l(x).  ``right[s][i]`` is the id of x_i s (-1 while that
-    element is longer than every enumerated one), ``last[i]`` is the
-    last letter of the reduced word of x_i, and ``kl[i]`` maps each
-    y <= x_i to P_{y,x_i} as a dense coefficient list indexed by
-    exponent.  A subclass enumerates the basis (``_grow``).  Not locked
-    by itself: the owning algebra calls it under its lock.
+    element is longer than every enumerated one), and ``last[i]`` is the
+    last letter of the reduced word of x_i.
+
+    The polynomials live in one pool per engine: ``polys[k]`` is a
+    distinct P as a tuple of coefficients indexed by exponent, with no
+    trailing zero, ``poly_ids`` maps it back to k, and ``mu[k]`` is its
+    coefficient of v.  The row ``kl[i]`` of x_i holds two arrays, the
+    ids of the y <= x_i in ascending order and the pool ids of their
+    P_{y,x_i}.  ``view(k)`` is the ``LaurentPolynomial`` of entry k,
+    built once on first use and shared by every caller.  A subclass
+    enumerates the basis (``_grow``).  Not locked by itself: the owning
+    algebra calls it under its lock.
     """
 
     def __init__(self, identity: AffineWeylElement,
@@ -337,7 +374,12 @@ class _KLRecursion:
         self.last = [-1]
         self.top_start = 0  # first id of the longest enumerated length
         self.complete = False
-        self.kl: dict[int, dict[int, list[int]]] = {0: {0: [1]}}
+        self.polys: list[tuple[int, ...]] = []
+        self.poly_ids: dict[tuple[int, ...], int] = {}
+        self.mu: list[int] = []
+        self._views: list[LaurentPolynomial | None] = []
+        self.kl: dict[int, _Row] = {
+            0: (array("i", (0,)), array("i", (self._intern((1,)),)))}
 
     def element_id(self, x: AffineWeylElement) -> int:
         got = self.index.get(x)
@@ -348,8 +390,25 @@ class _KLRecursion:
             got = self.index[x]
         return got
 
-    def basis(self, x: int) -> dict[int, list[int]]:
-        """b_x as {y: P_{y,x}}, computing what it needs, longest last."""
+    def _intern(self, p: tuple[int, ...]) -> int:
+        """The pool id of p, a new one if p is not in the pool yet."""
+        got = self.poly_ids.get(p)
+        if got is None:
+            got = self.poly_ids[p] = len(self.polys)
+            self.polys.append(p)
+            self.mu.append(p[1] if len(p) > 1 else 0)
+            self._views.append(None)
+        return got
+
+    def view(self, k: int) -> LaurentPolynomial:
+        got = self._views[k]
+        if got is None:
+            got = self._views[k] = LaurentPolynomial._trusted(
+                tuple((e, c) for e, c in enumerate(self.polys[k]) if c))
+        return got
+
+    def basis(self, x: int) -> _Row:
+        """The row of x, computing what it needs, longest last."""
         kl = self.kl
         todo = [x]
         while todo:
@@ -371,20 +430,37 @@ class _KLRecursion:
             todo.pop()
         return kl[x]
 
-    def _mu_terms(self, prev: dict[int, list[int]], s: int
-                  ) -> list[tuple[int, int]]:
+    def terms(self, x: int) -> _Terms:
+        """b_x as (y, P_{y,x}) pairs by id."""
+        ys, ks = self.basis(x)
+        return tuple(zip(ys, map(self.view, ks)))
+
+    def polynomial(self, y: int, x: int) -> LaurentPolynomial:
+        """P_{y,x}, zero unless y <= x."""
+        ys, ks = self.basis(x)
+        j = bisect_left(ys, y)
+        if j < len(ys) and ys[j] == y:
+            return self.view(ks[j])
+        return _ZERO
+
+    def values_at_one(self, x: int) -> list[tuple[int, int]]:
+        """(y, P_{y,x}(1)) over the y <= x by id."""
+        ys, ks = self.basis(x)
+        polys = self.polys
+        return [(y, sum(polys[k])) for y, k in zip(ys, ks)]
+
+    def _mu_terms(self, prev: _Row, s: int) -> list[tuple[int, int]]:
         """(y, mu) with ys < y or ys a leaf, and mu the v-coefficient of
         P_{y,xs} != 0."""
-        right = self.right[s]
-        return [(y, p[1]) for y, p in prev.items()
-                if len(p) > 1 and p[1] and right[y] < y]
+        right, mu = self.right[s], self.mu
+        return [(y, mu[k]) for y, k in zip(*prev) if mu[k] and right[y] < y]
 
-    def _step(self, prev: dict[int, list[int]], s: int,
-              mus: list[tuple[int, int]]) -> dict[int, list[int]]:
+    def _step(self, prev: _Row, s: int, mus: list[tuple[int, int]]) -> _Row:
         """b_x = b_{xs} b_s - sum of mu b_y, with b_s = h_s + v."""
-        right = self.right[s]
+        right, polys = self.right[s], self.polys
         acc: dict[int, list[int]] = {}
-        for y, p in prev.items():
+        for y, k in zip(*prev):
+            p = polys[k]
             ys = right[y]
             if ys > y:                       # h_y b_s = h_ys + v h_y
                 _axpy(acc, ys, 1, p, 0)
@@ -396,9 +472,17 @@ class _KLRecursion:
                 _axpy(acc, y, 1, p, 1)
                 _axpy(acc, y, 1, p[1:], 0)
         for y, mu in mus:
-            for z, p in self.kl[y].items():
-                _axpy(acc, z, -mu, p, 0)
-        return {y: p for y, p in acc.items() if any(p)}
+            for z, k in zip(*self.kl[y]):
+                _axpy(acc, z, -mu, polys[k], 0)
+        ys, ks = array("i"), array("i")
+        for y in sorted(acc):
+            p = acc[y]
+            while p and not p[-1]:
+                p.pop()
+            if p:
+                ys.append(y)
+                ks.append(self._intern(tuple(p)))
+        return ys, ks
 
 
 class _KLEngine(_KLRecursion):
@@ -458,9 +542,10 @@ class _SphericalEngine(_KLRecursion):
     For x in ^fW and a generator s, ``right[s][x]`` is the id of x s
     when x s is in ^fW, and ``_LEAF`` when it is not; then x s = t x
     for a finite simple t (Deodhar's lemma) and M_x b_s = (v + v^-1)
-    M_x.  ``kl[x]`` maps y to m_{y,x} = P_{w0 y, w0 x}.  Membership of
-    x s in ^fW is the dominance of x s . 0 at p = h: 0 is p-regular for
-    every p >= h, so the answer does not depend on p.
+    M_x.  The rows and the pool, in the layout of ``_KLRecursion``,
+    hold the m_{y,x} = P_{w0 y, w0 x}; the pool is this engine's own.
+    Membership of x s in ^fW is the dominance of x s . 0 at p = h: 0 is
+    p-regular for every p >= h, so the answer does not depend on p.
     """
 
     def __init__(self, identity: AffineWeylElement,
@@ -573,15 +658,15 @@ class HeckeAlgebra:
         """terms times h_s + c, ``table`` being the action of s: h_x goes
         to h_{xs} plus h_x times ``down`` (c + v^{-1} - v) if xs < x, else
         ``up`` (c).  Under the lock; a new xs enumerates the next length."""
-        pairs = []
+        triples = []
         for x, p in terms:
             if table[x] < 0:
                 self._engine._grow()
-            pairs.append((table[x], p))
+            triples.append((table[x], p, _ONE))
             d = down if table[x] < x else up
             if d:
-                pairs.append((x, p * d))
-        return _sum_terms(pairs)
+                triples.append((x, p, d))
+        return _sum_terms(triples)
 
     def mult_standard_by_gen(self, h: HeckeElement, s,
                              side: str = "right") -> HeckeElement:
@@ -599,13 +684,13 @@ class HeckeAlgebra:
     def _product(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
         self._check_same(a)
         self._check_same(b)
-        pairs = []
+        triples = []
         with self._lock:
             memo = {0: a._terms}
             for y, p in b._terms:
                 piece = self._times_word(memo, y, _VINV_MINUS_V, _ZERO)
-                pairs.extend((x, q * p) for x, q in piece)
-        return HeckeElement(self, _sum_terms(pairs))
+                triples.extend((x, q, p) for x, q in piece)
+        return HeckeElement(self, _sum_terms(triples))
 
     def _times_word(self, memo: dict[int, _Terms], x: int,
                     down: LaurentPolynomial, up: LaurentPolynomial) -> _Terms:
@@ -622,22 +707,20 @@ class HeckeAlgebra:
     def bar(self, h: HeckeElement) -> HeckeElement:
         """Ring involution: bar(v) = v^{-1}, bar(h_s) = h_s + v - v^{-1}."""
         self._check_same(h)
-        pairs = []
+        triples = []
         with self._lock:
             for x, p in h._terms:
                 pb = p.bar()  # bar(h_x) = product of h_s + v - v^{-1}
-                pairs.extend((y, q * pb) for y, q in self._times_word(
+                triples.extend((y, q, pb) for y, q in self._times_word(
                     self._bar_memo, x, _ZERO, _V_MINUS_VINV))
-        return HeckeElement(self, _sum_terms(pairs))
+        return HeckeElement(self, _sum_terms(triples))
 
     def kl_basis_element(self, x) -> HeckeElement:
         """The self-dual basis element b_x = sum_{y <= x} P_{y,x} h_y."""
         x = self._check_member(x)
         with self._lock:
             eng = self._engine
-            b = eng.basis(eng.element_id(x))
-            return HeckeElement(self, tuple(
-                (y, _laurent(b[y])) for y in sorted(b)))
+            return HeckeElement(self, eng.terms(eng.element_id(x)))
 
     def kl_polynomial(self, y, x) -> LaurentPolynomial:
         """Coefficient of h_y in b_x; zero unless y <= x in Bruhat order."""
@@ -645,18 +728,17 @@ class HeckeAlgebra:
         x = self._check_member(x)
         with self._lock:
             eng = self._engine
-            b = eng.basis(eng.element_id(x))
-            p = b.get(eng.index.get(y, -1))
-        return _laurent(p) if p else LaurentPolynomial.zero()
+            x = eng.element_id(x)
+            return eng.polynomial(eng.index.get(y, -1), x)
 
     def _spherical_row(self, x: AffineWeylElement
-                       ) -> tuple[_SphericalEngine, int, dict[int, list[int]]]:
-        """The spherical engine, the id of x and {y: m_{y,x}}, for x a
-        minimal coset representative and an affine handle."""
+                       ) -> tuple[_SphericalEngine, int, list[tuple[int, int]]]:
+        """The spherical engine, the id of x and (y, m_{y,x}(1)) by id,
+        for x a minimal coset representative and an affine handle."""
         with self._lock:
             eng = self._spherical
             x = eng.element_id(x)
-            return eng, x, eng.basis(x)
+            return eng, x, eng.values_at_one(x)
 
     def _spherical_ideals(self, elems: list[AffineWeylElement]
                           ) -> tuple[list[int], list[set[int]]]:
@@ -668,13 +750,30 @@ class HeckeAlgebra:
             return ids, eng.ideals(max(ids) + 1)
 
 
-@lru_cache(maxsize=None)
+_HANDLE_LOCK = threading.Lock()
+
+
+def _one_handle_per_datum(build):
+    """Memoise ``build`` per datum under a module lock, so that concurrent
+    first calls share one handle; ``cache_clear`` drops the handles."""
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def handle(datum: RootDatum) -> HeckeAlgebra:
+        with _HANDLE_LOCK:
+            return cached(datum)
+
+    handle.cache_clear = cached.cache_clear
+    return handle
+
+
+@_one_handle_per_datum
 def affine_hecke(datum: RootDatum) -> HeckeAlgebra:
     """The Hecke algebra of the affine Weyl group, one handle per datum."""
     return HeckeAlgebra(datum, affine=True)
 
 
-@lru_cache(maxsize=None)
+@_one_handle_per_datum
 def finite_hecke(datum: RootDatum) -> HeckeAlgebra:
     """The Hecke algebra of the finite Weyl group, one handle per datum."""
     return HeckeAlgebra(datum, affine=False)

@@ -121,8 +121,7 @@ def lcf_coefficients(x: AffineWeylElement, p: int
     _check_lcf_input(x, p)
     eng, x, row = affine_hecke(x.datum)._spherical_row(x)
     lx, lens, elems = eng.lens[x], eng.lens, eng.elems
-    return {elems[y]: -sum(row[y]) if (lx + lens[y]) % 2 else sum(row[y])
-            for y in sorted(row)}
+    return {elems[y]: -m if (lx + lens[y]) % 2 else m for y, m in row}
 
 
 def lcf_character(x: AffineWeylElement, p: int) -> Character:

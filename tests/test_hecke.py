@@ -16,9 +16,13 @@ Independent oracles frozen here:
 """
 
 import sys
+import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylkit import (
     HeckeAlgebra,
@@ -122,6 +126,16 @@ def test_laurent_str():
     assert str(ZERO) == "0"
     assert str(ONE) == "1"
     assert str(LaurentPolynomial.from_dict({0: -2})) == "-2"
+
+
+def test_laurent_constructor_rejects_unnormalised_input():
+    # arithmetic skips these checks on results it normalised itself;
+    # the public constructor keeps them
+    for coeffs in (((1, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 0),),
+                   ((-1, 2), (3, 0))):
+        with pytest.raises(ValueError):
+            LaurentPolynomial(coeffs)
+    assert LaurentPolynomial(((-1, 2), (3, -1))).coeffs == ((-1, 2), (3, -1))
 
 
 def test_laurent_coefficient_and_json():
@@ -447,6 +461,93 @@ def test_engine_shared_by_many_threads():
                 assert b.terms == expected[x]
             eng = alg._engine
             assert len(set(eng.elems)) == len(eng.elems) == len(eng.index)
+            assert len(set(eng.polys)) == len(eng.polys) == len(
+                eng.poly_ids)
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_kl_pool_holds_each_polynomial_once():
+    datum = build_root_datum("B2")
+    alg = HeckeAlgebra(datum)
+    els = elements_up_to(datum, 8)
+    views = {}
+    for x in els:
+        for y, p in alg.kl_basis_element(x).terms:
+            # equal P_{y,x} are one shared object, also from kl_polynomial
+            assert views.setdefault(p.coeffs, p) is p
+            assert alg.kl_polynomial(y, x) is p
+    eng = alg._engine
+    assert len(set(eng.polys)) == len(eng.polys) == len(eng.poly_ids)
+    assert len(eng.polys) == len(views)
+    for k, p in enumerate(eng.polys):
+        assert p and p[-1] != 0
+        assert eng.poly_ids[p] == k
+        assert eng.mu[k] == (p[1] if len(p) > 1 else 0)
+
+
+def test_kl_tables_of_affine_a3_stay_small():
+    # all b_x of affine A3 up to length 10 on a fresh handle: with a
+    # dense list per pair the traced peak was about 14 MB (CPython 3.11),
+    # with the pool and compact rows it is 1.7 MB
+    datum = build_root_datum("A3")
+    els = elements_up_to(datum, 10)
+    alg = HeckeAlgebra(datum)
+    tracemalloc.start()
+    try:
+        for x in els:
+            alg.kl_basis_element(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(els) == 791
+    assert peak < 5 * 2 ** 20
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["A2", "B2", "G2"]),
+       st.lists(st.integers(0, 2), max_size=10))
+def test_random_kl_basis_elements_are_self_dual_within_bounds(series, word):
+    datum = build_root_datum(series)
+    gens = generators(datum)
+    x = identity_element(datum)
+    for i in word:
+        x = multiply(x, gens[i])
+    b = kl_basis_element(x)
+    assert bar(b) == b
+    lx = length(x)
+    assert b.coefficient(x) == ONE
+    for y, p in b.terms:
+        gap = lx - length(y)
+        if y == x:
+            continue
+        assert gap > 0
+        assert all(c > 0 and 1 <= e <= gap and (gap - e) % 2 == 0
+                   for e, c in p.coeffs), (y, p)
+        assert p.coefficient(gap) == 1
+
+
+@pytest.mark.parametrize("handle", [affine_hecke, finite_hecke])
+def test_concurrent_first_calls_share_one_handle(handle):
+    # threads released together right after cache_clear: each must get
+    # the one handle of the datum, not a private copy with its own tables
+    datum = build_root_datum("G2")
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            handle.cache_clear()
+            barrier = threading.Barrier(8)
+
+            def first_call():
+                barrier.wait(timeout=30)
+                return handle(datum)
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(first_call) for _ in range(8)]
+                got = [f.result(timeout=60) for f in futures]
+            assert all(h is got[0] for h in got)
+            assert handle(datum) is got[0]
     finally:
         sys.setswitchinterval(old)
 

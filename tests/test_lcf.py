@@ -327,9 +327,10 @@ def orbit_elements(series, p, max_len):
 
 def spherical_row(x):
     """{y: m_{y,x}} as Laurent polynomials, read off the engine."""
-    eng, i, row = affine_hecke(x.datum)._spherical_row(x)
-    return {eng.elems[y]: LaurentPolynomial.from_dict(dict(enumerate(m)))
-            for y, m in row.items()}
+    alg = affine_hecke(x.datum)
+    with alg._lock:
+        eng = alg._spherical
+        return {eng.elems[y]: m for y, m in eng.terms(eng.element_id(x))}
 
 
 @settings(max_examples=60, deadline=None)
