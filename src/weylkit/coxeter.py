@@ -23,9 +23,10 @@ Weight(coords=(8,))
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 
 from weylkit._exact import det_adjugate
 from weylkit.lattice import (
@@ -156,7 +157,7 @@ def _reflection(datum: RootDatum, root: Weight, coroot: Coroot
 class _Context:
     """Per-datum caches, the only owner of each: generators, the
     inversion sets of finite parts, lengths, reduced words, the Bruhat
-    memo and the W_f list."""
+    memo, the W_f list and the table of dominant alcoves."""
 
     def __init__(self, datum: RootDatum) -> None:
         self.datum = datum
@@ -181,6 +182,7 @@ class _Context:
         self.word_memo: dict[AffineWeylElement, tuple[int, ...]] = {}
         self.bruhat_memo: dict[tuple[AffineWeylElement, AffineWeylElement], bool] = {}
         self._finite_list: list[tuple[FiniteWeylElement, int]] | None = None
+        self.alcoves = _Alcoves(self)
 
     def inversions(self, w: FiniteWeylElement) -> tuple[bool, ...]:
         """Per positive root a (in datum order): is w^{-1}(a) negative?
@@ -219,7 +221,120 @@ class _Context:
         return self._finite_list
 
 
-@lru_cache(maxsize=None)
+_LEAF = -2  # right-table mark of the alcove table: x s leaves ^fW
+
+
+class _Alcoves:
+    """The minimal coset representatives ^fW, which are the dominant
+    alcoves, numbered level by level in (length, reduced word) order.
+
+    ``elems[i]`` is the element of id i, ``index`` maps it back and
+    ``lens[i]`` is its length.  ``right[s][i]`` is the id of x_i s when
+    that is in ^fW, ``_LEAF`` when it is not (then x_i s = t x_i for a
+    finite simple t, Deodhar's lemma), and -1 while x_i s is longer
+    than every enumerated element.  ``last[i]`` is the last letter of
+    the reduced word of x_i.  Membership of x s in ^fW is the dominance
+    of x s . 0 at p = h: 0 is p-regular for every p >= h, so neither
+    the set nor the order depends on p.
+
+    A level is grown whole under ``lock``, and every question about what
+    is enumerated goes through it, so no reader sees half a level.  The
+    entries of a complete level below the top never change again.  A
+    caller that holds a Hecke handle's lock may take this one; never
+    the reverse.
+    """
+
+    def __init__(self, ctx: _Context) -> None:
+        self.datum = ctx.datum
+        self.gens = ctx.gens
+        self.elems = [ctx.identity]
+        self.index = {ctx.identity: 0}
+        self.lens = [0]
+        self.right = [[-1] for _ in ctx.gens]
+        self.last = [-1]
+        self.lock = threading.RLock()
+
+    def _grow(self) -> None:
+        """Enumerate the level one longer than the longest so far.  Every
+        unknown edge x s from the top level leads one level up, to a new
+        representative or to a leaf (prefixes of minimal representatives
+        are minimal, so no edge leads back).  The smallest reduced word
+        of y is that of its smallest x below, followed by s, and the ids
+        of the level below are in word order already.  Call under the
+        lock."""
+        top, hi = self.lens[-1], len(self.elems)
+        lo = bisect_left(self.lens, top)
+        zero, h = Weight((0,) * self.datum.rank), coxeter_number(self.datum)
+        found: dict[AffineWeylElement, list[tuple[int, int]]] = {}
+        for s, g in enumerate(self.gens):
+            col = self.right[s]
+            for i in range(lo, hi):
+                if col[i] == -1:
+                    y = multiply(self.elems[i], g)
+                    if is_dominant(dot_p(y, zero, h)):
+                        found.setdefault(y, []).append((i, s))
+                    else:
+                        col[i] = _LEAF
+        for j, y in enumerate(sorted(found, key=lambda y: min(found[y])), hi):
+            self.elems.append(y)
+            self.index[y] = j
+            self.lens.append(top + 1)
+            self.last.append(min(found[y])[1])
+            for col in self.right:
+                col.append(-1)
+            for i, s in found[y]:
+                self.right[s][i] = j
+                self.right[s][j] = i
+
+    def up_to(self, max_len: int) -> int:
+        """The number of ids of length <= max_len, enumerated first."""
+        with self.lock:
+            while self.lens[-1] < max_len:
+                self._grow()
+            return bisect_right(self.lens, max_len)
+
+    def element_id(self, x: AffineWeylElement) -> int:
+        """The id of x, a minimal coset representative."""
+        with self.lock:
+            if x not in self.index:
+                self.up_to(_length(x))
+            return self.index[x]
+
+    def ideals(self, n: int) -> list[set[int]]:
+        """{y in ^fW : y <= x} for the first n ids x, all of them handed
+        out already: the ideal of x is that of xs together with every ys
+        in ^fW of its members, s being the last letter of x."""
+        out = [{0}]
+        for x in range(1, n):
+            right = self.right[self.last[x]]
+            below = out[right[x]]
+            out.append(below | {right[y] for y in below if right[y] >= 0})
+        return out
+
+
+def _one_handle_per_datum(build):
+    """Memoise ``build`` per datum.  A first call builds under a lock of
+    its own, so that concurrent first calls share one handle, and a
+    handle is stored only once built; ``cache_clear`` drops the
+    handles."""
+    handles: dict[RootDatum, object] = {}
+    lock = threading.Lock()
+
+    @wraps(build)
+    def handle(datum: RootDatum):
+        got = handles.get(datum)
+        if got is None:
+            with lock:
+                got = handles.get(datum)
+                if got is None:
+                    got = handles[datum] = build(datum)
+        return got
+
+    handle.cache_clear = handles.clear
+    return handle
+
+
+@_one_handle_per_datum
 def _context(datum: RootDatum) -> _Context:
     return _Context(datum)
 
@@ -396,13 +511,10 @@ def is_min_coset_rep_fW(x: AffineWeylElement) -> bool:
     return all(_length(multiply(s, x)) > lx for s in ctx.finite_gens)
 
 
-def _elements_up_to_length(
-        datum: RootDatum, max_len: int,
-        keep: Callable[[AffineWeylElement], bool] = lambda x: True,
-) -> list[AffineWeylElement]:
-    # Breadth-first by right multiplication.  x*s is one longer than x
-    # unless it is a prefix of x, which a level below already holds:
-    # so ``keep`` must be closed under prefixes.
+def _elements_up_to_length(datum: RootDatum, max_len: int
+                           ) -> list[AffineWeylElement]:
+    # Breadth-first by right multiplication: x*s is one longer than x
+    # unless it is a prefix of x, which a level below already holds.
     ctx = _context(datum)
     seen = {ctx.identity}
     frontier = [ctx.identity]
@@ -411,7 +523,7 @@ def _elements_up_to_length(
         for x in frontier:
             for s in ctx.gens:
                 y = multiply(x, s)
-                if y not in seen and keep(y):
+                if y not in seen:
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
@@ -422,9 +534,11 @@ def dominant_orbit(datum: RootDatum, p: int, max_len: int
                    ) -> list[tuple[AffineWeylElement, Weight]]:
     """Minimal coset representatives with dominant dot-image of zero.
 
-    Walks the dominant alcoves alone: all x of length <= max_len with
-    x . 0 dominant, paired with that weight, sorted by length and then
-    by reduced word.
+    All x of length <= max_len with x . 0 dominant, paired with that
+    weight, sorted by length and then by reduced word.  They are a
+    prefix of the datum's table of dominant alcoves, walked once and
+    shared with the spherical module of ``weylkit.hecke``: position i is
+    id i there, for every p >= h.
 
     >>> from weylkit.lattice import build_root_datum
     >>> d = build_root_datum("A1")
@@ -436,14 +550,10 @@ def dominant_orbit(datum: RootDatum, p: int, max_len: int
         raise ValueError(f"p must be at least the Coxeter number {h}")
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
+    alcoves = _context(datum).alcoves
+    n = alcoves.up_to(max_len)
     zero = Weight((0,) * datum.rank)
-    # 0 is p-regular for p >= h, so x . 0 lies inside the alcove of x
-    # and x has no finite left descent exactly when x . 0 is dominant.
-    # Prefixes of minimal representatives are minimal.
-    out = [(x, dot_p(x, zero, p)) for x in _elements_up_to_length(
-        datum, max_len, lambda x: is_dominant(dot_p(x, zero, p)))]
-    out.sort(key=lambda xw: (_length(xw[0]), _reduced_word_t(xw[0])))
-    return out
+    return [(x, dot_p(x, zero, p)) for x in alcoves.elems[:n]]
 
 
 def is_p_regular(datum: RootDatum, weight: Weight, p: int) -> bool:

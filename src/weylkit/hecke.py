@@ -32,10 +32,13 @@ handle, under the handle's lock:
   law; ``kl_polynomial`` bisects one row.
 
 An affine handle also owns the same recursion on the spherical module
-triv (x)_{H_f} H, whose ids run over the minimal coset representatives
-only: its rows are the m_{y,x} = P_{w0 y, w0 x} that the character
-formula reads (see ``weylkit.lcf``).  The sum of mu b_y then also runs
-over the y whose y s leaves the representatives.
+triv (x)_{H_f} H: its rows are the m_{y,x} = P_{w0 y, w0 x} that the
+character formula reads (see ``weylkit.lcf``), and the sum of mu b_y
+then also runs over the y whose y s leaves the minimal coset
+representatives.  That engine owns only its rows and its pool.  Its
+ids, right action tables and last letters are the table of dominant
+alcoves that the datum's context in ``weylkit.coxeter`` owns and grows
+under its own lock, the table ``dominant_orbit`` reads as well.
 
 >>> from weylkit.lattice import build_root_datum
 >>> from weylkit.coxeter import generators, multiply
@@ -51,13 +54,14 @@ import threading
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, wraps
 
-from weylkit.lattice import RootDatum, Weight, coxeter_number, is_dominant
+from weylkit.lattice import RootDatum
 from weylkit.coxeter import (
     AffineWeylElement,
     FiniteWeylElement,
-    dot_p,
+    _Alcoves,
+    _context,
+    _one_handle_per_datum,
     embed_finite,
     generators,
     identity_element,
@@ -340,7 +344,6 @@ def _axpy(acc: dict[int, list[int]], y: int, c: int, p, shift: int) -> None:
             q[e] += c * a
 
 
-_LEAF = -2  # right-table mark of the spherical engine: x s leaves ^fW
 _Row = tuple[array, array]  # (ids of y, ascending; pool ids of P_{y,x})
 
 
@@ -360,35 +363,21 @@ class _KLRecursion:
     ids of the y <= x_i in ascending order and the pool ids of their
     P_{y,x_i}.  ``view(k)`` is the ``LaurentPolynomial`` of entry k,
     built once on first use and shared by every caller.  A subclass
-    enumerates the basis (``_grow``).  Not locked by itself: the owning
-    algebra calls it under its lock.
+    enumerates the basis (``element_id``).  Not locked by itself: the
+    owning algebra calls it under its lock.
     """
 
-    def __init__(self, identity: AffineWeylElement,
-                 gens: list[AffineWeylElement]) -> None:
-        self.gens = gens
-        self.elems = [identity]
-        self.index = {identity: 0}
-        self.lens = [0]
-        self.right = [[-1] for _ in gens]
-        self.last = [-1]
-        self.top_start = 0  # first id of the longest enumerated length
-        self.complete = False
+    def __init__(self, elems: list[AffineWeylElement],
+                 index: dict[AffineWeylElement, int], lens: list[int],
+                 right: list[list[int]], last: list[int]) -> None:
+        self.elems, self.index, self.lens = elems, index, lens
+        self.right, self.last = right, last
         self.polys: list[tuple[int, ...]] = []
         self.poly_ids: dict[tuple[int, ...], int] = {}
         self.mu: list[int] = []
         self._views: list[LaurentPolynomial | None] = []
         self.kl: dict[int, _Row] = {
             0: (array("i", (0,)), array("i", (self._intern((1,)),)))}
-
-    def element_id(self, x: AffineWeylElement) -> int:
-        got = self.index.get(x)
-        if got is None:
-            target = length(x)
-            while self.lens[-1] < target and not self.complete:
-                self._grow()
-            got = self.index[x]
-        return got
 
     def _intern(self, p: tuple[int, ...]) -> int:
         """The pool id of p, a new one if p is not in the pool yet."""
@@ -491,8 +480,21 @@ class _KLEngine(_KLRecursion):
 
     def __init__(self, identity: AffineWeylElement,
                  gens: list[AffineWeylElement]) -> None:
-        super().__init__(identity, gens)
+        super().__init__([identity], {identity: 0}, [0],
+                         [[-1] for _ in gens], [-1])
+        self.gens = gens
         self.left = [[-1] for _ in gens]
+        self.top_start = 0  # first id of the longest enumerated length
+        self.complete = False
+
+    def element_id(self, x: AffineWeylElement) -> int:
+        got = self.index.get(x)
+        if got is None:
+            target = length(x)
+            while self.lens[-1] < target and not self.complete:
+                self._grow()
+            got = self.index[x]
+        return got
 
     def _grow(self) -> None:
         """Enumerate the elements one longer than the longest so far.
@@ -536,75 +538,35 @@ class _KLEngine(_KLRecursion):
 
 
 class _SphericalEngine(_KLRecursion):
-    """The tables of the spherical module M = triv (x) H over the minimal
-    coset representatives ^fW, the dominant alcoves.
+    """The rows and the pool of the spherical module M = triv (x) H over
+    the minimal coset representatives ^fW, the dominant alcoves.
 
-    For x in ^fW and a generator s, ``right[s][x]`` is the id of x s
-    when x s is in ^fW, and ``_LEAF`` when it is not; then x s = t x
-    for a finite simple t (Deodhar's lemma) and M_x b_s = (v + v^-1)
-    M_x.  The rows and the pool, in the layout of ``_KLRecursion``,
-    hold the m_{y,x} = P_{w0 y, w0 x}; the pool is this engine's own.
-    Membership of x s in ^fW is the dominance of x s . 0 at p = h: 0 is
-    p-regular for every p >= h, so the answer does not depend on p.
+    Ids, lengths, right action tables and last letters are those of
+    ``alcoves``, the context's table in ``weylkit.coxeter``, read in
+    place: ``right[s][x]`` is ``_LEAF`` when x s leaves ^fW, and then
+    M_x b_s = (v + v^-1) M_x.  The rows and the pool, in the layout of
+    ``_KLRecursion`` and owned by this engine, hold the m_{y,x} =
+    P_{w0 y, w0 x}.
     """
 
-    def __init__(self, identity: AffineWeylElement,
-                 gens: list[AffineWeylElement]) -> None:
-        super().__init__(identity, gens)
-        datum = identity.datum
-        self.zero = Weight((0,) * datum.rank)
-        self.p = coxeter_number(datum)
+    def __init__(self, alcoves: _Alcoves) -> None:
+        super().__init__(alcoves.elems, alcoves.index, alcoves.lens,
+                         alcoves.right, alcoves.last)
+        self.alcoves = alcoves
 
-    def _grow(self) -> None:
-        """Enumerate the representatives one longer than the longest so
-        far.  Every unknown edge x s from the top level leads one level
-        up, to a new representative or to a leaf (prefixes of minimal
-        representatives are minimal, so no edge leads back).
-        """
-        lo, hi = self.top_start, len(self.elems)
-        found: dict[AffineWeylElement, list[tuple[int, int]]] = {}
-        for s, g in enumerate(self.gens):
-            col = self.right[s]
-            for i in range(lo, hi):
-                if col[i] == -1:
-                    y = multiply(self.elems[i], g)
-                    if is_dominant(dot_p(y, self.zero, self.p)):
-                        found.setdefault(y, []).append((s, i))
-                    else:
-                        col[i] = _LEAF
-        words = {y: reduced_word(y) for y in found}
-        level = self.lens[-1] + 1
-        self.top_start = hi
-        for j, y in enumerate(sorted(found, key=words.__getitem__), hi):
-            self.elems.append(y)
-            self.index[y] = j
-            self.lens.append(level)
-            self.last.append(words[y][-1])
-            for col in self.right:
-                col.append(-1)
-            for s, i in found[y]:
-                self.right[s][i] = j
-                self.right[s][j] = i
-
-    def ideals(self, n: int) -> list[set[int]]:
-        """{y in ^fW : y <= x} for the first n ids x: the ideal of x is
-        that of xs together with every ys in ^fW of its members, s being
-        the last letter of x."""
-        out = [{0}]
-        for x in range(1, n):
-            right = self.right[self.last[x]]
-            below = out[right[x]]
-            out.append(below | {right[y] for y in below if right[y] >= 0})
-        return out
+    def element_id(self, x: AffineWeylElement) -> int:
+        return self.alcoves.element_id(x)
 
 
 class HeckeAlgebra:
     """Hecke algebra of the finite or affine Weyl group of a datum.
 
     Each handle owns its Kazhdan-Lusztig engine and its bar memo, keyed
-    by engine id, and an affine handle also owns the engine of its
-    spherical module; one lock guards all three, so concurrent calls see
-    a single logical table.
+    by engine id, and an affine handle also owns the rows and the pool
+    of its spherical module; one lock guards all three, so concurrent
+    calls see a single logical table.  The spherical ids come from the
+    context's table of dominant alcoves, which has a lock of its own,
+    taken inside this one.
     """
 
     def __init__(self, datum: RootDatum, affine: bool = True) -> None:
@@ -613,7 +575,7 @@ class HeckeAlgebra:
         all_gens = generators(datum)
         self.gens = all_gens if affine else all_gens[:datum.rank]
         self._engine = _KLEngine(identity_element(datum), self.gens)
-        self._spherical = (_SphericalEngine(identity_element(datum), self.gens)
+        self._spherical = (_SphericalEngine(_context(datum).alcoves)
                            if affine else None)
         self._bar_memo = {0: self.unit()._terms}
         self._lock = threading.RLock()
@@ -739,32 +701,6 @@ class HeckeAlgebra:
             eng = self._spherical
             x = eng.element_id(x)
             return eng, x, eng.values_at_one(x)
-
-    def _spherical_ideals(self, elems: list[AffineWeylElement]
-                          ) -> tuple[list[int], list[set[int]]]:
-        """The ids of the minimal coset representatives ``elems`` and the
-        lower ideal of every id up to the largest of them."""
-        with self._lock:
-            eng = self._spherical
-            ids = [eng.element_id(x) for x in elems]
-            return ids, eng.ideals(max(ids) + 1)
-
-
-_HANDLE_LOCK = threading.Lock()
-
-
-def _one_handle_per_datum(build):
-    """Memoise ``build`` per datum under a module lock, so that concurrent
-    first calls share one handle; ``cache_clear`` drops the handles."""
-    cached = lru_cache(maxsize=None)(build)
-
-    @wraps(build)
-    def handle(datum: RootDatum) -> HeckeAlgebra:
-        with _HANDLE_LOCK:
-            return cached(datum)
-
-    handle.cache_clear = cached.cache_clear
-    return handle
 
 
 @_one_handle_per_datum

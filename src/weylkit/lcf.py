@@ -54,6 +54,7 @@ from weylkit.lattice import (
 from weylkit.coxeter import (
     AffineWeylElement,
     FiniteWeylElement,
+    _context,
     dominant_orbit,
     dot_p,
     generators,
@@ -269,11 +270,11 @@ def decomposition_matrix(datum: RootDatum, p: int,
         # two).  The row of x involves exactly the y <= x in ^fW
         # (m_{y,x}(1) >= 1 on the Bruhat interval), so x is kept when
         # its lower ideal lies in the box, before any row is computed.
-        ids, ideals = affine_hecke(datum)._spherical_ideals(
-            [x for x, _ in orbit])
-        inside = {i for i, (_, w) in zip(ids, orbit)
+        # Orbit position i is id i of the context's alcove table.
+        ideals = _context(datum).alcoves.ideals(len(orbit))
+        inside = {i for i, (_, w) in enumerate(orbit)
                   if max(w.coords) <= max_weight}
-        orbit = [xw for i, xw in zip(ids, orbit) if ideals[i] <= inside]
+        orbit = [xw for xw, ideal in zip(orbit, ideals) if ideal <= inside]
     height = _height(datum)
     orbit.sort(key=lambda xw: (height(xw[1].coords), xw[1].coords))
     index = {x: i for i, (x, _) in enumerate(orbit)}

@@ -1,10 +1,15 @@
-"""Command-line interface: output golds, exit codes, file output."""
+"""Command-line interface: output golds, exit codes, file output,
+and a fuzz test over every subcommand."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylkit.cli import main
 
@@ -330,3 +335,116 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "v^4\n"
+
+
+# ---------------------------------------------------------------- fuzz
+#
+# Small valid values mixed with malformed tokens.  The bounds keep each
+# run short: --max-weight stays small because no budget caps the orbit
+# walk yet, so a large weight bound can run for minutes.
+
+BAD_TOKENS = st.sampled_from(["", " ", "-", "--", "x", "1.5", "1e3", "0x10",
+                              "nan"])
+BROKEN_JSON = st.sampled_from([
+    "", "{", "[", "[[", "[[1,2]", "null", "1", '"s"', "[]", "[[]]", "{}",
+    "[[1],[2,3]]", "[[1e400]]", "[[NaN]]", '{"0":', '{"0": []}',
+    '{"x": {}}', '{"0": {"free": "1"}}', '{"0": {"torsion": 5}}',
+    '{"0": {"torsion": [0]}}'])
+
+
+def one_in(n):
+    """True one time in n, and False in the simplest example."""
+    return st.integers(1, n).map(lambda k: k == n)
+
+
+def mostly(valid, malformed):
+    """A valid value, or one time in six a malformed one."""
+    return one_in(6).flatmap(lambda bad: malformed if bad else valid)
+
+
+def numbers(lo, hi):
+    return mostly(st.integers(lo, hi).map(str), BAD_TOKENS)
+
+
+def choices(*valid):
+    return mostly(st.sampled_from(valid), st.sampled_from(["x", ""]))
+
+
+SERIES = mostly(st.sampled_from(["A1", "A2", "A3", "B2", "C2", "G2"]),
+                st.sampled_from(["F4", "a2", "A0", ""]))
+SMALL = st.integers(-2, 4)
+WORDS = mostly(
+    st.one_of(st.lists(st.integers(0, 3), max_size=6).map(
+        lambda w: ",".join(map(str, w))),
+        st.sampled_from(["id", "w3", "w'2", "w0"])),
+    st.sampled_from(["-1", "0,-1", "w", "w-1", "zz", ",", "0,,1", ""]))
+MATRICES = mostly(
+    st.lists(st.lists(SMALL, max_size=3), max_size=3).map(json.dumps),
+    BROKEN_JSON)
+LINKS = mostly(
+    st.one_of(
+        st.sampled_from(["rp3", "s3", "s1", "lens:1", "lens:4"]),
+        st.dictionaries(
+            st.integers(-2, 4).map(str),
+            st.fixed_dictionaries({}, optional={
+                "free": SMALL, "torsion": st.lists(SMALL, max_size=2)}),
+            max_size=3).map(json.dumps)),
+    st.one_of(st.sampled_from(["lens:0", "lens:", "lens:x", "torus"]),
+              BROKEN_JSON))
+
+COMMANDS = [
+    ("root-datum", [SERIES, choices("sc", "adjoint")],
+     {"--format": choices("text", "json")}),
+    ("lcf", [SERIES], {
+        "--variant": choices("sc", "adjoint"),
+        "--p": numbers(-2, 13), "--max-len": numbers(-2, 6),
+        "--max-weight": numbers(-2, 8), "--jantzen-only": None,
+        "--entries": choices("auto", "lcf", "simple"),
+        "--preset": choices("sl2-p5"),
+        "--format": choices("text", "csv", "json")}),
+    ("kl", [SERIES], {"--dihedral": None, "--x": WORDS, "--y": WORDS,
+                      "--format": choices("text", "json")}),
+    ("char", [], {"--n": numbers(-3, 200), "--p": numbers(-1, 13),
+                  "--max-terms": numbers(-1, 40),
+                  "--format": choices("text", "csv", "json")}),
+    ("sl2-check", [], {"--p": numbers(-1, 13), "--upto": numbers(-3, 200),
+                       "--format": choices("text", "csv", "json")}),
+    ("ic-cone", [], {
+        "--link": LINKS, "--d": numbers(-2, 4), "--p": numbers(-1, 7),
+        "--model": choices("field", "integral", "plus", "pushforward"),
+        "--format": choices("text", "json")}),
+    ("intersection-form", [], {"--matrix": MATRICES, "--p": numbers(-1, 7),
+                               "--format": choices("text", "json")}),
+]
+
+
+RARE = {"--preset", "--dihedral", "--jantzen-only", "--max-weight"}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with most of its flags (a flag in RARE one time in
+    four), some values malformed, sometimes an unknown flag."""
+    name, positionals, flags = draw(st.sampled_from(COMMANDS))
+    argv = [name]
+    for value in positionals:
+        if not draw(one_in(8)):
+            argv.append(draw(value))
+    for flag, value in flags.items():
+        if draw(one_in(4)) if flag in RARE else not draw(one_in(8)):
+            argv += [flag] if value is None else [flag, draw(value)]
+    if draw(one_in(12)):
+        argv.insert(draw(st.integers(1, len(argv))),
+                    draw(st.sampled_from(["--bogus", "-x", "--p"])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argvs())
+def test_fuzzed_arguments_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())

@@ -45,6 +45,7 @@ from weylkit import (
     multiply,
     reduced_word,
 )
+from weylkit.coxeter import _context
 
 V = LaurentPolynomial.v()
 ONE = LaurentPolynomial.one()
@@ -527,15 +528,14 @@ def test_random_kl_basis_elements_are_self_dual_within_bounds(series, word):
         assert p.coefficient(gap) == 1
 
 
-@pytest.mark.parametrize("handle", [affine_hecke, finite_hecke])
-def test_concurrent_first_calls_share_one_handle(handle):
+def first_calls_get_one_handle(handle, rounds):
     # threads released together right after cache_clear: each must get
     # the one handle of the datum, not a private copy with its own tables
     datum = build_root_datum("G2")
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(20):
+        for _ in range(rounds):
             handle.cache_clear()
             barrier = threading.Barrier(8)
 
@@ -550,6 +550,18 @@ def test_concurrent_first_calls_share_one_handle(handle):
             assert handle(datum) is got[0]
     finally:
         sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize("handle", [affine_hecke, finite_hecke])
+def test_concurrent_first_calls_share_one_handle(handle):
+    first_calls_get_one_handle(handle, 20)
+
+
+def test_concurrent_first_calls_share_one_context():
+    # the context owns the table of dominant alcoves, so a second context
+    # would walk them a second time; under a bare lru_cache about one
+    # round in 13 built two
+    first_calls_get_one_handle(_context, 100)
 
 
 def test_algebra_caching():

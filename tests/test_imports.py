@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used, and every name
-the benchmark imports from the package exists.
+"""Every module-level import in the package is used, every name the
+benchmark imports from the package exists, and no private code of the
+package is left without a caller.
 
 A name bound by an import at the top level of a module must be read
 somewhere in that module (code, annotations or doctests aside) or be
@@ -99,3 +100,67 @@ def test_benchmark_imports_exist():
     missing = [f"{file}: {module}.{name}" for file, module, name in found
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"names the benchmark imports are gone: {missing}"
+
+
+SCANNED = sorted(path for top in ("src", "tests", "perfbench")
+                 for path in (SRC.parent.parent / top).rglob("*.py"))
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Name -> line, for every top-level private function or class and
+    every method of a private class (dunder methods aside: Python calls
+    them)."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = {}
+    for node in tree.body:
+        if isinstance(node, defs) and node.name.startswith("_"):
+            names[node.name] = node.lineno
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, defs)
+                            and not item.name.startswith("__")):
+                        names[item.name] = item.lineno
+    return names
+
+
+def _named(tree: ast.Module) -> set[str]:
+    """Every name a file reads, imports, or spells as a string (as
+    ``getattr`` and ``monkeypatch.setattr`` do)."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name.split(".")[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            named.add(node.value)
+    return named
+
+
+def test_private_code_has_a_caller():
+    named = set().union(*(_named(ast.parse(p.read_text(encoding="utf-8")))
+                          for p in SCANNED))
+    dead = [f"{path.name}: {name} (line {line})" for path in MODULES
+            for name, line in _private_definitions(
+                ast.parse(path.read_text(encoding="utf-8"))).items()
+            if name not in named]
+    assert not dead, f"private code that nothing names: {dead}"
+
+
+def test_scan_flags_private_code_with_no_caller():
+    tree = ast.parse(
+        "def _dead(): pass\n"
+        "def _live(): pass\n"
+        "def public(): pass\n"
+        "class _K:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): pass\n"
+        "    def unused(self): pass\n"
+        "_live()\n"
+        "getattr(_K(), 'used')\n")
+    named = _named(tree)
+    assert sorted(n for n in _private_definitions(tree)
+                  if n not in named) == ["_dead", "unused"]

@@ -6,7 +6,9 @@ expansions, the last two differ from the formula's prediction, and the
 wall-crossing bound marks exactly those two rows as out of range.
 """
 
+import random
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
@@ -14,9 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylkit.coxeter
+import weylkit.hecke
 import weylkit.lcf
 from weylkit import (
     Character,
+    HeckeAlgebra,
     LaurentPolynomial,
     Weight,
     affine_hecke,
@@ -54,6 +59,7 @@ from weylkit.charring import (
     _sl2_simple_in_standard_basis,
     _weyl_cached,
 )
+from weylkit.coxeter import _LEAF, _context
 from weylkit.lcf import _max_len_for_weight_bound, _sl2_orbit_element
 
 A1 = build_root_datum("A1")
@@ -353,9 +359,9 @@ def test_spherical_rows_are_kl_polynomials_of_the_bruhat_ideal(case, data):
     below = {y for y in orbit if length(y) <= lx and bruhat_leq(y, x)}
     assert set(row) == below
     assert all(evaluate_at_one(row[y]) >= 1 for y in below)
-    ids, ideals = affine_hecke(x.datum)._spherical_ideals([x])
     eng = affine_hecke(x.datum)._spherical
-    assert {eng.elems[y] for y in ideals[ids[0]]} == below
+    i = eng.element_id(x)
+    assert {eng.elems[y] for y in eng.alcoves.ideals(i + 1)[i]} == below
 
 
 @pytest.fixture
@@ -385,6 +391,112 @@ def test_lcf_coefficients_shared_by_many_threads(fresh_affine_hecke):
             for x, got in zip(order, results):
                 assert list(got.items()) == list(expected[x].items())
             assert len(set(eng.elems)) == len(eng.elems) == len(eng.index)
+    finally:
+        sys.setswitchinterval(old)
+
+
+@pytest.fixture
+def fresh_context():
+    _context.cache_clear()
+    affine_hecke.cache_clear()
+    yield
+    affine_hecke.cache_clear()
+
+
+def test_orbit_and_rows_walk_the_alcoves_once(fresh_context, monkeypatch):
+    # dominant_orbit and the spherical engine number one table: once the
+    # orbit is walked, a weight-bounded matrix needs no group multiply
+    datum = build_root_datum("G2")
+    dominant_orbit(datum, 7, 48)
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return multiply(x, y)
+
+    for module in (weylkit.coxeter, weylkit.hecke, weylkit.lcf):
+        monkeypatch.setattr(module, "multiply", counted)
+    m = decomposition_matrix(datum, 7, max_weight=20)
+    assert len(m.labels) == 46
+    assert calls == []
+    assert affine_hecke(datum)._spherical.alcoves is _context(datum).alcoves
+
+
+def coefficients_through(alg, x, p):
+    """lcf_coefficients, read through the spherical engine of alg."""
+    eng, i, row = alg._spherical_row(x)
+    lx = eng.lens[i]
+    return {eng.elems[y]: -m if (lx + eng.lens[y]) % 2 else m for y, m in row}
+
+
+def check_alcove_table(table, datum, p):
+    gens = generators(datum)
+    assert len(set(table.elems)) == len(table.elems) == len(table.index)
+    assert all(table.index[x] == i for i, x in enumerate(table.elems))
+    assert table.lens == [length(x) for x in table.elems]
+    assert table.last[1:] == [reduced_word(x)[-1] for x in table.elems[1:]]
+    zero = Weight((0,) * datum.rank)
+    for s, col in enumerate(table.right):
+        assert len(col) == len(table.elems)
+        for i, j in enumerate(col):
+            xs = multiply(table.elems[i], gens[s])
+            if j >= 0:
+                assert table.elems[j] == xs
+            elif j == _LEAF:
+                assert not is_dominant(dot_p(xs, zero, p))
+            else:
+                assert table.lens[i] == table.lens[-1]
+
+
+class YieldingList(list):
+    """A list that lets other threads run after each append."""
+
+    def append(self, item):
+        super().append(item)
+        time.sleep(1e-6)
+
+
+def test_alcove_table_shared_by_orbit_walks_and_two_handles(fresh_context):
+    # dominant_orbit and the spherical engines of two handles grow one
+    # fresh table at once, switching often, and each length and last
+    # letter is stored with a pause: a thread that saw half a level
+    # would get a wrong row, a short orbit, a duplicate id or a missing
+    # one
+    datum, p = build_root_datum("B2"), 5
+    orbit = orbit_elements("B2", p, 12)
+    expected = {x: w0_lcf_coefficients(x, p) for x in orbit}
+    walks = {n: dominant_orbit(datum, p, n) for n in range(13)}
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(10):
+            _context.cache_clear()
+            affine_hecke.cache_clear()
+            table = _context(datum).alcoves
+            table.lens = YieldingList(table.lens)
+            table.last = YieldingList(table.last)
+            handles = [affine_hecke(datum), HeckeAlgebra(datum)]
+            # (length needed, call): sorted by that length, ties in
+            # random order, so that the threads meet on the level that
+            # is being grown
+            tasks = ([(n, dominant_orbit, datum, p, n) for n in walks]
+                     + [(length(x), lcf_coefficients, x, p) for x in orbit]
+                     + [(length(x), coefficients_through, handles[1], x, p)
+                        for x in orbit])
+            rng = random.Random(trial)
+            tasks.sort(key=lambda task: (task[0], rng.random()))
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(*task[1:]) for task in tasks]
+                results = [f.result(timeout=120) for f in futures]
+            for task, got in zip(tasks, results):
+                if task[1] is dominant_orbit:
+                    assert got == walks[task[0]]
+                else:
+                    assert list(got.items()) == list(
+                        expected[task[-2]].items())
+            assert _context(datum).alcoves is table
+            assert all(h._spherical.alcoves is table for h in handles)
+            check_alcove_table(table, datum, p)
     finally:
         sys.setswitchinterval(old)
 
