@@ -26,7 +26,7 @@ import itertools
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import wraps
+from functools import cached_property, wraps
 
 from weylkit._exact import det_adjugate
 from weylkit.lattice import (
@@ -157,7 +157,8 @@ def _reflection(datum: RootDatum, root: Weight, coroot: Coroot
 class _Context:
     """Per-datum caches, the only owner of each: generators, the
     inversion sets of finite parts, lengths, reduced words, the Bruhat
-    memo, the W_f list and the table of dominant alcoves."""
+    memo, the W_f list and the three tables of ``_Table``: the affine
+    group, W_f and the dominant alcoves."""
 
     def __init__(self, datum: RootDatum) -> None:
         self.datum = datum
@@ -177,12 +178,26 @@ class _Context:
         self.coroots = [c.coords for _, c in datum.positive_roots]
         self.root_index: dict[tuple[int, ...], int] = {
             w.coords: k for k, (w, _) in enumerate(datum.positive_roots)}
+        self.origin = Weight(zero)
         self.inversions_memo: dict[Matrix, tuple[bool, ...]] = {}
         self.length_memo: dict[AffineWeylElement, int] = {}
         self.word_memo: dict[AffineWeylElement, tuple[int, ...]] = {}
         self.bruhat_memo: dict[tuple[AffineWeylElement, AffineWeylElement], bool] = {}
         self._finite_list: list[tuple[FiniteWeylElement, int]] | None = None
-        self.alcoves = _Alcoves(self)
+        self.group = _Table(self.identity, self.gens, left=True)
+        self.finite = _Table(self.identity, self.finite_gens, left=True)
+        self.alcoves = _Table(self.identity, self.gens,
+                              member=self.is_alcove)
+
+    @cached_property
+    def h(self) -> int:
+        # on first use, so that building a context calls no other layer
+        return coxeter_number(self.datum)
+
+    def is_alcove(self, x: AffineWeylElement) -> bool:
+        """Is x in ^fW, that is, is x . 0 dominant at p = h?  0 is
+        p-regular for every p >= h, so the answer does not depend on p."""
+        return is_dominant(dot_p(x, self.origin, self.h))
 
     def inversions(self, w: FiniteWeylElement) -> tuple[bool, ...]:
         """Per positive root a (in datum order): is w^{-1}(a) negative?
@@ -202,40 +217,33 @@ class _Context:
 
     def finite_elements(self) -> list[tuple[FiniteWeylElement, int]]:
         if self._finite_list is None:
-            seen = {self.identity.finite: 0}
-            frontier = [self.identity.finite]
-            depth = 0
-            while frontier:
-                depth += 1
-                nxt = []
-                for w in frontier:
-                    for g in self.finite_gens:
-                        prod = FiniteWeylElement(
-                            self.datum, _mat_mul(w.matrix, g.finite.matrix))
-                        if prod not in seen:
-                            seen[prod] = depth
-                            nxt.append(prod)
-                frontier = nxt
-            self._finite_list = sorted(seen.items(),
-                                       key=lambda wl: (wl[1], wl[0].matrix))
+            table = self.finite
+            table.up_to(len(self.coroots))  # l(w0): one per positive root
+            self._finite_list = sorted(
+                ((x.finite, n) for x, n in zip(table.elems, table.lens)),
+                key=lambda wl: (wl[1], wl[0].matrix))
         return self._finite_list
 
 
-_LEAF = -2  # right-table mark of the alcove table: x s leaves ^fW
+_LEAF = -2  # right-table mark of a table with a membership test
 
 
-class _Alcoves:
-    """The minimal coset representatives ^fW, which are the dominant
-    alcoves, numbered level by level in (length, reduced word) order.
+class _Table:
+    """The elements of the group that ``gens`` generate, or those that
+    pass ``member``, numbered level by level in (length, reduced word)
+    order.  ``member`` must hold for every prefix of a member; the
+    context's table of dominant alcoves tests membership of the minimal
+    coset representatives ^fW.
 
     ``elems[i]`` is the element of id i, ``index`` maps it back and
-    ``lens[i]`` is its length.  ``right[s][i]`` is the id of x_i s when
-    that is in ^fW, ``_LEAF`` when it is not (then x_i s = t x_i for a
-    finite simple t, Deodhar's lemma), and -1 while x_i s is longer
-    than every enumerated element.  ``last[i]`` is the last letter of
-    the reduced word of x_i.  Membership of x s in ^fW is the dominance
-    of x s . 0 at p = h: 0 is p-regular for every p >= h, so neither
-    the set nor the order depends on p.
+    ``lens[i]`` is its length.  ``right[s][i]`` is the id of x_i s,
+    ``_LEAF`` when x_i s fails ``member`` (for ^fW, x_i s = t x_i for a
+    finite simple t, Deodhar's lemma), and -1 while x_i s is longer than
+    every enumerated element.  With ``left``, ``left[s][i]`` is the id of
+    s x_i in the same way (kept only without ``member``); otherwise
+    ``left`` is None.  ``last[i]`` is the last letter of the reduced word
+    of x_i.  ``complete`` is set when a level finds nothing new: the
+    group is finite and every element has its id.
 
     A level is grown whole under ``lock``, and every question about what
     is enumerated goes through it, so no reader sees half a level.  The
@@ -244,37 +252,43 @@ class _Alcoves:
     the reverse.
     """
 
-    def __init__(self, ctx: _Context) -> None:
-        self.datum = ctx.datum
-        self.gens = ctx.gens
-        self.elems = [ctx.identity]
-        self.index = {ctx.identity: 0}
+    def __init__(self, identity: AffineWeylElement,
+                 gens: list[AffineWeylElement], left: bool = False,
+                 member=None) -> None:
+        self.gens = gens
+        self.member = member
+        self.elems = [identity]
+        self.index = {identity: 0}
         self.lens = [0]
-        self.right = [[-1] for _ in ctx.gens]
+        self.right = [[-1] for _ in gens]
+        self.left = [[-1] for _ in gens] if left else None
         self.last = [-1]
+        self.complete = False
         self.lock = threading.RLock()
 
     def _grow(self) -> None:
         """Enumerate the level one longer than the longest so far.  Every
-        unknown edge x s from the top level leads one level up, to a new
-        representative or to a leaf (prefixes of minimal representatives
-        are minimal, so no edge leads back).  The smallest reduced word
-        of y is that of its smallest x below, followed by s, and the ids
-        of the level below are in word order already.  Call under the
-        lock."""
+        unknown edge from the top level leads one level up (prefixes of
+        members are members, so no edge x s leads back), to a new
+        element or to a leaf; each is found by one group multiply.  The
+        smallest reduced word of y is that of its smallest x below,
+        followed by s, and the ids of the level below are in word order
+        already.  Call under the lock."""
         top, hi = self.lens[-1], len(self.elems)
         lo = bisect_left(self.lens, top)
-        zero, h = Weight((0,) * self.datum.rank), coxeter_number(self.datum)
         found: dict[AffineWeylElement, list[tuple[int, int]]] = {}
         for s, g in enumerate(self.gens):
             col = self.right[s]
             for i in range(lo, hi):
                 if col[i] == -1:
                     y = multiply(self.elems[i], g)
-                    if is_dominant(dot_p(y, zero, h)):
+                    if self.member is None or self.member(y):
                         found.setdefault(y, []).append((i, s))
                     else:
                         col[i] = _LEAF
+        if not found:
+            self.complete = True
+            return
         for j, y in enumerate(sorted(found, key=lambda y: min(found[y])), hi):
             self.elems.append(y)
             self.index[y] = j
@@ -285,25 +299,32 @@ class _Alcoves:
             for i, s in found[y]:
                 self.right[s][i] = j
                 self.right[s][j] = i
+        for s, col in enumerate(self.left or ()):
+            col.extend([-1] * len(found))
+            for i in range(lo, hi):
+                if col[i] == -1:
+                    j = self.index[multiply(self.gens[s], self.elems[i])]
+                    col[i], col[j] = j, i
 
     def up_to(self, max_len: int) -> int:
         """The number of ids of length <= max_len, enumerated first."""
         with self.lock:
-            while self.lens[-1] < max_len:
+            while self.lens[-1] < max_len and not self.complete:
                 self._grow()
             return bisect_right(self.lens, max_len)
 
     def element_id(self, x: AffineWeylElement) -> int:
-        """The id of x, a minimal coset representative."""
+        """The id of x, an element of the table."""
         with self.lock:
             if x not in self.index:
                 self.up_to(_length(x))
             return self.index[x]
 
     def ideals(self, n: int) -> list[set[int]]:
-        """{y in ^fW : y <= x} for the first n ids x, all of them handed
-        out already: the ideal of x is that of xs together with every ys
-        in ^fW of its members, s being the last letter of x."""
+        """{y in the table : y <= x} for the first n ids x, all of them
+        handed out already: the ideal of x is that of xs together with
+        every ys in the table of its members, s being the last letter of
+        x."""
         out = [{0}]
         for x in range(1, n):
             right = self.right[self.last[x]]
@@ -513,21 +534,9 @@ def is_min_coset_rep_fW(x: AffineWeylElement) -> bool:
 
 def _elements_up_to_length(datum: RootDatum, max_len: int
                            ) -> list[AffineWeylElement]:
-    # Breadth-first by right multiplication: x*s is one longer than x
-    # unless it is a prefix of x, which a level below already holds.
-    ctx = _context(datum)
-    seen = {ctx.identity}
-    frontier = [ctx.identity]
-    for _ in range(max_len):
-        nxt = []
-        for x in frontier:
-            for s in ctx.gens:
-                y = multiply(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return list(seen)
+    # a prefix of the context's table of the whole group
+    table = _context(datum).group
+    return table.elems[:table.up_to(max_len)]
 
 
 def dominant_orbit(datum: RootDatum, p: int, max_len: int

@@ -9,19 +9,22 @@ In this normalization every b_x = h_x + sum over y < x of P_{y,x} h_y
 where P_{y,x} has nonnegative coefficients supported on exponents in
 [1, l(x) - l(y)] of the correct parity.
 
-The basis {b_x} comes from a private integer-indexed engine in the
-style of du Cloux (Experiment. Math. 11, 2002), one per algebra
-handle, under the handle's lock:
+The basis {b_x} comes from a private integer-indexed recursion in the
+style of du Cloux (Experiment. Math. 11, 2002), whose rows and pool each
+algebra handle owns, under the handle's lock:
 
-* ids: the group is enumerated level by level, every element of length
-  <= L gets an integer id in (length, reduced word) order, and the
-  enumeration is extended when a longer x is asked for;
-* action tables: per generator s, the ids of x s and s x, so lengths,
-  descents and the term order need no group arithmetic;
-* a polynomial pool: every distinct P_{y,x} is stored once per engine,
-  as its coefficients indexed by exponent, next to its coefficient of
-  v (mu) and, once asked for, the one ``LaurentPolynomial`` that every
-  b_x containing it shares;
+* ids: the datum's context in ``weylkit.coxeter`` owns one table of
+  the affine group and one of W_f, shared by every handle of the
+  datum, each grown level by level under its own lock: every element
+  of length <= L has an integer id in (length, reduced word) order,
+  and the table is extended when a longer x is asked for;
+* action tables: per generator s, the ids of x s and s x, kept by the
+  same table, so lengths, descents and the term order need no group
+  arithmetic;
+* a polynomial pool: every distinct P_{y,x} is stored once per
+  recursion, as its coefficients indexed by exponent, next to its
+  coefficient of v (mu) and, once asked for, the one
+  ``LaurentPolynomial`` that every b_x containing it shares;
 * compact rows: the row of x is two arrays, the ids of the y <= x in
   ascending order and the pool ids of their P_{y,x}, from the
   recursion of Kazhdan and Lusztig (Invent. Math. 53, 1979) b_x =
@@ -35,10 +38,9 @@ An affine handle also owns the same recursion on the spherical module
 triv (x)_{H_f} H: its rows are the m_{y,x} = P_{w0 y, w0 x} that the
 character formula reads (see ``weylkit.lcf``), and the sum of mu b_y
 then also runs over the y whose y s leaves the minimal coset
-representatives.  That engine owns only its rows and its pool.  Its
-ids, right action tables and last letters are the table of dominant
-alcoves that the datum's context in ``weylkit.coxeter`` owns and grows
-under its own lock, the table ``dominant_orbit`` reads as well.
+representatives.  It too owns only its rows and its pool.  Its ids,
+right action tables and last letters are the context's third table,
+that of the dominant alcoves, which ``dominant_orbit`` reads as well.
 
 >>> from weylkit.lattice import build_root_datum
 >>> from weylkit.coxeter import generators, multiply
@@ -59,14 +61,10 @@ from weylkit.lattice import RootDatum
 from weylkit.coxeter import (
     AffineWeylElement,
     FiniteWeylElement,
-    _Alcoves,
+    _Table,
     _context,
     _one_handle_per_datum,
     embed_finite,
-    generators,
-    identity_element,
-    length,
-    multiply,
     reduced_word,
 )
 
@@ -249,7 +247,7 @@ class HeckeElement:
     @property
     def terms(self) -> tuple[tuple[AffineWeylElement, LaurentPolynomial],
                              ...]:
-        elems = self.algebra._engine.elems
+        elems = self.algebra._engine.table.elems
         return tuple((elems[x], p) for x, p in self._terms)
 
     def support(self) -> list[AffineWeylElement]:
@@ -257,7 +255,7 @@ class HeckeElement:
 
     def coefficient(self, x: AffineWeylElement | FiniteWeylElement
                     ) -> LaurentPolynomial:
-        i = self.algebra._engine.index.get(self.algebra._check_member(x))
+        i = self.algebra._engine.table.index.get(self.algebra._check_member(x))
         return dict(self._terms).get(i, LaurentPolynomial.zero())
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
@@ -348,30 +346,25 @@ _Row = tuple[array, array]  # (ids of y, ascending; pool ids of P_{y,x})
 
 
 class _KLRecursion:
-    """Integer-indexed Kazhdan-Lusztig tables over an enumerated basis.
+    """Integer-indexed Kazhdan-Lusztig tables over the ids of ``table``,
+    one of the tables that the datum's context in ``weylkit.coxeter``
+    owns: ids in (length, reduced word) order, so sorting ids sorts
+    terms and ``y < x`` as ids whenever l(y) < l(x), the right action
+    ``table.right`` and the last letters ``table.last``.
 
-    Basis elements get ids level by level in (length, reduced word)
-    order, so sorting ids sorts terms and ``y < x`` as ids whenever
-    l(y) < l(x).  ``right[s][i]`` is the id of x_i s (-1 while that
-    element is longer than every enumerated one), and ``last[i]`` is the
-    last letter of the reduced word of x_i.
-
-    The polynomials live in one pool per engine: ``polys[k]`` is a
+    The polynomials live in one pool per recursion: ``polys[k]`` is a
     distinct P as a tuple of coefficients indexed by exponent, with no
     trailing zero, ``poly_ids`` maps it back to k, and ``mu[k]`` is its
     coefficient of v.  The row ``kl[i]`` of x_i holds two arrays, the
     ids of the y <= x_i in ascending order and the pool ids of their
     P_{y,x_i}.  ``view(k)`` is the ``LaurentPolynomial`` of entry k,
-    built once on first use and shared by every caller.  A subclass
-    enumerates the basis (``element_id``).  Not locked by itself: the
-    owning algebra calls it under its lock.
+    built once on first use and shared by every caller.  The rows and
+    the pool are not locked by themselves: the owning algebra calls
+    them under its lock, and reads only ids the table has handed out.
     """
 
-    def __init__(self, elems: list[AffineWeylElement],
-                 index: dict[AffineWeylElement, int], lens: list[int],
-                 right: list[list[int]], last: list[int]) -> None:
-        self.elems, self.index, self.lens = elems, index, lens
-        self.right, self.last = right, last
+    def __init__(self, table: _Table) -> None:
+        self.table = table
         self.polys: list[tuple[int, ...]] = []
         self.poly_ids: dict[tuple[int, ...], int] = {}
         self.mu: list[int] = []
@@ -398,17 +391,17 @@ class _KLRecursion:
 
     def basis(self, x: int) -> _Row:
         """The row of x, computing what it needs, longest last."""
-        kl = self.kl
+        kl, right, last = self.kl, self.table.right, self.table.last
         todo = [x]
         while todo:
             z = todo[-1]
             if z in kl:
                 todo.pop()
                 continue
-            s = self.last[z]
-            prev = kl.get(self.right[s][z])
+            s = last[z]
+            prev = kl.get(right[s][z])
             if prev is None:
-                todo.append(self.right[s][z])
+                todo.append(right[s][z])
                 continue
             mus = self._mu_terms(prev, s)
             missing = [y for y, _ in mus if y not in kl]
@@ -441,12 +434,12 @@ class _KLRecursion:
     def _mu_terms(self, prev: _Row, s: int) -> list[tuple[int, int]]:
         """(y, mu) with ys < y or ys a leaf, and mu the v-coefficient of
         P_{y,xs} != 0."""
-        right, mu = self.right[s], self.mu
+        right, mu = self.table.right[s], self.mu
         return [(y, mu[k]) for y, k in zip(*prev) if mu[k] and right[y] < y]
 
     def _step(self, prev: _Row, s: int, mus: list[tuple[int, int]]) -> _Row:
         """b_x = b_{xs} b_s - sum of mu b_y, with b_s = h_s + v."""
-        right, polys = self.right[s], self.polys
+        right, polys = self.table.right[s], self.polys
         acc: dict[int, list[int]] = {}
         for y, k in zip(*prev):
             p = polys[k]
@@ -474,109 +467,25 @@ class _KLRecursion:
         return ys, ks
 
 
-class _KLEngine(_KLRecursion):
-    """The tables of the whole group, with ``left[s][i]``, the id of
-    s x_i, next to the right action."""
-
-    def __init__(self, identity: AffineWeylElement,
-                 gens: list[AffineWeylElement]) -> None:
-        super().__init__([identity], {identity: 0}, [0],
-                         [[-1] for _ in gens], [-1])
-        self.gens = gens
-        self.left = [[-1] for _ in gens]
-        self.top_start = 0  # first id of the longest enumerated length
-        self.complete = False
-
-    def element_id(self, x: AffineWeylElement) -> int:
-        got = self.index.get(x)
-        if got is None:
-            target = length(x)
-            while self.lens[-1] < target and not self.complete:
-                self._grow()
-            got = self.index[x]
-        return got
-
-    def _grow(self) -> None:
-        """Enumerate the elements one longer than the longest so far.
-
-        Every unknown edge from the top level leads one level up; each
-        edge is found by one group multiply, and its other end follows
-        because generators are involutions.
-        """
-        lo, hi = self.top_start, len(self.elems)
-        found: dict[AffineWeylElement, tuple[list, list]] = {}
-        for side, table in enumerate((self.right, self.left)):
-            for s, g in enumerate(self.gens):
-                col = table[s]
-                for i in range(lo, hi):
-                    if col[i] < 0:
-                        x = self.elems[i]
-                        y = multiply(x, g) if side == 0 else multiply(g, x)
-                        found.setdefault(y, ([], []))[side].append((s, i))
-        if not found:
-            self.complete = True
-            return
-        # word(y) is its smallest left descent s followed by word(s y),
-        # and the ids of the level below are already in word order
-        level = self.lens[-1] + 1
-        self.top_start = hi
-        for j, y in enumerate(sorted(found, key=lambda y: min(found[y][1])),
-                              hi):
-            self.elems.append(y)
-            self.index[y] = j
-            self.lens.append(level)
-            right_edges, left_edges = found[y]
-            for table, edges in ((self.right, right_edges),
-                                 (self.left, left_edges)):
-                for col in table:
-                    col.append(-1)
-                for s, i in edges:
-                    table[s][i] = j
-                    table[s][j] = i
-            s, i = min(left_edges)
-            self.last.append(self.last[i] if level > 1 else s)
-
-
-class _SphericalEngine(_KLRecursion):
-    """The rows and the pool of the spherical module M = triv (x) H over
-    the minimal coset representatives ^fW, the dominant alcoves.
-
-    Ids, lengths, right action tables and last letters are those of
-    ``alcoves``, the context's table in ``weylkit.coxeter``, read in
-    place: ``right[s][x]`` is ``_LEAF`` when x s leaves ^fW, and then
-    M_x b_s = (v + v^-1) M_x.  The rows and the pool, in the layout of
-    ``_KLRecursion`` and owned by this engine, hold the m_{y,x} =
-    P_{w0 y, w0 x}.
-    """
-
-    def __init__(self, alcoves: _Alcoves) -> None:
-        super().__init__(alcoves.elems, alcoves.index, alcoves.lens,
-                         alcoves.right, alcoves.last)
-        self.alcoves = alcoves
-
-    def element_id(self, x: AffineWeylElement) -> int:
-        return self.alcoves.element_id(x)
-
-
 class HeckeAlgebra:
     """Hecke algebra of the finite or affine Weyl group of a datum.
 
-    Each handle owns its Kazhdan-Lusztig engine and its bar memo, keyed
-    by engine id, and an affine handle also owns the rows and the pool
-    of its spherical module; one lock guards all three, so concurrent
-    calls see a single logical table.  The spherical ids come from the
-    context's table of dominant alcoves, which has a lock of its own,
-    taken inside this one.
+    Each handle owns the Kazhdan-Lusztig rows and pool of its group and
+    its bar memo, keyed by id, and an affine handle also owns the rows
+    and the pool of its spherical module; one lock guards all three, so
+    concurrent calls see a single logical table.  The ids come from the
+    tables of the datum's context (the affine group or W_f, and the
+    dominant alcoves), which every handle of the datum shares; each has
+    a lock of its own, taken inside this one.
     """
 
     def __init__(self, datum: RootDatum, affine: bool = True) -> None:
         self.datum = datum
         self.affine = affine
-        all_gens = generators(datum)
-        self.gens = all_gens if affine else all_gens[:datum.rank]
-        self._engine = _KLEngine(identity_element(datum), self.gens)
-        self._spherical = (_SphericalEngine(_context(datum).alcoves)
-                           if affine else None)
+        ctx = _context(datum)
+        self._engine = _KLRecursion(ctx.group if affine else ctx.finite)
+        self.gens = list(self._engine.table.gens)
+        self._spherical = _KLRecursion(ctx.alcoves) if affine else None
         self._bar_memo = {0: self.unit()._terms}
         self._lock = threading.RLock()
 
@@ -600,9 +509,7 @@ class HeckeAlgebra:
         return HeckeElement(self, ((0, LaurentPolynomial.one()),))
 
     def standard_basis_element(self, x) -> HeckeElement:
-        x = self._check_member(x)
-        with self._lock:
-            x = self._engine.element_id(x)
+        x = self._engine.table.element_id(self._check_member(x))
         return HeckeElement(self, ((x, LaurentPolynomial.one()),))
 
     def _gen_index(self, s) -> int:
@@ -615,17 +522,21 @@ class HeckeAlgebra:
             raise ValueError("not a generator of this algebra")
         return self.gens.index(s)
 
-    def _times_gen(self, terms: _Terms, table: list[int],
+    def _times_gen(self, terms: _Terms, action: list[int],
                    down: LaurentPolynomial, up: LaurentPolynomial) -> _Terms:
-        """terms times h_s + c, ``table`` being the action of s: h_x goes
+        """terms times h_s + c, ``action`` being the ids of x s: h_x goes
         to h_{xs} plus h_x times ``down`` (c + v^{-1} - v) if xs < x, else
-        ``up`` (c).  Under the lock; a new xs enumerates the next length."""
+        ``up`` (c).  Under the lock.  The group table first enumerates
+        the length after the longest x (the last term), under its own
+        lock, as another handle may be growing it."""
+        if terms:
+            table = self._engine.table
+            table.up_to(table.lens[terms[-1][0]] + 1)
         triples = []
         for x, p in terms:
-            if table[x] < 0:
-                self._engine._grow()
-            triples.append((table[x], p, _ONE))
-            d = down if table[x] < x else up
+            xs = action[x]
+            triples.append((xs, p, _ONE))
+            d = down if xs < x else up
             if d:
                 triples.append((x, p, d))
         return _sum_terms(triples)
@@ -637,11 +548,11 @@ class HeckeAlgebra:
         if side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
         s = self._gen_index(s)
-        eng = self._engine
+        table = self._engine.table
         with self._lock:
-            table = eng.right[s] if side == "right" else eng.left[s]
+            action = table.right[s] if side == "right" else table.left[s]
             return HeckeElement(self, self._times_gen(
-                h._terms, table, _VINV_MINUS_V, _ZERO))
+                h._terms, action, _VINV_MINUS_V, _ZERO))
 
     def _product(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
         self._check_same(a)
@@ -661,7 +572,8 @@ class HeckeAlgebra:
         ``last``.  Call under the lock."""
         got = memo.get(x)
         if got is None:
-            right = self._engine.right[self._engine.last[x]]
+            table = self._engine.table
+            right = table.right[table.last[x]]
             got = memo[x] = self._times_gen(
                 self._times_word(memo, right[x], down, up), right, down, up)
         return got
@@ -682,7 +594,7 @@ class HeckeAlgebra:
         x = self._check_member(x)
         with self._lock:
             eng = self._engine
-            return HeckeElement(self, eng.terms(eng.element_id(x)))
+            return HeckeElement(self, eng.terms(eng.table.element_id(x)))
 
     def kl_polynomial(self, y, x) -> LaurentPolynomial:
         """Coefficient of h_y in b_x; zero unless y <= x in Bruhat order."""
@@ -690,17 +602,18 @@ class HeckeAlgebra:
         x = self._check_member(x)
         with self._lock:
             eng = self._engine
-            x = eng.element_id(x)
-            return eng.polynomial(eng.index.get(y, -1), x)
+            x = eng.table.element_id(x)
+            return eng.polynomial(eng.table.index.get(y, -1), x)
 
     def _spherical_row(self, x: AffineWeylElement
-                       ) -> tuple[_SphericalEngine, int, list[tuple[int, int]]]:
-        """The spherical engine, the id of x and (y, m_{y,x}(1)) by id,
-        for x a minimal coset representative and an affine handle."""
+                       ) -> tuple[_Table, int, list[tuple[int, int]]]:
+        """The table of dominant alcoves, the id of x and (y, m_{y,x}(1))
+        by id, for x a minimal coset representative and an affine
+        handle."""
         with self._lock:
             eng = self._spherical
-            x = eng.element_id(x)
-            return eng, x, eng.values_at_one(x)
+            x = eng.table.element_id(x)
+            return eng.table, x, eng.values_at_one(x)
 
 
 @_one_handle_per_datum

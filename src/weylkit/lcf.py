@@ -120,8 +120,8 @@ def lcf_coefficients(x: AffineWeylElement, p: int
     reduced word) order.
     """
     _check_lcf_input(x, p)
-    eng, x, row = affine_hecke(x.datum)._spherical_row(x)
-    lx, lens, elems = eng.lens[x], eng.lens, eng.elems
+    table, x, row = affine_hecke(x.datum)._spherical_row(x)
+    lx, lens, elems = table.lens[x], table.lens, table.elems
     return {elems[y]: -m if (lx + lens[y]) % 2 else m for y, m in row}
 
 

@@ -15,6 +15,7 @@ Independent oracles frozen here:
     the engine's action tables has an oracle that reads no table.
 """
 
+import random
 import sys
 import threading
 import tracemalloc
@@ -24,12 +25,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylkit.coxeter
+import weylkit.hecke
 from weylkit import (
     HeckeAlgebra,
     LaurentPolynomial,
     affine_hecke,
     bar,
     build_root_datum,
+    coxeter_number,
     embed_finite,
     enumerate_finite_weyl,
     evaluate_at_one,
@@ -46,6 +50,8 @@ from weylkit import (
     reduced_word,
 )
 from weylkit.coxeter import _context
+
+from test_lcf import YieldingList, check_alcove_table
 
 V = LaurentPolynomial.v()
 ONE = LaurentPolynomial.one()
@@ -405,6 +411,7 @@ def test_engine_matches_oracle_finite(series):
 def test_kl_polynomial_beyond_the_enumerated_lengths():
     # y longer than x: zero, whether or not y was ever enumerated
     datum = build_root_datum("B2")
+    _context.cache_clear()
     alg = HeckeAlgebra(datum)
     s = generators(datum)
     x, y = s[0], identity_element(datum)
@@ -415,6 +422,7 @@ def test_kl_polynomial_beyond_the_enumerated_lengths():
     assert alg.kl_polynomial(identity_element(datum), y) != ZERO
     # on a fresh handle, h_y, then h_y h_s and h_s h_y, then bar(h_z)
     # with l(z) = l(y) + 2, each past the longest length enumerated
+    _context.cache_clear()
     alg = HeckeAlgebra(datum)
     h_y = alg.standard_basis_element(y)
     assert_terms(h_y, {y: ONE})
@@ -425,14 +433,15 @@ def test_kl_polynomial_beyond_the_enumerated_lengths():
     z = multiply(multiply(y, s[0]), s[2])
     assert length(z) == length(y) + 2
     assert_terms(bar(alg.standard_basis_element(z)), oracle_bar_standard(z))
-    eng = alg._engine
+    eng = alg._engine.table
     assert len(set(eng.elems)) == len(eng.elems) == len(eng.index)
 
 
 def test_engine_shared_by_many_threads():
-    # more threads than cores on one fresh handle, switching often: a
-    # race in growing the tables or filling the bar memo would
-    # enumerate an element twice or give some thread a wrong result
+    # more threads than cores on one fresh handle and a second handle of
+    # the datum, which share a fresh group table, switching often: a
+    # race in growing the table or filling the rows or the bar memo
+    # would enumerate an element twice or give some thread a wrong result
     datum = build_root_datum("B2")
     els = elements_up_to(datum, 7)
     ref = HeckeAlgebra(datum)
@@ -442,28 +451,82 @@ def test_engine_shared_by_many_threads():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(4):
-            alg = HeckeAlgebra(datum)
+            _context.cache_clear()
+            alg, other = HeckeAlgebra(datum), HeckeAlgebra(datum)
 
-            def barred(x):
-                b = alg.kl_basis_element(x)
-                return b, alg.bar(b)
+            def barred(h, x):
+                b = h.kl_basis_element(x)
+                return b, h.bar(b)
 
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(alg.kl_basis_element, x)
-                           for x in order]
-                bar_futures = [pool.submit(barred, x)
-                               for x in reversed(els)]
+                futures, other_futures = [], []
+                for x in order:
+                    futures.append(pool.submit(alg.kl_basis_element, x))
+                    other_futures.append(
+                        pool.submit(other.kl_basis_element, x))
+                bar_futures, other_bar_futures = [], []
+                for x in reversed(els):
+                    bar_futures.append(pool.submit(barred, alg, x))
+                    other_bar_futures.append(pool.submit(barred, other, x))
                 results = [f.result(timeout=120) for f in futures]
                 bar_results = [f.result(timeout=120) for f in bar_futures]
+                other_results = [f.result(timeout=120) for f in other_futures]
+                other_bar_results = [f.result(timeout=120)
+                                     for f in other_bar_futures]
             for x, b in zip(order, results):
                 assert b.terms == expected[x]
             for x, (b, b_bar) in zip(reversed(els), bar_results):
                 assert b_bar == b
                 assert b.terms == expected[x]
+            for x, b in zip(order, other_results):
+                assert b.terms == expected[x]
+            for x, (b, b_bar) in zip(reversed(els), other_bar_results):
+                assert b_bar == b
+                assert b.terms == expected[x]
+            assert other._engine.table is alg._engine.table
             eng = alg._engine
-            assert len(set(eng.elems)) == len(eng.elems) == len(eng.index)
+            assert len(set(eng.table.elems)) == len(eng.table.elems) == len(
+                eng.table.index)
             assert len(set(eng.polys)) == len(eng.polys) == len(
                 eng.poly_ids)
+    finally:
+        sys.setswitchinterval(old)
+
+
+def times_gen(alg, x, s, side):
+    h = alg.standard_basis_element(x)
+    return dict(mult_standard_by_gen(h, s, side=side).terms)
+
+
+def test_two_handles_grow_the_group_table_at_once():
+    # h_x h_s and h_s h_x on two handles that share a fresh group table,
+    # sorted by l(x) so that threads meet on the level that is being
+    # grown, and each length and last letter stored with a pause: a
+    # handle that grew the table outside its lock, or read half a level,
+    # would enumerate an element twice or get a wrong product
+    datum = build_root_datum("B2")
+    calls = [(x, s, side) for x in elements_up_to(datum, 6)
+             for s in generators(datum) for side in ("right", "left")]
+    expected = [oracle_times_gen(*call) for call in calls]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(10):
+            _context.cache_clear()
+            table = _context(datum).group
+            table.lens = YieldingList(table.lens)
+            table.last = YieldingList(table.last)
+            handles = [HeckeAlgebra(datum), HeckeAlgebra(datum)]
+            rng = random.Random(trial)
+            order = sorted(range(len(calls)), key=lambda k: (
+                length(calls[k][0]), rng.random()))
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [(k, pool.submit(times_gen, handles[k % 2],
+                                           *calls[k])) for k in order]
+                for k, f in futures:
+                    assert f.result(timeout=120) == expected[k]
+            assert all(h._engine.table is table for h in handles)
+            check_alcove_table(table, datum, coxeter_number(datum))
     finally:
         sys.setswitchinterval(old)
 
@@ -493,6 +556,7 @@ def test_kl_tables_of_affine_a3_stay_small():
     # with the pool and compact rows it is 1.7 MB
     datum = build_root_datum("A3")
     els = elements_up_to(datum, 10)
+    _context.cache_clear()  # so that the group table grows in the trace
     alg = HeckeAlgebra(datum)
     tracemalloc.start()
     try:
@@ -503,6 +567,38 @@ def test_kl_tables_of_affine_a3_stay_small():
         tracemalloc.stop()
     assert len(els) == 791
     assert peak < 5 * 2 ** 20
+
+
+@pytest.fixture
+def fresh_context():
+    _context.cache_clear()
+    affine_hecke.cache_clear()
+    yield
+    affine_hecke.cache_clear()
+
+
+def test_second_handle_reads_the_walked_group(fresh_context, monkeypatch):
+    # the context owns the table of the group: a second handle of the
+    # datum numbers its rows by the ids the first one walked, and
+    # multiplies no group elements
+    datum = build_root_datum("B2")
+    els = elements_up_to(datum, 8)
+    first = affine_hecke(datum)
+    expected = {x: first.kl_basis_element(x).terms for x in els}
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return multiply(x, y)
+
+    for module in (weylkit.coxeter, weylkit.hecke):
+        monkeypatch.setattr(module, "multiply", counted, raising=False)
+    second = HeckeAlgebra(datum)
+    for x in els:
+        assert second.kl_basis_element(x).terms == expected[x]
+    assert calls == []
+    assert first._engine.table is second._engine.table
+    assert second._engine.table is _context(datum).group
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

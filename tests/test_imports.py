@@ -164,3 +164,14 @@ def test_scan_flags_private_code_with_no_caller():
     named = _named(tree)
     assert sorted(n for n in _private_definitions(tree)
                   if n not in named) == ["_dead", "unused"]
+
+
+def test_one_enumerator_of_the_group():
+    # the group, W_f and the dominant alcoves are numbered by one table
+    # class; a second level-by-level walk would be a second numbering
+    grows = [f"{path.name}: line {node.lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name == "_grow"]
+    assert len(grows) == 1, f"functions named _grow: {grows}"

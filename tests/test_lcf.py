@@ -27,6 +27,7 @@ from weylkit import (
     affine_hecke,
     bruhat_leq,
     build_root_datum,
+    coxeter_number,
     decomposition_matrix,
     dimension,
     dominant_orbit,
@@ -61,6 +62,8 @@ from weylkit.charring import (
 )
 from weylkit.coxeter import _LEAF, _context
 from weylkit.lcf import _max_len_for_weight_bound, _sl2_orbit_element
+
+from test_coxeter import bfs_lengths
 
 A1 = build_root_datum("A1")
 
@@ -336,7 +339,8 @@ def spherical_row(x):
     alg = affine_hecke(x.datum)
     with alg._lock:
         eng = alg._spherical
-        return {eng.elems[y]: m for y, m in eng.terms(eng.element_id(x))}
+        return {eng.table.elems[y]: m
+                for y, m in eng.terms(eng.table.element_id(x))}
 
 
 @settings(max_examples=60, deadline=None)
@@ -359,9 +363,9 @@ def test_spherical_rows_are_kl_polynomials_of_the_bruhat_ideal(case, data):
     below = {y for y in orbit if length(y) <= lx and bruhat_leq(y, x)}
     assert set(row) == below
     assert all(evaluate_at_one(row[y]) >= 1 for y in below)
-    eng = affine_hecke(x.datum)._spherical
-    i = eng.element_id(x)
-    assert {eng.elems[y] for y in eng.alcoves.ideals(i + 1)[i]} == below
+    table = affine_hecke(x.datum)._spherical.table
+    i = table.element_id(x)
+    assert {table.elems[y] for y in table.ideals(i + 1)[i]} == below
 
 
 @pytest.fixture
@@ -384,7 +388,7 @@ def test_lcf_coefficients_shared_by_many_threads(fresh_affine_hecke):
     try:
         for _ in range(8):
             affine_hecke.cache_clear()
-            eng = affine_hecke(datum)._spherical
+            eng = affine_hecke(datum)._spherical.table
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [pool.submit(lcf_coefficients, x, 5) for x in order]
                 results = [f.result(timeout=120) for f in futures]
@@ -415,11 +419,11 @@ def test_orbit_and_rows_walk_the_alcoves_once(fresh_context, monkeypatch):
         return multiply(x, y)
 
     for module in (weylkit.coxeter, weylkit.hecke, weylkit.lcf):
-        monkeypatch.setattr(module, "multiply", counted)
+        monkeypatch.setattr(module, "multiply", counted, raising=False)
     m = decomposition_matrix(datum, 7, max_weight=20)
     assert len(m.labels) == 46
     assert calls == []
-    assert affine_hecke(datum)._spherical.alcoves is _context(datum).alcoves
+    assert affine_hecke(datum)._spherical.table is _context(datum).alcoves
 
 
 def coefficients_through(alg, x, p):
@@ -434,7 +438,9 @@ def check_alcove_table(table, datum, p):
     assert len(set(table.elems)) == len(table.elems) == len(table.index)
     assert all(table.index[x] == i for i, x in enumerate(table.elems))
     assert table.lens == [length(x) for x in table.elems]
-    assert table.last[1:] == [reduced_word(x)[-1] for x in table.elems[1:]]
+    words = [reduced_word(x) for x in table.elems]
+    assert table.last[1:] == [word[-1] for word in words[1:]]
+    assert words == sorted(words, key=lambda word: (len(word), word))
     zero = Weight((0,) * datum.rank)
     for s, col in enumerate(table.right):
         assert len(col) == len(table.elems)
@@ -445,7 +451,41 @@ def check_alcove_table(table, datum, p):
             elif j == _LEAF:
                 assert not is_dominant(dot_p(xs, zero, p))
             else:
+                assert not table.complete and table.lens[i] == table.lens[-1]
+    for s, col in enumerate(table.left or ()):
+        assert len(col) == len(table.elems)
+        for i, j in enumerate(col):
+            if j >= 0:
+                assert table.elems[j] == multiply(gens[s], table.elems[i])
+            else:
+                assert j == -1 and not table.complete
                 assert table.lens[i] == table.lens[-1]
+
+
+@pytest.mark.parametrize("series,max_len", [
+    ("A2", 10), ("B2", 10), ("G2", 10), ("A3", 8)])
+def test_group_table_is_every_element_in_word_order(series, max_len,
+                                                    fresh_context):
+    datum = build_root_datum(series)
+    table = _context(datum).group
+    n = table.up_to(max_len)
+    assert table.lens[-1] == max_len
+    check_alcove_table(table, datum, coxeter_number(datum))
+    assert dict(zip(table.elems[:n], table.lens[:n])) == bfs_lengths(
+        datum, max_len)
+
+
+@pytest.mark.parametrize("series,order", [("A3", 24), ("B2", 8), ("G2", 12)])
+def test_finite_table_is_the_finite_weyl_group(series, order, fresh_context):
+    datum = build_root_datum(series)
+    table = _context(datum).finite
+    longest = len(datum.positive_roots)
+    table.up_to(longest + 1)
+    assert table.complete and len(table.elems) == order
+    check_alcove_table(table, datum, coxeter_number(datum))
+    assert dict(zip(table.elems, table.lens)) == {
+        x: n for x, n in bfs_lengths(datum, longest).items()
+        if not any(x.translation)}
 
 
 class YieldingList(list):
@@ -495,19 +535,19 @@ def test_alcove_table_shared_by_orbit_walks_and_two_handles(fresh_context):
                     assert list(got.items()) == list(
                         expected[task[-2]].items())
             assert _context(datum).alcoves is table
-            assert all(h._spherical.alcoves is table for h in handles)
+            assert all(h._spherical.table is table for h in handles)
             check_alcove_table(table, datum, p)
     finally:
         sys.setswitchinterval(old)
 
 
 def test_decomposition_matrix_leaves_the_full_affine_engine_empty(
-        fresh_affine_hecke):
+        fresh_context):
     datum = build_root_datum("A2")
     decomposition_matrix(datum, 5, max_len=12)
     decomposition_matrix(datum, 5, max_weight=12)
     alg = affine_hecke(datum)
-    assert alg._engine.elems == [identity_element(datum)]
+    assert alg._engine.table.elems == [identity_element(datum)]
     assert list(alg._engine.kl) == [0]
     assert len(alg._spherical.kl) > 1
 
