@@ -38,6 +38,7 @@ from math import prod
 
 from weylkit._exact import base_p_digits, det_adjugate, is_prime
 from weylkit.lattice import (
+    ResourceLimitError,
     RootDatum,
     Weight,
     build_root_datum,
@@ -61,10 +62,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_TERMS = 10 ** 6
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a character operation exceeds its support cap."""
 
 
 @dataclass(frozen=True)
@@ -229,7 +226,8 @@ def weyl_character(datum: RootDatum, highest: Weight,
                 raise RuntimeError(
                     "character division left a nonzero remainder")
     return Character.from_dict(
-        {Weight(tuple(m - 1 for m in mu)): c for mu, c in quot.items()})
+        {Weight._trusted(tuple(m - 1 for m in mu)): c
+         for mu, c in quot.items()})
 
 
 def is_weyl_invariant(datum: RootDatum, ch: Character) -> bool:

@@ -27,6 +27,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from operator import mul
 
 from weylkit._exact import det_adjugate
 from weylkit.lattice import (
@@ -68,14 +69,13 @@ def _identity(n: int) -> Matrix:
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n))
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                 for row in a)
 
 
 def _mat_vec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,12 +333,18 @@ class _Table:
         return out
 
 
+_HANDLES: list[dict] = []  # the memo of every builder below
+
+
 def _one_handle_per_datum(build):
     """Memoise ``build`` per datum.  A first call builds under a lock of
     its own, so that concurrent first calls share one handle, and a
     handle is stored only once built; ``cache_clear`` drops the
-    handles."""
+    handles.  Every memo is registered in ``_HANDLES``, so that
+    ``_context.cache_clear()`` can drop the handles built on the
+    contexts it drops."""
     handles: dict[RootDatum, object] = {}
+    _HANDLES.append(handles)
     lock = threading.Lock()
 
     @wraps(build)
@@ -358,6 +364,17 @@ def _one_handle_per_datum(build):
 @_one_handle_per_datum
 def _context(datum: RootDatum) -> _Context:
     return _Context(datum)
+
+
+def _clear_contexts() -> None:
+    """Drop every context and every handle built on one, such as the
+    Hecke algebras of ``weylkit.hecke``, which keep their context's
+    tables."""
+    for handles in _HANDLES:
+        handles.clear()
+
+
+_context.cache_clear = _clear_contexts
 
 
 def identity_element(datum: RootDatum) -> AffineWeylElement:

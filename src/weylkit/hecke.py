@@ -22,9 +22,13 @@ algebra handle owns, under the handle's lock:
   same table, so lengths, descents and the term order need no group
   arithmetic;
 * a polynomial pool: every distinct P_{y,x} is stored once per
-  recursion, as its coefficients indexed by exponent, next to its
-  coefficient of v (mu) and, once asked for, the one
-  ``LaurentPolynomial`` that every b_x containing it shares;
+  recursion, packed into one int, the sum of c_e 2^(64 e) over its
+  coefficients c_e (Kronecker substitution), next to its coefficient
+  of v (mu), its value at v = 1 and, once asked for, the one
+  ``LaurentPolynomial`` that every b_x containing it shares, unpacked
+  on that first view; the recursion adds packed ints, and raises
+  ``ResourceLimitError`` (CLI exit 4) before a coefficient could reach
+  2^64;
 * compact rows: the row of x is two arrays, the ids of the y <= x in
   ascending order and the pool ids of their P_{y,x}, from the
   recursion of Kazhdan and Lusztig (Invent. Math. 53, 1979) b_x =
@@ -57,7 +61,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from weylkit.lattice import RootDatum
+from weylkit.lattice import ResourceLimitError, RootDatum
 from weylkit.coxeter import (
     AffineWeylElement,
     FiniteWeylElement,
@@ -328,21 +332,23 @@ def _sum_terms(triples) -> _Terms:
     return tuple((x, LaurentPolynomial._trusted(c)) for x, c in terms if c)
 
 
-def _axpy(acc: dict[int, list[int]], y: int, c: int, p, shift: int) -> None:
-    """acc[y] += c * v^shift * p, polynomials as dense coefficient
-    sequences indexed by exponent."""
-    q = acc.get(y)
-    if q is None:
-        acc[y] = [0] * shift + [c * a for a in p]
-        return
-    if len(q) < len(p) + shift:
-        q.extend([0] * (len(p) + shift - len(q)))
-    for e, a in enumerate(p, shift):
-        if a:
-            q[e] += c * a
-
-
 _Row = tuple[array, array]  # (ids of y, ascending; pool ids of P_{y,x})
+_DIGIT = 64  # a packed P is the sum of its coefficients c_e 2^(64 e)
+_MASK = (1 << _DIGIT) - 1
+
+
+def _unpack(m: int, cap: int = _MASK) -> list[int]:
+    """The coefficients of the packed polynomial m, indexed by exponent,
+    with no trailing zero.  A negative m, or a coefficient above cap,
+    can only come from a negative coefficient (see ``_step``)."""
+    out = []
+    while m > 0:
+        out.append(m & _MASK)
+        m >>= _DIGIT
+    if m or max(out, default=0) > cap:
+        raise RuntimeError(
+            "Kazhdan-Lusztig polynomial with a negative coefficient")
+    return out
 
 
 class _KLRecursion:
@@ -353,40 +359,50 @@ class _KLRecursion:
     ``table.right`` and the last letters ``table.last``.
 
     The polynomials live in one pool per recursion: ``polys[k]`` is a
-    distinct P as a tuple of coefficients indexed by exponent, with no
-    trailing zero, ``poly_ids`` maps it back to k, and ``mu[k]`` is its
-    coefficient of v.  The row ``kl[i]`` of x_i holds two arrays, the
-    ids of the y <= x_i in ascending order and the pool ids of their
-    P_{y,x_i}.  ``view(k)`` is the ``LaurentPolynomial`` of entry k,
-    built once on first use and shared by every caller.  The rows and
-    the pool are not locked by themselves: the owning algebra calls
-    them under its lock, and reads only ids the table has handed out.
+    distinct P packed into one int, the sum of c_e 2^(64 e) over its
+    coefficients c_e, ``poly_ids`` maps it back to k, ``mu[k]`` is its
+    coefficient of v and ``ones[k]`` its value at v = 1.  ``_step``
+    adds packed ints, and a sum is unpacked only when it is new to the
+    pool; every coefficient is nonnegative (Kazhdan-Lusztig positivity)
+    and ``_step`` raises ``ResourceLimitError`` before one could reach
+    2^64.  The row ``kl[i]`` of x_i holds two arrays, the ids of the
+    y <= x_i in ascending order and the pool ids of their P_{y,x_i}.
+    ``view(k)`` is the ``LaurentPolynomial`` of entry k, unpacked once
+    on first use and shared by every caller.  The rows and the pool
+    are not locked by themselves: the owning algebra calls them under
+    its lock, and reads only ids the table has handed out.
     """
 
     def __init__(self, table: _Table) -> None:
         self.table = table
-        self.polys: list[tuple[int, ...]] = []
-        self.poly_ids: dict[tuple[int, ...], int] = {}
+        self.polys: list[int] = []
+        self.poly_ids: dict[int, int] = {}
         self.mu: list[int] = []
+        self.ones: list[int] = []
+        self._top = 0  # the largest coefficient in the pool
         self._views: list[LaurentPolynomial | None] = []
         self.kl: dict[int, _Row] = {
-            0: (array("i", (0,)), array("i", (self._intern((1,)),)))}
+            0: (array("i", (0,)), array("i", (self._intern(1, 1),)))}
 
-    def _intern(self, p: tuple[int, ...]) -> int:
-        """The pool id of p, a new one if p is not in the pool yet."""
-        got = self.poly_ids.get(p)
+    def _intern(self, m: int, cap: int) -> int:
+        """The pool id of the packed polynomial m, a new one if m is not
+        in the pool yet; unpacked, no coefficient may exceed cap."""
+        got = self.poly_ids.get(m)
         if got is None:
-            got = self.poly_ids[p] = len(self.polys)
-            self.polys.append(p)
+            p = _unpack(m, cap)
+            got = self.poly_ids[m] = len(self.polys)
+            self.polys.append(m)
             self.mu.append(p[1] if len(p) > 1 else 0)
+            self.ones.append(sum(p))
+            self._top = max(self._top, max(p))
             self._views.append(None)
         return got
 
     def view(self, k: int) -> LaurentPolynomial:
         got = self._views[k]
         if got is None:
-            got = self._views[k] = LaurentPolynomial._trusted(
-                tuple((e, c) for e, c in enumerate(self.polys[k]) if c))
+            got = self._views[k] = LaurentPolynomial._trusted(tuple(
+                (e, c) for e, c in enumerate(_unpack(self.polys[k])) if c))
         return got
 
     def basis(self, x: int) -> _Row:
@@ -428,8 +444,7 @@ class _KLRecursion:
     def values_at_one(self, x: int) -> list[tuple[int, int]]:
         """(y, P_{y,x}(1)) over the y <= x by id."""
         ys, ks = self.basis(x)
-        polys = self.polys
-        return [(y, sum(polys[k])) for y, k in zip(ys, ks)]
+        return list(zip(ys, map(self.ones.__getitem__, ks)))
 
     def _mu_terms(self, prev: _Row, s: int) -> list[tuple[int, int]]:
         """(y, mu) with ys < y or ys a leaf, and mu the v-coefficient of
@@ -438,33 +453,45 @@ class _KLRecursion:
         return [(y, mu[k]) for y, k in zip(*prev) if mu[k] and right[y] < y]
 
     def _step(self, prev: _Row, s: int, mus: list[tuple[int, int]]) -> _Row:
-        """b_x = b_{xs} b_s - sum of mu b_y, with b_s = h_s + v."""
+        """b_x = b_{xs} b_s - sum of mu b_y, with b_s = h_s + v, on
+        packed polynomials: v p is p << 64, and p >> 64 drops the
+        constant term of p and divides by v.
+
+        A coefficient of the result is the sum of at most two pool
+        coefficients, less mu times pool coefficients, each mu a pool
+        coefficient too.  While the largest pool coefficient times
+        3 + sum of mu stays below 2^64, each packed sum unpacks exactly,
+        unless a coefficient is negative: then the sum is negative, or
+        its lowest negative coefficient borrows and unpacks above three
+        times the largest pool coefficient, and ``_intern`` raises."""
+        top = self._top
+        if top * (3 + sum([mu for _, mu in mus])) >> _DIGIT:
+            raise ResourceLimitError(
+                "Kazhdan-Lusztig coefficients would reach 2^64")
         right, polys = self.table.right[s], self.polys
-        acc: dict[int, list[int]] = {}
+        acc: dict[int, int] = {}
+        get = acc.get
         for y, k in zip(*prev):
             p = polys[k]
             ys = right[y]
             if ys > y:                       # h_y b_s = h_ys + v h_y
-                _axpy(acc, ys, 1, p, 0)
-                _axpy(acc, y, 1, p, 1)
+                acc[ys] = get(ys, 0) + p
+                acc[y] = get(y, 0) + (p << _DIGIT)
             elif ys >= 0:                    # h_y b_s = h_ys + v^-1 h_y
-                _axpy(acc, ys, 1, p, 0)
-                _axpy(acc, y, 1, p[1:], 0)
+                acc[ys] = get(ys, 0) + p
+                acc[y] = get(y, 0) + (p >> _DIGIT)
             else:                            # a leaf: (v + v^-1) h_y
-                _axpy(acc, y, 1, p, 1)
-                _axpy(acc, y, 1, p[1:], 0)
+                acc[y] = get(y, 0) + (p << _DIGIT) + (p >> _DIGIT)
         for y, mu in mus:
             for z, k in zip(*self.kl[y]):
-                _axpy(acc, z, -mu, polys[k], 0)
-        ys, ks = array("i"), array("i")
-        for y in sorted(acc):
-            p = acc[y]
-            while p and not p[-1]:
-                p.pop()
-            if p:
-                ys.append(y)
-                ks.append(self._intern(tuple(p)))
-        return ys, ks
+                acc[z] = get(z, 0) - mu * polys[k]
+        ys = array("i", sorted(y for y, m in acc.items() if m))
+        ms = list(map(acc.__getitem__, ys))
+        ks = list(map(self.poly_ids.get, ms))
+        if None in ks:
+            ks = [self._intern(m, 3 * top) if k is None else k
+                  for m, k in zip(ms, ks)]
+        return ys, array("i", ks)
 
 
 class HeckeAlgebra:

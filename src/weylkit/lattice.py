@@ -54,6 +54,11 @@ class UnsupportedDatumError(ValueError):
     """Raised for a series or variant this package does not model."""
 
 
+class ResourceLimitError(RuntimeError):
+    """Raised when a computation would exceed its budget: a character's
+    support cap, or Kazhdan-Lusztig coefficients past 2^64."""
+
+
 def _int_coords(obj) -> None:
     """Store ``obj.coords`` as a tuple of exact ints; bool and float are
     rejected, never truncated."""
@@ -78,6 +83,14 @@ class Weight:
 
     def __post_init__(self) -> None:
         _int_coords(self)
+
+    @classmethod
+    def _trusted(cls, coords: tuple[int, ...]) -> "Weight":
+        """A weight from a tuple the package has built from ints: skips
+        the checks of the public constructor."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "coords", coords)  # as a frozen __init__ does
+        return w
 
     def __add__(self, other: "Weight") -> "Weight":
         if len(self.coords) != len(other.coords):

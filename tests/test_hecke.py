@@ -12,13 +12,17 @@ Independent oracles frozen here:
     integer-indexed engine is compared element by element;
   * h_x h_s, h_s h_x and bar(h_x) written out with the group law
     (multiply, length, reduced_word) alone, so that the arithmetic on
-    the engine's action tables has an oracle that reads no table.
+    the engine's action tables has an oracle that reads no table;
+  * the recursion's step on dense coefficient lists, which the step on
+    packed integers replaced, row by row over the same tables, for the
+    group and for the spherical module.
 """
 
 import random
 import sys
 import threading
 import tracemalloc
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -30,6 +34,7 @@ import weylkit.hecke
 from weylkit import (
     HeckeAlgebra,
     LaurentPolynomial,
+    ResourceLimitError,
     affine_hecke,
     bar,
     build_root_datum,
@@ -544,10 +549,17 @@ def test_kl_pool_holds_each_polynomial_once():
     eng = alg._engine
     assert len(set(eng.polys)) == len(eng.polys) == len(eng.poly_ids)
     assert len(eng.polys) == len(views)
-    for k, p in enumerate(eng.polys):
-        assert p and p[-1] != 0
-        assert eng.poly_ids[p] == k
-        assert eng.mu[k] == (p[1] if len(p) > 1 else 0)
+    for k, m in enumerate(eng.polys):
+        # the key is the packed int, sum of c_e 2^(64 e), and its top
+        # digit is the last nonzero coefficient: no trailing zero
+        p = eng.view(k)
+        assert views[p.coeffs] is p
+        assert m == sum(c << (64 * e) for e, c in p.coeffs)
+        top, c = p.coeffs[-1]
+        assert m >> (64 * top) == c != 0
+        assert eng.poly_ids[m] == k
+        assert eng.mu[k] == p.coefficient(1)
+        assert eng.ones[k] == evaluate_at_one(p)
 
 
 def test_kl_tables_of_affine_a3_stay_small():
@@ -567,6 +579,128 @@ def test_kl_tables_of_affine_a3_stay_small():
         tracemalloc.stop()
     assert len(els) == 791
     assert peak < 5 * 2 ** 20
+
+
+# ------------------------------------------- packed step against the dense
+
+def dense_add(acc, y, c, p, shift):
+    """acc[y] += c * v^shift * p, polynomials as dense coefficient lists
+    indexed by exponent."""
+    q = acc.get(y)
+    if q is None:
+        acc[y] = [0] * shift + [c * a for a in p]
+        return
+    if len(q) < len(p) + shift:
+        q.extend([0] * (len(p) + shift - len(q)))
+    for e, a in enumerate(p, shift):
+        if a:
+            q[e] += c * a
+
+
+def dense_kl_rows(table, max_len):
+    """Every row up to max_len of the table's recursion, by the step on
+    dense coefficient lists that the packed one replaced: {x: [(y,
+    coefficients by exponent)]}.  Ids ascend with length, so each x
+    needs only rows with smaller ids."""
+    rows = {0: [(0, (1,))]}
+    for x in range(1, table.up_to(max_len)):
+        right = table.right[table.last[x]]
+        prev = rows[right[x]]
+        acc = {}
+        for y, p in prev:
+            ys = right[y]
+            if ys > y:                       # h_y b_s = h_ys + v h_y
+                dense_add(acc, ys, 1, p, 0)
+                dense_add(acc, y, 1, p, 1)
+            elif ys >= 0:                    # h_y b_s = h_ys + v^-1 h_y
+                dense_add(acc, ys, 1, p, 0)
+                dense_add(acc, y, 1, p[1:], 0)
+            else:                            # a leaf: (v + v^-1) h_y
+                dense_add(acc, y, 1, p, 1)
+                dense_add(acc, y, 1, p[1:], 0)
+        for y, p in prev:
+            mu = p[1] if len(p) > 1 else 0
+            if mu and right[y] < y:
+                for z, q in rows[y]:
+                    dense_add(acc, z, -mu, q, 0)
+        row = []
+        for y in sorted(acc):
+            p = acc[y]
+            while p and not p[-1]:
+                p.pop()
+            if p:
+                row.append((y, tuple(p)))
+        rows[x] = row
+    return rows
+
+
+def assert_rows_match_dense(eng, max_len):
+    rows = dense_kl_rows(eng.table, max_len)
+    for x, row in rows.items():
+        assert eng.terms(x) == tuple(
+            (y, LaurentPolynomial.from_dict(dict(enumerate(p))))
+            for y, p in row), x
+    return len(rows)
+
+
+@pytest.mark.parametrize("series, max_len", [
+    ("A2", 9), ("B2", 9), ("G2", 9), ("A3", 8)])
+def test_packed_rows_match_the_dense_step(series, max_len):
+    alg = HeckeAlgebra(build_root_datum(series))
+    assert assert_rows_match_dense(alg._engine, max_len) > 100
+
+
+@pytest.mark.parametrize("series, max_len", [
+    # at p = 11 the A1 alcove of length k is (11 k - 1, 11 k + 10), so
+    # 1331 lies in the alcove of length 121
+    ("A2", 14), ("B2", 14), ("G2", 14), ("A1", 121)])
+def test_packed_spherical_rows_match_the_dense_step(series, max_len):
+    alg = HeckeAlgebra(build_root_datum(series))
+    assert assert_rows_match_dense(alg._spherical, max_len) > max_len
+
+
+def test_packed_step_raises_before_a_coefficient_reaches_2_64():
+    table = _context(build_root_datum("A2")).group
+    table.up_to(1)
+    # b_id scaled by c: b_s = c h_s + c v h_id, whose coefficients the
+    # bound allows while 3 c < 2^64, and no further
+    c = (1 << 64) // 3
+    eng = weylkit.hecke._KLRecursion(table)
+    eng.kl[0] = (array("i", (0,)), array("i", (eng._intern(c, c),)))
+    assert eng.terms(1) == ((0, LaurentPolynomial(((1, c),))),
+                            (1, LaurentPolynomial(((0, c),))))
+    eng = weylkit.hecke._KLRecursion(table)
+    eng.kl[0] = (array("i", (0,)), array("i", (eng._intern(c + 1, c + 1),)))
+    with pytest.raises(ResourceLimitError, match="2\\^64"):
+        eng.basis(1)
+    # a pool that merely holds a coefficient near 2^63 stops the next step
+    eng = weylkit.hecke._KLRecursion(table)
+    eng._intern(1 << 63, 1 << 63)
+    with pytest.raises(ResourceLimitError):
+        eng.basis(1)
+    assert list(eng.kl) == [0]
+
+
+def test_negative_packed_rows_raise():
+    # a mu correction that takes away too much: with mu(s, st) = 1 read
+    # as 5, b_sts = b_st b_s - 5 b_s leaves negative coefficients, which
+    # must raise, not unpack into wrong digits or loop forever
+    datum = build_root_datum("A2")
+    table = _context(datum).group
+    gens = generators(datum)
+    sts = table.element_id(multiply(multiply(gens[0], gens[1]), gens[0]))
+    eng = weylkit.hecke._KLRecursion(table)
+    for x in range(sts):
+        eng.basis(x)
+    eng.mu[eng.poly_ids[1 << 64]] = 5
+    with pytest.raises(RuntimeError, match="negative coefficient"):
+        eng.basis(sts)
+    assert sts not in eng.kl
+    # negative ints, and v - 1 packed as 2^64 - 1 (a borrow), never unpack
+    with pytest.raises(RuntimeError, match="negative coefficient"):
+        weylkit.hecke._unpack(-(1 << 640))
+    with pytest.raises(RuntimeError, match="negative coefficient"):
+        eng._intern((1 << 64) - 1, 3)
 
 
 @pytest.fixture
@@ -599,6 +733,21 @@ def test_second_handle_reads_the_walked_group(fresh_context, monkeypatch):
     assert calls == []
     assert first._engine.table is second._engine.table
     assert second._engine.table is _context(datum).group
+
+
+def test_clearing_the_context_drops_the_handles_built_on_it():
+    # a handle keeps the tables of its context, so a cleared context
+    # must take the handles with it, or a new handle would walk the
+    # group a second time beside the stale one
+    datum = build_root_datum("B2")
+    stale = affine_hecke(datum), finite_hecke(datum)
+    _context.cache_clear()
+    ctx = _context(datum)
+    assert affine_hecke(datum)._engine.table is ctx.group
+    assert affine_hecke(datum)._spherical.table is ctx.alcoves
+    assert finite_hecke(datum)._engine.table is ctx.finite
+    assert affine_hecke(datum) is not stale[0]
+    assert finite_hecke(datum) is not stale[1]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -195,3 +195,21 @@ def test_float_weight_never_reaches_a_character():
     with pytest.raises(ValueError):
         dimension(weyl_character(d, Weight((1.7, 0))))
     assert dimension(weyl_character(d, Weight((1, 0)))) == 3
+
+
+def test_trusted_weights_equal_checked_ones():
+    # weyl_character builds its weights from ints it computed itself,
+    # without the constructor's checks: each must be the same value,
+    # with the same hash, as the checked weight of those coordinates
+    from dataclasses import FrozenInstanceError
+    from weylkit import weyl_character
+    w = Weight._trusted((2, -1))
+    assert w == Weight((2, -1)) and hash(w) == hash(Weight((2, -1)))
+    with pytest.raises(FrozenInstanceError):
+        w.coords = (0, 0)
+    for series in ("A2", "G2"):
+        d = build_root_datum(series)
+        for mu, _ in weyl_character(d, Weight((2, 1))).terms:
+            checked = Weight(mu.coords)
+            assert mu == checked and hash(mu) == hash(checked)
+            assert type(mu.coords) is tuple
