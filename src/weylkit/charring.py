@@ -32,7 +32,6 @@ e^{-2} + e^{0} + e^{2}
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import zip_longest
 from math import prod
 
@@ -44,7 +43,7 @@ from weylkit.lattice import (
     build_root_datum,
     is_dominant,
 )
-from weylkit.coxeter import enumerate_finite_weyl
+from weylkit.coxeter import _context, enumerate_finite_weyl
 
 __all__ = [
     "Character",
@@ -273,9 +272,7 @@ def tensor(a: Character, b: Character,
     return Character.from_dict(acc)
 
 
-@lru_cache(maxsize=None)
-def _a1() -> RootDatum:
-    return build_root_datum("A1", "sc")
+_A1 = build_root_datum("A1", "sc")
 
 
 def sl2_simple_character(n: int, p: int,
@@ -288,12 +285,11 @@ def sl2_simple_character(n: int, p: int,
     """
     if n < 0:
         raise ValueError("highest weight must be nonnegative")
-    d = _a1()
     out = trivial_character(1)
     for i, digit in enumerate(steinberg_digits(Weight((n,)), p)):
         out = tensor(
             out,
-            frobenius_twist(weyl_character(d, digit, max_terms), p ** i),
+            frobenius_twist(weyl_character(_A1, digit, max_terms), p ** i),
             max_terms)
     return out
 
@@ -347,9 +343,14 @@ def steinberg_digits(lam: Weight, p: int) -> list[Weight]:
         *(base_p_digits(c, p) for c in lam.coords), fillvalue=0)]
 
 
-@lru_cache(maxsize=None)
 def _weyl_cached(datum: RootDatum, highest: Weight) -> Character:
-    return weyl_character(datum, highest)
+    """``weyl_character(datum, highest)``, memoised on the datum's
+    context, so ``_context.cache_clear()`` drops it."""
+    memo = _context(datum).weyl_memo
+    got = memo.get(highest)
+    if got is None:
+        got = memo[highest] = weyl_character(datum, highest)
+    return got
 
 
 def expand_in_standard_basis(datum: RootDatum, ch: Character

@@ -156,9 +156,11 @@ def _reflection(datum: RootDatum, root: Weight, coroot: Coroot
 
 class _Context:
     """Per-datum caches, the only owner of each: generators, the
-    inversion sets of finite parts, lengths, reduced words, the Bruhat
-    memo, the W_f list and the three tables of ``_Table``: the affine
-    group, W_f and the dominant alcoves."""
+    inversion sets of finite parts (at most |W_f|), the W_f list, the
+    Weyl characters of ``weylkit.charring`` by highest weight, and the
+    three tables of ``_Table``: the affine group, W_f and the dominant
+    alcoves.  Nothing is memoised by element: lengths, words and Bruhat
+    comparisons are computed, or read off the tables."""
 
     def __init__(self, datum: RootDatum) -> None:
         self.datum = datum
@@ -180,9 +182,7 @@ class _Context:
             w.coords: k for k, (w, _) in enumerate(datum.positive_roots)}
         self.origin = Weight(zero)
         self.inversions_memo: dict[Matrix, tuple[bool, ...]] = {}
-        self.length_memo: dict[AffineWeylElement, int] = {}
-        self.word_memo: dict[AffineWeylElement, tuple[int, ...]] = {}
-        self.bruhat_memo: dict[tuple[AffineWeylElement, AffineWeylElement], bool] = {}
+        self.weyl_memo: dict[Weight, object] = {}
         self._finite_list: list[tuple[FiniteWeylElement, int]] | None = None
         self.group = _Table(self.identity, self.gens, left=True)
         self.finite = _Table(self.identity, self.finite_gens, left=True)
@@ -320,6 +320,22 @@ class _Table:
                 self.up_to(_length(x))
             return self.index[x]
 
+    def word(self, x: AffineWeylElement) -> list[int] | None:
+        """The reduced word of x that the numbering encodes, the smallest
+        one (see ``_grow``): ``last`` read down the right action to id 0.
+        None when x has no id yet."""
+        with self.lock:
+            i = self.index.get(x)
+            if i is None:
+                return None
+            out = []
+            while i:
+                s = self.last[i]
+                out.append(s)
+                i = self.right[s][i]
+            out.reverse()
+            return out
+
     def ideals(self, n: int) -> list[set[int]]:
         """{y in the table : y <= x} for the first n ids x, all of them
         handed out already: the ideal of x is that of xs together with
@@ -440,14 +456,11 @@ def _length(x: AffineWeylElement) -> int:
     # Iwahori-Matsumoto: sum over positive roots a of |<gamma, a_check>|
     # when w^{-1}(a) stays positive and |<gamma, a_check> - 1| otherwise.
     ctx = _context(x.datum)
-    got = ctx.length_memo.get(x)
-    if got is None:
-        gamma = x.translation
-        got = 0
-        for c, neg in zip(ctx.coroots, ctx.inversions(x.finite)):
-            n = sum(g * a for g, a in zip(gamma, c))
-            got += abs(n - 1) if neg else abs(n)
-        ctx.length_memo[x] = got
+    gamma = x.translation
+    got = 0
+    for c, neg in zip(ctx.coroots, ctx.inversions(x.finite)):
+        n = sum(map(mul, gamma, c))
+        got += abs(n - 1) if neg else abs(n)
     return got
 
 
@@ -463,42 +476,33 @@ def length(x: AffineWeylElement | FiniteWeylElement) -> int:
     return _length(_as_affine(x))
 
 
-def _reduced_word_t(x: AffineWeylElement) -> tuple[int, ...]:
-    # Left-greedy: the first letter is the smallest left descent.  Only
-    # this function fills word_memo, so a memoised suffix is the word
-    # the walk would have produced from there on.
+def reduced_word(x: AffineWeylElement | FiniteWeylElement) -> list[int]:
+    """The lexicographically smallest reduced expression, as generator
+    indices.  Multiplying the listed generators in order reproduces the
+    element.
+
+    Its first letter is the smallest left descent, and so on, until the
+    rest has an id in one of the context's tables, whose numbering
+    encodes the smallest word of each id.  The identity is id 0 of
+    each, so the walk ends.
+    """
+    x = _as_affine(x)
     ctx = _context(x.datum)
-    memo = ctx.word_memo
-    got = memo.get(x)
-    if got is not None:
-        return got
     word: list[int] = []
-    cur = x
-    cur_len = _length(cur)
-    while cur_len > 0:
+    x_len = _length(x)
+    while True:
+        for table in (ctx.group, ctx.alcoves, ctx.finite):
+            tail = table.word(x)
+            if tail is not None:
+                return word + tail
         for i, s in enumerate(ctx.gens):
-            nxt = multiply(s, cur)
-            if _length(nxt) < cur_len:
-                word.append(i)
-                cur = nxt
-                cur_len -= 1
+            sx = multiply(s, x)
+            if _length(sx) < x_len:
                 break
         else:
             raise AssertionError("element of positive length has no descent")
-        tail = memo.get(cur)
-        if tail is not None:
-            word.extend(tail)
-            break
-    got = memo[x] = tuple(word)
-    return got
-
-
-def reduced_word(x: AffineWeylElement | FiniteWeylElement) -> list[int]:
-    """One reduced expression, as generator indices, left descents first.
-
-    Multiplying the listed generators in order reproduces the element.
-    """
-    return list(_reduced_word_t(_as_affine(x)))
+        word.append(i)
+        x, x_len = sx, x_len - 1
 
 
 def bruhat_leq(x: AffineWeylElement | FiniteWeylElement,
@@ -513,33 +517,19 @@ def bruhat_leq(x: AffineWeylElement | FiniteWeylElement,
     if x.datum is not y.datum and x.datum != y.datum:
         raise ValueError("elements belong to different root data")
     ctx = _context(x.datum)
-    memo = ctx.bruhat_memo
-
-    def rec(a: AffineWeylElement, b: AffineWeylElement) -> bool:
-        if a == b:
-            return True
-        la, lb = _length(a), _length(b)
-        if la >= lb:
-            return False
-        key = (a, b)
-        got = memo.get(key)
-        if got is not None:
-            return got
+    x_len, y_len = _length(x), _length(y)
+    while x_len < y_len:
         for s in ctx.gens:
-            sb = multiply(s, b)
-            if _length(sb) < lb:
-                sa = multiply(s, a)
-                if _length(sa) < la:
-                    res = rec(sa, sb)
-                else:
-                    res = rec(a, sb)
+            sy = multiply(s, y)
+            if _length(sy) < y_len:
                 break
         else:
             raise AssertionError("no descent found")
-        memo[key] = res
-        return res
-
-    return rec(x, y)
+        sx = multiply(s, x)
+        if _length(sx) < x_len:
+            x, x_len = sx, x_len - 1
+        y, y_len = sy, y_len - 1
+    return x == y
 
 
 def is_min_coset_rep_fW(x: AffineWeylElement) -> bool:

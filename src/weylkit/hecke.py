@@ -596,13 +596,16 @@ class HeckeAlgebra:
                     down: LaurentPolynomial, up: LaurentPolynomial) -> _Terms:
         """memo[0] times the product of h_s + c over the reduced word of x
         (see ``_times_gen``), memoised in memo[x] and read back through
-        ``last``.  Call under the lock."""
-        got = memo.get(x)
-        if got is None:
-            table = self._engine.table
-            right = table.right[table.last[x]]
+        ``last`` to the longest memoised prefix.  Call under the lock."""
+        table = self._engine.table
+        prefixes = []
+        while x not in memo:
+            prefixes.append(x)
+            x = table.right[table.last[x]][x]
+        got = memo[x]
+        for x in reversed(prefixes):
             got = memo[x] = self._times_gen(
-                self._times_word(memo, right[x], down, up), right, down, up)
+                got, table.right[table.last[x]], down, up)
         return got
 
     def bar(self, h: HeckeElement) -> HeckeElement:

@@ -66,7 +66,7 @@ from weylkit.coxeter import (
 from weylkit.hecke import affine_hecke, evaluate_at_one, kl_basis_element
 from weylkit.charring import (
     Character,
-    _a1,
+    _A1,
     _height,
     _sl2_simple_in_standard_basis,
     _weyl_cached,
@@ -320,7 +320,7 @@ def _sl2_orbit_element(n: int, p: int) -> AffineWeylElement:
     0, 2p-2, 2p, 4p-2, ..., and the one of length l has the reduced word
     s0 s1 s0 ... (l letters): (s0 s1)^(l // 2), then s0 if l is odd.
     """
-    s1, s0 = generators(_a1())
+    s1, s0 = generators(_A1)
     t = multiply(s0, s1)  # the basic translation, finite part 1
     ln = 2 * (n // (2 * p)) + (n % (2 * p) != 0)
     x = AffineWeylElement(t.finite, tuple(ln // 2 * g for g in t.translation))

@@ -341,10 +341,84 @@ def test_reduced_words_do_not_depend_on_request_order(series):
     orders = [shuffled,
               sorted(shuffled, key=length, reverse=True),
               sorted(shuffled, key=length)]
-    for order in orders:
-        _context.cache_clear()
-        for x in order:
-            assert reduced_word(x) == expected[x]
+    # the walk ends in whichever table holds the rest of the element, so
+    # grow the tables part-way first: it then ends at other points
+    h = coxeter_number(datum)
+    first_steps = [lambda: None,
+                   lambda: _elements_up_to_length(datum, 4),
+                   lambda: dominant_orbit(datum, h, 8),
+                   lambda: enumerate_finite_weyl(datum)]
+    for first in first_steps:
+        for order in orders:
+            _context.cache_clear()
+            first()
+            for x in order:
+                assert reduced_word(x) == expected[x]
+
+
+@pytest.mark.parametrize("series,name,max_len", [
+    ("A2", "group", 10), ("B2", "group", 10), ("G2", "group", 10),
+    ("A3", "group", 6),
+    ("A3", "finite", 6), ("B2", "finite", 4), ("G2", "finite", 6),
+    ("A2", "alcoves", 20), ("B2", "alcoves", 20), ("G2", "alcoves", 20)])
+def test_table_words_are_the_greedy_words(series, name, max_len):
+    # a table's numbering spells the smallest reduced word of each id,
+    # the one the left-greedy oracle finds from lengths alone
+    datum = build_root_datum(series)
+    table = getattr(_context(datum), name)
+    n = table.up_to(max_len)
+    if name == "finite":
+        assert n == len(enumerate_finite_weyl(datum))
+    for x in table.elems[:n]:
+        assert table.word(x) == reduced_word(x) == greedy_word(x)
+
+
+def test_context_keeps_no_memo_by_element():
+    # lengths, words and Bruhat comparisons of elements outside every
+    # table leave the context as it was, but for the inversion sets of
+    # the finite parts met, at most |W_f| of them
+    _context.cache_clear()
+    datum = build_root_datum("G2")
+    gens = generators(datum)
+    rng = random.Random(7)
+    elements = []
+    while len(elements) < 300:
+        x = identity_element(datum)
+        for n in range(1, 41):
+            x = rng.choice([y for y in (multiply(x, g) for g in gens)
+                            if length(y) == n])
+            if n >= 20:
+                elements.append(x)
+    ctx = _context(datum)
+    tables = (ctx.group, ctx.alcoves, ctx.finite)
+    before = {k: len(v) for k, v in vars(ctx).items() if isinstance(v, dict)}
+    sizes = [len(t.elems) for t in tables]
+    for x in elements:
+        assert len(reduced_word(x)) == length(x)
+    for x, y in zip(elements, elements[1:]):
+        bruhat_leq(x, y)
+        bruhat_leq(y, x)
+    after = {k: len(v) for k, v in vars(ctx).items() if isinstance(v, dict)}
+    assert after.pop("inversions_memo") <= 12
+    del before["inversions_memo"]
+    assert after == before
+    assert [len(t.elems) for t in tables] == sizes
+
+
+def test_deep_elements_need_no_recursion():
+    # past the interpreter's recursion limit: the walks are loops
+    _context.cache_clear()
+    datum = build_root_datum("A1")
+    s1, s0 = generators(datum)
+    e = identity_element(datum)
+    x = e
+    for i in range(1500):
+        x = multiply(x, (s0, s1)[i % 2])
+    assert length(x) == 1500
+    assert reduced_word(x) == [1, 0] * 750
+    assert bruhat_leq(e, x)
+    y = multiply(x, s1)
+    assert bruhat_leq(y, x) and not bruhat_leq(x, y)
 
 
 # ------------------------------------- minimality from the dot action

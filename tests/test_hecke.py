@@ -207,6 +207,22 @@ def test_mult_standard_by_gen_agrees_with_product():
                                  oracle_times_gen(x, s, side))
 
 
+def test_product_with_a_deep_element_needs_no_recursion():
+    # h_s0 h_x runs over the 1100 letters of x, past the interpreter's
+    # recursion limit; x starts with s0, so both terms of the quadratic
+    # relation appear
+    datum = build_root_datum("A1")
+    alg = HeckeAlgebra(datum)
+    sf, sa = generators(datum)
+    x = identity_element(datum)
+    for i in range(1100):
+        x = multiply(x, (sa, sf)[i % 2])
+    h_x = alg.standard_basis_element(x)
+    got = alg.standard_basis_element(sa) * h_x
+    assert got == mult_standard_by_gen(h_x, sa, side="left")
+    assert_terms(got, oracle_times_gen(x, sa, "left"))
+
+
 def test_bar_is_an_involution_fixing_kl_basis():
     datum = build_root_datum("A2")
     for x in elements_up_to(datum, 4):

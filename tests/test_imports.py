@@ -175,3 +175,36 @@ def test_one_enumerator_of_the_group():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and node.name == "_grow"]
     assert len(grows) == 1, f"functions named _grow: {grows}"
+
+
+
+def _functools_caches(tree: ast.Module) -> list[int]:
+    """Lines that import or name functools.lru_cache or functools.cache."""
+    caches = ("lru_cache", "cache")
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                and any(alias.name in caches for alias in node.names))
+            or (isinstance(node, ast.Attribute) and node.attr in caches
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools")]
+
+
+def test_no_functools_cache():
+    # every cache has an owner (a context, a handle or an engine) that
+    # _context.cache_clear() drops; a functools cache would outlive it
+    found = [f"{path.name}: line {line}" for path in sorted(SRC.rglob("*.py"))
+             for line in _functools_caches(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, f"functools caches: {found}"
+
+
+def test_scan_flags_a_functools_cache():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import cached_property, lru_cache\n"
+        "@functools.cache\n"
+        "def f(): pass\n"
+        "class K:\n"
+        "    cache = {}\n"
+        "K.cache.clear()\n")
+    assert _functools_caches(tree) == [2, 3]
