@@ -43,7 +43,7 @@ from weylkit.lattice import (
     build_root_datum,
     is_dominant,
 )
-from weylkit.coxeter import _context, enumerate_finite_weyl
+from weylkit.coxeter import _one_handle_per_datum, enumerate_finite_weyl
 
 __all__ = [
     "Character",
@@ -343,10 +343,15 @@ def steinberg_digits(lam: Weight, p: int) -> list[Weight]:
         *(base_p_digits(c, p) for c in lam.coords), fillvalue=0)]
 
 
+@_one_handle_per_datum
+def _weyl_memo(datum: RootDatum) -> dict[Weight, Character]:
+    return {}
+
+
 def _weyl_cached(datum: RootDatum, highest: Weight) -> Character:
-    """``weyl_character(datum, highest)``, memoised on the datum's
-    context, so ``_context.cache_clear()`` drops it."""
-    memo = _context(datum).weyl_memo
+    """``weyl_character(datum, highest)``, memoised per datum, so
+    ``_context.cache_clear()`` drops it."""
+    memo = _weyl_memo(datum)
     got = memo.get(highest)
     if got is None:
         got = memo[highest] = weyl_character(datum, highest)

@@ -156,8 +156,7 @@ def _reflection(datum: RootDatum, root: Weight, coroot: Coroot
 
 class _Context:
     """Per-datum caches, the only owner of each: generators, the
-    inversion sets of finite parts (at most |W_f|), the W_f list, the
-    Weyl characters of ``weylkit.charring`` by highest weight, and the
+    inversion sets of finite parts (at most |W_f|), the W_f list and the
     three tables of ``_Table``: the affine group, W_f and the dominant
     alcoves.  Nothing is memoised by element: lengths, words and Bruhat
     comparisons are computed, or read off the tables."""
@@ -182,7 +181,6 @@ class _Context:
             w.coords: k for k, (w, _) in enumerate(datum.positive_roots)}
         self.origin = Weight(zero)
         self.inversions_memo: dict[Matrix, tuple[bool, ...]] = {}
-        self.weyl_memo: dict[Weight, object] = {}
         self._finite_list: list[tuple[FiniteWeylElement, int]] | None = None
         self.group = _Table(self.identity, self.gens, left=True)
         self.finite = _Table(self.identity, self.finite_gens, left=True)

@@ -32,7 +32,8 @@ from weylkit import (
     trivial_character,
     weyl_character,
 )
-from weylkit.charring import _height
+from weylkit.charring import _height, _weyl_cached, _weyl_memo
+from weylkit.coxeter import _context
 
 
 def dimension_formula(datum, lam):
@@ -185,6 +186,16 @@ def test_character_accessors():
         {"weight": [0], "mult": 3},
         {"weight": [2], "mult": 1},
     ]
+
+
+def test_weyl_memo_is_dropped_with_the_contexts():
+    b2 = build_root_datum("B2")
+    lam = Weight((1, 1))
+    assert _weyl_cached(b2, lam) is _weyl_cached(b2, lam)
+    assert _weyl_cached(b2, lam) == weyl_character(b2, lam)
+    assert lam in _weyl_memo(b2)
+    _context.cache_clear()
+    assert _weyl_memo(b2) == {}
 
 
 def test_weyl_character_requires_dominant_sc():

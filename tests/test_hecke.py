@@ -11,8 +11,9 @@ Independent oracles frozen here:
     with the public mult_standard_by_gen, against which the
     integer-indexed engine is compared element by element;
   * h_x h_s, h_s h_x and bar(h_x) written out with the group law
-    (multiply, length, reduced_word) alone, so that the arithmetic on
-    the engine's action tables has an oracle that reads no table;
+    (multiply, length and the left-greedy word) alone, so that the
+    arithmetic on the engine's action tables has an oracle that reads
+    no table;
   * the recursion's step on dense coefficient lists, which the step on
     packed integers replaced, row by row over the same tables, for the
     group and for the spherical module.
@@ -52,10 +53,10 @@ from weylkit import (
     longest_finite_element,
     mult_standard_by_gen,
     multiply,
-    reduced_word,
 )
 from weylkit.coxeter import _context
 
+from test_coxeter import greedy_word
 from test_lcf import YieldingList, check_alcove_table
 
 V = LaurentPolynomial.v()
@@ -96,7 +97,7 @@ def oracle_bar_standard(x):
     reduced word of x, as {element: polynomial}."""
     gens = generators(x.datum)
     out = {identity_element(x.datum): ONE}
-    for i in reduced_word(x):
+    for i in greedy_word(x):
         nxt = {}
         for y, p in out.items():
             ys = multiply(y, gens[i])
@@ -110,7 +111,7 @@ def oracle_bar_standard(x):
 def assert_terms(h, expected):
     """h has exactly the expected terms, in (length, reduced word) order."""
     assert dict(h.terms) == expected
-    keys = [(length(y), reduced_word(y)) for y in h.support()]
+    keys = [(length(y), greedy_word(y)) for y in h.support()]
     assert keys == sorted(keys)
 
 
@@ -388,7 +389,7 @@ def oracle_kl_basis(alg, x, memo):
     got = memo.get(x)
     if got is not None:
         return got
-    word = reduced_word(x)
+    word = greedy_word(x)
     if not word:
         out = alg.unit()
     else:
@@ -408,7 +409,7 @@ def assert_engine_matches_oracle(alg, elements):
     for x in elements:
         b = alg.kl_basis_element(x)
         assert b == oracle_kl_basis(alg, x, memo)
-        keys = [(length(y), reduced_word(y)) for y in b.support()]
+        keys = [(length(y), greedy_word(y)) for y in b.support()]
         assert keys == sorted(keys)
         assert [t["word"] for t in b.to_json_dict()["terms"]] == [
             word for _, word in keys]

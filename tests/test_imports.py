@@ -177,7 +177,6 @@ def test_one_enumerator_of_the_group():
     assert len(grows) == 1, f"functions named _grow: {grows}"
 
 
-
 def _functools_caches(tree: ast.Module) -> list[int]:
     """Lines that import or name functools.lru_cache or functools.cache."""
     caches = ("lru_cache", "cache")

@@ -63,7 +63,7 @@ from weylkit.charring import (
 from weylkit.coxeter import _LEAF, _context
 from weylkit.lcf import _max_len_for_weight_bound, _sl2_orbit_element
 
-from test_coxeter import bfs_lengths
+from test_coxeter import bfs_lengths, greedy_word
 
 A1 = build_root_datum("A1")
 
@@ -286,7 +286,7 @@ def filtered_lcf_coefficients(x, p):
         if is_min_coset_rep_fW(y) and is_dominant(dot_p(y, zero, p)):
             sign = (-1) ** (length(x) + length(y))
             pairs.append((y, sign * evaluate_at_one(poly)))
-    pairs.sort(key=lambda ya: (length(ya[0]), reduced_word(ya[0])))
+    pairs.sort(key=lambda ya: (length(ya[0]), greedy_word(ya[0])))
     return pairs
 
 
@@ -315,7 +315,7 @@ def w0_lcf_coefficients(x, p):
         y = multiply(w0, z)
         sign = -1 if (lx + length(y)) % 2 else 1
         pairs.append((y, sign * evaluate_at_one(poly)))
-    pairs.sort(key=lambda ya: (length(ya[0]), reduced_word(ya[0])))
+    pairs.sort(key=lambda ya: (length(ya[0]), greedy_word(ya[0])))
     return dict(pairs)
 
 
@@ -438,7 +438,7 @@ def check_alcove_table(table, datum, p):
     assert len(set(table.elems)) == len(table.elems) == len(table.index)
     assert all(table.index[x] == i for i, x in enumerate(table.elems))
     assert table.lens == [length(x) for x in table.elems]
-    words = [reduced_word(x) for x in table.elems]
+    words = [greedy_word(x) for x in table.elems]
     assert table.last[1:] == [word[-1] for word in words[1:]]
     assert words == sorted(words, key=lambda word: (len(word), word))
     zero = Weight((0,) * datum.rank)
