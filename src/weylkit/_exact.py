@@ -52,6 +52,29 @@ def det_adjugate(m) -> tuple[int, list[list[int]]]:
         n - 1) for j in range(n)] for i in range(n)]
 
 
+def unitriangular_inverse(m) -> list[list[int]]:
+    """Inverse of a lower unitriangular integer matrix, by forward
+    substitution over the nonzeros: row i of the inverse is e_i minus
+    m[i][k] times row k, summed over the k < i with m[i][k] != 0.
+    ValueError if m is not lower unitriangular.
+
+    >>> unitriangular_inverse([[1, 0, 0], [2, 1, 0], [0, 3, 1]])
+    [[1, 0, 0], [-2, 1, 0], [6, -3, 1]]
+    """
+    n = len(m)
+    inv: list[dict[int, int]] = []
+    for i, row in enumerate(m):
+        if len(row) != n or row[i] != 1 or any(row[i + 1:]):
+            raise ValueError("matrix is not unitriangular")
+        acc = {i: 1}
+        for k, c in enumerate(row[:i]):
+            if c:
+                for j, x in inv[k].items():
+                    acc[j] = acc.get(j, 0) - c * x
+        inv.append({j: x for j, x in acc.items() if x})
+    return [[row.get(j, 0) for j in range(n)] for row in inv]
+
+
 def smith_diagonal(mat: list[list[int]]) -> list[int]:
     """Diagonal of the Smith normal form: nonnegative, each dividing
     the next, length min(rows, cols), zeros included.

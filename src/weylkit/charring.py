@@ -5,21 +5,39 @@ formula, Frobenius twist, tensor product, the SL2 simple characters
 via the p-adic digit product, and expansion of an invariant character
 in the standard-character basis.
 
-The Weyl character formula divides the alternating sum
-sum_w sign(w) e^{w(lam+rho)} by the Weyl denominator
-e^rho prod_{a>0} (1 - e^{-a}), one positive root at a time.  Dividing
-R by (1 - e^{-a}) is a prefix sum along each a-string of the support:
-walking a string from its top down, Q(mu) = R(mu) + Q(mu + a), and the
-sum must be back at zero at the bottom of the string (else the
-division is not exact).  After the last root the quotient is shifted
-by -rho.
+Weyl characters come from Freudenthal's multiplicity formula
+(Humphreys, Introduction to Lie Algebras and Representation Theory,
+22.3), evaluated at the dominant weights only and written on their
+W-orbits (the orbit-wise bookkeeping of Moody and Patera, 1982).  With
+lam - mu = sum_i n_i alpha_i, the formula reads, in integers,
 
-Budget: ``max_terms`` caps the support of the result, and
-ResourceLimitError is raised exactly when the character has more
-terms than that.  To stop early, after k of n roots the quotient is
-e^rho chi prod_{remaining} (1 - e^{-a}), which has at most
-max_terms * 2^(n-k) terms while chi fits the budget; the division
-raises as soon as it has written more than that.
+    m(mu) * sum_i n_i d_i (lam + mu + 2 rho)_i = 2 sum_{a>0} d_a T_a(mu),
+    T_a(mu) = sum_{k>=1} m(mu + k a) <mu + k a, a^vee>,
+
+where d_i is the Cartan symmetrizer (short roots get 1) and
+d_a = (a, a) / 2; a nonzero remainder raises RuntimeError.  The
+weights are taken in order of depth (sum_i n_i), so every m(mu + k a)
+is known.  When mu + a is dominant, T_a(mu) = m(mu + a)
+(<mu, a^vee> + 2) + T_a(mu + a), read off the stored row of mu + a.
+Otherwise the a-string is walked up from mu: it has left the dominant
+chamber (a convex cone) and never comes back, so each weight of the
+support is walked over at most once per root.
+
+A weight nu is packed into the int sum_i nu_i B^(r-1-i).  The packing
+is linear, so mu + a is one int add and w(mu) = sum_i mu_i P(w omega_i).
+The support lies in the convex hull of W lam, so its coordinates are at
+most M = max_{a>0} <lam, a^vee> in size, and a string walk looks at
+most R = max |root coordinate| beyond it.  With B = 2M + R + 1 the
+difference of a looked-up weight and a weight of the support has every
+coordinate below B in size, so distinct weights never share an int;
+and 2M < B, so sorted ints are in coordinate order and balanced base-B
+digits unpack them.
+
+Budget: every dominant mu <= lam has m(mu) >= 1, so the support has
+exactly sum |W mu| terms over those mu.  ``max_terms`` caps it, and
+ResourceLimitError is raised while the dominant weights are being
+enumerated, as soon as that sum passes the cap, before any
+multiplicity is computed.
 
 >>> from weylkit.lattice import build_root_datum, Weight
 >>> d = build_root_datum("A1")
@@ -34,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 from math import prod
+from operator import add, mul, sub
 
 from weylkit._exact import base_p_digits, det_adjugate, is_prime
 from weylkit.lattice import (
@@ -173,13 +192,43 @@ def _height(datum: RootDatum):
     return lambda coords: sum(r * c for r, c in zip(row, coords))
 
 
+@dataclass(frozen=True)
+class _WeylConstants:
+    """What ``weyl_character`` needs of a datum: the Cartan symmetrizer
+    ``sym``; per positive root its fundamental-weight coordinates, its
+    simple-root coordinates, its coroot and d_a = (a, a) / 2; ``reach``,
+    the largest root coordinate in size; and per element w of W, the
+    columns w(omega_i) of its matrix."""
+
+    sym: tuple[int, ...]
+    roots: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...],
+                       int], ...]
+    reach: int
+    columns: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+@_one_handle_per_datum
+def _weyl_constants(datum: RootDatum) -> _WeylConstants:
+    # the dominant short root s has full support and (s, s) = 2, so
+    # s = sum_i n_i alpha_i = sum_i c_i alpha_i^vee gives d_i = c_i / n_i
+    short = datum.highest_coroot()
+    n = datum.root_alpha[datum.positive_roots.index(short)]
+    sym = tuple(c // m for c, m in zip(short[1].coords, n))
+    roots = tuple(
+        (wt.coords, alpha, co.coords,
+         sum(map(mul, alpha, map(mul, sym, wt.coords))) // 2)
+        for (wt, co), alpha in zip(datum.positive_roots, datum.root_alpha))
+    return _WeylConstants(
+        sym, roots, max(abs(c) for a, *_ in roots for c in a),
+        tuple(tuple(zip(*w.matrix)) for w, _ in enumerate_finite_weyl(datum)))
+
+
 def weyl_character(datum: RootDatum, highest: Weight,
                    max_terms: int = DEFAULT_MAX_TERMS) -> Character:
     """Character of the induced module with the given highest weight.
 
-    Alternating sum over the finite Weyl group divided exactly by the
-    Weyl denominator, one prefix-sum division per positive root (see
-    the module docstring, also for the ``max_terms`` rule).
+    Freudenthal's formula at the dominant weights, on packed weights
+    (see the module docstring, also for the ``max_terms`` rule).
 
     >>> from weylkit.lattice import build_root_datum, Weight
     >>> d = build_root_datum("A2")
@@ -194,39 +243,82 @@ def weyl_character(datum: RootDatum, highest: Weight,
         raise ValueError("highest weight must be dominant")
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
-    lam1 = Weight(tuple(c + 1 for c in highest.coords))
-    quot: dict[tuple[int, ...], int] = {}
-    for w, ln in enumerate_finite_weyl(datum):
-        mu = w.apply(lam1).coords
-        quot[mu] = quot.get(mu, 0) + (-1 if ln % 2 else 1)
-    roots = [wt.coords for wt, _ in datum.positive_roots]
-    for k, alpha in enumerate(roots, 1):
-        # at most 2^(roots left) terms per term of chi (module docstring)
-        cap = max_terms << (len(roots) - k)
-        i = next(j for j, a in enumerate(alpha) if a)
-        strings: dict[tuple[int, ...], dict[int, int]] = {}
-        for mu, c in quot.items():
-            t = mu[i] // alpha[i]
-            rep = tuple(m - t * a for m, a in zip(mu, alpha))
-            strings.setdefault(rep, {})[t] = c
-        quot = {}
-        for rep, line in strings.items():
-            # Q(mu) = R(mu) + Q(mu + alpha), from the top of the string down
-            bottom = min(line)
-            run = 0
-            for t in range(max(line), bottom, -1):
-                run += line.get(t, 0)
-                if run:
-                    quot[tuple(r + t * a for r, a in zip(rep, alpha))] = run
-                    if len(quot) > cap:
-                        raise ResourceLimitError(
-                            f"character support exceeded {max_terms} terms")
-            if run + line[bottom]:
+    k = _weyl_constants(datum)
+    lam, r = highest.coords, datum.rank
+    base = 2 * max(sum(map(mul, lam, co)) for *_, co, _ in k.roots) + (
+        k.reach + 1)
+
+    def pack(v: tuple[int, ...]) -> int:
+        x = 0
+        for c in v:
+            x = x * base + c
+        return x
+
+    columns = [tuple(map(pack, w)) for w in k.columns]
+    roots = [(a, alpha, pack(a), co, da) for a, alpha, co, da in k.roots]
+    # the dominant weights mu <= lam, each with the n of lam - mu and
+    # its packed int
+    depth = {lam: ((0,) * r, pack(lam))}
+    dominant = [lam]
+    sizes: dict[tuple[bool, ...], int] = {}  # |W mu|, by where mu is 0
+    total = 0
+    for mu in dominant:
+        zeros = tuple(map(bool, mu))
+        size = sizes.get(zeros)
+        if size is None:
+            size = sizes[zeros] = len({sum(map(mul, mu, w)) for w in columns})
+        total += size
+        if total > max_terms:
+            raise ResourceLimitError(
+                f"character support exceeded {max_terms} terms")
+        n, p = depth[mu]
+        for a, alpha, pa, _, _ in roots:
+            nu = tuple(map(sub, mu, a))
+            if min(nu) >= 0 and nu not in depth:
+                depth[nu] = (tuple(map(add, n, alpha)), p - pa)
+                dominant.append(nu)
+    dominant.sort(key=lambda mu: sum(depth[mu][0]))
+    lam2 = [c + 2 for c in lam]  # lam + 2 rho
+    mult: dict[int, int] = {}  # the support so far, packed
+    tails: dict[int, list[int]] = {}  # T_a(mu) per root, mu dominant
+    for mu in dominant:
+        n, p = depth[mu]
+        row = []
+        num = 0
+        for i, (_, _, pa, co, da) in enumerate(roots):
+            c = sum(map(mul, mu, co))
+            q = p + pa
+            above = tails.get(q)  # a row iff mu + a is dominant, <= lam
+            if above is not None:
+                t = mult[q] * (c + 2) + above[i]
+            else:  # the a-string above mu, outside the chamber
+                t = 0
+                while q in mult:
+                    c += 2
+                    t += mult[q] * c
+                    q += pa
+            row.append(t)
+            num += da * t
+        den = sum(map(mul, n, map(mul, k.sym, map(add, lam2, mu))))
+        if den:
+            m, rest = divmod(2 * num, den)
+            if rest:
                 raise RuntimeError(
-                    "character division left a nonzero remainder")
-    return Character.from_dict(
-        {Weight._trusted(tuple(m - 1 for m in mu)): c
-         for mu, c in quot.items()})
+                    "Freudenthal's formula left a nonzero remainder")
+        else:
+            m = 1  # mu = lam
+        tails[p] = row
+        for w in columns:
+            mult[sum(map(mul, mu, w))] = m
+    # balanced base-B digits: shifted by B // 2 in every place, they
+    # are the plain digits
+    items = sorted(mult.items())
+    half = base // 2
+    shift = pack((half,) * r)
+    digits = [[(x + shift) // place % base - half for x, _ in items]
+              for place in [base ** i for i in range(r - 1, -1, -1)]]
+    return Character(tuple(zip(map(Weight._trusted, zip(*digits)),
+                               (m for _, m in items))))
 
 
 def is_weyl_invariant(datum: RootDatum, ch: Character) -> bool:

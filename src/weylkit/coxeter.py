@@ -224,6 +224,7 @@ class _Context:
 
 
 _LEAF = -2  # right-table mark of a table with a membership test
+_BIT = bytes.maketrans(b"01", b"\0\1")  # binary digits to selectors
 
 
 class _Table:
@@ -334,16 +335,20 @@ class _Table:
             out.reverse()
             return out
 
-    def ideals(self, n: int) -> list[set[int]]:
+    def ideals(self, n: int) -> list[int]:
         """{y in the table : y <= x} for the first n ids x, all of them
-        handed out already: the ideal of x is that of xs together with
-        every ys in the table of its members, s being the last letter of
-        x."""
-        out = [{0}]
+        handed out already, as int bitsets (bit y for id y): the ideal
+        of x is that of xs together with every ys in the table of its
+        members, s being the last letter of x."""
+        out = [1]
         for x in range(1, n):
             right = self.right[self.last[x]]
-            below = out[right[x]]
-            out.append(below | {right[y] for y in below if right[y] >= 0})
+            below = bin(out[right[x]])[:1:-1].encode()  # b"1" at y <= xs
+            mark = bytearray(below.ljust(n, b"0"))
+            for ys in itertools.compress(right, below.translate(_BIT)):
+                if ys >= 0:
+                    mark[ys] = 49  # b"1"
+            out.append(int(mark[::-1], 2))
         return out
 
 

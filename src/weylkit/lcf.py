@@ -71,7 +71,7 @@ from weylkit.charring import (
     _sl2_simple_in_standard_basis,
     _weyl_cached,
 )
-from weylkit._exact import det_adjugate, is_prime
+from weylkit._exact import is_prime, unitriangular_inverse
 
 __all__ = [
     "DecompositionMatrix",
@@ -272,9 +272,10 @@ def decomposition_matrix(datum: RootDatum, p: int,
         # its lower ideal lies in the box, before any row is computed.
         # Orbit position i is id i of the context's alcove table.
         ideals = _context(datum).alcoves.ideals(len(orbit))
-        inside = {i for i, (_, w) in enumerate(orbit)
-                  if max(w.coords) <= max_weight}
-        orbit = [xw for xw, ideal in zip(orbit, ideals) if ideal <= inside]
+        outside = sum(1 << i for i, (_, w) in enumerate(orbit)
+                      if max(w.coords) > max_weight)
+        orbit = [xw for xw, ideal in zip(orbit, ideals)
+                 if not ideal & outside]
     height = _height(datum)
     orbit.sort(key=lambda xw: (height(xw[1].coords), xw[1].coords))
     index = {x: i for i, (x, _) in enumerate(orbit)}
@@ -299,15 +300,7 @@ def decomposition_matrix(datum: RootDatum, p: int,
 
 def invert_decomposition(m: DecompositionMatrix) -> DecompositionMatrix:
     """Exact integer inverse of a unitriangular decomposition matrix."""
-    n = len(m.labels)
-    a = m.entries
-    for i in range(n):
-        if a[i][i] != 1:
-            raise ValueError("matrix is not unitriangular")
-        for j in range(i + 1, n):
-            if a[i][j] != 0:
-                raise ValueError("matrix is not unitriangular")
-    _, inv = det_adjugate(a)  # det a = 1: the adjugate is the inverse
+    inv = unitriangular_inverse(m.entries)
     kind = ("standard-in-simple" if m.kind == "simple-in-standard"
             else "simple-in-standard")
     return DecompositionMatrix(

@@ -1,15 +1,19 @@
 """Formal characters, Weyl characters, Frobenius twists, digit products.
 
-The dimension oracle below evaluates the product formula
+Freudenthal's formula, which ``weyl_character`` evaluates, is checked
+against three oracles that share none of its code.  The dimension
+oracle evaluates the product formula
 prod (<lam+rho, alpha_check> / <rho, alpha_check>) over positive
-coroots with exact fractions, independently of the character-division
-algorithm under test.  A second oracle is the leading-term heap
-division of the alternating sum by the Weyl denominator, which the
-per-root division replaced.
+coroots with exact fractions.  The two others divide the alternating
+sum sum_w sign(w) e^{w(lam+rho)} by the Weyl denominator: one leading
+(height-maximal) term at a time from a heap, or one positive root at a
+time by prefix sums along the root strings.  The package used both
+divisions in turn before Freudenthal's formula replaced them.
 """
 
 import heapq
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -32,7 +36,8 @@ from weylkit import (
     trivial_character,
     weyl_character,
 )
-from weylkit.charring import _height, _weyl_cached, _weyl_memo
+from weylkit.charring import (
+    _height, _weyl_cached, _weyl_constants, _weyl_memo)
 from weylkit.coxeter import _context
 
 
@@ -83,6 +88,75 @@ def heap_weyl_character(datum, lam):
                 remainder.pop(key, None)
     assert not remainder
     return Character.from_dict({Weight(k): v for k, v in quotient.items()})
+
+
+def division_weyl_character(datum, lam):
+    """Oracle: divide sum sign(w) e^{w(lam+rho)} by the Weyl denominator
+    e^rho prod_{a>0} (1 - e^{-a}), one positive root at a time.  Dividing
+    by (1 - e^{-a}) is a prefix sum along each a-string, from its top
+    down, Q(mu) = R(mu) + Q(mu + a), which must be back at zero at the
+    bottom of the string.  The quotient is shifted by -rho at the end."""
+    lam1 = Weight(tuple(c + 1 for c in lam.coords))
+    quot = {}
+    for w, ln in enumerate_finite_weyl(datum):
+        mu = w.apply(lam1).coords
+        quot[mu] = quot.get(mu, 0) + (-1 if ln % 2 else 1)
+    for alpha in (wt.coords for wt, _ in datum.positive_roots):
+        i = next(j for j, a in enumerate(alpha) if a)
+        strings = {}
+        for mu, c in quot.items():
+            t = mu[i] // alpha[i]
+            rep = tuple(m - t * a for m, a in zip(mu, alpha))
+            strings.setdefault(rep, {})[t] = c
+        quot = {}
+        for rep, line in strings.items():
+            bottom = min(line)
+            run = 0
+            for t in range(max(line), bottom, -1):
+                run += line.get(t, 0)
+                if run:
+                    quot[tuple(r + t * a for r, a in zip(rep, alpha))] = run
+            assert run + line[bottom] == 0
+    return Character.from_dict(
+        {Weight(tuple(m - 1 for m in mu)): c for mu, c in quot.items()})
+
+
+DIVISION_CASES = {
+    "A1": [(n,) for n in range(301)],
+    "A2": list(itertools.product(range(13), repeat=2)),
+    "B2": list(itertools.product(range(13), repeat=2)),
+    "C2": list(itertools.product(range(13), repeat=2)),
+    # the band of heights 15 .. 17 that the benchmark draws from
+    "G2": [(a, h - a) for h in range(15, 18) for a in range(h + 1)],
+    "A3": list(itertools.product(range(5), repeat=3)),
+    "A4": list(itertools.product(range(3), repeat=4)),
+}
+
+
+@pytest.mark.parametrize("series", sorted(DIVISION_CASES))
+def test_weyl_character_matches_per_root_division(series):
+    datum = build_root_datum(series)
+    for coords in DIVISION_CASES[series]:
+        lam = Weight(coords)
+        assert weyl_character(datum, lam) == division_weyl_character(
+            datum, lam), coords
+
+
+@pytest.mark.parametrize("series,sym", [
+    ("A1", (1,)), ("A3", (1, 1, 1)), ("B2", (2, 1)), ("C2", (1, 2)),
+    ("G2", (1, 3))])
+def test_symmetrizer_and_root_lengths(series, sym):
+    datum = build_root_datum(series)
+    k = _weyl_constants(datum)
+    assert k.sym == sym
+    c = datum.cartan
+    assert all(sym[i] * c[i][j] == sym[j] * c[j][i]
+               for i in range(datum.rank) for j in range(datum.rank))
+    # d_a = (a, a) / 2 is the d_i of a simple root of a's length, and
+    # the highest root is long
+    assert {da for *_, da in k.roots} == set(sym)
+    top = datum.root_alpha.index(max(datum.root_alpha, key=sum))
+    assert k.roots[top][3] == max(sym)
 
 
 ORACLE_BOXES = {
@@ -194,8 +268,10 @@ def test_weyl_memo_is_dropped_with_the_contexts():
     assert _weyl_cached(b2, lam) is _weyl_cached(b2, lam)
     assert _weyl_cached(b2, lam) == weyl_character(b2, lam)
     assert lam in _weyl_memo(b2)
+    constants = _weyl_constants(b2)
     _context.cache_clear()
     assert _weyl_memo(b2) == {}
+    assert _weyl_constants(b2) is not constants
 
 
 def test_weyl_character_requires_dominant_sc():
@@ -305,6 +381,21 @@ def test_tensor_matches_star():
     expanded = expand_in_standard_basis(a1, tensor(chi3, chi2))
     assert {w.coords[0]: c for w, c in expanded.items()} == {
         5: 1, 3: 1, 1: 1}
+
+
+def test_budget_is_spent_before_any_multiplicity():
+    # G2 (80, 80) has 154 081 terms; the cap stops the enumeration of
+    # the dominant weights after about a thousand terms
+    g2 = build_root_datum("G2")
+    weyl_character(g2, Weight((1, 1)))  # the datum's constants, built once
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            weyl_character(g2, Weight((80, 80)), max_terms=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 19
 
 
 def test_resource_limits():

@@ -2,8 +2,9 @@
 
 The oracles are the rational-arithmetic eliminations these primitives
 replaced (a ``Fraction`` determinant, and ``Fraction`` heights from the
-inverse Cartan matrix), a sieve for primality, and the classical
-invariant-factor identities for the Smith diagonal.
+inverse Cartan matrix), Bareiss's adjugate for the unitriangular
+inverse, a sieve for primality, and the classical invariant-factor
+identities for the Smith diagonal.
 """
 
 import math
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from weylkit import build_root_datum
 from weylkit._exact import (
-    base_p_digits, det_adjugate, is_prime, smith_diagonal)
+    base_p_digits, det_adjugate, is_prime, smith_diagonal,
+    unitriangular_inverse)
 from weylkit.charring import _height
 
 SERIES = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "C2", "G2"]
@@ -127,6 +129,31 @@ def test_det_adjugate_on_singular_matrices(m):
 def test_det_adjugate_rejects_non_square():
     with pytest.raises(ValueError):
         det_adjugate([[1, 2]])
+
+
+def lower_unitriangular(m):
+    """Ones on the diagonal, zeros above it, m's entries below."""
+    return [[x if j < i else int(i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(m)]
+
+
+@PROPERTY
+@given(square_matrices(0, 8).map(lower_unitriangular))
+def test_unitriangular_inverse_matches_bareiss(m):
+    inv = unitriangular_inverse(m)
+    assert inv == det_adjugate(m)[1]  # det m = 1: adj m is the inverse
+    assert matmul(m, inv) == scalar(1, len(m))
+
+
+@pytest.mark.parametrize("m", [
+    [[2]],
+    [[1, 1], [0, 1]],
+    [[1, 0], [5, -1]],
+    [[1, 0], [1]],
+])
+def test_unitriangular_inverse_rejects_other_matrices(m):
+    with pytest.raises(ValueError, match="not unitriangular"):
+        unitriangular_inverse(m)
 
 
 # ----------------------------------------------------------------- Smith

@@ -207,3 +207,44 @@ def test_scan_flags_a_functools_cache():
         "    cache = {}\n"
         "K.cache.clear()\n")
     assert _functools_caches(tree) == [2, 3]
+
+
+def _inexact(tree: ast.Module) -> list[int]:
+    """Lines with a true division, a float literal, a ``float(...)``
+    call, or an import of ``fractions`` or ``decimal``."""
+    inexact = ("fractions", "decimal")
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                       and isinstance(node.op, ast.Div))
+                   or (isinstance(node, ast.Constant)
+                       and isinstance(node.value, float))
+                   or (isinstance(node, ast.Call)
+                       and isinstance(node.func, ast.Name)
+                       and node.func.id == "float")
+                   or (isinstance(node, ast.Import)
+                       and any(alias.name.split(".")[0] in inexact
+                               for alias in node.names))
+                   or (isinstance(node, ast.ImportFrom) and node.module
+                       and node.module.split(".")[0] in inexact)})
+
+
+def test_exact_arithmetic_only():
+    # every result is an exact integer computation: Freudenthal's
+    # formula divides with divmod and checks the remainder
+    found = [f"{path.name}: line {line}" for path in sorted(SRC.rglob("*.py"))
+             for line in _inexact(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, f"inexact arithmetic: {found}"
+
+
+def test_scan_flags_inexact_arithmetic():
+    tree = ast.parse(
+        "import decimal\n"
+        "from fractions import Fraction\n"
+        "x = 7 // 2 + 7 % 2\n"
+        "y = 7 / 2\n"
+        "x /= 2\n"
+        "z = 0.5\n"
+        "w = float(x)\n"
+        "s = '1 / 2'\n"
+        "t = 10 ** 6\n")
+    assert _inexact(tree) == [1, 2, 4, 5, 6, 7]

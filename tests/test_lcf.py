@@ -9,6 +9,7 @@ wall-crossing bound marks exactly those two rows as out of range.
 import random
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
@@ -54,6 +55,7 @@ from weylkit import (
     sl3_multiplicity_fixtures,
     weyl_character,
 )
+from weylkit._exact import det_adjugate
 from weylkit.charring import (
     DEFAULT_MAX_TERMS,
     ResourceLimitError,
@@ -334,6 +336,12 @@ def orbit_elements(series, p, max_len):
         build_root_datum(series), p, max_len))
 
 
+def members(bits):
+    """The ids in an int bitset (bit y for id y), as ``_Table.ideals``
+    returns them."""
+    return {y for y, b in enumerate(reversed(bin(bits)[2:])) if b == "1"}
+
+
 def spherical_row(x):
     """{y: m_{y,x}} as Laurent polynomials, read off the engine."""
     alg = affine_hecke(x.datum)
@@ -365,7 +373,7 @@ def test_spherical_rows_are_kl_polynomials_of_the_bruhat_ideal(case, data):
     assert all(evaluate_at_one(row[y]) >= 1 for y in below)
     table = affine_hecke(x.datum)._spherical.table
     i = table.element_id(x)
-    assert {table.elems[y] for y in table.ideals(i + 1)[i]} == below
+    assert {table.elems[y] for y in members(table.ideals(i + 1)[i])} == below
 
 
 @pytest.fixture
@@ -565,6 +573,21 @@ def test_weight_bound_computes_rows_for_kept_labels_only(monkeypatch):
     assert calls == [x for x, _ in m.labels]
 
 
+def test_weight_bound_keeps_the_ideals_small():
+    # one int bitset per alcove; a set per alcove held 348 424 ids here
+    g2 = build_root_datum("G2")
+    _context.cache_clear()
+    orbit = dominant_orbit(g2, 7, _max_len_for_weight_bound(g2, 7, 40))
+    tracemalloc.start()
+    try:
+        m = decomposition_matrix(g2, 7, max_weight=40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(orbit), len(m.labels)) == (874, 164)
+    assert peak < 5 * 2 ** 20
+
+
 @pytest.mark.parametrize("max_weight", [3, 5, 8, 12, 20])
 @pytest.mark.parametrize("series,p", [
     ("A2", 5), ("B2", 5), ("C2", 5), ("G2", 7)])
@@ -596,6 +619,21 @@ def test_rank_two_matrices_unitriangular(series, p, max_len):
         assert m.entries[i][i] == 1
         for j in range(i + 1, n):
             assert m.entries[i][j] == 0
+
+
+@pytest.mark.parametrize("series,p,bound", [
+    ("A1", 5, {"max_weight": 60}), ("A2", 5, {"max_len": 8}),
+    ("B2", 5, {"max_weight": 12}), ("C2", 5, {"max_len": 7}),
+    ("G2", 7, {"max_weight": 20}), ("A3", 5, {"max_len": 6})])
+def test_inverse_is_the_bareiss_adjugate(series, p, bound):
+    m = decomposition_matrix(build_root_datum(series), p, **bound)
+    inv = invert_decomposition(m).entries
+    det, adj = det_adjugate(m.entries)
+    assert det == 1 and inv == tuple(map(tuple, adj))
+    n = len(inv)
+    assert n > 10
+    assert all(sum(m.entries[i][k] * inv[k][j] for k in range(n))
+               == (i == j) for i in range(n) for j in range(n))
 
 
 def test_sl2_validity_spot_checks():
