@@ -3,7 +3,8 @@
 Elements of the affine group W = W_f x ZR are stored as a finite part
 (one integer matrix acting on weight coordinates) together with a
 root-lattice translation written in weight coordinates, so equality is
-a plain component comparison, a product is one matrix product and one
+a plain component comparison, a product is one lookup of the product
+of the finite parts (the datum's context memoises it) and one
 matrix-vector product, and no word rewriting is needed.  Words,
 lengths, Bruhat order and the p-dilated dot action are all derived
 from that normal form.
@@ -144,37 +145,40 @@ class AffineWeylElement:
                 and self.finite.is_identity)
 
 
-def _reflection(datum: RootDatum, root: Weight, coroot: Coroot
-                ) -> FiniteWeylElement:
+def _reflection(root: Weight, coroot: Coroot) -> Matrix:
     """lam -> lam - <lam, a_check> a, on weight coordinates."""
-    rank = datum.rank
     wt, c = root.coords, coroot.coords
-    return FiniteWeylElement(datum, tuple(
+    rank = len(wt)
+    return tuple(
         tuple((1 if a == b else 0) - c[b] * wt[a] for b in range(rank))
-        for a in range(rank)))
+        for a in range(rank))
 
 
 class _Context:
     """Per-datum caches, the only owner of each: generators, the
-    inversion sets of finite parts (at most |W_f|), the W_f list and the
-    three tables of ``_Table``: the affine group, W_f and the dominant
-    alcoves.  Nothing is memoised by element: lengths, words and Bruhat
-    comparisons are computed, or read off the tables."""
+    interned finite parts and the memo of their products (at most |W_f|
+    and |W_f|^2 entries), the inversion sets of finite parts (at most
+    |W_f|), the W_f list and the three tables of ``_Table``: the affine
+    group, W_f and the dominant alcoves.  Nothing is memoised by group
+    element: lengths, words and Bruhat comparisons are computed, or read
+    off the tables."""
 
     def __init__(self, datum: RootDatum) -> None:
         self.datum = datum
         rank = datum.rank
         zero = (0,) * rank
-        self.identity = AffineWeylElement(
-            FiniteWeylElement(datum, _identity(rank)), zero)
+        self.finite_parts: dict[Matrix, FiniteWeylElement] = {}
+        self.products: dict[tuple[Matrix, Matrix], FiniteWeylElement] = {}
+        self.identity = AffineWeylElement(self.intern(_identity(rank)), zero)
         self.finite_gens = [
-            AffineWeylElement(_reflection(datum, *datum.simple_root(i)), zero)
+            AffineWeylElement(self.intern(_reflection(*datum.simple_root(i))),
+                              zero)
             for i in range(rank)]
         # the affine generator reflects in the wall cut out by the
         # highest coroot; its root is the dominant short root
         short_wt, short_c = datum.highest_coroot()
-        self.s0 = AffineWeylElement(_reflection(datum, short_wt, short_c),
-                                    short_wt.coords)
+        self.s0 = AffineWeylElement(
+            self.intern(_reflection(short_wt, short_c)), short_wt.coords)
         self.gens = self.finite_gens + [self.s0]
         self.coroots = [c.coords for _, c in datum.positive_roots]
         self.root_index: dict[tuple[int, ...], int] = {
@@ -196,6 +200,21 @@ class _Context:
         """Is x in ^fW, that is, is x . 0 dominant at p = h?  0 is
         p-regular for every p >= h, so the answer does not depend on p."""
         return is_dominant(dot_p(x, self.origin, self.h))
+
+    def intern(self, m: Matrix) -> FiniteWeylElement:
+        """The one finite part of matrix m."""
+        return self.finite_parts.setdefault(
+            m, FiniteWeylElement(self.datum, m))
+
+    def finite_product(self, w: FiniteWeylElement, v: FiniteWeylElement
+                       ) -> FiniteWeylElement:
+        """The interned w v: one matrix product per pair of finite parts,
+        a lookup after that.  Concurrent misses store equal values."""
+        key = (w.matrix, v.matrix)
+        got = self.products.get(key)
+        if got is None:
+            got = self.products[key] = self.intern(_mat_mul(*key))
+        return got
 
     def inversions(self, w: FiniteWeylElement) -> tuple[bool, ...]:
         """Per positive root a (in datum order): is w^{-1}(a) negative?
@@ -417,13 +436,15 @@ def embed_finite(w: FiniteWeylElement) -> AffineWeylElement:
 
 def multiply(x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
     """Group law (t_g1 w1)(t_g2 w2) = t_{g1 + w1(g2)} (w1 w2)."""
-    if x.datum is not y.datum and x.datum != y.datum:
+    w, v = x.finite, y.finite
+    datum = w.datum
+    if datum is not v.datum and datum != v.datum:
         raise ValueError("elements belong to different root data")
-    m = x.finite.matrix
-    trans = tuple(a + b for a, b in zip(x.translation,
-                                         _mat_vec(m, y.translation)))
-    return AffineWeylElement(
-        FiniteWeylElement(x.datum, _mat_mul(m, y.finite.matrix)), trans)
+    trans = x.translation
+    if any(y.translation):
+        trans = tuple(a + b for a, b in zip(
+            trans, _mat_vec(w.matrix, y.translation)))
+    return AffineWeylElement(_context(datum).finite_product(w, v), trans)
 
 
 def inverse(x: AffineWeylElement) -> AffineWeylElement:

@@ -56,6 +56,7 @@ v^2
 
 from __future__ import annotations
 
+import sys
 import threading
 from array import array
 from bisect import bisect_left
@@ -340,15 +341,17 @@ _MASK = (1 << _DIGIT) - 1
 def _unpack(m: int, cap: int = _MASK) -> list[int]:
     """The coefficients of the packed polynomial m, indexed by exponent,
     with no trailing zero.  A negative m, or a coefficient above cap,
-    can only come from a negative coefficient (see ``_step``)."""
-    out = []
-    while m > 0:
-        out.append(m & _MASK)
-        m >>= _DIGIT
-    if m or max(out, default=0) > cap:
-        raise RuntimeError(
-            "Kazhdan-Lusztig polynomial with a negative coefficient")
-    return out
+    can only come from a negative coefficient (see ``_step``).  The
+    digits are the 8-byte words of m, read in one pass."""
+    if m >= 0:
+        out = array("Q", m.to_bytes(-(-m.bit_length() // _DIGIT) * 8,
+                                    "little"))
+        if sys.byteorder == "big":
+            out.byteswap()
+        if max(out, default=0) <= cap:
+            return out.tolist()
+    raise RuntimeError(
+        "Kazhdan-Lusztig polynomial with a negative coefficient")
 
 
 class _KLRecursion:

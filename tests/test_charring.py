@@ -183,8 +183,10 @@ BUDGET_BOXES = {"A1": 12, "A2": 4, "B2": 4, "C2": 4, "G2": 3, "A3": 2}
 
 @pytest.mark.parametrize("series", sorted(BUDGET_BOXES))
 def test_max_terms_is_the_exact_support_size(series):
-    # only the final support counts: each box holds lam = 0, whose
-    # intermediate quotients have more than one term at max_terms=1
+    # the cap is checked against the exact support, sum |W mu| over the
+    # dominant mu <= lam, counted before any multiplicity: it passes at
+    # that size and raises one below it; each box holds lam = 0, whose
+    # support is e^0 alone, so the smallest cap, 1, must pass
     datum = build_root_datum(series)
     for coords in itertools.product(range(BUDGET_BOXES[series]),
                                     repeat=datum.rank):

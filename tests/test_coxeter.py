@@ -12,10 +12,14 @@ Oracles used here and frozen below:
 import dataclasses
 import itertools
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from weylkit import (
+    AffineWeylElement,
     FiniteWeylElement,
     bruhat_leq,
     build_root_datum,
@@ -40,7 +44,12 @@ from weylkit import (
     same_block,
     Weight,
 )
-from weylkit.coxeter import _context, _elements_up_to_length
+from weylkit.coxeter import (
+    _context,
+    _elements_up_to_length,
+    _mat_mul,
+    _mat_vec,
+)
 
 
 def bfs_lengths(datum, max_len):
@@ -125,10 +134,20 @@ def test_longest_element_negates_dominant_weights_when_minus_one():
 
 
 def test_mixed_datum_multiplication_rejected():
-    a = generators(build_root_datum("A2"))[0]
-    b = generators(build_root_datum("B2"))[0]
-    with pytest.raises(ValueError):
-        multiply(a, b)
+    a2, b2 = build_root_datum("A2"), build_root_datum("B2")
+    x = generators(a2)[2]
+    # operands from the tables, from embed_finite and built bare alike
+    for y in (generators(b2)[0], embed_finite(longest_finite_element(b2)),
+              bare(generators(b2)[2])):
+        with pytest.raises(ValueError, match="different root data"):
+            multiply(x, y)
+        with pytest.raises(ValueError, match="different root data"):
+            multiply(y, x)
+    # an equal datum built twice is the same datum
+    other = build_root_datum("A2")
+    assert other is not a2
+    assert multiply(x, generators(other)[0]) == multiply(
+        x, generators(a2)[0])
 
 
 def subword_bruhat(word, datum):
@@ -295,6 +314,123 @@ def test_group_law_on_random_words(series):
             assert rebuilt == a
 
 
+# ------------------------------------------------ the memoised group law
+
+def arithmetic_product(x, y):
+    """The oracle: (matrix, translation) of x y by the matrix arithmetic
+    on the stored parts, with no memo."""
+    m = x.finite.matrix
+    return _mat_mul(m, y.finite.matrix), tuple(
+        a + b for a, b in zip(x.translation, _mat_vec(m, y.translation)))
+
+
+def bare(x):
+    """x rebuilt from new tuples, outside every memo."""
+    return AffineWeylElement(
+        FiniteWeylElement(x.datum, tuple(tuple(c for c in row)
+                                         for row in x.finite.matrix)),
+        tuple(c for c in x.translation))
+
+
+@pytest.mark.parametrize("series", ["A1", "A2", "B2", "C2", "G2", "A3"])
+def test_group_law_matches_the_matrix_product(series):
+    _context.cache_clear()
+    rng = random.Random(f"law {series}")
+    datum = build_root_datum(series)
+    for _ in range(150):
+        x, y = (random_element(datum, rng, 15) for _ in range(2))
+        pairs = [(x, y), (inverse(x), y), (x, inverse(y)), (bare(x), bare(y)),
+                 (embed_finite(y.finite), x), (x, embed_finite(y.finite)),
+                 (embed_finite(FiniteWeylElement(datum, x.finite.matrix)),
+                  bare(y))]
+        for a, b in pairs:
+            ab = multiply(a, b)
+            assert (ab.finite.matrix, ab.translation) == arithmetic_product(
+                a, b)
+            assert ab.datum == datum
+
+
+def test_equal_products_share_one_finite_part():
+    _context.cache_clear()
+    datum = build_root_datum("B2")
+    rng = random.Random(5)
+    seen = {}
+    for _ in range(400):
+        x, y = (random_element(datum, rng, 10) for _ in range(2))
+        for a, b in ((x, y), (bare(x), bare(y)), (inverse(y), inverse(x))):
+            f = multiply(a, b).finite
+            assert seen.setdefault(f.matrix, f) is f
+    e = identity_element(datum)
+    assert len(seen) == 8
+    for s in generators(datum):
+        assert multiply(s, s).finite is e.finite
+        assert multiply(e, bare(s)).finite is s.finite
+
+
+@pytest.mark.parametrize("series,order", [
+    ("A1", 2), ("A2", 6), ("B2", 8), ("G2", 12), ("A3", 24)])
+def test_group_law_memos_are_bounded(series, order):
+    _context.cache_clear()
+    datum = build_root_datum(series)
+    ctx = _context(datum)
+    # seeded with the identity and the generators' finite parts
+    assert len(ctx.finite_parts) <= datum.rank + 2
+    rng = random.Random(series)
+    for _ in range(600):
+        x, y = (random_element(datum, rng, 20) for _ in range(2))
+        multiply(bare(x), inverse(y))
+    assert len(ctx.finite_parts) <= order
+    assert len(ctx.products) <= order ** 2
+    # walking W_f interns each of its elements once
+    assert sorted(ctx.finite_parts) == sorted(
+        w.matrix for w, _ in enumerate_finite_weyl(datum))
+    assert all(f.matrix is m for m, f in ctx.finite_parts.items())
+
+
+def test_concurrent_products_agree():
+    # eight threads multiply the same words on a freshly cleared context:
+    # every memo miss is raced, and each must store the one interned part
+    datum = build_root_datum("G2")
+    gens = generators(datum)
+    rng = random.Random(17)
+    words = [[rng.randrange(3) for _ in range(rng.randrange(40))]
+             for _ in range(60)]
+    expected = []
+    for word in words:
+        x = identity_element(datum)
+        for i in word:
+            x = arithmetic_product(x, gens[i])
+            x = AffineWeylElement(FiniteWeylElement(datum, x[0]), x[1])
+        expected.append(x)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            _context.cache_clear()
+            barrier = threading.Barrier(8)
+
+            def walk():
+                barrier.wait(timeout=30)
+                gens = generators(datum)
+                out = []
+                for word in words:
+                    x = identity_element(datum)
+                    for i in word:
+                        x = multiply(x, gens[i])
+                    out.append(x)
+                return out
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(walk) for _ in range(8)]
+                got = [f.result(timeout=60) for f in futures]
+            for out in got:
+                assert out == expected
+                assert all(x.finite is y.finite for x, y in zip(out, got[0]))
+            assert len(_context(datum).finite_parts) <= 12
+    finally:
+        sys.setswitchinterval(old)
+
+
 def test_element_json_unchanged():
     # values recorded from the four-matrix element it replaced
     cases = [
@@ -375,8 +511,8 @@ def test_table_words_are_the_greedy_words(series, name, max_len):
 
 def test_context_keeps_no_memo_by_element():
     # lengths, words and Bruhat comparisons of elements outside every
-    # table leave the context as it was, but for the inversion sets of
-    # the finite parts met, at most |W_f| of them
+    # table leave the context as it was, but for the memos keyed by the
+    # finite parts met: inversion sets, interned parts and products
     _context.cache_clear()
     datum = build_root_datum("G2")
     gens = generators(datum)
@@ -399,8 +535,11 @@ def test_context_keeps_no_memo_by_element():
         bruhat_leq(x, y)
         bruhat_leq(y, x)
     after = {k: len(v) for k, v in vars(ctx).items() if isinstance(v, dict)}
-    assert after.pop("inversions_memo") <= 12
-    del before["inversions_memo"]
+    # |W_f| = 12 for G2
+    for name, bound in (("inversions_memo", 12), ("finite_parts", 12),
+                        ("products", 144)):
+        assert after.pop(name) <= bound
+        del before[name]
     assert after == before
     assert [len(t.elems) for t in tables] == sizes
 

@@ -720,6 +720,45 @@ def test_negative_packed_rows_raise():
         eng._intern((1 << 64) - 1, 3)
 
 
+def unpack_by_shifts(m, cap=(1 << 64) - 1):
+    """The oracle: one 64-bit digit at a time, by shifting."""
+    out = []
+    while m > 0:
+        out.append(m & ((1 << 64) - 1))
+        m >>= 64
+    if m or max(out, default=0) > cap:
+        raise RuntimeError("negative coefficient")
+    return out
+
+
+def test_unpack_matches_the_digit_loop():
+    rng = random.Random(64)
+    for _ in range(500):
+        degree = rng.choice([0, 1, 2, 7, 40, 120, 300])
+        bits = rng.choice([1, 8, 32, 63, 64])
+        coeffs = [rng.randrange(1 << bits) for _ in range(degree + 1)]
+        if rng.random() < 0.3:
+            coeffs[-1] = 0
+        m = sum(c << (64 * e) for e, c in enumerate(coeffs))
+        cap = rng.choice([(1 << 64) - 1, 1 << bits, max(coeffs) or 1])
+        try:
+            want = unpack_by_shifts(m, cap)
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="negative coefficient"):
+                weylkit.hecke._unpack(m, cap)
+        else:
+            got = weylkit.hecke._unpack(m, cap)
+            assert type(got) is list and got == want
+            assert not got or got[-1]
+    assert weylkit.hecke._unpack(0) == []
+    for m, cap in ((-1, 1), (-(1 << 640), 1 << 63), ((5 << 64) + 7, 6),
+                   (1 << 128, 0)):
+        with pytest.raises(RuntimeError, match="negative coefficient"):
+            unpack_by_shifts(m, cap)
+        with pytest.raises(RuntimeError, match="negative coefficient"):
+            weylkit.hecke._unpack(m, cap)
+
+
 @pytest.fixture
 def fresh_context():
     _context.cache_clear()

@@ -177,6 +177,35 @@ def test_one_enumerator_of_the_group():
     assert len(grows) == 1, f"functions named _grow: {grows}"
 
 
+def _calls(tree: ast.Module, name: str) -> list[int]:
+    """Lines that call ``name``, bare or as an attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ((isinstance(node.func, ast.Name) and node.func.id == name)
+                 or (isinstance(node.func, ast.Attribute)
+                     and node.func.attr == name))]
+
+
+def test_one_matrix_product_in_the_group_law():
+    # the finite half of a product is looked up in the context's memo;
+    # only a memo miss multiplies matrices
+    found = [f"{path.name}: line {line}" for path in sorted(SRC.rglob("*.py"))
+             for line in _calls(ast.parse(path.read_text(encoding="utf-8")),
+                                "_mat_mul")]
+    assert len(found) == 1, f"calls of _mat_mul: {found}"
+
+
+def test_scan_flags_a_second_matrix_product():
+    tree = ast.parse(
+        "def _mat_mul(a, b): pass\n"
+        "x = _mat_mul(a, b)\n"
+        "y = coxeter._mat_mul(\n"
+        "    a, b)\n"
+        "f = _mat_mul\n"
+        "s = '_mat_mul(a, b)'\n")
+    assert _calls(tree, "_mat_mul") == [2, 3]
+
+
 def _functools_caches(tree: ast.Module) -> list[int]:
     """Lines that import or name functools.lru_cache or functools.cache."""
     caches = ("lru_cache", "cache")
