@@ -93,6 +93,11 @@ def _cmd_lcf(args) -> str:
     if args.preset:
         if series not in (None, "A1"):
             raise _UsageError("preset sl2-p5 fixes the series to A1")
+        given = [flag for flag, v in (("--p", p), ("--max-len", max_len),
+                                      ("--max-weight", max_weight))
+                 if v is not None]
+        if given:
+            raise _UsageError(f"preset sl2-p5 fixes {', '.join(given)}")
         series, p, max_weight = "A1", 5, 30
     if series is None:
         raise _UsageError("a series is required (or use --preset)")

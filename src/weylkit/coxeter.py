@@ -158,10 +158,10 @@ class _Context:
     """Per-datum caches, the only owner of each: generators, the
     interned finite parts and the memo of their products (at most |W_f|
     and |W_f|^2 entries), the inversion sets of finite parts (at most
-    |W_f|), the W_f list and the three tables of ``_Table``: the affine
-    group, W_f and the dominant alcoves.  Nothing is memoised by group
-    element: lengths, words and Bruhat comparisons are computed, or read
-    off the tables."""
+    |W_f|) and the three tables of ``_Table``: the affine group, W_f and
+    the dominant alcoves.  Nothing is memoised by group element:
+    lengths, words and Bruhat comparisons are computed, or read off the
+    tables, and W_f is listed in the order of its table."""
 
     def __init__(self, datum: RootDatum) -> None:
         self.datum = datum
@@ -185,9 +185,8 @@ class _Context:
             w.coords: k for k, (w, _) in enumerate(datum.positive_roots)}
         self.origin = Weight(zero)
         self.inversions_memo: dict[Matrix, tuple[bool, ...]] = {}
-        self._finite_list: list[tuple[FiniteWeylElement, int]] | None = None
-        self.group = _Table(self.identity, self.gens, left=True)
-        self.finite = _Table(self.identity, self.finite_gens, left=True)
+        self.group = _Table(self.identity, self.gens)
+        self.finite = _Table(self.identity, self.finite_gens)
         self.alcoves = _Table(self.identity, self.gens,
                               member=self.is_alcove)
 
@@ -233,13 +232,11 @@ class _Context:
         return got
 
     def finite_elements(self) -> list[tuple[FiniteWeylElement, int]]:
-        if self._finite_list is None:
-            table = self.finite
-            table.up_to(len(self.coroots))  # l(w0): one per positive root
-            self._finite_list = sorted(
-                ((x.finite, n) for x, n in zip(table.elems, table.lens)),
-                key=lambda wl: (wl[1], wl[0].matrix))
-        return self._finite_list
+        """W_f with lengths, in the (length, reduced word) order of the
+        ``finite`` table; w0 comes last."""
+        table = self.finite
+        n = table.up_to(len(self.coroots))  # l(w0): one per positive root
+        return [(x.finite, k) for x, k in zip(table.elems[:n], table.lens)]
 
 
 _LEAF = -2  # right-table mark of a table with a membership test
@@ -257,11 +254,9 @@ class _Table:
     ``lens[i]`` is its length.  ``right[s][i]`` is the id of x_i s,
     ``_LEAF`` when x_i s fails ``member`` (for ^fW, x_i s = t x_i for a
     finite simple t, Deodhar's lemma), and -1 while x_i s is longer than
-    every enumerated element.  With ``left``, ``left[s][i]`` is the id of
-    s x_i in the same way (kept only without ``member``); otherwise
-    ``left`` is None.  ``last[i]`` is the last letter of the reduced word
-    of x_i.  ``complete`` is set when a level finds nothing new: the
-    group is finite and every element has its id.
+    every enumerated element.  ``last[i]`` is the last letter of the
+    reduced word of x_i.  ``complete`` is set when a level finds nothing
+    new: the group is finite and every element has its id.
 
     A level is grown whole under ``lock``, and every question about what
     is enumerated goes through it, so no reader sees half a level.  The
@@ -271,15 +266,13 @@ class _Table:
     """
 
     def __init__(self, identity: AffineWeylElement,
-                 gens: list[AffineWeylElement], left: bool = False,
-                 member=None) -> None:
+                 gens: list[AffineWeylElement], member=None) -> None:
         self.gens = gens
         self.member = member
         self.elems = [identity]
         self.index = {identity: 0}
         self.lens = [0]
         self.right = [[-1] for _ in gens]
-        self.left = [[-1] for _ in gens] if left else None
         self.last = [-1]
         self.complete = False
         self.lock = threading.RLock()
@@ -317,12 +310,6 @@ class _Table:
             for i, s in found[y]:
                 self.right[s][i] = j
                 self.right[s][j] = i
-        for s, col in enumerate(self.left or ()):
-            col.extend([-1] * len(found))
-            for i in range(lo, hi):
-                if col[i] == -1:
-                    j = self.index[multiply(self.gens[s], self.elems[i])]
-                    col[i], col[j] = j, i
 
     def up_to(self, max_len: int) -> int:
         """The number of ids of length <= max_len, enumerated first."""
@@ -500,6 +487,16 @@ def length(x: AffineWeylElement | FiniteWeylElement) -> int:
     return _length(_as_affine(x))
 
 
+def _left_descent(ctx: _Context, x: AffineWeylElement, x_len: int
+                  ) -> tuple[int, AffineWeylElement]:
+    """The smallest i with l(s_i x) < l(x) = x_len, and s_i x."""
+    for i, s in enumerate(ctx.gens):
+        sx = multiply(s, x)
+        if _length(sx) < x_len:
+            return i, sx
+    raise AssertionError("element of positive length has no descent")
+
+
 def reduced_word(x: AffineWeylElement | FiniteWeylElement) -> list[int]:
     """The lexicographically smallest reduced expression, as generator
     indices.  Multiplying the listed generators in order reproduces the
@@ -519,14 +516,9 @@ def reduced_word(x: AffineWeylElement | FiniteWeylElement) -> list[int]:
             tail = table.word(x)
             if tail is not None:
                 return word + tail
-        for i, s in enumerate(ctx.gens):
-            sx = multiply(s, x)
-            if _length(sx) < x_len:
-                break
-        else:
-            raise AssertionError("element of positive length has no descent")
+        i, x = _left_descent(ctx, x, x_len)
         word.append(i)
-        x, x_len = sx, x_len - 1
+        x_len -= 1
 
 
 def bruhat_leq(x: AffineWeylElement | FiniteWeylElement,
@@ -543,16 +535,11 @@ def bruhat_leq(x: AffineWeylElement | FiniteWeylElement,
     ctx = _context(x.datum)
     x_len, y_len = _length(x), _length(y)
     while x_len < y_len:
-        for s in ctx.gens:
-            sy = multiply(s, y)
-            if _length(sy) < y_len:
-                break
-        else:
-            raise AssertionError("no descent found")
-        sx = multiply(s, x)
+        i, y = _left_descent(ctx, y, y_len)
+        sx = multiply(ctx.gens[i], x)
         if _length(sx) < x_len:
             x, x_len = sx, x_len - 1
-        y, y_len = sy, y_len - 1
+        y_len -= 1
     return x == y
 
 
@@ -596,16 +583,18 @@ def dominant_orbit(datum: RootDatum, p: int, max_len: int
     return [(x, dot_p(x, zero, p)) for x in alcoves.elems[:n]]
 
 
+def _rho_pairings(datum: RootDatum, coords: tuple[int, ...]) -> list[int]:
+    """<lam + rho, a_check> over the positive roots a, in datum order,
+    lam given by its weight coordinates."""
+    shifted = [c + 1 for c in coords]
+    return [sum(map(mul, shifted, c.coords)) for _, c in datum.positive_roots]
+
+
 def is_p_regular(datum: RootDatum, weight: Weight, p: int) -> bool:
     """True iff no affine wall contains the weight (rho-shifted, mod p)."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    for wt, c in datum.positive_roots:
-        val = sum((weight.coords[k] + 1) * c.coords[k]
-                  for k in range(datum.rank))
-        if val % p == 0:
-            return False
-    return True
+    return all(n % p for n in _rho_pairings(datum, weight.coords))
 
 
 def _canonical_chamber_point(datum: RootDatum, nu: tuple[int, ...], p: int
@@ -655,13 +644,8 @@ def jantzen_condition(x: AffineWeylElement, p: int) -> bool:
     w = dot_p(x, Weight((0,) * datum.rank), p)
     if not is_dominant(w):
         raise ValueError("x must have a dominant dot-image of zero")
-    h = coxeter_number(datum)
-    bound = p * (p - h + 2)
-    for wt, c in datum.positive_roots:
-        val = sum((w.coords[k] + 1) * c.coords[k] for k in range(datum.rank))
-        if val > bound:
-            return False
-    return True
+    bound = p * (p - coxeter_number(datum) + 2)
+    return all(n <= bound for n in _rho_pairings(datum, w.coords))
 
 
 def count_p_restricted_in_orbit(datum: RootDatum, p: int) -> int:
@@ -687,14 +671,14 @@ def count_p_restricted_in_orbit(datum: RootDatum, p: int) -> int:
 
 
 def enumerate_finite_weyl(datum: RootDatum) -> list[tuple[FiniteWeylElement, int]]:
-    """All finite Weyl group elements with their lengths."""
-    return list(_context(datum).finite_elements())
+    """All finite Weyl group elements with their lengths, in (length,
+    reduced word) order."""
+    return _context(datum).finite_elements()
 
 
 def longest_finite_element(datum: RootDatum) -> FiniteWeylElement:
     """The longest element of the finite Weyl group."""
-    elems = _context(datum).finite_elements()
-    return max(elems, key=lambda wl: wl[1])[0]
+    return _context(datum).finite_elements()[-1][0]
 
 
 def element_to_json(x: AffineWeylElement) -> dict:

@@ -18,9 +18,10 @@ algebra handle owns, under the handle's lock:
   datum, each grown level by level under its own lock: every element
   of length <= L has an integer id in (length, reduced word) order,
   and the table is extended when a longer x is asked for;
-* action tables: per generator s, the ids of x s and s x, kept by the
-  same table, so lengths, descents and the term order need no group
-  arithmetic;
+* action tables: per generator s, the ids of x s, kept by the same
+  table, so lengths, descents and the term order need no group
+  arithmetic; the id of s x is looked up when a left product asks for
+  it;
 * a polynomial pool: every distinct P_{y,x} is stored once per
   recursion, packed into one int, the sum of c_e 2^(64 e) over its
   coefficients c_e (Kronecker substitution), next to its coefficient
@@ -70,6 +71,7 @@ from weylkit.coxeter import (
     _context,
     _one_handle_per_datum,
     embed_finite,
+    multiply,
     reduced_word,
 )
 
@@ -506,7 +508,9 @@ class HeckeAlgebra:
     concurrent calls see a single logical table.  The ids come from the
     tables of the datum's context (the affine group or W_f, and the
     dominant alcoves), which every handle of the datum shares; each has
-    a lock of its own, taken inside this one.
+    a lock of its own, taken inside this one.  A left product finds
+    each s x by the group law, and the spherical rows are read by
+    alcove id.
     """
 
     def __init__(self, datum: RootDatum, affine: bool = True) -> None:
@@ -552,9 +556,9 @@ class HeckeAlgebra:
             raise ValueError("not a generator of this algebra")
         return self.gens.index(s)
 
-    def _times_gen(self, terms: _Terms, action: list[int],
+    def _times_gen(self, terms: _Terms, action,
                    down: LaurentPolynomial, up: LaurentPolynomial) -> _Terms:
-        """terms times h_s + c, ``action`` being the ids of x s: h_x goes
+        """terms times h_s + c, ``action[x]`` being the id of x s: h_x goes
         to h_{xs} plus h_x times ``down`` (c + v^{-1} - v) if xs < x, else
         ``up`` (c).  Under the lock.  The group table first enumerates
         the length after the longest x (the last term), under its own
@@ -573,14 +577,20 @@ class HeckeAlgebra:
 
     def mult_standard_by_gen(self, h: HeckeElement, s,
                              side: str = "right") -> HeckeElement:
-        """Multiply by h_s, using the quadratic relation when shortening."""
+        """Multiply by h_s, using the quadratic relation when shortening;
+        on the left, each s x is found by one group multiply."""
         self._check_same(h)
         if side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
         s = self._gen_index(s)
         table = self._engine.table
         with self._lock:
-            action = table.right[s] if side == "right" else table.left[s]
+            if side == "right":
+                action = table.right[s]
+            else:
+                g, elems = self.gens[s], table.elems
+                action = {x: table.element_id(multiply(g, elems[x]))
+                          for x, _ in h._terms}
             return HeckeElement(self, self._times_gen(
                 h._terms, action, _VINV_MINUS_V, _ZERO))
 
@@ -638,15 +648,11 @@ class HeckeAlgebra:
             x = eng.table.element_id(x)
             return eng.polynomial(eng.table.index.get(y, -1), x)
 
-    def _spherical_row(self, x: AffineWeylElement
-                       ) -> tuple[_Table, int, list[tuple[int, int]]]:
-        """The table of dominant alcoves, the id of x and (y, m_{y,x}(1))
-        by id, for x a minimal coset representative and an affine
-        handle."""
+    def _spherical_row(self, x: int) -> list[tuple[int, int]]:
+        """(y, m_{y,x}(1)) by id, for x an id that the table of dominant
+        alcoves has handed out, and an affine handle."""
         with self._lock:
-            eng = self._spherical
-            x = eng.table.element_id(x)
-            return eng.table, x, eng.values_at_one(x)
+            return self._spherical.values_at_one(x)
 
 
 @_one_handle_per_datum

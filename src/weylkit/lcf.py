@@ -23,7 +23,10 @@ The self-dual basis is b_x = sum over y <= x in ^fW of m_{y,x} M_y.
 The map 1 (x) h -> b_{w0} h embeds M in H and sends b_x to b_{w0 x},
 so m_{y,x} = P_{w0 y, w0 x}, w0 being the longest finite element.
 The row of x is computed in M alone, without the other terms of
-b_{w0 x}, which the formula does not read.
+b_{w0 x}, which the formula does not read.  Rows are keyed by the ids
+of the datum's table of dominant alcoves, position i of
+``dominant_orbit`` being id i: ``decomposition_matrix`` reads them by
+id, and ``lcf_coefficients`` is a view of one row keyed by element.
 
 The SL2 test compares coefficient vectors in the basis of Weyl
 characters chi(m), m >= 0, not weight multiplicities: the formula's
@@ -55,12 +58,11 @@ from weylkit.coxeter import (
     AffineWeylElement,
     FiniteWeylElement,
     _context,
+    _rho_pairings,
     dominant_orbit,
     dot_p,
-    generators,
     jantzen_condition,
     length,
-    multiply,
     reduced_word,
 )
 from weylkit.hecke import affine_hecke, evaluate_at_one, kl_basis_element
@@ -104,13 +106,13 @@ def kl_vector_finite(x: FiniteWeylElement) -> dict[FiniteWeylElement, int]:
     return out
 
 
-def _check_lcf_input(x: AffineWeylElement, p: int) -> None:
-    h = coxeter_number(x.datum)
-    if p < h:
-        raise ValueError(f"p must be at least the Coxeter number {h}")
-    # 0 is p-regular for p >= h: x is minimal iff x . 0 is dominant
-    if not is_dominant(dot_p(x, Weight((0,) * x.datum.rank), p)):
-        raise ValueError("x must be a minimal coset representative")
+def _lcf_row(datum: RootDatum, x: int) -> list[tuple[int, int]]:
+    """(y, a_{y,x}) over the alcove ids y <= x, ascending, for x an id
+    that the datum's table of dominant alcoves has handed out."""
+    lens = _context(datum).alcoves.lens
+    lx = lens[x]
+    return [(y, -m if (lx + lens[y]) % 2 else m)
+            for y, m in affine_hecke(datum)._spherical_row(x)]
 
 
 def lcf_coefficients(x: AffineWeylElement, p: int
@@ -119,10 +121,15 @@ def lcf_coefficients(x: AffineWeylElement, p: int
     m_{y,x}(1) over the minimal representatives y <= x, in (length,
     reduced word) order.
     """
-    _check_lcf_input(x, p)
-    table, x, row = affine_hecke(x.datum)._spherical_row(x)
-    lx, lens, elems = table.lens[x], table.lens, table.elems
-    return {elems[y]: -m if (lx + lens[y]) % 2 else m for y, m in row}
+    h = coxeter_number(x.datum)
+    if p < h:
+        raise ValueError(f"p must be at least the Coxeter number {h}")
+    # 0 is p-regular for p >= h: x is minimal iff x . 0 is dominant
+    if not is_dominant(dot_p(x, Weight((0,) * x.datum.rank), p)):
+        raise ValueError("x must be a minimal coset representative")
+    table = _context(x.datum).alcoves
+    row = _lcf_row(x.datum, table.element_id(x))
+    return {table.elems[y]: a for y, a in row}
 
 
 def lcf_character(x: AffineWeylElement, p: int) -> Character:
@@ -227,11 +234,7 @@ def _max_len_for_weight_bound(datum: RootDatum, p: int, bound: int) -> int:
     with every coordinate equal to the bound: a sufficient search
     depth for the orbit enumeration.
     """
-    total = 0
-    for wt, c in datum.positive_roots:
-        val = sum((bound + 1) * cc for cc in c.coords)
-        total += val // p
-    return total
+    return sum(n // p for n in _rho_pairings(datum, (bound,) * datum.rank))
 
 
 def decomposition_matrix(datum: RootDatum, p: int,
@@ -264,38 +267,36 @@ def decomposition_matrix(datum: RootDatum, p: int,
                          "datum and a prime p")
     if max_len is None:
         max_len = _max_len_for_weight_bound(datum, p, max_weight)
+    # orbit position i is id i of the context's alcove table
     orbit = dominant_orbit(datum, p, max_len)
+    ids = range(len(orbit))
     if max_weight is not None:
         # A weight box need not be closed downward (it is not in rank
         # two).  The row of x involves exactly the y <= x in ^fW
         # (m_{y,x}(1) >= 1 on the Bruhat interval), so x is kept when
         # its lower ideal lies in the box, before any row is computed.
-        # Orbit position i is id i of the context's alcove table.
         ideals = _context(datum).alcoves.ideals(len(orbit))
         outside = sum(1 << i for i, (_, w) in enumerate(orbit)
                       if max(w.coords) > max_weight)
-        orbit = [xw for xw, ideal in zip(orbit, ideals)
-                 if not ideal & outside]
+        ids = [i for i, ideal in enumerate(ideals) if not ideal & outside]
     height = _height(datum)
-    orbit.sort(key=lambda xw: (height(xw[1].coords), xw[1].coords))
-    index = {x: i for i, (x, _) in enumerate(orbit)}
-    windex = {w: i for i, (_, w) in enumerate(orbit)}
-    rows = []
-    for x, w in orbit:
-        if entries == "lcf":
-            row = {index.get(y): a for y, a in lcf_coefficients(x, p).items()}
-        else:
-            row = {windex.get(wt): a for wt, a in
-                   _sl2_simple_in_standard_basis(w.coords[0], p).items()}
-        if None in row:
-            raise RuntimeError("orbit truncation lost a term "
-                               "below a kept label")
-        rows.append(row)
+    ids = sorted(ids, key=lambda i: (height(orbit[i][1].coords),
+                                     orbit[i][1].coords))
+    labels = tuple(orbit[i] for i in ids)
+    if entries == "lcf":
+        pos = {i: k for k, i in enumerate(ids)}
+        rows = [{pos.get(y): a for y, a in _lcf_row(datum, i)} for i in ids]
+    else:
+        pos = {w: k for k, (_, w) in enumerate(labels)}
+        rows = [{pos.get(wt): a for wt, a in
+                 _sl2_simple_in_standard_basis(w.coords[0], p).items()}
+                for _, w in labels]
+    if any(None in row for row in rows):
+        raise RuntimeError("orbit truncation lost a term below a kept label")
     return DecompositionMatrix(
-        datum, p, "simple-in-standard", tuple(orbit),
-        tuple(tuple(row.get(j, 0) for j in range(len(orbit)))
-              for row in rows),
-        tuple(jantzen_condition(x, p) for x, _ in orbit))
+        datum, p, "simple-in-standard", labels,
+        tuple(tuple(row.get(j, 0) for j in range(len(ids))) for row in rows),
+        tuple(jantzen_condition(x, p) for x, _ in labels))
 
 
 def invert_decomposition(m: DecompositionMatrix) -> DecompositionMatrix:
@@ -310,18 +311,15 @@ def invert_decomposition(m: DecompositionMatrix) -> DecompositionMatrix:
 
 def _sl2_orbit_element(n: int, p: int) -> AffineWeylElement:
     """The x with x . 0 = n for SL2.  The dominant alcoves form a chain
-    0, 2p-2, 2p, 4p-2, ..., and the one of length l has the reduced word
-    s0 s1 s0 ... (l letters): (s0 s1)^(l // 2), then s0 if l is odd.
+    0, 2p-2, 2p, 4p-2, ..., one of each length: the one at 2pq, or at
+    2pq + 2p - 2, has length 2q, or 2q + 1, and that is its id in the
+    table of dominant alcoves.
     """
-    s1, s0 = generators(_A1)
-    t = multiply(s0, s1)  # the basic translation, finite part 1
-    ln = 2 * (n // (2 * p)) + (n % (2 * p) != 0)
-    x = AffineWeylElement(t.finite, tuple(ln // 2 * g for g in t.translation))
-    if ln % 2:
-        x = multiply(x, s0)
-    if dot_p(x, Weight((0,)), p) != Weight((n,)):
+    q, r = divmod(n, 2 * p)
+    if n < 0 or r not in (0, 2 * p - 2):
         raise ValueError(f"{n} is not in the dominant orbit of zero")
-    return x
+    alcoves = _context(_A1).alcoves
+    return alcoves.elems[alcoves.up_to(2 * q + (r != 0)) - 1]
 
 
 def sl2_lcf_valid(n: int, p: int) -> bool:

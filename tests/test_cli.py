@@ -258,6 +258,10 @@ def test_intersection_form_json(capsys):
     (["root-datum", "F4"], 2),
     (["lcf", "A1"], 2),                                  # missing --p
     (["lcf", "A2", "--p", "5", "--preset", "sl2-p5"], 2),
+    # the preset fixes p and the weight bound: no flag may override them
+    (["lcf", "--preset", "sl2-p5", "--p", "7"], 2),
+    (["lcf", "--preset", "sl2-p5", "--max-len", "2"], 2),
+    (["lcf", "--preset", "sl2-p5", "--max-weight", "10"], 2),
     (["lcf", "A2", "--p", "2", "--max-len", "2"], 3),    # p below h
     (["char", "--n", "4", "--p", "4"], 3),               # p not prime
     (["kl", "--dihedral", "--x", "zz", "--y", "id"], 3),

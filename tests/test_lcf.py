@@ -62,7 +62,7 @@ from weylkit.charring import (
     _sl2_simple_in_standard_basis,
     _weyl_cached,
 )
-from weylkit.coxeter import _LEAF, _context
+from weylkit.coxeter import _LEAF, AffineWeylElement, _context
 from weylkit.lcf import _max_len_for_weight_bound, _sl2_orbit_element
 
 from test_coxeter import bfs_lengths, greedy_word
@@ -432,13 +432,29 @@ def test_orbit_and_rows_walk_the_alcoves_once(fresh_context, monkeypatch):
     assert len(m.labels) == 46
     assert calls == []
     assert affine_hecke(datum)._spherical.table is _context(datum).alcoves
+    # on warm tables the rows are read by alcove id: no group element is
+    # hashed, under either bound
+    m_len = decomposition_matrix(datum, 7, max_len=12)
+    hashes = []
+    element_hash = AffineWeylElement.__hash__
+
+    def counted_hash(x):
+        hashes.append(x)
+        return element_hash(x)
+
+    monkeypatch.setattr(AffineWeylElement, "__hash__", counted_hash)
+    assert decomposition_matrix(datum, 7, max_len=12) == m_len
+    assert decomposition_matrix(datum, 7, max_weight=20) == m
+    assert hashes == []
 
 
 def coefficients_through(alg, x, p):
     """lcf_coefficients, read through the spherical engine of alg."""
-    eng, i, row = alg._spherical_row(x)
-    lx = eng.lens[i]
-    return {eng.elems[y]: -m if (lx + eng.lens[y]) % 2 else m for y, m in row}
+    table = alg._spherical.table
+    i = table.element_id(x)
+    lx = table.lens[i]
+    return {table.elems[y]: -m if (lx + table.lens[y]) % 2 else m
+            for y, m in alg._spherical_row(i)}
 
 
 def check_alcove_table(table, datum, p):
@@ -460,14 +476,6 @@ def check_alcove_table(table, datum, p):
                 assert not is_dominant(dot_p(xs, zero, p))
             else:
                 assert not table.complete and table.lens[i] == table.lens[-1]
-    for s, col in enumerate(table.left or ()):
-        assert len(col) == len(table.elems)
-        for i, j in enumerate(col):
-            if j >= 0:
-                assert table.elems[j] == multiply(gens[s], table.elems[i])
-            else:
-                assert j == -1 and not table.complete
-                assert table.lens[i] == table.lens[-1]
 
 
 @pytest.mark.parametrize("series,max_len", [
@@ -562,15 +570,18 @@ def test_decomposition_matrix_leaves_the_full_affine_engine_empty(
 
 def test_weight_bound_computes_rows_for_kept_labels_only(monkeypatch):
     calls = []
+    spherical_row = HeckeAlgebra._spherical_row
 
-    def counted(x, p):
+    def counted(alg, x):
         calls.append(x)
-        return lcf_coefficients(x, p)
+        return spherical_row(alg, x)
 
-    monkeypatch.setattr(weylkit.lcf, "lcf_coefficients", counted)
-    m = decomposition_matrix(build_root_datum("G2"), 7, max_weight=20)
+    monkeypatch.setattr(HeckeAlgebra, "_spherical_row", counted)
+    g2 = build_root_datum("G2")
+    m = decomposition_matrix(g2, 7, max_weight=20)
     assert len(m.labels) == 46
-    assert calls == [x for x, _ in m.labels]
+    index = _context(g2).alcoves.index
+    assert calls == [index[x] for x, _ in m.labels]
 
 
 def test_weight_bound_keeps_the_ideals_small():
