@@ -258,10 +258,6 @@ def test_intersection_form_json(capsys):
     (["root-datum", "F4"], 2),
     (["lcf", "A1"], 2),                                  # missing --p
     (["lcf", "A2", "--p", "5", "--preset", "sl2-p5"], 2),
-    # the preset fixes p and the weight bound: no flag may override them
-    (["lcf", "--preset", "sl2-p5", "--p", "7"], 2),
-    (["lcf", "--preset", "sl2-p5", "--max-len", "2"], 2),
-    (["lcf", "--preset", "sl2-p5", "--max-weight", "10"], 2),
     (["lcf", "A2", "--p", "2", "--max-len", "2"], 3),    # p below h
     (["char", "--n", "4", "--p", "4"], 3),               # p not prime
     (["kl", "--dihedral", "--x", "zz", "--y", "id"], 3),
@@ -296,6 +292,10 @@ def test_intersection_form_json(capsys):
     (["sl2-check", "--p", "2305843009213693951", "--upto", "20000000"], 0),
     # the weight 2p - 2 has the digit p - 2: over the term cap
     (["sl2-check", "--p", "2305843009213693951", "--upto", str(2 ** 62)], 4),
+    # the preset fixes p and the weight bound: no flag may override them
+    (["lcf", "--preset", "sl2-p5", "--p", "7"], 2),
+    (["lcf", "--preset", "sl2-p5", "--max-len", "2"], 2),
+    (["lcf", "--preset", "sl2-p5", "--max-weight", "10"], 2),
 ])
 def test_exit_codes(capsys, argv, code):
     got, out, err = run(capsys, argv)
