@@ -52,27 +52,71 @@ def det_adjugate(m) -> tuple[int, list[list[int]]]:
         n - 1) for j in range(n)] for i in range(n)]
 
 
-def unitriangular_inverse(m) -> list[list[int]]:
-    """Inverse of a lower unitriangular integer matrix, by forward
-    substitution over the nonzeros: row i of the inverse is e_i minus
-    m[i][k] times row k, summed over the k < i with m[i][k] != 0.
-    ValueError if m is not lower unitriangular.
+# a sparse row: its nonzero entries, as (columns ascending, entries)
+SparseRow = tuple[tuple[int, ...], tuple[int, ...]]
 
-    >>> unitriangular_inverse([[1, 0, 0], [2, 1, 0], [0, 3, 1]])
-    [[1, 0, 0], [-2, 1, 0], [6, -3, 1]]
+
+def _sparse_digits(packed: int, width: int) -> SparseRow:
+    """(columns, entries) of the nonzero digits e_j of packed = sum of
+    e_j 2^(width j), each |e_j| < 2^(width - 1); the zero digits are
+    skipped by the lowest set bit."""
+    cols, vals = [], []
+    j = 0
+    while packed:
+        skip = ((packed & -packed).bit_length() - 1) // width
+        packed >>= width * skip
+        e = packed & ((1 << width) - 1)
+        if e >> (width - 1):
+            e -= 1 << width
+        j += skip
+        cols.append(j)
+        vals.append(e)
+        packed = (packed - e) >> width
+        j += 1
+    return tuple(cols), tuple(vals)
+
+
+def unitriangular_inverse(rows: list[SparseRow]) -> list[SparseRow]:
+    """Inverse of a lower unitriangular integer matrix in sparse rows,
+    by forward substitution: row i of the inverse is e_i minus m[i][k]
+    times row k, summed over the k < i with m[i][k] != 0.  A sparse
+    row is a pair (columns, entries): its nonzero entries, by ascending
+    column.  The inverse comes back in the same form.  ValueError if m
+    is not lower unitriangular.
+
+    Each row of the inverse is summed as one int, entry j being the
+    digit of 2^(width j), so that a row costs one big-int operation per
+    nonzero of m, not one per pair of nonzeros.  Its entries are at
+    most 1 + sum |m[i][k]| max |inverse row k| in absolute value; while
+    that stays below 2^(width - 1) the digits are exact, and when it
+    does not the width doubles and the rows are packed again.
+
+    >>> unitriangular_inverse([((0,), (1,)), ((0, 1), (2, 1)),
+    ...                        ((1, 2), (3, 1))])
+    [((0,), (1,)), ((0, 1), (-2, 1)), ((0, 1, 2), (6, -3, 1))]
     """
-    n = len(m)
-    inv: list[dict[int, int]] = []
-    for i, row in enumerate(m):
-        if len(row) != n or row[i] != 1 or any(row[i + 1:]):
+    width = 16
+    inv: list[SparseRow] = []
+    packed: list[int] = []  # row k of the inverse as one int
+    top: list[int] = []  # the largest |entry| of row k of the inverse
+    for i, (cols, vals) in enumerate(rows):
+        if (not cols or cols[-1] != i or vals[-1] != 1
+                or min(cols) < 0 or max(cols[:-1], default=-1) >= i):
             raise ValueError("matrix is not unitriangular")
-        acc = {i: 1}
-        for k, c in enumerate(row[:i]):
-            if c:
-                for j, x in inv[k].items():
-                    acc[j] = acc.get(j, 0) - c * x
-        inv.append({j: x for j, x in acc.items() if x})
-    return [[row.get(j, 0) for j in range(n)] for row in inv]
+        below = list(zip(cols[:-1], vals[:-1]))
+        bound = 1 + sum(abs(c) * top[k] for k, c in below)
+        if bound >> (width - 1):
+            while bound >> (width - 1):
+                width *= 2
+            packed = [sum(e << (width * j) for j, e in zip(*row))
+                      for row in inv]
+        acc = 1 << (width * i)
+        for k, c in below:
+            acc -= c * packed[k]
+        inv.append(_sparse_digits(acc, width))
+        packed.append(acc)
+        top.append(max(map(abs, inv[-1][1])))
+    return inv
 
 
 def smith_diagonal(mat: list[list[int]]) -> list[int]:

@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Iterable
 
 from weylkit._exact import base_p_digits, is_prime
 from weylkit.lattice import (
@@ -44,12 +45,15 @@ class _UsageError(ValueError):
     """Flag combinations the parser alone cannot reject (exit code 2)."""
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write the text, or each of its pieces in turn, to the file at
+    ``out`` or to stdout."""
+    pieces = (text,) if isinstance(text, str) else text
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _json_text(obj) -> str:
@@ -87,7 +91,7 @@ def _cmd_root_datum(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_lcf(args) -> str:
+def _cmd_lcf(args) -> Iterable[str]:
     series, p = args.series, args.p
     max_len, max_weight = args.max_len, args.max_weight
     if args.preset:
@@ -98,6 +102,8 @@ def _cmd_lcf(args) -> str:
                  if v is not None]
         if given:
             raise _UsageError(f"preset sl2-p5 fixes {', '.join(given)}")
+        if args.variant != "sc":
+            raise _UsageError("preset sl2-p5 fixes the variant to sc")
         series, p, max_weight = "A1", 5, 30
     if series is None:
         raise _UsageError("a series is required (or use --preset)")
@@ -112,10 +118,10 @@ def _cmd_lcf(args) -> str:
     if args.jantzen_only:
         matrix = matrix.restrict_to_jantzen()
     if args.format == "csv":
-        return matrix.to_csv()
+        return matrix.csv_lines()
     if args.format == "json":
-        return _json_text(matrix.to_json_dict())
-    return matrix.render_text()
+        return matrix.json_chunks()
+    return matrix.text_lines()
 
 
 def _parse_word(spec: str, dihedral: bool) -> list[int]:
@@ -348,6 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of ``main``: built on its first call, then kept for the
+# life of the process (argparse keeps no state between parses)
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code.
 
@@ -358,8 +369,11 @@ def main(argv: list[str] | None = None) -> int:
     semisimple: yes
     0
     """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

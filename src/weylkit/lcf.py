@@ -45,7 +45,10 @@ False
 
 from __future__ import annotations
 
+import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from weylkit.lattice import (
     RootDatum,
@@ -61,7 +64,6 @@ from weylkit.coxeter import (
     _rho_pairings,
     dominant_orbit,
     dot_p,
-    jantzen_condition,
     length,
     reduced_word,
 )
@@ -73,7 +75,7 @@ from weylkit.charring import (
     _sl2_simple_in_standard_basis,
     _weyl_cached,
 )
-from weylkit._exact import is_prime, unitriangular_inverse
+from weylkit._exact import SparseRow, is_prime, unitriangular_inverse
 
 __all__ = [
     "DecompositionMatrix",
@@ -149,6 +151,20 @@ def _weight_label(prefix: str, w: Weight) -> str:
     return prefix + "_".join(str(c) for c in w.coords)
 
 
+def _sparse_row(row: dict[int, int]) -> SparseRow:
+    """A row given as {column: entry}, by ascending column."""
+    cols = sorted(row)
+    return tuple(cols), tuple(map(row.__getitem__, cols))
+
+
+def _dense(cols: Iterable[int], vals: Iterable, n: int, zero=0) -> list:
+    """A sparse row as a list of n cells, ``zero`` off its columns."""
+    cells = [zero] * n
+    for j, e in zip(cols, vals):
+        cells[j] = e
+    return cells
+
+
 @dataclass(frozen=True)
 class DecompositionMatrix:
     """Square integer matrix over a shared list of orbit labels.
@@ -157,21 +173,37 @@ class DecompositionMatrix:
     standard classes, entry = coefficient of the column's standard
     class in the row's simple class.  kind "standard-in-simple" is the
     inverse reading (entries are composition multiplicities).
+
+    ``rows`` holds row i as its nonzero entries by position: a pair
+    (columns, entries), columns ascending.  ``entries``, the dense
+    rows, is built on first access and held by the matrix.
     """
 
     datum: RootDatum
     p: int
     kind: str
     labels: tuple[tuple[AffineWeylElement, Weight], ...]
-    entries: tuple[tuple[int, ...], ...]
+    rows: tuple[SparseRow, ...]
     jantzen: tuple[bool, ...]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        n = len(self.labels)
+        return tuple(tuple(_dense(*row, n)) for row in self.rows)
+
+    def _cells(self, zero: str) -> Iterator[list[str]]:
+        """Each row as strings: ``zero`` for a zero entry."""
+        n = len(self.labels)
+        for cols, vals in self.rows:
+            yield _dense(cols, map(str, vals), n, zero)
 
     def weights(self) -> list[Weight]:
         return [w for _, w in self.labels]
 
     def entry(self, row: Weight, col: Weight) -> int:
         ws = self.weights()
-        return self.entries[ws.index(row)][ws.index(col)]
+        cols, vals = self.rows[ws.index(row)]
+        return dict(zip(cols, vals)).get(ws.index(col), 0)
 
     def _prefixes(self) -> tuple[str, str]:
         if self.kind == "simple-in-standard":
@@ -180,26 +212,28 @@ class DecompositionMatrix:
 
     def restrict_to_jantzen(self) -> "DecompositionMatrix":
         keep = [i for i, ok in enumerate(self.jantzen) if ok]
+        new = {i: k for k, i in enumerate(keep)}
+        rows = [_sparse_row({new[j]: e for j, e in zip(*self.rows[i])
+                             if j in new}) for i in keep]
         return DecompositionMatrix(
             self.datum, self.p, self.kind,
-            tuple(self.labels[i] for i in keep),
-            tuple(tuple(self.entries[i][j] for j in keep) for i in keep),
-            tuple(True for _ in keep),
-        )
+            tuple(self.labels[i] for i in keep), tuple(rows),
+            tuple(True for _ in keep))
+
+    def csv_lines(self) -> Iterator[str]:
+        """The lines of ``to_csv``, one per row after the header."""
+        rp, cp = self._prefixes()
+        yield ",".join([""] + [_weight_label(cp, w) for _, w in self.labels]
+                       + ["jantzen"]) + "\n"
+        for (_, w), ok, cells in zip(self.labels, self.jantzen,
+                                     self._cells("")):
+            yield ",".join([_weight_label(rp, w)] + cells
+                           + ["yes" if ok else "no"]) + "\n"
 
     def to_csv(self) -> str:
-        rp, cp = self._prefixes()
-        lines = [",".join(
-            [""] + [_weight_label(cp, w) for _, w in self.labels]
-            + ["jantzen"])]
-        for i, (_, w) in enumerate(self.labels):
-            cells = [str(e) if e else "" for e in self.entries[i]]
-            lines.append(",".join(
-                [_weight_label(rp, w)] + cells
-                + ["yes" if self.jantzen[i] else "no"]))
-        return "\n".join(lines) + "\n"
+        return "".join(self.csv_lines())
 
-    def to_json_dict(self) -> dict:
+    def _json_body(self, entries: list) -> dict:
         rp, cp = self._prefixes()
         return {
             "schema": "weylkit/decomposition-matrix/1",
@@ -211,22 +245,58 @@ class DecompositionMatrix:
             "col_labels": [_weight_label(cp, w) for _, w in self.labels],
             "weights": [list(w.coords) for _, w in self.labels],
             "words": [reduced_word(x) for x, _ in self.labels],
-            "entries": [list(row) for row in self.entries],
+            "entries": entries,
             "jantzen": list(self.jantzen),
         }
 
-    def render_text(self) -> str:
+    def to_json_dict(self) -> dict:
+        n = len(self.labels)
+        return self._json_body([_dense(*row, n) for row in self.rows])
+
+    def json_chunks(self) -> Iterator[str]:
+        """The text of ``json.dumps(self.to_json_dict(), indent=2)`` and
+        a newline, one piece per row of entries.  With an indent, dumps
+        writes a value k levels deep as its own text with 2k more spaces
+        after each newline; the pieces are joined the same way."""
+        sep = "{"
+        for key, value in self._json_body(None).items():
+            yield f"{sep}\n  {json.dumps(key)}: "
+            sep = ","
+            if key != "entries":
+                yield json.dumps(value, indent=2).replace("\n", "\n  ")
+                continue
+            row_sep = "["
+            for cells in self._cells("0"):
+                yield f"{row_sep}\n    [\n      " + ",\n      ".join(cells) \
+                    + "\n    ]"
+                row_sep = ","
+            yield "\n  ]" if self.rows else "[]"
+        yield "\n}\n"
+
+    def text_lines(self) -> Iterator[str]:
+        """The lines of ``render_text``: a header, then one per row,
+        each cell right-aligned to the widest cell of its column."""
         rp, cp = self._prefixes()
         header = [""] + [_weight_label(cp, w) for _, w in self.labels] + [""]
-        rows = [header]
-        for i, (_, w) in enumerate(self.labels):
-            cells = [str(e) if e else "." for e in self.entries[i]]
-            rows.append([_weight_label(rp, w)] + cells
-                        + ["*" if self.jantzen[i] else ""])
-        widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-        return "\n".join(
-            "  ".join(cell.rjust(widths[c]) for c, cell in enumerate(row)).rstrip()
-            for row in rows) + "\n"
+        widths = [len(cell) for cell in header]
+        widths[0] = max([len(_weight_label(rp, w)) for _, w in self.labels],
+                        default=0)
+        widths[-1] = 1 if any(self.jantzen) else 0
+        for cols, vals in self.rows:
+            for j, e in zip(cols, vals):
+                widths[j + 1] = max(widths[j + 1], len(str(e)))
+
+        def line(row: list[str]) -> str:
+            return "  ".join(cell.rjust(width) for cell, width
+                             in zip(row, widths)).rstrip() + "\n"
+
+        yield line(header)
+        for (_, w), ok, cells in zip(self.labels, self.jantzen,
+                                     self._cells(".")):
+            yield line([_weight_label(rp, w)] + cells + ["*" if ok else ""])
+
+    def render_text(self) -> str:
+        return "".join(self.text_lines())
 
 
 def _max_len_for_weight_bound(datum: RootDatum, p: int, bound: int) -> int:
@@ -284,29 +354,32 @@ def decomposition_matrix(datum: RootDatum, p: int,
                                      orbit[i][1].coords))
     labels = tuple(orbit[i] for i in ids)
     if entries == "lcf":
-        pos = {i: k for k, i in enumerate(ids)}
-        rows = [{pos.get(y): a for y, a in _lcf_row(datum, i)} for i in ids]
+        pos = [None] * len(orbit)
+        for k, i in enumerate(ids):
+            pos[i] = k
+        rows = [{pos[y]: a for y, a in _lcf_row(datum, i)} for i in ids]
     else:
-        pos = {w: k for k, (_, w) in enumerate(labels)}
-        rows = [{pos.get(wt): a for wt, a in
+        index = {w: k for k, (_, w) in enumerate(labels)}
+        rows = [{index.get(wt): a for wt, a in
                  _sl2_simple_in_standard_basis(w.coords[0], p).items()}
                 for _, w in labels]
     if any(None in row for row in rows):
         raise RuntimeError("orbit truncation lost a term below a kept label")
+    bound = p * (p - h + 2)
     return DecompositionMatrix(
         datum, p, "simple-in-standard", labels,
-        tuple(tuple(row.get(j, 0) for j in range(len(ids))) for row in rows),
-        tuple(jantzen_condition(x, p) for x, _ in labels))
+        tuple(map(_sparse_row, rows)),
+        tuple(all(n <= bound for n in _rho_pairings(datum, w.coords))
+              for _, w in labels))
 
 
 def invert_decomposition(m: DecompositionMatrix) -> DecompositionMatrix:
     """Exact integer inverse of a unitriangular decomposition matrix."""
-    inv = unitriangular_inverse(m.entries)
     kind = ("standard-in-simple" if m.kind == "simple-in-standard"
             else "simple-in-standard")
-    return DecompositionMatrix(
-        m.datum, m.p, kind, m.labels,
-        tuple(tuple(row) for row in inv), m.jantzen)
+    return DecompositionMatrix(m.datum, m.p, kind, m.labels,
+                               tuple(unitriangular_inverse(m.rows)),
+                               m.jantzen)
 
 
 def _sl2_orbit_element(n: int, p: int) -> AffineWeylElement:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylkit.cli
 from weylkit.cli import main
 
 ROOT_DATUM_A2 = """\
@@ -296,6 +297,8 @@ def test_intersection_form_json(capsys):
     (["lcf", "--preset", "sl2-p5", "--p", "7"], 2),
     (["lcf", "--preset", "sl2-p5", "--max-len", "2"], 2),
     (["lcf", "--preset", "sl2-p5", "--max-weight", "10"], 2),
+    # nor the variant: the preset's rows are the simply connected ones
+    (["lcf", "--preset", "sl2-p5", "--variant", "adjoint"], 2),
 ])
 def test_exit_codes(capsys, argv, code):
     got, out, err = run(capsys, argv)
@@ -339,6 +342,86 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "v^4\n"
+
+
+# -------------------------------------------------------- shared parser
+
+OUT_FILE = "OUT_FILE"  # replaced by a temporary path
+
+PARSER_SEQUENCE = [
+    ["lcf", "--preset", "sl2-p5", "--jantzen-only", "--format", "csv"],
+    ["lcf", "--preset", "sl2-p5", "--format", "csv"],
+    ["lcf", "--preset", "sl2-p5", "--format", "json", "--out", OUT_FILE],
+    ["lcf", "--preset", "sl2-p5", "--format", "json"],
+    ["lcf", "A2", "--p", "5", "--max-len", "3", "--format", "yaml"],
+    ["lcf", "A2", "--p", "5", "--max-len", "3"],
+    ["lcf", "A2", "--p", "5", "--max-len", "3", "--jantzen-only"],
+    ["kl", "--dihedral", "--x", "w2"],
+    ["kl", "--dihedral", "--x", "w2", "--y", "id"],
+    ["no-such-command"],
+    ["char", "--n", "24", "--p", "5", "--max-terms", "3"],
+    ["char", "--n", "24", "--p", "5", "--format", "csv"],
+    ["sl2-check", "--p", "5", "--upto", "30", "--out", OUT_FILE],
+    ["sl2-check", "--p", "5", "--upto", "30"],
+    ["root-datum", "G2", "adjoint", "--format", "json"],
+    ["root-datum", "A2"],
+    ["ic-cone", "--link", "rp3", "--d", "2", "--model", "plus"],
+    ["ic-cone", "--link", "s3", "--d", "2"],
+    ["intersection-form", "--matrix", "[[-2]]", "--p", "2"],
+    ["lcf", "--preset", "sl2-p5", "--p", "7"],
+    ["lcf", "--preset", "sl2-p5"],
+]
+
+
+def run_sequence(tmp_path, call):
+    """(argv, exit code, stdout, stderr, --out file) of each call in
+    turn, made by ``call(argv)``."""
+    got = []
+    target = tmp_path / "out.txt"
+    for argv in PARSER_SEQUENCE:
+        argv = [str(target) if a == OUT_FILE else a for a in argv]
+        code, out, err = call(argv)
+        written = target.read_text() if target.exists() else None
+        target.unlink(missing_ok=True)
+        got.append((argv, code, out, err, written))
+    return got
+
+
+def fresh_process(argv):
+    proc = subprocess.run([sys.executable, "-m", "weylkit.cli", *argv],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_shared_parser_answers_like_a_fresh_one(capsys, tmp_path,
+                                                monkeypatch):
+    monkeypatch.setattr(weylkit.cli, "_parser", None)
+    shared = run_sequence(tmp_path, lambda argv: run(capsys, argv))
+    parser = weylkit.cli._parser
+    assert run_sequence(tmp_path, lambda argv: run(capsys, argv)) == shared
+    assert weylkit.cli._parser is parser  # one parser for both rounds
+    # each call alone in a new process: a parser of its own
+    assert run_sequence(tmp_path, fresh_process) == shared
+    assert {code for _, code, *_ in shared} == {0, 2, 4}
+
+
+def test_build_parser_runs_once(capsys, monkeypatch):
+    built = []
+    build = weylkit.cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(weylkit.cli, "_parser", None)
+    monkeypatch.setattr(weylkit.cli, "build_parser", counting)
+    for _ in range(3):
+        for argv in (["root-datum", "A2"], ["no-such-command"],
+                     ["lcf", "--preset", "sl2-p5", "--format", "csv"]):
+            run(capsys, argv)
+    assert len(built) == 1
+    # the public builder still returns a new parser on each call
+    assert build() is not build()
 
 
 # ---------------------------------------------------------------- fuzz

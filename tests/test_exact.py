@@ -137,12 +137,39 @@ def lower_unitriangular(m):
             for i, row in enumerate(m)]
 
 
+def sparse_rows(m):
+    """Each row as (columns, entries) over its nonzero entries."""
+    return [tuple(map(tuple, zip(*[(j, x) for j, x in enumerate(row) if x])))
+            or ((), ()) for row in m]
+
+
+def dense_rows(rows, n):
+    out = [[0] * n for _ in rows]
+    for row, (cols, vals) in zip(out, rows):
+        for j, x in zip(cols, vals):
+            row[j] = x
+    return out
+
+
 @PROPERTY
 @given(square_matrices(0, 8).map(lower_unitriangular))
 def test_unitriangular_inverse_matches_bareiss(m):
-    inv = unitriangular_inverse(m)
+    rows = unitriangular_inverse(sparse_rows(m))
+    assert rows == sparse_rows(dense_rows(rows, len(m)))  # no zeros kept
+    inv = dense_rows(rows, len(m))
     assert inv == det_adjugate(m)[1]  # det m = 1: adj m is the inverse
     assert matmul(m, inv) == scalar(1, len(m))
+
+
+@PROPERTY
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=n, max_size=n),
+    min_size=n, max_size=n)).map(lower_unitriangular))
+def test_unitriangular_inverse_widens_its_digits(m):
+    # entries far beyond the first digit width: the rows are packed
+    # again, wider, and the inverse stays exact
+    inv = dense_rows(unitriangular_inverse(sparse_rows(m)), len(m))
+    assert inv == det_adjugate(m)[1]
 
 
 @pytest.mark.parametrize("m", [
@@ -153,7 +180,17 @@ def test_unitriangular_inverse_matches_bareiss(m):
 ])
 def test_unitriangular_inverse_rejects_other_matrices(m):
     with pytest.raises(ValueError, match="not unitriangular"):
-        unitriangular_inverse(m)
+        unitriangular_inverse(sparse_rows(m))
+
+
+@pytest.mark.parametrize("rows", [
+    [((), ())],                      # an empty row
+    [((1, 0), (1, 1)), ((1,), (1,))],  # columns out of order
+    [((-1, 0), (1, 1))],             # a negative column
+])
+def test_unitriangular_inverse_rejects_malformed_rows(rows):
+    with pytest.raises(ValueError, match="not unitriangular"):
+        unitriangular_inverse(rows)
 
 
 # ----------------------------------------------------------------- Smith

@@ -10,6 +10,9 @@ listed in its ``__all__``.  ``__init__.py`` exists to re-export, and
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -277,3 +280,26 @@ def test_scan_flags_inexact_arithmetic():
         "s = '1 / 2'\n"
         "t = 10 ** 6\n")
     assert _inexact(tree) == [1, 2, 4, 5, 6, 7]
+
+
+def test_importing_the_cli_builds_no_parser():
+    # every benchmark workload imports weylkit.cli during set-up; the
+    # parser is built by the first call of main
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import weylkit.cli\n"
+        "print(len(built), weylkit.cli._parser)\n"
+        "weylkit.cli.main(['root-datum', 'A1'])\n"
+        "print(len(built) > 0, weylkit.cli._parser is not None)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ,
+                                          "PYTHONPATH": str(SRC.parent)})
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0, proc.stderr
+    assert lines[0] == "0 None" and lines[-1] == "True True"

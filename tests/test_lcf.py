@@ -6,6 +6,7 @@ expansions, the last two differ from the formula's prediction, and the
 wall-crossing bound marks exactly those two rows as out of range.
 """
 
+import json
 import random
 import sys
 import time
@@ -41,6 +42,7 @@ from weylkit import (
     invert_decomposition,
     is_dominant,
     is_min_coset_rep_fW,
+    jantzen_condition,
     kl_basis_element,
     kl_polynomial,
     kl_vector_finite,
@@ -766,3 +768,129 @@ def test_sl3_fixture_tables():
         assert sorted(a.values()) == [-1, 1]
     with pytest.raises(ValueError):
         sl3_multiplicity_fixtures(2)
+
+
+# ------------------------------------------------------------ sparse rows
+#
+# The matrix holds its rows sparse; the dense oracles below read the
+# coefficients through the element-keyed views (lcf_coefficients, or
+# the Brauer expansion keyed by weight) and render them as the dense
+# implementations did.
+
+GATE_GRID = [(series, variant, p)
+             for series, primes in [("A1", (5, 7)), ("A2", (5, 7)),
+                                    ("A3", (5,)), ("B2", (5,)), ("C2", (5,)),
+                                    ("G2", (7, 11))]
+             for variant in ("sc", "adjoint") for p in primes]
+
+
+def gate_bounds(series):
+    """The length and weight bounds of the gate grid."""
+    if series == "A3":
+        return ([{"max_len": n} for n in (0, 4, 8)]
+                + [{"max_weight": n} for n in (0, 5, 10)])
+    return ([{"max_len": n} for n in (0, 3, 8, 12)]
+            + [{"max_weight": n} for n in (0, 5, 12, 20)])
+
+
+def dense_oracle(m, entries):
+    """The rows of a simple-in-standard matrix, one dense tuple each."""
+    if entries == "simple":
+        cols = m.weights()
+        rows = [_sl2_simple_in_standard_basis(w.coords[0], m.p)
+                for w in cols]
+    else:
+        cols = [x for x, _ in m.labels]
+        rows = [lcf_coefficients(x, m.p) for x in cols]
+    return tuple(tuple(row.get(c, 0) for c in cols) for row in rows)
+
+
+def label(prefix, w):
+    return prefix + "_".join(map(str, w.coords))
+
+
+def dense_csv(m, dense):
+    rp, cp = (("L_", "nabla_") if m.kind == "simple-in-standard"
+              else ("nabla_", "L_"))
+    lines = [",".join([""] + [label(cp, w) for w in m.weights()]
+                      + ["jantzen"])]
+    for w, row, ok in zip(m.weights(), dense, m.jantzen):
+        lines.append(",".join([label(rp, w)]
+                              + [str(e) if e else "" for e in row]
+                              + ["yes" if ok else "no"]))
+    return "\n".join(lines) + "\n"
+
+
+def dense_text(m, dense):
+    rp, cp = (("L_", "nabla_") if m.kind == "simple-in-standard"
+              else ("nabla_", "L_"))
+    rows = [[""] + [label(cp, w) for w in m.weights()] + [""]]
+    for w, row, ok in zip(m.weights(), dense, m.jantzen):
+        rows.append([label(rp, w)] + [str(e) if e else "." for e in row]
+                    + ["*" if ok else ""])
+    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
+    return "\n".join("  ".join(cell.rjust(widths[c])
+                               for c, cell in enumerate(row)).rstrip()
+                     for row in rows) + "\n"
+
+
+SPARSE_CASES = [
+    ("A1", 5, {"max_weight": 30}, "simple"),
+    ("A1", 7, {"max_len": 12}, "lcf"),
+    ("A2", 5, {"max_len": 7}, "lcf"),
+    ("B2", 5, {"max_weight": 12}, "lcf"),
+    ("C2", 7, {"max_len": 6}, "lcf"),
+    ("G2", 7, {"max_weight": 20}, "lcf"),
+    ("A3", 5, {"max_len": 6}, "lcf"),
+]
+
+
+@pytest.mark.parametrize("series,p,bound,entries", SPARSE_CASES)
+def test_sparse_rows_read_like_the_dense_oracle(series, p, bound, entries):
+    m = decomposition_matrix(build_root_datum(series), p, entries=entries,
+                             **bound)
+    dense = dense_oracle(m, entries)
+    assert "entries" not in vars(m)  # built on first access ...
+    assert m.entries == dense
+    assert m.entries is m.entries  # ... and held by the matrix
+    for cols, vals in m.rows:
+        assert list(cols) == sorted(set(cols)) and all(vals)
+    ws = m.weights()
+    assert all(m.entry(ws[i], ws[j]) == dense[i][j]
+               for i in range(len(ws)) for j in range(len(ws)))
+    inv = invert_decomposition(m)
+    keep = [i for i, ok in enumerate(m.jantzen) if ok]
+    assert 0 < len(keep) <= len(ws)
+    for mat, rows in [
+            (m, dense), (inv, inv.entries),
+            (m.restrict_to_jantzen(),
+             tuple(tuple(dense[i][j] for j in keep) for i in keep))]:
+        assert mat.entries == rows
+        assert mat.to_csv() == dense_csv(mat, rows)
+        assert mat.render_text() == dense_text(mat, rows)
+        body = mat.to_json_dict()
+        assert body["entries"] == [list(row) for row in rows]
+        assert "".join(mat.json_chunks()) == (
+            json.dumps(body, indent=2) + "\n")
+
+
+@pytest.mark.parametrize("series,variant,p", GATE_GRID)
+def test_jantzen_flags_are_the_jantzen_condition(series, variant, p):
+    datum = build_root_datum(series, variant)
+    for bound in gate_bounds(series):
+        m = decomposition_matrix(datum, p, **bound)
+        assert m.jantzen == tuple(jantzen_condition(x, p)
+                                  for x, _ in m.labels), bound
+
+
+@pytest.mark.parametrize("series,variant,p", GATE_GRID)
+def test_inverse_is_bareiss_on_the_gate_grid(series, variant, p):
+    datum = build_root_datum(series, variant)
+    for bound in gate_bounds(series):
+        m = decomposition_matrix(datum, p, **bound)
+        inv = invert_decomposition(m).entries
+        det, adj = det_adjugate(m.entries)
+        assert det == 1 and inv == tuple(map(tuple, adj)), bound
+        n = len(inv)
+        assert all(sum(m.entries[i][k] * inv[k][j] for k in range(n))
+                   == (i == j) for i in range(n) for j in range(n)), bound
