@@ -39,6 +39,10 @@ ResourceLimitError is raised while the dominant weights are being
 enumerated, as soon as that sum passes the cap, before any
 multiplicity is computed.
 
+In rank one the character of highest weight n is e^{n - 2k}, k = 0 ..
+n, written down at once: its n + 1 terms are checked against the cap
+before any is built.
+
 >>> from weylkit.lattice import build_root_datum, Weight
 >>> d = build_root_datum("A1")
 >>> print(weyl_character(d, Weight((2,))))
@@ -94,6 +98,15 @@ class Character:
                 raise ValueError("weights must be strictly ascending")
         if any(c == 0 for _, c in self.terms):
             raise ValueError("zero multiplicities must not be stored")
+
+    @classmethod
+    def _trusted(cls, terms: tuple[tuple[Weight, int], ...]) -> "Character":
+        """A character from terms known to be strictly ascending and
+        nonzero, such as the ones ``weyl_character`` builds: skips the
+        checks of the public constructor."""
+        ch = object.__new__(cls)
+        object.__setattr__(ch, "terms", terms)  # as a frozen __init__ does
+        return ch
 
     @classmethod
     def from_dict(cls, d: dict[Weight, int]) -> "Character":
@@ -227,8 +240,9 @@ def weyl_character(datum: RootDatum, highest: Weight,
                    max_terms: int = DEFAULT_MAX_TERMS) -> Character:
     """Character of the induced module with the given highest weight.
 
-    Freudenthal's formula at the dominant weights, on packed weights
-    (see the module docstring, also for the ``max_terms`` rule).
+    Freudenthal's formula at the dominant weights, on packed weights,
+    or in rank one the closed form (see the module docstring, also for
+    the ``max_terms`` rule).
 
     >>> from weylkit.lattice import build_root_datum, Weight
     >>> d = build_root_datum("A2")
@@ -243,6 +257,13 @@ def weyl_character(datum: RootDatum, highest: Weight,
         raise ValueError("highest weight must be dominant")
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
+    if datum.rank == 1:  # SL2: e^{n - 2k}, k = 0 .. n
+        n = highest.coords[0]
+        if n + 1 > max_terms:
+            raise ResourceLimitError(
+                f"character support exceeded {max_terms} terms")
+        return Character._trusted(tuple(
+            (Weight._trusted((m,)), 1) for m in range(-n, n + 1, 2)))
     k = _weyl_constants(datum)
     lam, r = highest.coords, datum.rank
     base = 2 * max(sum(map(mul, lam, co)) for *_, co, _ in k.roots) + (
@@ -317,8 +338,8 @@ def weyl_character(datum: RootDatum, highest: Weight,
     shift = pack((half,) * r)
     digits = [[(x + shift) // place % base - half for x, _ in items]
               for place in [base ** i for i in range(r - 1, -1, -1)]]
-    return Character(tuple(zip(map(Weight._trusted, zip(*digits)),
-                               (m for _, m in items))))
+    return Character._trusted(tuple(zip(map(Weight._trusted, zip(*digits)),
+                                        (m for _, m in items))))
 
 
 def is_weyl_invariant(datum: RootDatum, ch: Character) -> bool:
@@ -386,9 +407,10 @@ def sl2_simple_character(n: int, p: int,
     return out
 
 
-def _sl2_simple_in_standard_basis(n: int, p: int) -> dict[Weight, int]:
-    """The SL2 simple character L(n) in characteristic p as integers
-    c_m with L(n) = sum of c_m * weyl_character(m), m >= 0.
+def _sl2_simple_in_standard_basis(n: int, p: int) -> dict[int, int]:
+    """The SL2 simple character L(n) in characteristic p, p prime, as
+    integers c_m with L(n) = sum of c_m * weyl_character(m), m >= 0,
+    keyed by m.
 
     The twisted digit product L(n) = prod_i chi(d_i)^{[p^i]} is
     multiplied out one digit at a time by Brauer's formula
@@ -399,9 +421,9 @@ def _sl2_simple_in_standard_basis(n: int, p: int) -> dict[Weight, int]:
     ``sl2_simple_character``: L(n) has prod_i (d_i + 1) weights.
 
     >>> _sl2_simple_in_standard_basis(8, 5)
-    {Weight(coords=(8,)): 1, Weight(coords=(0,)): -1}
+    {8: 1, 0: -1}
     """
-    digits = [d.coords[0] for d in steinberg_digits(Weight((n,)), p)]
+    digits = base_p_digits(n, p)
     if prod(d + 1 for d in digits) > DEFAULT_MAX_TERMS:
         raise ResourceLimitError(
             f"character support exceeded {DEFAULT_MAX_TERMS} terms")
@@ -417,7 +439,7 @@ def _sl2_simple_in_standard_basis(n: int, p: int) -> dict[Weight, int]:
                 elif m < -1:  # chi(-1) = 0 drops m = -1
                     nxt[-m - 2] = nxt.get(-m - 2, 0) - c
         acc = {m: c for m, c in nxt.items() if c}
-    return {Weight((m,)): c for m, c in acc.items()}
+    return acc
 
 
 def steinberg_digits(lam: Weight, p: int) -> list[Weight]:

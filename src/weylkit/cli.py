@@ -3,14 +3,17 @@
 Subcommands: root-datum, lcf, kl, char, sl2-check, ic-cone,
 intersection-form.  Output is a pure function of the flags (fixed
 ordering, no timestamps); formats text, csv, json.  Exit codes:
-0 success, 2 usage or unsupported input, 3 precondition violation,
-4 resource cap exceeded.
+0 success, 2 usage or unsupported input, 3 precondition violation
+(also an ``--out`` path that cannot be written), 4 resource cap
+exceeded, 141 stdout closed by its reader before the output ended
+(as for a process that SIGPIPE ends), with no message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections.abc import Iterable
@@ -387,7 +390,19 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+        if not args.out:
+            sys.stdout.flush()
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and not args.out:
+            # the reader has gone (``| head``): stdout goes to devnull,
+            # so that the flush at exit finds no closed pipe either
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
+        print(f"error: cannot write {args.out or 'stdout'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -23,13 +23,15 @@ algebra handle owns, under the handle's lock:
   arithmetic; the id of s x is looked up when a left product asks for
   it;
 * a polynomial pool: every distinct P_{y,x} is stored once per
-  recursion, packed into one int, the sum of c_e 2^(64 e) over its
+  recursion, packed into one int, the sum of c_e 2^(w e) over its
   coefficients c_e (Kronecker substitution), next to its coefficient
   of v (mu), its value at v = 1 and, once asked for, the one
   ``LaurentPolynomial`` that every b_x containing it shares, unpacked
-  on that first view; the recursion adds packed ints, and raises
-  ``ResourceLimitError`` (CLI exit 4) before a coefficient could reach
-  2^64;
+  on that first view; the recursion adds packed ints.  The digit
+  width w is the pool's own: it starts at 16 bits and doubles, the
+  pool packed again, whenever a step could carry a coefficient to
+  2^w; a step that could carry one to 2^64 raises
+  ``ResourceLimitError`` (CLI exit 4) instead;
 * compact rows: the row of x is two arrays, the ids of the y <= x in
   ascending order and the pool ids of their P_{y,x}, from the
   recursion of Kazhdan and Lusztig (Invent. Math. 53, 1979) b_x =
@@ -336,24 +338,39 @@ def _sum_terms(triples) -> _Terms:
 
 
 _Row = tuple[array, array]  # (ids of y, ascending; pool ids of P_{y,x})
-_DIGIT = 64  # a packed P is the sum of its coefficients c_e 2^(64 e)
-_MASK = (1 << _DIGIT) - 1
+_WIDTHS = {array(t).itemsize * 8: t for t in "QLIHB"}  # width: typecode
 
 
-def _unpack(m: int, cap: int = _MASK) -> list[int]:
-    """The coefficients of the packed polynomial m, indexed by exponent,
-    with no trailing zero.  A negative m, or a coefficient above cap,
-    can only come from a negative coefficient (see ``_step``).  The
-    digits are the 8-byte words of m, read in one pass."""
+def _digits(m: int, width: int) -> array:
+    """The base-2^width digits of m >= 0, lowest first, with no trailing
+    zero: the words of m, read in one pass."""
+    out = array(_WIDTHS[width],
+                m.to_bytes(-(-m.bit_length() // width) * (width // 8),
+                           "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
+
+
+def _unpack(m: int, width: int, cap: int | None = None) -> list[int]:
+    """The coefficients of m, a polynomial packed at the digit width,
+    indexed by exponent, with no trailing zero.  A negative m, or a
+    coefficient above cap, can only come from a negative coefficient
+    (see ``_KLRecursion._step``)."""
     if m >= 0:
-        out = array("Q", m.to_bytes(-(-m.bit_length() // _DIGIT) * 8,
-                                    "little"))
-        if sys.byteorder == "big":
-            out.byteswap()
-        if max(out, default=0) <= cap:
+        out = _digits(m, width)
+        if cap is None or max(out, default=0) <= cap:
             return out.tolist()
     raise RuntimeError(
         "Kazhdan-Lusztig polynomial with a negative coefficient")
+
+
+def _repack(m: int, width: int, wider: int) -> int:
+    """m, packed at the digit width, packed again at a wider one."""
+    out = array(_WIDTHS[wider], _digits(m, width))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return int.from_bytes(out.tobytes(), "little")
 
 
 class _KLRecursion:
@@ -364,13 +381,18 @@ class _KLRecursion:
     ``table.right`` and the last letters ``table.last``.
 
     The polynomials live in one pool per recursion: ``polys[k]`` is a
-    distinct P packed into one int, the sum of c_e 2^(64 e) over its
-    coefficients c_e, ``poly_ids`` maps it back to k, ``mu[k]`` is its
-    coefficient of v and ``ones[k]`` its value at v = 1.  ``_step``
-    adds packed ints, and a sum is unpacked only when it is new to the
-    pool; every coefficient is nonnegative (Kazhdan-Lusztig positivity)
-    and ``_step`` raises ``ResourceLimitError`` before one could reach
-    2^64.  The row ``kl[i]`` of x_i holds two arrays, the ids of the
+    distinct P packed into one int, the sum of c_e 2^(w e) over its
+    coefficients c_e for the pool's digit width w = ``width``,
+    ``poly_ids`` maps it back to k, ``mu[k]`` is its coefficient of v
+    and ``ones[k]`` its value at v = 1.  ``_step`` adds packed ints,
+    and a sum is unpacked only when it is new to the pool; every
+    coefficient is nonnegative (Kazhdan-Lusztig positivity).  The width
+    starts at 16 bits, so that the small coefficients of most tables
+    make small ints.  When a step could carry a coefficient to 2^w,
+    ``_step`` first doubles w until it cannot, packs ``polys`` again
+    and rebuilds ``poly_ids``; the rows hold pool ids, which stay.  A
+    step that could carry one to 2^64 raises ``ResourceLimitError``
+    instead.  The row ``kl[i]`` of x_i holds two arrays, the ids of the
     y <= x_i in ascending order and the pool ids of their P_{y,x_i}.
     ``view(k)`` is the ``LaurentPolynomial`` of entry k, unpacked once
     on first use and shared by every caller.  The rows and the pool
@@ -380,6 +402,7 @@ class _KLRecursion:
 
     def __init__(self, table: _Table) -> None:
         self.table = table
+        self.width = 16
         self.polys: list[int] = []
         self.poly_ids: dict[int, int] = {}
         self.mu: list[int] = []
@@ -389,12 +412,22 @@ class _KLRecursion:
         self.kl: dict[int, _Row] = {
             0: (array("i", (0,)), array("i", (self._intern(1, 1),)))}
 
+    def _widen(self, bound: int) -> None:
+        """Double the digit width until bound is below 2^width, and pack
+        the pool again at the new width."""
+        width = self.width
+        while bound >> width:
+            width *= 2
+        self.polys = [_repack(m, self.width, width) for m in self.polys]
+        self.poly_ids = dict(zip(self.polys, range(len(self.polys))))
+        self.width = width
+
     def _intern(self, m: int, cap: int) -> int:
         """The pool id of the packed polynomial m, a new one if m is not
         in the pool yet; unpacked, no coefficient may exceed cap."""
         got = self.poly_ids.get(m)
         if got is None:
-            p = _unpack(m, cap)
+            p = _unpack(m, self.width, cap)
             got = self.poly_ids[m] = len(self.polys)
             self.polys.append(m)
             self.mu.append(p[1] if len(p) > 1 else 0)
@@ -406,8 +439,9 @@ class _KLRecursion:
     def view(self, k: int) -> LaurentPolynomial:
         got = self._views[k]
         if got is None:
+            coeffs = _unpack(self.polys[k], self.width)
             got = self._views[k] = LaurentPolynomial._trusted(tuple(
-                (e, c) for e, c in enumerate(_unpack(self.polys[k])) if c))
+                (e, c) for e, c in enumerate(coeffs) if c))
         return got
 
     def basis(self, x: int) -> _Row:
@@ -459,21 +493,26 @@ class _KLRecursion:
 
     def _step(self, prev: _Row, s: int, mus: list[tuple[int, int]]) -> _Row:
         """b_x = b_{xs} b_s - sum of mu b_y, with b_s = h_s + v, on
-        packed polynomials: v p is p << 64, and p >> 64 drops the
-        constant term of p and divides by v.
+        packed polynomials: v p is p << w, and p >> w drops the constant
+        term of p and divides by v, w being the digit width.
 
         A coefficient of the result is the sum of at most two pool
         coefficients, less mu times pool coefficients, each mu a pool
         coefficient too.  While the largest pool coefficient times
-        3 + sum of mu stays below 2^64, each packed sum unpacks exactly,
+        3 + sum of mu stays below 2^w, each packed sum unpacks exactly,
         unless a coefficient is negative: then the sum is negative, or
         its lowest negative coefficient borrows and unpacks above three
-        times the largest pool coefficient, and ``_intern`` raises."""
+        times the largest pool coefficient, and ``_intern`` raises.  A
+        bound of 2^w or more widens the pool first, and one of 2^64 or
+        more raises."""
         top = self._top
-        if top * (3 + sum([mu for _, mu in mus])) >> _DIGIT:
-            raise ResourceLimitError(
-                "Kazhdan-Lusztig coefficients would reach 2^64")
-        right, polys = self.table.right[s], self.polys
+        bound = top * (3 + sum([mu for _, mu in mus]))
+        if bound >> self.width:
+            if bound >> 64:
+                raise ResourceLimitError(
+                    "Kazhdan-Lusztig coefficients would reach 2^64")
+            self._widen(bound)
+        right, polys, w = self.table.right[s], self.polys, self.width
         acc: dict[int, int] = {}
         get = acc.get
         for y, k in zip(*prev):
@@ -481,12 +520,12 @@ class _KLRecursion:
             ys = right[y]
             if ys > y:                       # h_y b_s = h_ys + v h_y
                 acc[ys] = get(ys, 0) + p
-                acc[y] = get(y, 0) + (p << _DIGIT)
+                acc[y] = get(y, 0) + (p << w)
             elif ys >= 0:                    # h_y b_s = h_ys + v^-1 h_y
                 acc[ys] = get(ys, 0) + p
-                acc[y] = get(y, 0) + (p >> _DIGIT)
+                acc[y] = get(y, 0) + (p >> w)
             else:                            # a leaf: (v + v^-1) h_y
-                acc[y] = get(y, 0) + (p << _DIGIT) + (p >> _DIGIT)
+                acc[y] = get(y, 0) + (p << w) + (p >> w)
         for y, mu in mus:
             for z, k in zip(*self.kl[y]):
                 acc[z] = get(z, 0) - mu * polys[k]

@@ -33,8 +33,10 @@ characters chi(m), m >= 0, not weight multiplicities: the formula's
 side is {y . 0: a_{y,x}}, and the truth side is the digit product
 expanded by Brauer's formula chi(lam) * ch M = sum_mu dim M_mu
 chi(lam + mu) (J. C. Jantzen, Representations of Algebraic Groups,
-II.5).  The same expansion gives the "simple" entries of rank-one
-decomposition matrices.
+II.5).  Both sides are keyed by the int m of chi(m): the row of x is
+read by alcove id, and in rank one the alcoves form a chain, so y . 0
+is a closed form in the id of y.  The same expansion gives the
+"simple" entries of rank-one decomposition matrices.
 
 >>> from weylkit.lattice import build_root_datum
 >>> sl2_lcf_valid(20, 5)
@@ -359,8 +361,8 @@ def decomposition_matrix(datum: RootDatum, p: int,
             pos[i] = k
         rows = [{pos[y]: a for y, a in _lcf_row(datum, i)} for i in ids]
     else:
-        index = {w: k for k, (_, w) in enumerate(labels)}
-        rows = [{index.get(wt): a for wt, a in
+        index = {w.coords[0]: k for k, (_, w) in enumerate(labels)}
+        rows = [{index.get(m): a for m, a in
                  _sl2_simple_in_standard_basis(w.coords[0], p).items()}
                 for _, w in labels]
     if any(None in row for row in rows):
@@ -382,17 +384,16 @@ def invert_decomposition(m: DecompositionMatrix) -> DecompositionMatrix:
                                m.jantzen)
 
 
-def _sl2_orbit_element(n: int, p: int) -> AffineWeylElement:
-    """The x with x . 0 = n for SL2.  The dominant alcoves form a chain
-    0, 2p-2, 2p, 4p-2, ..., one of each length: the one at 2pq, or at
-    2pq + 2p - 2, has length 2q, or 2q + 1, and that is its id in the
-    table of dominant alcoves.
+def _sl2_alcove_id(n: int, p: int) -> int:
+    """The id of the x with x . 0 = n for SL2 in the table of dominant
+    alcoves, grown to it.  The dominant alcoves form a chain 0, 2p-2,
+    2p, 4p-2, ..., one of each length: the one at 2pq, or at
+    2pq + 2p - 2, has length 2q, or 2q + 1, and that is its id.
     """
     q, r = divmod(n, 2 * p)
     if n < 0 or r not in (0, 2 * p - 2):
         raise ValueError(f"{n} is not in the dominant orbit of zero")
-    alcoves = _context(_A1).alcoves
-    return alcoves.elems[alcoves.up_to(2 * q + (r != 0)) - 1]
+    return _context(_A1).alcoves.up_to(2 * q + (r != 0)) - 1
 
 
 def sl2_lcf_valid(n: int, p: int) -> bool:
@@ -402,6 +403,8 @@ def sl2_lcf_valid(n: int, p: int) -> bool:
     Both sides are compared in the basis of Weyl characters: the
     coefficients a_{y,x} keyed by y . 0, against the Steinberg digit
     product expanded by Brauer's formula (see the module docstring).
+    The row of x is read by alcove id, and y . 0 is computed from the
+    id of y, so no group element or weight is built.
 
     >>> sl2_lcf_valid(0, 5)
     True
@@ -410,9 +413,9 @@ def sl2_lcf_valid(n: int, p: int) -> bool:
         raise ValueError(f"{p} is not prime")
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    x = _sl2_orbit_element(n, p)
-    zero = Weight((0,))
-    return ({dot_p(y, zero, p): a for y, a in lcf_coefficients(x, p).items()}
+    row = _lcf_row(_A1, _sl2_alcove_id(n, p))
+    # id 2q is the weight 2pq, id 2q + 1 the weight 2pq + 2p - 2
+    return ({y // 2 * 2 * p + y % 2 * (2 * p - 2): a for y, a in row}
             == _sl2_simple_in_standard_basis(n, p))
 
 

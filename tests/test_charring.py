@@ -142,6 +142,16 @@ def test_weyl_character_matches_per_root_division(series):
             datum, lam), coords
 
 
+@pytest.mark.parametrize("series", sorted(DIVISION_CASES))
+def test_weyl_character_passes_the_public_checks(series):
+    # weyl_character skips the checks of the public constructor: each
+    # result must pass them unchanged, sorted and with no zero term
+    datum = build_root_datum(series)
+    for coords in DIVISION_CASES[series]:
+        ch = weyl_character(datum, Weight(coords))
+        assert Character(ch.terms) == ch, coords
+
+
 @pytest.mark.parametrize("series,sym", [
     ("A1", (1,)), ("A3", (1, 1, 1)), ("B2", (2, 1)), ("C2", (1, 2)),
     ("G2", (1, 3))])
@@ -398,6 +408,18 @@ def test_budget_is_spent_before_any_multiplicity():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 19
+
+
+def test_rank_one_budget_is_charged_before_any_term():
+    # e^{n - 2k} has n + 1 terms: a cap one below raises at once, even
+    # where building the terms would not finish
+    a1 = build_root_datum("A1")
+    with pytest.raises(ResourceLimitError):
+        weyl_character(a1, Weight((10 ** 15,)))
+    assert len(weyl_character(a1, Weight((3000,)), max_terms=3001).terms) \
+        == 3001
+    with pytest.raises(ResourceLimitError):
+        weyl_character(a1, Weight((3000,)), max_terms=3000)
 
 
 def test_resource_limits():

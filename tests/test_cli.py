@@ -299,6 +299,11 @@ def test_intersection_form_json(capsys):
     (["lcf", "--preset", "sl2-p5", "--max-weight", "10"], 2),
     # nor the variant: the preset's rows are the simply connected ones
     (["lcf", "--preset", "sl2-p5", "--variant", "adjoint"], 2),
+    # an --out path that cannot be written: in a missing directory, or
+    # a directory itself
+    (["lcf", "A2", "--p", "5", "--max-len", "3", "--out", "/nonexistent/x"],
+     3),
+    (["lcf", "A2", "--p", "5", "--max-len", "3", "--out", "."], 3),
 ])
 def test_exit_codes(capsys, argv, code):
     got, out, err = run(capsys, argv)
@@ -342,6 +347,20 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "v^4\n"
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # the reader takes 100 bytes of a 1.3 MB JSON document and closes the
+    # pipe, as ``| head -c 100`` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weylkit.cli", "lcf", "A3", "--p", "5",
+         "--max-len", "20", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100).startswith(b'{\n  "schema"')
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 # -------------------------------------------------------- shared parser

@@ -566,14 +566,16 @@ def test_kl_pool_holds_each_polynomial_once():
     eng = alg._engine
     assert len(set(eng.polys)) == len(eng.polys) == len(eng.poly_ids)
     assert len(eng.polys) == len(views)
+    w = eng.width
     for k, m in enumerate(eng.polys):
-        # the key is the packed int, sum of c_e 2^(64 e), and its top
-        # digit is the last nonzero coefficient: no trailing zero
+        # the key is the packed int, sum of c_e 2^(w e) at the pool's
+        # width w, and its top digit is the last nonzero coefficient: no
+        # trailing zero
         p = eng.view(k)
         assert views[p.coeffs] is p
-        assert m == sum(c << (64 * e) for e, c in p.coeffs)
+        assert m == sum(c << (w * e) for e, c in p.coeffs)
         top, c = p.coeffs[-1]
-        assert m >> (64 * top) == c != 0
+        assert m >> (w * top) == c != 0
         assert eng.poly_ids[m] == k
         assert eng.mu[k] == p.coefficient(1)
         assert eng.ones[k] == evaluate_at_one(p)
@@ -676,6 +678,19 @@ def test_packed_spherical_rows_match_the_dense_step(series, max_len):
     assert assert_rows_match_dense(alg._spherical, max_len) > max_len
 
 
+def pack(coeffs, width):
+    """The polynomial with these coefficients, by exponent, packed at
+    the digit width."""
+    return sum(c << (width * e) for e, c in enumerate(coeffs))
+
+
+def intern(eng, coeffs):
+    """Put the polynomial into the pool of eng, widening the pool first
+    if a coefficient does not fit its width."""
+    eng._widen(max(coeffs))
+    return eng._intern(pack(coeffs, eng.width), max(coeffs))
+
+
 def test_packed_step_raises_before_a_coefficient_reaches_2_64():
     table = _context(build_root_datum("A2")).group
     table.up_to(1)
@@ -683,19 +698,49 @@ def test_packed_step_raises_before_a_coefficient_reaches_2_64():
     # bound allows while 3 c < 2^64, and no further
     c = (1 << 64) // 3
     eng = weylkit.hecke._KLRecursion(table)
-    eng.kl[0] = (array("i", (0,)), array("i", (eng._intern(c, c),)))
+    eng.kl[0] = (array("i", (0,)), array("i", (intern(eng, [c]),)))
+    assert eng.width == 64
     assert eng.terms(1) == ((0, LaurentPolynomial(((1, c),))),
                             (1, LaurentPolynomial(((0, c),))))
     eng = weylkit.hecke._KLRecursion(table)
-    eng.kl[0] = (array("i", (0,)), array("i", (eng._intern(c + 1, c + 1),)))
+    eng.kl[0] = (array("i", (0,)), array("i", (intern(eng, [c + 1]),)))
     with pytest.raises(ResourceLimitError, match="2\\^64"):
         eng.basis(1)
     # a pool that merely holds a coefficient near 2^63 stops the next step
     eng = weylkit.hecke._KLRecursion(table)
-    eng._intern(1 << 63, 1 << 63)
+    intern(eng, [1 << 63])
     with pytest.raises(ResourceLimitError):
         eng.basis(1)
     assert list(eng.kl) == [0]
+
+
+def test_step_widens_below_2_64_and_raises_at_it():
+    # a pool holding c sits at the narrowest width that holds c; the
+    # step b_s = c h_s + c v h_id widens it to the narrowest width that
+    # holds 3 c, and raises exactly when 3 c reaches 2^64
+    table = _context(build_root_datum("A2")).group
+    table.up_to(1)
+    first = weylkit.hecke._KLRecursion(table).width
+    widened = set()
+    for c in (1, 21845, 21846, (1 << 32) // 3, (1 << 32) // 3 + 1,
+              (1 << 64) // 3, (1 << 64) // 3 + 1):
+        eng = weylkit.hecke._KLRecursion(table)
+        eng.kl[0] = (array("i", (0,)), array("i", (intern(eng, [c]),)))
+        held = eng.width
+        assert not c >> held and (held == first or c >> (held // 2))
+        if 3 * c >> 64:
+            with pytest.raises(ResourceLimitError, match="2\\^64"):
+                eng.basis(1)
+            assert eng.width == held and list(eng.kl) == [0]
+            continue
+        assert eng.terms(1) == ((0, LaurentPolynomial(((1, c),))),
+                                (1, LaurentPolynomial(((0, c),))))
+        want = held
+        while (3 * c) >> want:
+            want *= 2
+        assert eng.width == want <= 64
+        widened.add((held, want))
+    assert {(16, 32), (32, 64)} <= widened
 
 
 def test_negative_packed_rows_raise():
@@ -709,54 +754,91 @@ def test_negative_packed_rows_raise():
     eng = weylkit.hecke._KLRecursion(table)
     for x in range(sts):
         eng.basis(x)
-    eng.mu[eng.poly_ids[1 << 64]] = 5
+    w = eng.width
+    eng.mu[eng.poly_ids[1 << w]] = 5
     with pytest.raises(RuntimeError, match="negative coefficient"):
         eng.basis(sts)
     assert sts not in eng.kl
-    # negative ints, and v - 1 packed as 2^64 - 1 (a borrow), never unpack
+    # negative ints, and v - 1 packed as 2^w - 1 (a borrow), never unpack
     with pytest.raises(RuntimeError, match="negative coefficient"):
-        weylkit.hecke._unpack(-(1 << 640))
+        weylkit.hecke._unpack(-(1 << 640), w)
     with pytest.raises(RuntimeError, match="negative coefficient"):
-        eng._intern((1 << 64) - 1, 3)
+        eng._intern((1 << w) - 1, 3)
 
 
-def unpack_by_shifts(m, cap=(1 << 64) - 1):
-    """The oracle: one 64-bit digit at a time, by shifting."""
+WIDTHS = (8, 16, 32, 64)
+
+
+def unpack_by_shifts(m, width, cap=None):
+    """The oracle: one digit of the width at a time, by shifting."""
+    if cap is None:
+        cap = (1 << width) - 1
     out = []
     while m > 0:
-        out.append(m & ((1 << 64) - 1))
-        m >>= 64
+        out.append(m & ((1 << width) - 1))
+        m >>= width
     if m or max(out, default=0) > cap:
         raise RuntimeError("negative coefficient")
     return out
 
 
 def test_unpack_matches_the_digit_loop():
-    rng = random.Random(64)
+    for width in WIDTHS:
+        check_unpack_at(width, random.Random(width))
+
+
+def check_unpack_at(width, rng):
     for _ in range(500):
         degree = rng.choice([0, 1, 2, 7, 40, 120, 300])
-        bits = rng.choice([1, 8, 32, 63, 64])
+        bits = rng.choice(sorted({1, 8, width // 2, width - 1, width}))
         coeffs = [rng.randrange(1 << bits) for _ in range(degree + 1)]
         if rng.random() < 0.3:
             coeffs[-1] = 0
-        m = sum(c << (64 * e) for e, c in enumerate(coeffs))
-        cap = rng.choice([(1 << 64) - 1, 1 << bits, max(coeffs) or 1])
+        m = pack(coeffs, width)
+        cap = rng.choice([None, (1 << width) - 1, 1 << bits,
+                          max(coeffs) or 1])
         try:
-            want = unpack_by_shifts(m, cap)
+            want = unpack_by_shifts(m, width, cap)
         except RuntimeError:
             with pytest.raises(RuntimeError, match="negative coefficient"):
-                weylkit.hecke._unpack(m, cap)
+                weylkit.hecke._unpack(m, width, cap)
         else:
-            got = weylkit.hecke._unpack(m, cap)
+            got = weylkit.hecke._unpack(m, width, cap)
             assert type(got) is list and got == want
             assert not got or got[-1]
-    assert weylkit.hecke._unpack(0) == []
-    for m, cap in ((-1, 1), (-(1 << 640), 1 << 63), ((5 << 64) + 7, 6),
-                   (1 << 128, 0)):
+            for wider in WIDTHS:
+                if wider > width:
+                    assert weylkit.hecke._repack(m, width, wider) == pack(
+                        want, wider)
+    assert weylkit.hecke._unpack(0, width) == []
+    for m, cap in ((-1, 1), (-(1 << 640), 1 << (width - 1)),
+                   ((5 << width) + 7, 6), (1 << (2 * width), 0)):
         with pytest.raises(RuntimeError, match="negative coefficient"):
-            unpack_by_shifts(m, cap)
+            unpack_by_shifts(m, width, cap)
         with pytest.raises(RuntimeError, match="negative coefficient"):
-            weylkit.hecke._unpack(m, cap)
+            weylkit.hecke._unpack(m, width, cap)
+
+
+@pytest.mark.parametrize("series, max_len", [("G2", 12), ("A3", 9)])
+def test_pool_widened_mid_recursion_keeps_its_rows(series, max_len):
+    # rows up to half the length at the first width, then the pool is
+    # widened twice and packed again, and the recursion goes on: each
+    # polynomial must keep its pool id under its packing at the new
+    # width, and every row must still be the dense step's
+    table = _context(build_root_datum(series)).group
+    eng = weylkit.hecke._KLRecursion(table)
+    first = eng.width
+    for x in range(table.up_to(max_len // 2)):
+        eng.basis(x)
+    held = [eng.view(k).coeffs for k in range(len(eng.polys))]
+    eng._widen(1 << (2 * first))
+    assert eng.width == 4 * first
+    assert len(eng.polys) == len(eng.poly_ids) == len(held)
+    for k, coeffs in enumerate(held):
+        m = sum(c << (eng.width * e) for e, c in coeffs)
+        assert eng.polys[k] == m and eng.poly_ids[m] == k
+    assert assert_rows_match_dense(eng, max_len) > 100
+    assert len(eng.polys) > len(held)
 
 
 @pytest.fixture

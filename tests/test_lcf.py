@@ -65,7 +65,7 @@ from weylkit.charring import (
     _weyl_cached,
 )
 from weylkit.coxeter import _LEAF, AffineWeylElement, _context
-from weylkit.lcf import _max_len_for_weight_bound, _sl2_orbit_element
+from weylkit.lcf import _max_len_for_weight_bound, _sl2_alcove_id
 
 from test_coxeter import bfs_lengths, greedy_word
 
@@ -693,15 +693,16 @@ def test_brauer_expansion_matches_leading_term_stripping(p):
     # chi(-1) = 0 leave a term behind
     orbit = [n for _, n in sl2_orbit(p, 60)]
     for n in sorted(set(orbit) | set(range(60))):
-        assert _sl2_simple_in_standard_basis(n, p) == \
-            expand_in_standard_basis(A1, sl2_simple_character(n, p)), n
+        assert _sl2_simple_in_standard_basis(n, p) == {
+            w.coords[0]: c for w, c in expand_in_standard_basis(
+                A1, sl2_simple_character(n, p)).items()}, n
 
 
 def test_brauer_expansion_keeps_the_digit_product_cap():
     # digits (999, 999) at p = 1009: L(n) has exactly 1000^2 weights
     assert 1000 * 1000 == DEFAULT_MAX_TERMS
     n = 999 + 999 * 1009
-    assert _sl2_simple_in_standard_basis(n, 1009)[Weight((n,))] == 1
+    assert _sl2_simple_in_standard_basis(n, 1009)[n] == 1
     with pytest.raises(ResourceLimitError):
         _sl2_simple_in_standard_basis(n + 1, 1009)  # digits (1000, 999)
     # one digit p - 2 of the Mersenne prime 2^61 - 1: refused at once
@@ -713,13 +714,71 @@ def test_brauer_expansion_keeps_the_digit_product_cap():
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_chain_element_is_the_dominant_orbit_element(p):
     orbit = sl2_orbit(p, 41)
+    elems = _context(A1).alcoves.elems
     for x, n in orbit:
-        assert _sl2_orbit_element(n, p) == x
+        assert elems[_sl2_alcove_id(n, p)] == x
     weights = {n for _, n in orbit}
     for n in range(max(weights)):
         if n not in weights:
             with pytest.raises(ValueError, match="not in the dominant orbit"):
-                _sl2_orbit_element(n, p)
+                _sl2_alcove_id(n, p)
+
+
+def element_keyed_lcf_valid(x, n, p):
+    """Oracle: the comparison by group element, with y . 0 computed by
+    the dot action on each y of the row of x."""
+    zero = Weight((0,))
+    return ({dot_p(y, zero, p).coords[0]: a
+             for y, a in lcf_coefficients(x, p).items()}
+            == _sl2_simple_in_standard_basis(n, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_sl2_verdict_matches_the_element_keyed_oracle(p):
+    # every orbit weight n <= p^3
+    orbit = [(x, n) for x, n in sl2_orbit(p, p * p + 2) if n <= p ** 3]
+    assert orbit[-1][1] + 2 * p > p ** 3
+    verdicts = [sl2_lcf_valid(n, p) for _, n in orbit]
+    assert verdicts == [element_keyed_lcf_valid(x, n, p) for x, n in orbit]
+    assert True in verdicts and (p == 2 or False in verdicts)
+
+
+def test_sl2_check_builds_no_element_on_a_grown_table(fresh_context,
+                                                      monkeypatch, capsys):
+    # once the table of dominant alcoves is grown, the rank-one check
+    # reads its rows by id and y . 0 off the id: no group element, dot
+    # action or weight, in the library call or in the CLI
+    from weylkit.cli import main
+    p, upto = 5, 5 ** 3
+    _context(A1).alcoves.up_to(upto // p + 2)
+    built = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(AffineWeylElement, "__init__", counted(
+        "element", AffineWeylElement.__init__))
+    monkeypatch.setattr(Weight, "__init__", counted("weight",
+                                                    Weight.__init__))
+    monkeypatch.setattr(Weight, "_trusted", staticmethod(counted(
+        "weight", Weight._trusted)))
+    for module in (weylkit.coxeter, weylkit.lcf):
+        monkeypatch.setattr(module, "dot_p", counted("dot_p", dot_p),
+                            raising=False)
+    verdicts = [sl2_lcf_valid(n, p) for n in range(upto + 1)
+                if n % (2 * p) in (0, 2 * p - 2)]
+    assert len(verdicts) == 25 and verdicts.count(False) > 0
+    assert main(["sl2-check", "--p", str(p), "--upto", str(upto),
+                 "--format", "csv"]) == 0
+    assert capsys.readouterr().out.count("\n") == 26
+    assert built == []
+    # the counters see what they count
+    elems = _context(A1).alcoves.elems
+    weylkit.lcf.dot_p(multiply(elems[1], elems[2]), Weight((0,)), p)
+    assert set(built) == {"element", "dot_p", "weight"}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -796,9 +855,8 @@ def gate_bounds(series):
 def dense_oracle(m, entries):
     """The rows of a simple-in-standard matrix, one dense tuple each."""
     if entries == "simple":
-        cols = m.weights()
-        rows = [_sl2_simple_in_standard_basis(w.coords[0], m.p)
-                for w in cols]
+        cols = [w.coords[0] for w in m.weights()]
+        rows = [_sl2_simple_in_standard_basis(n, m.p) for n in cols]
     else:
         cols = [x for x, _ in m.labels]
         rows = [lcf_coefficients(x, m.p) for x in cols]
