@@ -29,7 +29,7 @@ from weylkit.lattice import (
 from weylkit.coxeter import generators, identity_element, multiply
 from weylkit.hecke import kl_polynomial
 from weylkit.charring import ResourceLimitError, sl2_simple_character
-from weylkit.lcf import decomposition_matrix, sl2_lcf_valid
+from weylkit.lcf import _decomposition_matrix, sl2_lcf_valid
 from weylkit.icstalk import (
     FgAbelianGroup,
     GradedAbelianGroup,
@@ -115,11 +115,8 @@ def _cmd_lcf(args) -> Iterable[str]:
     if max_len is None and max_weight is None:
         max_len = 8
     datum = build_root_datum(series, args.variant)
-    matrix = decomposition_matrix(datum, p, max_len=max_len,
-                                  max_weight=max_weight,
-                                  entries=args.entries)
-    if args.jantzen_only:
-        matrix = matrix.restrict_to_jantzen()
+    matrix = _decomposition_matrix(datum, p, max_len, max_weight,
+                                   args.entries, args.jantzen_only)
     if args.format == "csv":
         return matrix.csv_lines()
     if args.format == "json":

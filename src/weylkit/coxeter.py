@@ -9,6 +9,12 @@ matrix-vector product, and no word rewriting is needed.  Words,
 lengths, Bruhat order and the p-dilated dot action are all derived
 from that normal form.
 
+The datum's table of the whole group numbers its elements and stores
+each id on its element.  A numbered x times a generator s of the
+context is then read off the table, the product it already computed
+for x s, and the length and reduced word of a numbered x are read off
+the table too; untagged elements go through the arithmetic.
+
 Generator indexing: indices 0 .. rank-1 are the finite simple
 reflections, index rank is the extra affine reflection s0.
 
@@ -89,6 +95,7 @@ class FiniteWeylElement:
 
     datum: RootDatum
     matrix: Matrix
+    _hash = None  # cached on first use; not a field, so never pickled
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteWeylElement):
@@ -97,11 +104,15 @@ class FiniteWeylElement:
             self.datum is other.datum or self.datum == other.datum)
 
     def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
+        cached = self._hash
         if cached is None:
             cached = hash((hash(self.datum), self.matrix))
             object.__setattr__(self, "_hash", cached)
         return cached
+
+    def __reduce__(self):
+        # the fields only: a string hash differs between processes
+        return FiniteWeylElement, (self.datum, self.matrix)
 
     def apply(self, weight: Weight) -> Weight:
         return Weight(_mat_vec(self.matrix, weight.coords))
@@ -116,11 +127,17 @@ class AffineWeylElement:
     """Affine Weyl group element t_gamma * w.
 
     ``translation`` is gamma, an element of the root lattice, in
-    fundamental-weight coordinates; ``finite`` is w.
+    fundamental-weight coordinates; ``finite`` is w.  An element that
+    the datum's group table numbers carries its id there in ``_gid``,
+    and a generator of the datum's context its index in ``_letter``;
+    neither is a field.
     """
 
     finite: FiniteWeylElement
     translation: tuple[int, ...]
+    _hash = None
+    _gid = None
+    _letter = None
 
     @property
     def datum(self) -> RootDatum:
@@ -133,11 +150,14 @@ class AffineWeylElement:
                 and self.finite == other.finite)
 
     def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
+        cached = self._hash
         if cached is None:
             cached = hash((hash(self.finite), self.translation))
             object.__setattr__(self, "_hash", cached)
         return cached
+
+    def __reduce__(self):
+        return AffineWeylElement, (self.finite, self.translation)
 
     @property
     def is_identity(self) -> bool:
@@ -161,7 +181,16 @@ class _Context:
     |W_f|) and the three tables of ``_Table``: the affine group, W_f and
     the dominant alcoves.  Nothing is memoised by group element:
     lengths, words and Bruhat comparisons are computed, or read off the
-    tables, and W_f is listed in the order of its table."""
+    tables, and W_f is listed in the order of its table.
+
+    The group table stores each element's id on the element as it
+    numbers it (``_gid``): the identity is id 0 and the generators,
+    which carry their index in ``gens`` as ``_letter``, are numbered as
+    they are.  The numbering is canonical, (length, reduced word) order
+    for the datum, so the id is a function of the element, as its
+    cached hash is, and not a memo keyed by element: a tag from an
+    earlier context of the datum names the same element in this one,
+    once its table has numbered that far."""
 
     def __init__(self, datum: RootDatum) -> None:
         self.datum = datum
@@ -180,12 +209,14 @@ class _Context:
         self.s0 = AffineWeylElement(
             self.intern(_reflection(short_wt, short_c)), short_wt.coords)
         self.gens = self.finite_gens + [self.s0]
+        for k, g in enumerate(self.gens):
+            object.__setattr__(g, "_letter", k)
         self.coroots = [c.coords for _, c in datum.positive_roots]
         self.root_index: dict[tuple[int, ...], int] = {
             w.coords: k for k, (w, _) in enumerate(datum.positive_roots)}
         self.origin = Weight(zero)
         self.inversions_memo: dict[Matrix, tuple[bool, ...]] = {}
-        self.group = _Table(self.identity, self.gens)
+        self.group = _Table(self.identity, self.gens, tag=True)
         self.finite = _Table(self.identity, self.finite_gens)
         self.alcoves = _Table(self.identity, self.gens,
                               member=self.is_alcove)
@@ -251,24 +282,35 @@ class _Table:
     coset representatives ^fW.
 
     ``elems[i]`` is the element of id i, ``index`` maps it back and
-    ``lens[i]`` is its length.  ``right[s][i]`` is the id of x_i s,
-    ``_LEAF`` when x_i s fails ``member`` (for ^fW, x_i s = t x_i for a
-    finite simple t, Deodhar's lemma), and -1 while x_i s is longer than
-    every enumerated element.  ``last[i]`` is the last letter of the
-    reduced word of x_i.  ``complete`` is set when a level finds nothing
-    new: the group is finite and every element has its id.
+    ``lens[i]`` is its length.  With ``tag`` (the context's table of the
+    whole group), ``elems[i]._gid`` is i as well, and ``find`` reads
+    that instead of hashing.  The identity is ``elems[0]`` and each
+    generator of ``gens`` is numbered itself, not a copy.
+    ``right[s][i]`` is the id of x_i s, ``_LEAF`` when x_i s fails
+    ``member`` (for ^fW, x_i s = t x_i for a finite simple t, Deodhar's
+    lemma), and -1 while x_i s is longer than every enumerated element.
+    ``last[i]`` is the last letter of the reduced word of x_i.
+    ``complete`` is set when a level finds nothing new: the group is
+    finite and every element has its id.
 
     A level is grown whole under ``lock``, and every question about what
     is enumerated goes through it, so no reader sees half a level.  The
     entries of a complete level below the top never change again.  A
     caller that holds a Hecke handle's lock may take this one; never
-    the reverse.
+    the reverse.  ``multiply``, ``length`` and ``find`` read without
+    the lock, and only what is set once: ``elems`` and ``lens`` only
+    grow, and an entry of ``right`` goes once from -1 to an id, after
+    the element of that id is appended, tagged and given its entries.
     """
 
     def __init__(self, identity: AffineWeylElement,
-                 gens: list[AffineWeylElement], member=None) -> None:
+                 gens: list[AffineWeylElement], member=None,
+                 tag: bool = False) -> None:
         self.gens = gens
         self.member = member
+        self.tag = tag
+        if tag:
+            object.__setattr__(identity, "_gid", 0)
         self.elems = [identity]
         self.index = {identity: 0}
         self.lens = [0]
@@ -284,7 +326,8 @@ class _Table:
         element or to a leaf; each is found by one group multiply.  The
         smallest reduced word of y is that of its smallest x below,
         followed by s, and the ids of the level below are in word order
-        already.  Call under the lock."""
+        already.  Id 0 is the identity, so its products are the
+        generators themselves.  Call under the lock."""
         top, hi = self.lens[-1], len(self.elems)
         lo = bisect_left(self.lens, top)
         found: dict[AffineWeylElement, list[tuple[int, int]]] = {}
@@ -292,7 +335,7 @@ class _Table:
             col = self.right[s]
             for i in range(lo, hi):
                 if col[i] == -1:
-                    y = multiply(self.elems[i], g)
+                    y = multiply(self.elems[i], g) if i else g
                     if self.member is None or self.member(y):
                         found.setdefault(y, []).append((i, s))
                     else:
@@ -302,11 +345,13 @@ class _Table:
             return
         for j, y in enumerate(sorted(found, key=lambda y: min(found[y])), hi):
             self.elems.append(y)
-            self.index[y] = j
             self.lens.append(top + 1)
             self.last.append(min(found[y])[1])
             for col in self.right:
                 col.append(-1)
+            self.index[y] = j
+            if self.tag:
+                object.__setattr__(y, "_gid", j)
             for i, s in found[y]:
                 self.right[s][i] = j
                 self.right[s][j] = i
@@ -318,19 +363,31 @@ class _Table:
                 self._grow()
             return bisect_right(self.lens, max_len)
 
+    def find(self, x: AffineWeylElement) -> int | None:
+        """The id of x, None while x has none.  Read off x's tag when the
+        table tags: an id is canonical, so a tag from an earlier context
+        is the id here too, once this table has numbered that far."""
+        if self.tag:
+            i = x._gid
+            if i is not None:
+                return i if i < len(self.elems) else None
+        return self.index.get(x)
+
     def element_id(self, x: AffineWeylElement) -> int:
         """The id of x, an element of the table."""
         with self.lock:
-            if x not in self.index:
+            i = self.find(x)
+            if i is None:
                 self.up_to(_length(x))
-            return self.index[x]
+                i = self.index[x]
+            return i
 
     def word(self, x: AffineWeylElement) -> list[int] | None:
         """The reduced word of x that the numbering encodes, the smallest
         one (see ``_grow``): ``last`` read down the right action to id 0.
         None when x has no id yet."""
         with self.lock:
-            i = self.index.get(x)
+            i = self.find(x)
             if i is None:
                 return None
             out = []
@@ -422,16 +479,30 @@ def embed_finite(w: FiniteWeylElement) -> AffineWeylElement:
 
 
 def multiply(x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
-    """Group law (t_g1 w1)(t_g2 w2) = t_{g1 + w1(g2)} (w1 w2)."""
+    """Group law (t_g1 w1)(t_g2 w2) = t_{g1 + w1(g2)} (w1 w2).
+
+    When the group table has numbered x and y is a generator of the
+    context, and the table already holds x y, that element is returned:
+    the table is the memo of this arithmetic, which filled it.  The read
+    takes no lock: an entry of ``right`` is set once, after the element
+    it names is appended."""
     w, v = x.finite, y.finite
     datum = w.datum
     if datum is not v.datum and datum != v.datum:
         raise ValueError("elements belong to different root data")
+    ctx = _context(datum)
+    i = x._gid
+    if i is not None:
+        s = y._letter
+        if s is not None and ctx.gens[s] is y:
+            col = ctx.group.right[s]
+            if i < len(col) and col[i] >= 0:
+                return ctx.group.elems[col[i]]
     trans = x.translation
     if any(y.translation):
         trans = tuple(a + b for a, b in zip(
             trans, _mat_vec(w.matrix, y.translation)))
-    return AffineWeylElement(_context(datum).finite_product(w, v), trans)
+    return AffineWeylElement(ctx.finite_product(w, v), trans)
 
 
 def inverse(x: AffineWeylElement) -> AffineWeylElement:
@@ -484,7 +555,13 @@ def length(x: AffineWeylElement | FiniteWeylElement) -> int:
     >>> length(multiply(s0, s1))  # the basic translation
     2
     """
-    return _length(_as_affine(x))
+    x = _as_affine(x)
+    i = x._gid
+    if i is not None:
+        lens = _context(x.datum).group.lens
+        if i < len(lens):
+            return lens[i]
+    return _length(x)
 
 
 def _left_descent(ctx: _Context, x: AffineWeylElement, x_len: int
@@ -505,17 +582,20 @@ def reduced_word(x: AffineWeylElement | FiniteWeylElement) -> list[int]:
     Its first letter is the smallest left descent, and so on, until the
     rest has an id in one of the context's tables, whose numbering
     encodes the smallest word of each id.  The identity is id 0 of
-    each, so the walk ends.
+    each, so the walk ends.  The length of x is computed only when no
+    table has x.
     """
     x = _as_affine(x)
     ctx = _context(x.datum)
     word: list[int] = []
-    x_len = _length(x)
+    x_len = -1  # l(x), once the walk needs it
     while True:
         for table in (ctx.group, ctx.alcoves, ctx.finite):
             tail = table.word(x)
             if tail is not None:
                 return word + tail
+        if x_len < 0:
+            x_len = _length(x)
         i, x = _left_descent(ctx, x, x_len)
         word.append(i)
         x_len -= 1

@@ -17,7 +17,9 @@ algebra handle owns, under the handle's lock:
   the affine group and one of W_f, shared by every handle of the
   datum, each grown level by level under its own lock: every element
   of length <= L has an integer id in (length, reduced word) order,
-  and the table is extended when a longer x is asked for;
+  and the table is extended when a longer x is asked for; an element
+  that the group table numbered carries its id, which is read
+  without hashing;
 * action tables: per generator s, the ids of x s, kept by the same
   table, so lengths, descents and the term order need no group
   arithmetic; the id of s x is looked up when a left product asks for
@@ -27,9 +29,10 @@ algebra handle owns, under the handle's lock:
   coefficients c_e (Kronecker substitution), next to its coefficient
   of v (mu), its value at v = 1 and, once asked for, the one
   ``LaurentPolynomial`` that every b_x containing it shares, unpacked
-  on that first view; the recursion adds packed ints.  The digit
-  width w is the pool's own: it starts at 16 bits and doubles, the
-  pool packed again, whenever a step could carry a coefficient to
+  on that first view, so that a pool nobody reads, such as the
+  spherical one, holds no view; the recursion adds packed ints.  The
+  digit width w is the pool's own: it starts at 16 bits and doubles,
+  the pool packed again, whenever a step could carry a coefficient to
   2^w; a step that could carry one to 2^64 raises
   ``ResourceLimitError`` (CLI exit 4) instead;
 * compact rows: the row of x is two arrays, the ids of the y <= x in
@@ -64,6 +67,7 @@ import threading
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 from weylkit.lattice import ResourceLimitError, RootDatum
 from weylkit.coxeter import (
@@ -264,8 +268,13 @@ class HeckeElement:
 
     def coefficient(self, x: AffineWeylElement | FiniteWeylElement
                     ) -> LaurentPolynomial:
-        i = self.algebra._engine.table.index.get(self.algebra._check_member(x))
-        return dict(self._terms).get(i, LaurentPolynomial.zero())
+        i = self.algebra._engine.table.find(self.algebra._check_member(x))
+        terms = self._terms
+        if i is not None:
+            j = bisect_left(terms, i, key=itemgetter(0))
+            if j < len(terms) and terms[j][0] == i:
+                return terms[j][1]
+        return _ZERO
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         self.algebra._check_same(other)
@@ -395,9 +404,10 @@ class _KLRecursion:
     instead.  The row ``kl[i]`` of x_i holds two arrays, the ids of the
     y <= x_i in ascending order and the pool ids of their P_{y,x_i}.
     ``view(k)`` is the ``LaurentPolynomial`` of entry k, unpacked once
-    on first use and shared by every caller.  The rows and the pool
-    are not locked by themselves: the owning algebra calls them under
-    its lock, and reads only ids the table has handed out.
+    on first use, kept in ``_views`` by pool id and shared by every
+    caller.  The rows and the pool are not locked by themselves: the
+    owning algebra calls them under its lock, and reads only ids the
+    table has handed out.
     """
 
     def __init__(self, table: _Table) -> None:
@@ -408,7 +418,7 @@ class _KLRecursion:
         self.mu: list[int] = []
         self.ones: list[int] = []
         self._top = 0  # the largest coefficient in the pool
-        self._views: list[LaurentPolynomial | None] = []
+        self._views: dict[int, LaurentPolynomial] = {}
         self.kl: dict[int, _Row] = {
             0: (array("i", (0,)), array("i", (self._intern(1, 1),)))}
 
@@ -433,11 +443,10 @@ class _KLRecursion:
             self.mu.append(p[1] if len(p) > 1 else 0)
             self.ones.append(sum(p))
             self._top = max(self._top, max(p))
-            self._views.append(None)
         return got
 
     def view(self, k: int) -> LaurentPolynomial:
-        got = self._views[k]
+        got = self._views.get(k)
         if got is None:
             coeffs = _unpack(self.polys[k], self.width)
             got = self._views[k] = LaurentPolynomial._trusted(tuple(
@@ -468,9 +477,13 @@ class _KLRecursion:
         return kl[x]
 
     def terms(self, x: int) -> _Terms:
-        """b_x as (y, P_{y,x}) pairs by id."""
+        """b_x as (y, P_{y,x}) pairs by id: the views looked up in C,
+        and built one by one only when one is missing."""
         ys, ks = self.basis(x)
-        return tuple(zip(ys, map(self.view, ks)))
+        try:
+            return tuple(zip(ys, map(self._views.__getitem__, ks)))
+        except KeyError:
+            return tuple(zip(ys, map(self.view, ks)))
 
     def polynomial(self, y: int, x: int) -> LaurentPolynomial:
         """P_{y,x}, zero unless y <= x."""
@@ -569,7 +582,7 @@ class HeckeAlgebra:
     def _check_member(self, x: AffineWeylElement) -> AffineWeylElement:
         if isinstance(x, FiniteWeylElement):
             x = embed_finite(x)
-        if x.datum != self.datum:
+        if x.datum is not self.datum and x.datum != self.datum:
             raise ValueError("element belongs to a different root datum")
         if not self.affine and any(c != 0 for c in x.translation):
             raise ValueError("finite Hecke algebra got an affine element")
@@ -685,7 +698,8 @@ class HeckeAlgebra:
         with self._lock:
             eng = self._engine
             x = eng.table.element_id(x)
-            return eng.polynomial(eng.table.index.get(y, -1), x)
+            y = eng.table.find(y)
+            return eng.polynomial(-1 if y is None else y, x)
 
     def _spherical_row(self, x: int) -> list[tuple[int, int]]:
         """(y, m_{y,x}(1)) by id, for x an id that the table of dominant

@@ -30,7 +30,7 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from weylkit._exact import det_adjugate
 
@@ -150,6 +150,7 @@ class RootDatum:
     simple_indices: tuple[int, ...]
     lattice_basis: tuple[tuple[int, ...], ...]
     root_alpha: tuple[tuple[int, ...], ...]
+    _hash = None  # cached on first use; not a field
 
     def __post_init__(self) -> None:
         for i in range(self.rank):
@@ -160,11 +161,16 @@ class RootDatum:
                     raise ValueError("Cartan off-diagonal must be <= 0")
 
     def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
+        cached = self._hash
         if cached is None:
             cached = hash((self.series, self.variant, self.cartan))
             object.__setattr__(self, "_hash", cached)
         return cached
+
+    def __reduce__(self):
+        # the fields only: the cached hash is a string hash, which
+        # differs between processes
+        return RootDatum, tuple(getattr(self, f.name) for f in fields(self))
 
     def simple_root(self, i: int) -> tuple[Weight, Coroot]:
         return self.positive_roots[self.simple_indices[i]]

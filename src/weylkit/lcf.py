@@ -47,6 +47,7 @@ False
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -322,6 +323,15 @@ def decomposition_matrix(datum: RootDatum, p: int,
     the true simple characters (available for A1 with p prime);
     "auto" picks "simple" when available, else "lcf".
     """
+    return _decomposition_matrix(datum, p, max_len, max_weight, entries)
+
+
+def _decomposition_matrix(datum: RootDatum, p: int, max_len: int | None,
+                          max_weight: int | None, entries: str,
+                          jantzen_only: bool = False) -> DecompositionMatrix:
+    """``decomposition_matrix``, or with ``jantzen_only`` its
+    ``restrict_to_jantzen()``: then only the rows of the Jantzen labels
+    are computed, and only their entries in Jantzen columns kept."""
     h = coxeter_number(datum)
     if p < h:
         raise ValueError(f"p must be at least the Coxeter number {h}")
@@ -354,25 +364,34 @@ def decomposition_matrix(datum: RootDatum, p: int,
     height = _height(datum)
     ids = sorted(ids, key=lambda i: (height(orbit[i][1].coords),
                                      orbit[i][1].coords))
+    bound = p * (p - h + 2)
+    jantzen = [all(n <= bound for n in _rho_pairings(datum, w.coords))
+               for _, w in map(orbit.__getitem__, ids)]
+    # column k for label k, -1 for a label that jantzen_only drops; a
+    # weight outside every label has none
+    col = dict.fromkeys(ids, -1)
+    if jantzen_only:
+        ids = list(itertools.compress(ids, jantzen))
+        jantzen = [True] * len(ids)
+    col.update(zip(ids, itertools.count()))
     labels = tuple(orbit[i] for i in ids)
     if entries == "lcf":
         pos = [None] * len(orbit)
-        for k, i in enumerate(ids):
+        for i, k in col.items():
             pos[i] = k
         rows = [{pos[y]: a for y, a in _lcf_row(datum, i)} for i in ids]
     else:
-        index = {w.coords[0]: k for k, (_, w) in enumerate(labels)}
+        index = {orbit[i][1].coords[0]: k for i, k in col.items()}
         rows = [{index.get(m): a for m, a in
                  _sl2_simple_in_standard_basis(w.coords[0], p).items()}
                 for _, w in labels]
     if any(None in row for row in rows):
         raise RuntimeError("orbit truncation lost a term below a kept label")
-    bound = p * (p - h + 2)
+    for row in rows:
+        row.pop(-1, None)  # a column that jantzen_only drops
     return DecompositionMatrix(
         datum, p, "simple-in-standard", labels,
-        tuple(map(_sparse_row, rows)),
-        tuple(all(n <= bound for n in _rho_pairings(datum, w.coords))
-              for _, w in labels))
+        tuple(map(_sparse_row, rows)), tuple(jantzen))
 
 
 def invert_decomposition(m: DecompositionMatrix) -> DecompositionMatrix:

@@ -11,7 +11,9 @@ Oracles used here and frozen below:
 
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -44,12 +46,17 @@ from weylkit import (
     same_block,
     Weight,
 )
+import weylkit.coxeter
 from weylkit.coxeter import (
     _context,
     _elements_up_to_length,
+    _length,
     _mat_mul,
     _mat_vec,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def bfs_lengths(datum, max_len):
@@ -558,6 +565,221 @@ def test_deep_elements_need_no_recursion():
     assert bruhat_leq(e, x)
     y = multiply(x, s1)
     assert bruhat_leq(y, x) and not bruhat_leq(x, y)
+
+
+# --------------------------------- the group table as the group law's memo
+
+TABLE_STATES = {"not grown": 0, "partly grown": 4, "grown": 16}
+
+
+@pytest.mark.parametrize("state", list(TABLE_STATES))
+@pytest.mark.parametrize("series", ["A1", "A2", "B2", "C2", "G2", "A3"])
+def test_table_products_are_the_arithmetic(series, state):
+    # x s off the group table against the matrix arithmetic, with the
+    # table not grown, grown below the words and grown past them; a
+    # product the table holds is its element, tagged, and untagged
+    # operands give equal elements; no product grows the table
+    _context.cache_clear()
+    datum = build_root_datum(series)
+    group = _context(datum).group
+    group.up_to(TABLE_STATES[state])
+    size = len(group.elems)
+    gens = generators(datum)
+    rng = random.Random(f"table {series} {state}")
+    read = 0
+    for _ in range(40):
+        x = identity_element(datum)
+        for _ in range(rng.randrange(17)):
+            s = rng.randrange(len(gens))
+            y = multiply(x, gens[s])
+            assert (y.finite.matrix, y.translation) == arithmetic_product(
+                x, gens[s])
+            i = x._gid
+            if i is not None and group.right[s][i] >= 0:
+                assert y is group.elems[group.right[s][i]]
+                assert y._gid == group.right[s][i]
+                read += 1
+            for a, g in ((bare(x), gens[s]), (inverse(inverse(x)), gens[s]),
+                         (x, bare(gens[s]))):
+                assert multiply(a, g) == y
+            f = embed_finite(x.finite)
+            fs = multiply(f, gens[s])
+            assert (fs.finite.matrix, fs.translation) == arithmetic_product(
+                f, gens[s])
+            # an untagged operand keeps only its fields
+            assert vars(f).keys() == {"finite", "translation"}
+            x = y
+    assert len(group.elems) == size
+    assert (read > 0) == (state != "not grown")
+
+
+def test_tags_outlive_their_context():
+    # elements numbered by one context, times the generators of the next
+    # one: ids are canonical, so the new table reads the old tags, at
+    # each state of its growth
+    datum = build_root_datum("B2")
+    _context.cache_clear()
+    old = _elements_up_to_length(datum, 8)
+    old_gens = generators(datum)
+    for grown in (0, 4, 10):
+        _context.cache_clear()
+        group = _context(datum).group
+        group.up_to(grown)
+        gens = generators(datum)
+        assert not any(g is h for g, h in zip(gens, old_gens))
+        for x in old:
+            for s, g in enumerate(gens):
+                xs = multiply(x, g)
+                assert (xs.finite.matrix, xs.translation) == (
+                    arithmetic_product(x, g))
+                assert multiply(x, old_gens[s]) == xs
+            assert length(x) == _length(x)
+            assert reduced_word(x) == greedy_word(bare(x))
+        assert [group.element_id(x) for x in old] == [x._gid for x in old]
+
+
+@pytest.mark.parametrize("series", ["A2", "G2", "A3"])
+def test_table_ids_are_canonical(series):
+    # two fresh contexts number equal elements alike; the identity is
+    # id 0 and each generator is numbered itself
+    datum = build_root_datum(series)
+    walks = []
+    for _ in range(2):
+        _context.cache_clear()
+        walks.append(_elements_up_to_length(datum, 7))
+        gens = generators(datum)
+        assert walks[-1][0] is identity_element(datum)
+        assert walks[-1][1:len(gens) + 1] == gens
+        assert all(a is b for a, b in zip(walks[-1][1:], gens))
+    first, second = walks
+    assert first == second
+    assert ([x._gid for x in first] == [x._gid for x in second]
+            == list(range(len(first))))
+
+
+def test_products_read_while_the_table_grows():
+    # eight threads multiply words while a ninth grows the table: each
+    # read of the table sees a product the table has finished
+    datum = build_root_datum("G2")
+    rng = random.Random(19)
+    words = [[rng.randrange(3) for _ in range(rng.randrange(30))]
+             for _ in range(60)]
+    expected = []
+    for word in words:
+        x = bare(identity_element(datum))
+        for i in word:
+            m, t = arithmetic_product(x, generators(datum)[i])
+            x = AffineWeylElement(FiniteWeylElement(datum, m), t)
+        expected.append(x)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _context.cache_clear()
+            group = _context(datum).group
+            barrier = threading.Barrier(9)
+
+            def grow():
+                barrier.wait(timeout=30)
+                for n in range(1, 31):
+                    group.up_to(n)
+
+            def walk():
+                barrier.wait(timeout=30)
+                gens = generators(datum)
+                out = []
+                for word in words:
+                    x = identity_element(datum)
+                    for i in word:
+                        x = multiply(x, gens[i])
+                    out.append(x)
+                return out
+
+            with ThreadPoolExecutor(max_workers=9) as pool:
+                grower = pool.submit(grow)
+                futures = [pool.submit(walk) for _ in range(8)]
+                got = [f.result(timeout=60) for f in futures]
+                grower.result(timeout=60)
+            for out in got:
+                assert out == expected
+                assert all(x is group.elems[x._gid] for x in out
+                           if x._gid is not None)
+            assert len(set(group.elems)) == len(group.elems)
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_tagged_products_across_data_still_raise():
+    a2 = build_root_datum("A2")
+    x = _elements_up_to_length(a2, 3)[-1]
+    assert x._gid is not None
+    for other in (build_root_datum("B2"), build_root_datum("A2", "adjoint")):
+        _elements_up_to_length(other, 3)
+        for g in generators(other):
+            with pytest.raises(ValueError, match="different root data"):
+                multiply(x, g)
+
+
+@pytest.mark.parametrize("series,max_len", [
+    ("A2", 9), ("B2", 9), ("G2", 9), ("A3", 6)])
+def test_length_and_word_by_id(series, max_len, monkeypatch):
+    # a numbered element's length and word are read off the table, with
+    # no length computed, and agree with the arithmetic and the greedy
+    # word of an untagged copy
+    _context.cache_clear()
+    datum = build_root_datum(series)
+    elements = _elements_up_to_length(datum, max_len)
+    oracle = [(_length(bare(x)), greedy_word(bare(x))) for x in elements]
+    computed = []
+
+    def counted(x):
+        computed.append(x)
+        return _length(x)
+
+    monkeypatch.setattr(weylkit.coxeter, "_length", counted)
+    assert [(length(x), reduced_word(x)) for x in elements] == oracle
+    assert computed == []
+    assert [(length(bare(x)), reduced_word(bare(x)))
+            for x in elements] == oracle
+
+
+PICKLE_DUMP = """
+import pickle, sys
+from weylkit import build_root_datum
+from weylkit.coxeter import _elements_up_to_length
+d = build_root_datum("A2")
+x = _elements_up_to_length(d, 3)[-1]
+hash(d), hash(x)
+sys.stdout.buffer.write(pickle.dumps((d, x)))
+"""
+
+PICKLE_LOAD = """
+import pickle, sys
+from weylkit import affine_hecke, build_root_datum, kl_basis_element
+from weylkit.coxeter import _context, _elements_up_to_length
+d = build_root_datum("A2")
+y = _elements_up_to_length(d, 3)[-1]
+ctx, alg = _context(d), affine_hecke(d)
+dp, x = pickle.loads(sys.stdin.buffer.read())
+print(x == y, x in {y}, y in {x}, x.finite in {y.finite}, dp in {d},
+      _context(dp) is ctx, affine_hecke(dp) is alg,
+      kl_basis_element(x) == kl_basis_element(y))
+"""
+
+
+def test_pickled_elements_hash_alike_in_another_process():
+    # the cached hashes come from string hashes, which differ between
+    # processes, so they must not travel with the fields
+    env = {**os.environ, "PYTHONPATH": SRC}
+    dumped = subprocess.run(
+        [sys.executable, "-c", PICKLE_DUMP], capture_output=True,
+        env={**env, "PYTHONHASHSEED": "1"})
+    assert dumped.returncode == 0, dumped.stderr.decode()
+    loaded = subprocess.run(
+        [sys.executable, "-c", PICKLE_LOAD], input=dumped.stdout,
+        capture_output=True, env={**env, "PYTHONHASHSEED": "2"})
+    assert loaded.returncode == 0, loaded.stderr.decode()
+    assert loaded.stdout.split() == [b"True"] * 8
 
 
 # ------------------------------------- minimality from the dot action

@@ -40,6 +40,7 @@ from weylkit import (
     bar,
     build_root_datum,
     coxeter_number,
+    decomposition_matrix,
     embed_finite,
     enumerate_finite_weyl,
     evaluate_at_one,
@@ -56,7 +57,7 @@ from weylkit import (
 )
 from weylkit.coxeter import _context
 
-from test_coxeter import greedy_word
+from test_coxeter import bare, greedy_word
 from test_lcf import YieldingList, check_alcove_table
 
 V = LaurentPolynomial.v()
@@ -952,3 +953,42 @@ def test_algebra_caching():
     assert affine_hecke(datum) is affine_hecke(datum)
     assert finite_hecke(datum) is finite_hecke(datum)
     assert affine_hecke(datum) is not finite_hecke(datum)
+
+
+def test_coefficient_reads_the_sorted_terms(fresh_context):
+    # the coefficient of h_y, found by bisection, against the terms read
+    # as a dict, for tagged and untagged y, y outside the support and y
+    # longer than every numbered element
+    datum = build_root_datum("B2")
+    els = elements_up_to(datum, 7)
+    longer = identity_element(datum)
+    for i in [2, 0, 1] * 6:
+        longer = multiply(longer, generators(datum)[i])
+    for x in els[::3]:
+        b = kl_basis_element(x)
+        terms = dict(b.terms)
+        for y in els + [longer]:
+            assert b.coefficient(y) == terms.get(y, ZERO)
+            assert b.coefficient(bare(y)) == terms.get(y, ZERO)
+    w0 = longest_finite_element(datum)
+    b = kl_basis_element(w0)
+    for w, _ in enumerate_finite_weyl(datum):
+        assert b.coefficient(w) == dict(b.terms)[embed_finite(w)]
+
+
+def test_views_are_built_for_read_entries_only(fresh_context):
+    # b_x views the pool entries of its own row, shared with every later
+    # reader; the spherical rows, which nobody views, build none
+    datum = build_root_datum("G2")
+    alg = affine_hecke(datum)
+    decomposition_matrix(datum, 7, max_len=14)
+    assert alg._spherical._views == {}
+    eng = alg._engine
+    read = set()
+    for x in elements_up_to(datum, 9)[::7]:
+        b = alg.kl_basis_element(x)
+        read.update(eng.basis(eng.table.element_id(x))[1])
+        assert eng._views.keys() == read
+        again = alg.kl_basis_element(bare(x))
+        assert all(p is q for (_, p), (_, q) in zip(b._terms, again._terms))
+    assert len(eng.polys) > len(read)

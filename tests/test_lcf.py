@@ -65,7 +65,11 @@ from weylkit.charring import (
     _weyl_cached,
 )
 from weylkit.coxeter import _LEAF, AffineWeylElement, _context
-from weylkit.lcf import _max_len_for_weight_bound, _sl2_alcove_id
+from weylkit.lcf import (
+    _decomposition_matrix,
+    _max_len_for_weight_bound,
+    _sl2_alcove_id,
+)
 
 from test_coxeter import bfs_lengths, greedy_word
 
@@ -952,3 +956,54 @@ def test_inverse_is_bareiss_on_the_gate_grid(series, variant, p):
         n = len(inv)
         assert all(sum(m.entries[i][k] * inv[k][j] for k in range(n))
                    == (i == j) for i in range(n) for j in range(n)), bound
+
+
+@pytest.mark.parametrize("series,variant,p", GATE_GRID)
+def test_jantzen_only_is_the_restriction(series, variant, p):
+    datum = build_root_datum(series, variant)
+    for bound in gate_bounds(series):
+        full = decomposition_matrix(datum, p, **bound)
+        got = _decomposition_matrix(datum, p, bound.get("max_len"),
+                                    bound.get("max_weight"), "auto",
+                                    jantzen_only=True)
+        assert got == full.restrict_to_jantzen(), bound
+
+
+@pytest.mark.parametrize("bound", [{"max_len": 24}, {"max_weight": 30}])
+def test_jantzen_only_computes_the_jantzen_rows_only(bound, monkeypatch):
+    calls = []
+    spherical_row = HeckeAlgebra._spherical_row
+
+    def counted(alg, x):
+        calls.append(x)
+        return spherical_row(alg, x)
+
+    monkeypatch.setattr(HeckeAlgebra, "_spherical_row", counted)
+    g2 = build_root_datum("G2")
+    m = _decomposition_matrix(g2, 7, bound.get("max_len"),
+                              bound.get("max_weight"), "lcf",
+                              jantzen_only=True)
+    index = _context(g2).alcoves.index
+    assert 0 < len(m.labels) == len(calls)
+    assert calls == [index[x] for x, _ in m.labels]
+    assert all(jantzen_condition(x, 7) for x, _ in m.labels)
+
+
+def test_jantzen_only_drops_the_other_columns(monkeypatch):
+    # no data checked has a Jantzen row with an entry in another column,
+    # so give every row one, at the longest label, which is no Jantzen
+    # label here: both ways of restricting must drop it
+    g2 = build_root_datum("G2")
+    lcf_row = weylkit.lcf._lcf_row
+    top = len(dominant_orbit(g2, 7, 16)) - 1
+
+    def padded(datum, x):
+        return lcf_row(datum, x) + [(top, 7)]
+
+    monkeypatch.setattr(weylkit.lcf, "_lcf_row", padded)
+    full = decomposition_matrix(g2, 7, max_len=16)
+    assert not full.jantzen[full.weights().index(dominant_orbit(
+        g2, 7, 16)[top][1])]
+    got = _decomposition_matrix(g2, 7, 16, None, "lcf", jantzen_only=True)
+    assert got == full.restrict_to_jantzen()
+    assert len(got.labels) > 1
