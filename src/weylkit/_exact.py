@@ -31,6 +31,17 @@ def _bareiss(rows: list[list[int]], n: int) -> int:
     return prev
 
 
+def det(m) -> int:
+    """Determinant of a square integer matrix, from one Bareiss pass.
+
+    >>> det([[2, -1], [-1, 2]]), det([[1, 2], [2, 4]])
+    (3, 0)
+    """
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("matrix must be square")
+    return _bareiss([list(row) for row in m], len(m))
+
+
 def det_adjugate(m) -> tuple[int, list[list[int]]]:
     """Determinant and adjugate of a square integer matrix:
     m * adj = adj * m = det * I.

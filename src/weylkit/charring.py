@@ -66,7 +66,8 @@ from weylkit.lattice import (
     build_root_datum,
     is_dominant,
 )
-from weylkit.coxeter import _one_handle_per_datum, enumerate_finite_weyl
+from weylkit.coxeter import (_one_handle_per_datum, enumerate_finite_weyl,
+                             generators)
 
 __all__ = [
     "Character",
@@ -346,7 +347,6 @@ def is_weyl_invariant(datum: RootDatum, ch: Character) -> bool:
     """Is the support-with-multiplicity stable under every simple
     reflection?
     """
-    from weylkit.coxeter import generators
     gens = generators(datum)[:datum.rank]
     table = ch.as_dict()
     for g in gens:
@@ -463,8 +463,8 @@ def _weyl_memo(datum: RootDatum) -> dict[Weight, Character]:
 
 
 def _weyl_cached(datum: RootDatum, highest: Weight) -> Character:
-    """``weyl_character(datum, highest)``, memoised per datum, so
-    ``_context.cache_clear()`` drops it."""
+    """``weyl_character(datum, highest)``, memoised in a handle of the
+    datum's context, so ``_context.cache_clear()`` drops it."""
     memo = _weyl_memo(datum)
     got = memo.get(highest)
     if got is None:

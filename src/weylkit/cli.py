@@ -140,6 +140,8 @@ def _parse_word(spec: str, dihedral: bool) -> list[int]:
 
 
 def _cmd_kl(args) -> str:
+    if args.dihedral and args.series not in (None, "A1"):
+        raise _UsageError("--dihedral fixes the series to A1")
     series = "A1" if args.dihedral else args.series
     if series is None:
         raise _UsageError("a series is required unless --dihedral is given")

@@ -15,6 +15,12 @@ context is then read off the table, the product it already computed
 for x s, and the length and reduced word of a numbered x are read off
 the table too; untagged elements go through the arithmetic.
 
+Per-datum state has one owner, the datum's context (``_Context``): its
+tables, the memos of finite parts, the handles that other modules build
+once per datum (``_one_handle_per_datum``) and the one re-entrant lock
+that guards them.  ``_context.cache_clear()`` drops every context, and
+with it everything built on one.
+
 Generator indexing: indices 0 .. rank-1 are the finite simple
 reflections, index rank is the extra affine reflection s0.
 
@@ -190,7 +196,15 @@ class _Context:
     for the datum, so the id is a function of the element, as its
     cached hash is, and not a memo keyed by element: a tag from an
     earlier context of the datum names the same element in this one,
-    once its table has numbered that far."""
+    once its table has numbered that far.
+
+    The context also owns the datum's handles, ``handles`` by builder
+    (see ``_one_handle_per_datum``), so that dropping the context drops
+    them, and the datum's one re-entrant ``lock``, which its three
+    tables and every Hecke algebra of the datum take.  All that the
+    lock guards is pure Python under the GIL, so one lock per datum
+    serialises nothing that could run in parallel, and with one lock
+    there is no lock order to keep."""
 
     def __init__(self, datum: RootDatum) -> None:
         self.datum = datum
@@ -216,9 +230,11 @@ class _Context:
             w.coords: k for k, (w, _) in enumerate(datum.positive_roots)}
         self.origin = Weight(zero)
         self.inversions_memo: dict[Matrix, tuple[bool, ...]] = {}
-        self.group = _Table(self.identity, self.gens, tag=True)
-        self.finite = _Table(self.identity, self.finite_gens)
-        self.alcoves = _Table(self.identity, self.gens,
+        self.handles: dict[object, object] = {}
+        self.lock = threading.RLock()
+        self.group = _Table(self.identity, self.gens, self.lock, tag=True)
+        self.finite = _Table(self.identity, self.finite_gens, self.lock)
+        self.alcoves = _Table(self.identity, self.gens, self.lock,
                               member=self.is_alcove)
 
     @cached_property
@@ -293,20 +309,21 @@ class _Table:
     ``complete`` is set when a level finds nothing new: the group is
     finite and every element has its id.
 
-    A level is grown whole under ``lock``, and every question about what
-    is enumerated goes through it, so no reader sees half a level.  The
-    entries of a complete level below the top never change again.  A
-    caller that holds a Hecke handle's lock may take this one; never
-    the reverse.  ``multiply``, ``length`` and ``find`` read without
-    the lock, and only what is set once: ``elems`` and ``lens`` only
-    grow, and an entry of ``right`` goes once from -1 to an id, after
-    the element of that id is appended, tagged and given its entries.
+    A level is grown whole under ``lock``, the lock of the datum's
+    context, and every question about what is enumerated goes through
+    it, so no reader sees half a level.  The entries of a complete level
+    below the top never change again.  ``multiply``, ``length`` and
+    ``find`` read without the lock, and only what is set once: ``elems``
+    and ``lens`` only grow, and an entry of ``right`` goes once from -1
+    to an id, after the element of that id is appended, tagged and
+    given its entries.
     """
 
     def __init__(self, identity: AffineWeylElement,
-                 gens: list[AffineWeylElement], member=None,
-                 tag: bool = False) -> None:
+                 gens: list[AffineWeylElement], lock: threading.RLock,
+                 member=None, tag: bool = False) -> None:
         self.gens = gens
+        self.lock = lock
         self.member = member
         self.tag = tag
         if tag:
@@ -317,7 +334,6 @@ class _Table:
         self.right = [[-1] for _ in gens]
         self.last = [-1]
         self.complete = False
-        self.lock = threading.RLock()
 
     def _grow(self) -> None:
         """Enumerate the level one longer than the longest so far.  Every
@@ -415,48 +431,45 @@ class _Table:
         return out
 
 
-_HANDLES: list[dict] = []  # the memo of every builder below
+_CONTEXTS: dict[RootDatum, _Context] = {}
+_CONTEXTS_LOCK = threading.Lock()
+
+
+def _context(datum: RootDatum) -> _Context:
+    """The context of the datum, built on first use under the one lock
+    that creates contexts, so that concurrent first calls share it.
+    ``_context.cache_clear()`` drops every context, and with them every
+    handle built on one."""
+    got = _CONTEXTS.get(datum)
+    if got is None:
+        with _CONTEXTS_LOCK:
+            got = _CONTEXTS.get(datum)
+            if got is None:
+                got = _CONTEXTS[datum] = _Context(datum)
+    return got
+
+
+_context.cache_clear = _CONTEXTS.clear
 
 
 def _one_handle_per_datum(build):
-    """Memoise ``build`` per datum.  A first call builds under a lock of
-    its own, so that concurrent first calls share one handle, and a
-    handle is stored only once built; ``cache_clear`` drops the
-    handles.  Every memo is registered in ``_HANDLES``, so that
-    ``_context.cache_clear()`` can drop the handles built on the
-    contexts it drops."""
-    handles: dict[RootDatum, object] = {}
-    _HANDLES.append(handles)
-    lock = threading.Lock()
+    """Memoise ``build`` per datum, in the ``handles`` of the datum's
+    context.  A first call builds under the context's lock, so that
+    concurrent first calls share one handle, and a handle is stored
+    only once built."""
 
     @wraps(build)
     def handle(datum: RootDatum):
-        got = handles.get(datum)
+        ctx = _context(datum)
+        got = ctx.handles.get(build)
         if got is None:
-            with lock:
-                got = handles.get(datum)
+            with ctx.lock:
+                got = ctx.handles.get(build)
                 if got is None:
-                    got = handles[datum] = build(datum)
+                    got = ctx.handles[build] = build(datum)
         return got
 
-    handle.cache_clear = handles.clear
     return handle
-
-
-@_one_handle_per_datum
-def _context(datum: RootDatum) -> _Context:
-    return _Context(datum)
-
-
-def _clear_contexts() -> None:
-    """Drop every context and every handle built on one, such as the
-    Hecke algebras of ``weylkit.hecke``, which keep their context's
-    tables."""
-    for handles in _HANDLES:
-        handles.clear()
-
-
-_context.cache_clear = _clear_contexts
 
 
 def identity_element(datum: RootDatum) -> AffineWeylElement:

@@ -11,11 +11,11 @@ where P_{y,x} has nonnegative coefficients supported on exponents in
 
 The basis {b_x} comes from a private integer-indexed recursion in the
 style of du Cloux (Experiment. Math. 11, 2002), whose rows and pool each
-algebra handle owns, under the handle's lock:
+algebra handle owns, under the lock of the datum's context:
 
 * ids: the datum's context in ``weylkit.coxeter`` owns one table of
   the affine group and one of W_f, shared by every handle of the
-  datum, each grown level by level under its own lock: every element
+  datum, each grown level by level under the same lock: every element
   of length <= L has an integer id in (length, reduced word) order,
   and the table is extended when a longer x is asked for; an element
   that the group table numbered carries its id, which is read
@@ -63,7 +63,6 @@ v^2
 from __future__ import annotations
 
 import sys
-import threading
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -556,11 +555,11 @@ class HeckeAlgebra:
 
     Each handle owns the Kazhdan-Lusztig rows and pool of its group and
     its bar memo, keyed by id, and an affine handle also owns the rows
-    and the pool of its spherical module; one lock guards all three, so
-    concurrent calls see a single logical table.  The ids come from the
-    tables of the datum's context (the affine group or W_f, and the
-    dominant alcoves), which every handle of the datum shares; each has
-    a lock of its own, taken inside this one.  A left product finds
+    and the pool of its spherical module.  The ids come from the tables
+    of the datum's context (the affine group or W_f, and the dominant
+    alcoves), which every handle of the datum shares.  One lock guards
+    all of these, the context's lock, which the tables take as well, so
+    concurrent calls see a single logical table.  A left product finds
     each s x by the group law, and the spherical rows are read by
     alcove id.
     """
@@ -573,7 +572,7 @@ class HeckeAlgebra:
         self.gens = list(self._engine.table.gens)
         self._spherical = _KLRecursion(ctx.alcoves) if affine else None
         self._bar_memo = {0: self.unit()._terms}
-        self._lock = threading.RLock()
+        self._lock = ctx.lock
 
     def _check_same(self, other: HeckeElement) -> None:
         if other.algebra is not self:
@@ -613,8 +612,7 @@ class HeckeAlgebra:
         """terms times h_s + c, ``action[x]`` being the id of x s: h_x goes
         to h_{xs} plus h_x times ``down`` (c + v^{-1} - v) if xs < x, else
         ``up`` (c).  Under the lock.  The group table first enumerates
-        the length after the longest x (the last term), under its own
-        lock, as another handle may be growing it."""
+        the length after the longest x (the last term)."""
         if terms:
             table = self._engine.table
             table.up_to(table.lens[terms[-1][0]] + 1)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from weylkit._exact import det_adjugate, is_prime, smith_diagonal
+from weylkit._exact import det, is_prime, smith_diagonal
 
 __all__ = [
     "FgAbelianGroup",
@@ -329,21 +329,17 @@ def cone_ic_plus(H_link: GradedAbelianGroup, d: int) -> StalkTable:
 def mod_p_simple(H_link: GradedAbelianGroup, d: int, p: int) -> bool:
     """Does reducing the integral model mod p give the field-model
     stalks?  Compares the field dimensions degree by degree with the
-    coefficient reduction of the truncated integral stalks.
+    coefficient reduction (``uct_field``) of the truncated integral
+    stalks, shifted from degrees -d .. -1 to 0 .. d-1.
 
     >>> mod_p_simple(link_preset("rp3"), 2, 2)
     False
     """
     field = cone_ic_stalks_field(H_link, d, p).point_entries()
-    integral = cone_ic_integral(H_link, d).point_entries()
-    for i in range(-d, 0):
-        g = integral[i]
-        nxt = integral.get(i + 1, FgAbelianGroup.zero())
-        reduced = (g.free_rank + g.p_torsion_count(p)
-                   + nxt.p_torsion_count(p))
-        if field[i] != reduced:
-            return False
-    return True
+    stalks = cone_ic_integral(H_link, d).point_entries()
+    reduced = uct_field(GradedAbelianGroup.from_dict(
+        {i + d: g for i, g in stalks.items()}), p)
+    return all(field[i] == reduced.get(i + d, 0) for i in range(-d, 0))
 
 
 def intersection_form_semisimple(form, p: int) -> bool:
@@ -356,17 +352,14 @@ def intersection_form_semisimple(form, p: int) -> bool:
     True
     """
     mat = [list(row) for row in form]
-    n = len(mat)
-    if any(len(row) != n for row in mat):
+    if any(len(row) != len(mat) for row in mat):
         raise ValueError("matrix must be square")
     _check_ints([x for row in mat for x in row], "matrix entries")
-    for i in range(n):
-        for j in range(n):
-            if mat[i][j] != mat[j][i]:
-                raise ValueError("matrix must be symmetric")
+    if mat != [list(col) for col in zip(*mat)]:
+        raise ValueError("matrix must be symmetric")
     _check_characteristic(p)
-    det, _ = det_adjugate(mat)
-    return det % p != 0 if p else det != 0
+    d = det(mat)
+    return d % p != 0 if p else d != 0
 
 
 def cotangent_self_intersection(euler_characteristic: int) -> int:

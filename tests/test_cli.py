@@ -304,6 +304,8 @@ def test_intersection_form_json(capsys):
     (["lcf", "A2", "--p", "5", "--max-len", "3", "--out", "/nonexistent/x"],
      3),
     (["lcf", "A2", "--p", "5", "--max-len", "3", "--out", "."], 3),
+    # --dihedral names affine A1's elements: no other series
+    (["kl", "A2", "--dihedral", "--x", "w2", "--y", "id"], 2),
 ])
 def test_exit_codes(capsys, argv, code):
     got, out, err = run(capsys, argv)
@@ -315,6 +317,14 @@ def test_sl2_check_rejects_every_non_prime_alike(capsys):
     for p in ("0", "1", "4"):
         code, out, err = run(capsys, ["sl2-check", "--p", p, "--upto", "3"])
         assert (code, out, err) == (3, "", f"error: {p} is not prime\n")
+
+
+def test_dihedral_fixes_the_series(capsys):
+    argv = ["kl", "--dihedral", "--x", "w2", "--y", "id"]
+    assert run(capsys, ["kl", "A2"] + argv[1:]) == (
+        2, "", "error: --dihedral fixes the series to A1\n")
+    assert run(capsys, ["kl", "A1"] + argv[1:]) == run(capsys, argv) == (
+        0, "v^2\n", "")
 
 
 def test_argparse_errors_exit_two(capsys):

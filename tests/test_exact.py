@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylkit._exact
 from weylkit import build_root_datum
 from weylkit._exact import (
     base_p_digits, det_adjugate, is_prime, smith_diagonal,
@@ -99,6 +100,7 @@ def test_adjugate_identity_on_root_data(series):
         det, adj = det_adjugate(m)
         assert det == fraction_det(m) != 0
         assert matmul(m, adj) == matmul(adj, m) == scalar(det, n)
+        assert weylkit._exact.det(m) == det
     assert det_adjugate(cartan)[0] > 0  # so integer heights keep the order
 
 
@@ -109,6 +111,7 @@ def test_det_adjugate_matches_fraction_elimination(m):
     assert det == fraction_det(m)
     assert adj == cofactor_adjugate(m)
     assert matmul(m, adj) == scalar(det, len(m))
+    assert weylkit._exact.det(m) == det
 
 
 def with_dependent_last_row(m):
@@ -124,11 +127,36 @@ def test_det_adjugate_on_singular_matrices(m):
     assert det == fraction_det(m) == 0
     assert adj == cofactor_adjugate(m)
     assert matmul(m, adj) == matmul(adj, m) == scalar(0, len(m))
+    assert weylkit._exact.det(m) == 0
 
 
 def test_det_adjugate_rejects_non_square():
     with pytest.raises(ValueError):
         det_adjugate([[1, 2]])
+    with pytest.raises(ValueError):
+        weylkit._exact.det([[1, 2]])
+
+
+def affine_cartan(n):
+    """The Cartan form of affine A_{n-1}: 2 on the diagonal, -1 between
+    cyclic neighbours; singular, as the sum of its rows is zero."""
+    return [[2 if i == j else -1 if (i - j) % n in (1, n - 1) else 0
+             for j in range(n)] for i in range(n)]
+
+
+def test_det_of_a_singular_form_is_one_pass(monkeypatch):
+    # det_adjugate would go on to n^2 cofactor determinants
+    calls = []
+    bareiss = weylkit._exact._bareiss
+
+    def counted(rows, n):
+        calls.append(n)
+        return bareiss(rows, n)
+
+    monkeypatch.setattr(weylkit._exact, "_bareiss", counted)
+    m = affine_cartan(12)
+    assert weylkit._exact.det(m) == 0 and calls == [12]
+    assert m == affine_cartan(12)  # the input is left as it was
 
 
 def lower_unitriangular(m):

@@ -845,9 +845,8 @@ def test_pool_widened_mid_recursion_keeps_its_rows(series, max_len):
 @pytest.fixture
 def fresh_context():
     _context.cache_clear()
-    affine_hecke.cache_clear()
     yield
-    affine_hecke.cache_clear()
+    _context.cache_clear()
 
 
 def test_second_handle_reads_the_walked_group(fresh_context, monkeypatch):
@@ -920,7 +919,7 @@ def first_calls_get_one_handle(handle, rounds):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(rounds):
-            handle.cache_clear()
+            _context.cache_clear()
             barrier = threading.Barrier(8)
 
             def first_call():

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+import weylkit._exact
 from weylkit import (
     FgAbelianGroup,
     GradedAbelianGroup,
@@ -24,6 +25,9 @@ from weylkit import (
     perverse_constraint_check,
     uct_field,
 )
+from weylkit._exact import det_adjugate
+
+from test_exact import affine_cartan
 
 RP3 = link_preset("rp3")
 
@@ -280,6 +284,34 @@ def test_intersection_forms():
     for form in ([["a"]], [[1.5]], [[True]], [[2, 1.0], [1.0, 2]]):
         with pytest.raises(ValueError):
             intersection_form_semisimple(form, 3)
+
+
+def test_singular_form_takes_one_elimination(monkeypatch):
+    # the affine A11 Cartan form: the determinant alone, with none of the
+    # adjugate's 144 cofactor determinants
+    calls = []
+    bareiss = weylkit._exact._bareiss
+
+    def counted(rows, n):
+        calls.append(n)
+        return bareiss(rows, n)
+
+    monkeypatch.setattr(weylkit._exact, "_bareiss", counted)
+    for p in (0, 2, 3):
+        calls.clear()
+        assert not intersection_form_semisimple(affine_cartan(12), p)
+        assert calls == [12]
+
+
+@pytest.mark.parametrize("form", [
+    [[-2]], [[2, 1], [1, 2]], [], [[1]], [[2, -1], [-1, 2]],
+    [[4, 2], [2, 1]], affine_cartan(3), affine_cartan(12),
+    [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [[0, 5], [5, 0]]])
+def test_semisimple_reads_the_adjugate_determinant(form):
+    d = det_adjugate(form)[0]
+    for p in (0, 2, 3, 5, 7):
+        assert intersection_form_semisimple(form, p) == (
+            d % p != 0 if p else d != 0)
 
 
 def test_cotangent_self_intersection():

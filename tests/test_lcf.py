@@ -9,6 +9,7 @@ wall-crossing bound marks exactly those two rows as out of range.
 import json
 import random
 import sys
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylkit.charring
 import weylkit.coxeter
 import weylkit.hecke
 import weylkit.lcf
@@ -37,6 +39,7 @@ from weylkit import (
     embed_finite,
     expand_in_standard_basis,
     evaluate_at_one,
+    finite_hecke,
     generators,
     identity_element,
     invert_decomposition,
@@ -384,9 +387,9 @@ def test_spherical_rows_are_kl_polynomials_of_the_bruhat_ideal(case, data):
 
 @pytest.fixture
 def fresh_affine_hecke():
-    affine_hecke.cache_clear()
+    _context.cache_clear()
     yield
-    affine_hecke.cache_clear()
+    _context.cache_clear()
 
 
 def test_lcf_coefficients_shared_by_many_threads(fresh_affine_hecke):
@@ -401,7 +404,7 @@ def test_lcf_coefficients_shared_by_many_threads(fresh_affine_hecke):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(8):
-            affine_hecke.cache_clear()
+            _context.cache_clear()
             eng = affine_hecke(datum)._spherical.table
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [pool.submit(lcf_coefficients, x, 5) for x in order]
@@ -416,9 +419,8 @@ def test_lcf_coefficients_shared_by_many_threads(fresh_affine_hecke):
 @pytest.fixture
 def fresh_context():
     _context.cache_clear()
-    affine_hecke.cache_clear()
     yield
-    affine_hecke.cache_clear()
+    _context.cache_clear()
 
 
 def test_orbit_and_rows_walk_the_alcoves_once(fresh_context, monkeypatch):
@@ -533,7 +535,6 @@ def test_alcove_table_shared_by_orbit_walks_and_two_handles(fresh_context):
     try:
         for trial in range(10):
             _context.cache_clear()
-            affine_hecke.cache_clear()
             table = _context(datum).alcoves
             table.lens = YieldingList(table.lens)
             table.last = YieldingList(table.last)
@@ -559,6 +560,101 @@ def test_alcove_table_shared_by_orbit_walks_and_two_handles(fresh_context):
             assert _context(datum).alcoves is table
             assert all(h._spherical.table is table for h in handles)
             check_alcove_table(table, datum, p)
+    finally:
+        sys.setswitchinterval(old)
+
+
+def in_threads(targets, timeout=120):
+    """Run each target in a daemon thread of its own, and fail if any of
+    them is still running after the timeout: a deadlocked thread is left
+    behind, and the test fails instead of hanging."""
+    threads = [threading.Thread(target=t, daemon=True) for t in targets]
+    for t in threads:
+        t.start()
+    deadline = time.monotonic() + timeout
+    for t in threads:
+        t.join(max(0.0, deadline - time.monotonic()))
+    assert not any(t.is_alive() for t in threads), "deadlock"
+
+
+def first_calls_across_layers():
+    """(name, call) pairs that between them walk the dominant alcoves,
+    build the affine and finite handles of G2 and the affine one of A1,
+    build G2's Weyl constants (which walk the finite table) and fill
+    the Weyl memo, KL rows of both algebras and spherical rows."""
+    g2 = build_root_datum("G2")
+    w0 = longest_finite_element(g2)
+    orbit = orbit_elements("G2", 7, 8)
+    return [
+        ("orbit", lambda: dominant_orbit(g2, 7, 10)),
+        ("affine", lambda: affine_hecke(g2)),
+        ("finite", lambda: finite_hecke(g2)),
+        ("weyl", lambda: weyl_character(g2, Weight((2, 1)))),
+        ("expand", lambda: expand_in_standard_basis(
+            g2, weyl_character(g2, Weight((1, 2))))),
+        ("kl affine", lambda: [kl_basis_element(x).terms for x in orbit]),
+        ("kl finite", lambda: kl_basis_element(w0).terms),
+        ("kl w0", lambda: kl_basis_element(embed_finite(w0)).terms),
+        ("lcf", lambda: [lcf_coefficients(x, 7) for x in orbit]),
+        ("sl2", lambda: [sl2_lcf_valid(n, 5) for n in (0, 8, 10, 48)]),
+    ]
+
+
+def test_first_calls_across_layers_on_one_fresh_context(
+        fresh_context, monkeypatch):
+    # threads released together on fresh contexts, switching often, each
+    # making the first calls of every layer in its own order: all of them
+    # take the one lock of the datum, so a second lock taken in the
+    # other order would deadlock here, and a handle built twice or a
+    # table grown twice would show in the counts or the results
+    calls = first_calls_across_layers()
+    expected = {}
+    in_threads([lambda: expected.update(
+        (name, call()) for name, call in calls)])
+    built = []
+    init = HeckeAlgebra.__init__
+
+    def counted_init(self, datum, affine=True):
+        built.append((datum.series, affine))
+        init(self, datum, affine)
+
+    constants = weylkit.charring._WeylConstants
+
+    def counted_constants(*args):
+        built.append(("constants",))
+        return constants(*args)
+
+    monkeypatch.setattr(HeckeAlgebra, "__init__", counted_init)
+    monkeypatch.setattr(weylkit.charring, "_WeylConstants", counted_constants)
+    g2 = build_root_datum("G2")
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(5):
+            _context.cache_clear()
+            built.clear()
+            barrier = threading.Barrier(8)
+            results = [None] * 8
+
+            def run(k):
+                order = random.Random(f"{trial} {k}").sample(calls, len(calls))
+                barrier.wait(timeout=30)
+                results[k] = {name: call() for name, call in order}
+
+            in_threads([lambda k=k: run(k) for k in range(8)])
+            assert sorted(built) == sorted(
+                [("A1", True), ("G2", False), ("G2", True), ("constants",)])
+            for got in results:
+                assert got["affine"] is affine_hecke(g2)
+                assert got["finite"] is finite_hecke(g2)
+                assert got["affine"]._lock is got["finite"]._lock is (
+                    _context(g2).lock)
+                for name, value in got.items():
+                    if name not in ("affine", "finite"):
+                        assert value == expected[name], name
+            table = _context(g2).alcoves
+            assert len(set(table.elems)) == len(table.elems) == len(
+                table.index)
     finally:
         sys.setswitchinterval(old)
 
@@ -956,6 +1052,17 @@ def test_inverse_is_bareiss_on_the_gate_grid(series, variant, p):
         n = len(inv)
         assert all(sum(m.entries[i][k] * inv[k][j] for k in range(n))
                    == (i == j) for i in range(n) for j in range(n)), bound
+
+
+@pytest.mark.parametrize("series,variant,p", GATE_GRID)
+def test_jantzen_labels_are_closed_downward(series, variant, p):
+    # no Jantzen row has an entry in a non-Jantzen column
+    datum = build_root_datum(series, variant)
+    for bound in gate_bounds(series):
+        m = decomposition_matrix(datum, p, **bound)
+        for (cols, _), jantzen in zip(m.rows, m.jantzen):
+            if jantzen:
+                assert all(m.jantzen[c] for c in cols), bound
 
 
 @pytest.mark.parametrize("series,variant,p", GATE_GRID)
