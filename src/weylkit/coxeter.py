@@ -123,10 +123,6 @@ class FiniteWeylElement:
     def apply(self, weight: Weight) -> Weight:
         return Weight(_mat_vec(self.matrix, weight.coords))
 
-    @property
-    def is_identity(self) -> bool:
-        return self.matrix == _identity(self.datum.rank)
-
 
 @dataclass(frozen=True, eq=False)
 class AffineWeylElement:
@@ -164,11 +160,6 @@ class AffineWeylElement:
 
     def __reduce__(self):
         return AffineWeylElement, (self.finite, self.translation)
-
-    @property
-    def is_identity(self) -> bool:
-        return (all(c == 0 for c in self.translation)
-                and self.finite.is_identity)
 
 
 def _reflection(root: Weight, coroot: Coroot) -> Matrix:
@@ -306,6 +297,8 @@ class _Table:
     ``member`` (for ^fW, x_i s = t x_i for a finite simple t, Deodhar's
     lemma), and -1 while x_i s is longer than every enumerated element.
     ``last[i]`` is the last letter of the reduced word of x_i.
+    ``inverse[i]``, in a table with no ``member`` test (a whole group),
+    is the id of x_i^{-1}, and ``inverse`` is None otherwise.
     ``complete`` is set when a level finds nothing new: the group is
     finite and every element has its id.
 
@@ -333,6 +326,7 @@ class _Table:
         self.lens = [0]
         self.right = [[-1] for _ in gens]
         self.last = [-1]
+        self.inverse = [0] if member is None else None
         self.complete = False
 
     def _grow(self) -> None:
@@ -371,6 +365,20 @@ class _Table:
             for i, s in found[y]:
                 self.right[s][i] = j
                 self.right[s][j] = i
+        if self.inverse is not None:
+            self.inverse += map(self._inverse, range(hi, len(self.elems)))
+
+    def _inverse(self, j: int) -> int:
+        """The id of x_j^{-1}, with no group law: the reduced word of x_j
+        read backwards, ``last`` walked down from j and ``right`` up from
+        id 0.  Every edge of the walk ends at a length <= l(x_j), and all
+        of those are set once the level of x_j is in place."""
+        i = 0
+        while j:
+            s = self.last[j]
+            i = self.right[s][i]
+            j = self.right[s][j]
+        return i
 
     def up_to(self, max_len: int) -> int:
         """The number of ids of length <= max_len, enumerated first."""

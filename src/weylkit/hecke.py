@@ -39,7 +39,15 @@ algebra handle owns, under the lock of the datum's context:
   ascending order and the pool ids of their P_{y,x}, from the
   recursion of Kazhdan and Lusztig (Invent. Math. 53, 1979) b_x =
   b_{xs} b_s - sum of mu(y, xs) b_y over y < xs with ys < y, where s
-  is the last letter of the reduced word of x;
+  is the last letter of the reduced word of x.  A step sums into a
+  dense list indexed by id, of length x + 1, as a row of x holds only
+  ids in [0, x], and reads the row off it in C, with no sort;
+* inverse rows: in a table of a whole group (the affine group or W_f)
+  the row of x is the row of x^{-1} relabelled, when that row is
+  there, since P_{y,x} = P_{y^{-1},x^{-1}} (the anti-involution h_w ->
+  h_{w^{-1}} fixes the basis up to relabelling): the ids go through the
+  table's column of inverse ids, and the pool ids stay, with no
+  arithmetic on polynomials;
 * elements: a ``HeckeElement`` holds (id, Laurent polynomial) pairs,
   and its arithmetic and ``bar`` read the action tables, not the group
   law; ``kl_polynomial`` bisects one row.
@@ -51,6 +59,8 @@ then also runs over the y whose y s leaves the minimal coset
 representatives.  It too owns only its rows and its pool.  Its ids,
 right action tables and last letters are the context's third table,
 that of the dominant alcoves, which ``dominant_orbit`` reads as well.
+The alcoves are not closed under inverses, so that table keeps no
+column of inverse ids, and every spherical row is stepped.
 
 >>> from weylkit.lattice import build_root_datum
 >>> from weylkit.coxeter import generators, multiply
@@ -66,6 +76,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 
 from weylkit.lattice import ResourceLimitError, RootDatum
@@ -401,7 +412,9 @@ class _KLRecursion:
     and rebuilds ``poly_ids``; the rows hold pool ids, which stay.  A
     step that could carry one to 2^64 raises ``ResourceLimitError``
     instead.  The row ``kl[i]`` of x_i holds two arrays, the ids of the
-    y <= x_i in ascending order and the pool ids of their P_{y,x_i}.
+    y <= x_i in ascending order and the pool ids of their P_{y,x_i},
+    either from ``_step`` or, when the table has an ``inverse`` column
+    and holds the row of x_i^{-1}, from ``_inverse_row``.
     ``view(k)`` is the ``LaurentPolynomial`` of entry k, unpacked once
     on first use, kept in ``_views`` by pool id and shared by every
     caller.  The rows and the pool are not locked by themselves: the
@@ -453,14 +466,24 @@ class _KLRecursion:
         return got
 
     def basis(self, x: int) -> _Row:
-        """The row of x, computing what it needs, longest last."""
+        """The row of x, computing what it needs, longest last: a row
+        of z is read off the row of z^{-1} when the table has an
+        ``inverse`` column and the recursion holds that row, and is
+        stepped from the row of z s otherwise."""
         kl, right, last = self.kl, self.table.right, self.table.last
+        inverse = self.table.inverse
         todo = [x]
         while todo:
             z = todo[-1]
             if z in kl:
                 todo.pop()
                 continue
+            if inverse is not None:
+                row = kl.get(inverse[z])
+                if row is not None:
+                    kl[z] = self._inverse_row(row)
+                    todo.pop()
+                    continue
             s = last[z]
             prev = kl.get(right[s][z])
             if prev is None:
@@ -471,9 +494,18 @@ class _KLRecursion:
             if missing:
                 todo.extend(missing)
                 continue
-            kl[z] = self._step(prev, s, mus)
+            kl[z] = self._step(z, prev, s, mus)
             todo.pop()
         return kl[x]
+
+    def _inverse_row(self, row: _Row) -> _Row:
+        """The row of x from the row of x^{-1}: P_{y,x} = P_{y^{-1},x^{-1}},
+        so the same pool ids under the ids of the inverses, which the
+        table's ``inverse`` column gives, sorted as ints."""
+        ys, ks = row
+        pool_ids = dict(zip(map(self.table.inverse.__getitem__, ys), ks))
+        ids = sorted(pool_ids)
+        return array("i", ids), array("i", map(pool_ids.__getitem__, ids))
 
     def terms(self, x: int) -> _Terms:
         """b_x as (y, P_{y,x}) pairs by id: the views looked up in C,
@@ -503,7 +535,8 @@ class _KLRecursion:
         right, mu = self.table.right[s], self.mu
         return [(y, mu[k]) for y, k in zip(*prev) if mu[k] and right[y] < y]
 
-    def _step(self, prev: _Row, s: int, mus: list[tuple[int, int]]) -> _Row:
+    def _step(self, x: int, prev: _Row, s: int,
+              mus: list[tuple[int, int]]) -> _Row:
         """b_x = b_{xs} b_s - sum of mu b_y, with b_s = h_s + v, on
         packed polynomials: v p is p << w, and p >> w drops the constant
         term of p and divides by v, w being the digit width.
@@ -516,7 +549,13 @@ class _KLRecursion:
         its lowest negative coefficient borrows and unpacks above three
         times the largest pool coefficient, and ``_intern`` raises.  A
         bound of 2^w or more widens the pool first, and one of 2^64 or
-        more raises."""
+        more raises.
+
+        The sum runs in a list of length x + 1 indexed by id: for y <=
+        xs, both y and ys are <= x in Bruhat order, as is every id of a
+        subtracted b_y, and ids ascend with length, so no id of the row
+        exceeds x.  The row comes out of the list in id order, its ids
+        by ``compress`` and its packed sums by ``filter``, both in C."""
         top = self._top
         bound = top * (3 + sum([mu for _, mu in mus]))
         if bound >> self.width:
@@ -525,24 +564,23 @@ class _KLRecursion:
                     "Kazhdan-Lusztig coefficients would reach 2^64")
             self._widen(bound)
         right, polys, w = self.table.right[s], self.polys, self.width
-        acc: dict[int, int] = {}
-        get = acc.get
+        acc = [0] * (x + 1)
         for y, k in zip(*prev):
             p = polys[k]
             ys = right[y]
             if ys > y:                       # h_y b_s = h_ys + v h_y
-                acc[ys] = get(ys, 0) + p
-                acc[y] = get(y, 0) + (p << w)
+                acc[ys] += p
+                acc[y] += p << w
             elif ys >= 0:                    # h_y b_s = h_ys + v^-1 h_y
-                acc[ys] = get(ys, 0) + p
-                acc[y] = get(y, 0) + (p >> w)
+                acc[ys] += p
+                acc[y] += p >> w
             else:                            # a leaf: (v + v^-1) h_y
-                acc[y] = get(y, 0) + (p << w) + (p >> w)
+                acc[y] += (p << w) + (p >> w)
         for y, mu in mus:
             for z, k in zip(*self.kl[y]):
-                acc[z] = get(z, 0) - mu * polys[k]
-        ys = array("i", sorted(y for y, m in acc.items() if m))
-        ms = list(map(acc.__getitem__, ys))
+                acc[z] -= mu * polys[k]
+        ys = array("i", compress(range(x + 1), acc))
+        ms = list(filter(None, acc))
         ks = list(map(self.poly_ids.get, ms))
         if None in ks:
             ks = [self._intern(m, 3 * top) if k is None else k

@@ -17,7 +17,7 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from weylkit._exact import det, is_prime, smith_diagonal
 
@@ -214,9 +214,6 @@ class StalkTable:
     open_stratum: tuple[tuple[int, object], ...]
     point_stratum: tuple[tuple[int, object], ...]
 
-    def open_entries(self) -> dict:
-        return dict(self.open_stratum)
-
     def point_entries(self) -> dict:
         return dict(self.point_stratum)
 
@@ -314,15 +311,15 @@ def cone_ic_integral(H_link: GradedAbelianGroup, d: int) -> StalkTable:
 
 
 def cone_ic_plus(H_link: GradedAbelianGroup, d: int) -> StalkTable:
-    """The second integral model: additionally carries the torsion of
-    H^d(link) in degree 0.
+    """The second integral model: the strata of ``cone_ic_integral``,
+    extended to degree 0, where the point stalk is the torsion of
+    H^d(link).
     """
-    _check_link(H_link, d)
-    return StalkTable(
-        "integral", None, d,
-        tuple((i, _Z if i == -d else FgAbelianGroup.zero())
-              for i in range(-d, 1)),
-        tuple((i, H_link.group(i + d)) for i in range(-d, 0))
+    base = cone_ic_integral(H_link, d)
+    return replace(
+        base,
+        open_stratum=base.open_stratum + ((0, FgAbelianGroup.zero()),),
+        point_stratum=base.point_stratum
         + ((0, H_link.group(d).torsion_part()),))
 
 

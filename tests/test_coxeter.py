@@ -516,6 +516,24 @@ def test_table_words_are_the_greedy_words(series, name, max_len):
         assert table.word(x) == reduced_word(x) == greedy_word(x)
 
 
+@pytest.mark.parametrize("series,max_len", [
+    ("A2", 10), ("B2", 10), ("G2", 10), ("A3", 8)])
+def test_inverse_column_is_the_group_inverse(series, max_len):
+    # the tables of a whole group read x^{-1} off the reduced word of x,
+    # with no group law; the group law (``inverse``) is the oracle, for
+    # every numbered element; the dominant alcoves are not closed under
+    # inverses and keep no column
+    ctx = _context(build_root_datum(series))
+    for table, n in ((ctx.group, ctx.group.up_to(max_len)),
+                     (ctx.finite, len(ctx.finite_elements()))):
+        assert len(table.inverse) == len(table.elems)
+        for i, x in enumerate(table.elems[:n]):
+            j = table.inverse[i]
+            assert table.elems[j] == inverse(x)
+            assert table.inverse[j] == i and table.lens[j] == table.lens[i]
+    assert ctx.alcoves.inverse is None
+
+
 def test_context_keeps_no_memo_by_element():
     # lengths, words and Bruhat comparisons of elements outside every
     # table leave the context as it was, but for the memos keyed by the

@@ -16,7 +16,9 @@ Independent oracles frozen here:
     no table;
   * the recursion's step on dense coefficient lists, which the step on
     packed integers replaced, row by row over the same tables, for the
-    group and for the spherical module.
+    group and for the spherical module, and with the rows asked for in
+    shuffled order, so that it checks rows read off the row of the
+    inverse as well as stepped ones.
 """
 
 import random
@@ -654,12 +656,17 @@ def dense_kl_rows(table, max_len):
     return rows
 
 
-def assert_rows_match_dense(eng, max_len):
+def assert_rows_match_dense(eng, max_len, seed=None):
+    """Every row up to max_len of eng is the dense step's, the rows
+    requested in id order, or shuffled by the seed."""
     rows = dense_kl_rows(eng.table, max_len)
-    for x, row in rows.items():
+    order = list(rows)
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    for x in order:
         assert eng.terms(x) == tuple(
             (y, LaurentPolynomial.from_dict(dict(enumerate(p))))
-            for y, p in row), x
+            for y, p in rows[x]), x
     return len(rows)
 
 
@@ -668,6 +675,31 @@ def assert_rows_match_dense(eng, max_len):
 def test_packed_rows_match_the_dense_step(series, max_len):
     alg = HeckeAlgebra(build_root_datum(series))
     assert assert_rows_match_dense(alg._engine, max_len) > 100
+
+
+@pytest.mark.parametrize("series, max_len, seed", [
+    ("A2", 9, 1), ("B2", 9, 2), ("G2", 9, 3), ("A3", 8, 4)])
+def test_rows_in_shuffled_order_match_the_dense_step(series, max_len, seed,
+                                                     monkeypatch):
+    # a row of x is read off the row of x^{-1} when that row is there,
+    # and stepped otherwise: with the rows asked for in shuffled order,
+    # the dense step checks rows from both paths
+    made = {"step": 0, "inverse": 0}
+
+    def counted(name):
+        method = getattr(weylkit.hecke._KLRecursion, name)
+
+        def wrapper(self, *args):
+            made["inverse" if name == "_inverse_row" else "step"] += 1
+            return method(self, *args)
+        return wrapper
+
+    for name in ("_step", "_inverse_row"):
+        monkeypatch.setattr(weylkit.hecke._KLRecursion, name, counted(name))
+    alg = HeckeAlgebra(build_root_datum(series))
+    n = assert_rows_match_dense(alg._engine, max_len, seed)
+    assert made["step"] + made["inverse"] == n - 1  # row 0 is given
+    assert min(made.values()) > n // 4
 
 
 @pytest.mark.parametrize("series, max_len", [
