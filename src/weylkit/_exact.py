@@ -1,6 +1,23 @@
 """Exact integer primitives, the package's only copy of each: standard
-library only, and nothing imported from weylkit."""
+library only, and nothing imported from weylkit.
 
+Among them is the packed-digit kernel.  A packed int holds the digits
+d_j as the sum of d_j 2^(w j), for a digit width w that is a power of
+two of at least 8 bits.  ``unpack`` reads unsigned digits, with a cap,
+for the Kazhdan-Lusztig pools of ``weylkit.hecke``; ``unpack_signed``
+reads digits in (-2^(w-1), 2^(w-1)) for ``unitriangular_inverse``;
+``repack`` packs either kind again at a wider width; and
+``digit_width`` doubles a width until a bound fits.  Signed digits are
+read as unsigned ones after adding 2^(w-1) in every place.
+``weylkit.charring.weyl_character`` packs weights on its own: its radix
+is chosen per call from the highest weight, and it decodes the whole
+support place by place, where a call of this kernel per weight would
+be slower.
+"""
+
+import sys
+from array import array
+from itertools import compress
 from math import gcd
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -67,24 +84,87 @@ def det_adjugate(m) -> tuple[int, list[list[int]]]:
 SparseRow = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _sparse_digits(packed: int, width: int) -> SparseRow:
-    """(columns, entries) of the nonzero digits e_j of packed = sum of
-    e_j 2^(width j), each |e_j| < 2^(width - 1); the zero digits are
-    skipped by the lowest set bit."""
-    cols, vals = [], []
-    j = 0
-    while packed:
-        skip = ((packed & -packed).bit_length() - 1) // width
-        packed >>= width * skip
-        e = packed & ((1 << width) - 1)
-        if e >> (width - 1):
-            e -= 1 << width
-        j += skip
-        cols.append(j)
-        vals.append(e)
-        packed = (packed - e) >> width
-        j += 1
-    return tuple(cols), tuple(vals)
+_TYPECODES = {array(t).itemsize * 8: t for t in "QLIHB"}  # width: typecode
+
+
+def digit_width(bound: int, width: int) -> int:
+    """The width, doubled until bound < 2^width.
+
+    >>> digit_width(255, 8), digit_width(256, 8), digit_width(1 << 64, 16)
+    (8, 16, 128)
+    """
+    while bound >> width:
+        width *= 2
+    return width
+
+
+def _every(digit: int, width: int, n: int) -> int:
+    """The digit in each of n places of the width."""
+    return int.from_bytes(digit.to_bytes(width // 8, "little") * n, "little")
+
+
+def _words(m: int, width: int) -> list[int]:
+    """The base-2^width digits of m >= 0, lowest first, with no trailing
+    zero: one pass through an array up to the width of a machine word,
+    slices of bytes above it."""
+    k = width // 8
+    raw = m.to_bytes(-(-m.bit_length() // width) * k, "little")
+    if width not in _TYPECODES:
+        return [int.from_bytes(raw[i:i + k], "little")
+                for i in range(0, len(raw), k)]
+    out = array(_TYPECODES[width], raw)
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out.tolist()
+
+
+def unpack(m: int, width: int, cap: int | None = None) -> list[int]:
+    """The unsigned digits of m, lowest first, with no trailing zero.
+    RuntimeError if m is negative or a digit exceeds cap: in a sum of
+    packed polynomials with nonnegative coefficients below the cap,
+    only a negative coefficient can do that, by a borrow.
+
+    >>> unpack(0x0102, 8), unpack(0, 16)
+    ([2, 1], [])
+    """
+    if m >= 0:
+        out = _words(m, width)
+        if cap is None or max(out, default=0) <= cap:
+            return out
+    raise RuntimeError("packed polynomial with a negative coefficient")
+
+
+def unpack_signed(m: int, width: int) -> SparseRow:
+    """The nonzero digits e_j of m = sum of e_j 2^(width j), each
+    |e_j| < 2^(width - 1), as (places j ascending, digits): the digits
+    of m plus 2^(width - 1) in every place, less 2^(width - 1), over as
+    many places as m has, or one more.
+
+    >>> unpack_signed(2 - (3 << 16), 8)
+    ((0, 2), (2, -3))
+    """
+    half = 1 << (width - 1)
+    n = abs(m).bit_length() // width + 1
+    out = [d - half for d in _words(m + _every(half, width, n), width)]
+    return tuple(compress(range(len(out)), out)), tuple(filter(None, out))
+
+
+def repack(m: int, width: int, wider: int, signed: bool = False) -> int:
+    """m, packed at the digit width, packed again at a wider one, with
+    the same unsigned digits, or the same signed ones if signed (biased
+    as in ``unpack_signed``): each byte of a place is copied by one
+    slice, so no digit is read into an int.
+
+    >>> repack(0x0102, 8, 16), repack(2 - (3 << 8), 8, 16, signed=True)
+    (65538, -196606)
+    """
+    half = 1 << (width - 1) if signed else 0
+    n = abs(m).bit_length() // width + 1
+    k, out = width // 8, bytearray(n * wider // 8)
+    raw = (m + _every(half, width, n)).to_bytes(n * k, "little")
+    for b in range(k):
+        out[b::wider // 8] = raw[b::k]
+    return int.from_bytes(out, "little") - _every(half, wider, n)
 
 
 def unitriangular_inverse(rows: list[SparseRow]) -> list[SparseRow]:
@@ -116,15 +196,12 @@ def unitriangular_inverse(rows: list[SparseRow]) -> list[SparseRow]:
             raise ValueError("matrix is not unitriangular")
         below = list(zip(cols[:-1], vals[:-1]))
         bound = 1 + sum(abs(c) * top[k] for k, c in below)
-        if bound >> (width - 1):
-            while bound >> (width - 1):
-                width *= 2
-            packed = [sum(e << (width * j) for j, e in zip(*row))
-                      for row in inv]
-        acc = 1 << (width * i)
-        for k, c in below:
-            acc -= c * packed[k]
-        inv.append(_sparse_digits(acc, width))
+        wider = digit_width(2 * bound, width)  # bound < 2^(wider - 1)
+        if wider > width:
+            packed = [repack(m, width, wider, signed=True) for m in packed]
+            width = wider
+        acc = (1 << (width * i)) - sum(c * packed[k] for k, c in below)
+        inv.append(unpack_signed(acc, width))
         packed.append(acc)
         top.append(max(map(abs, inv[-1][1])))
     return inv

@@ -29,7 +29,7 @@ from weylkit.lattice import (
 from weylkit.coxeter import generators, identity_element, multiply
 from weylkit.hecke import kl_polynomial
 from weylkit.charring import ResourceLimitError, sl2_simple_character
-from weylkit.lcf import _decomposition_matrix, sl2_lcf_valid
+from weylkit.lcf import _decomposition_matrix, _sl2_weight, sl2_lcf_valid
 from weylkit.icstalk import (
     FgAbelianGroup,
     GradedAbelianGroup,
@@ -192,11 +192,10 @@ def _cmd_sl2_check(args) -> str:
     if upto < 0:
         raise ValueError("--upto must be nonnegative")
     rows = []
-    # the dominant orbit of zero: 0, 2p-2, 2p, 4p-2, 4p, ...
-    for m in range(0, upto + 3, 2 * p):
-        for n in (m - 2, m):
-            if 0 <= n <= upto:
-                rows.append((n, base_p_digits(n, p), sl2_lcf_valid(n, p)))
+    i = 0
+    while (n := _sl2_weight(i, p)) <= upto:  # the dominant orbit of zero
+        rows.append((n, base_p_digits(n, p), sl2_lcf_valid(n, p)))
+        i += 1
     if args.format == "json":
         return _json_text({
             "schema": "weylkit/sl2-check/1",

@@ -30,10 +30,11 @@ algebra handle owns, under the lock of the datum's context:
   of v (mu), its value at v = 1 and, once asked for, the one
   ``LaurentPolynomial`` that every b_x containing it shares, unpacked
   on that first view, so that a pool nobody reads, such as the
-  spherical one, holds no view; the recursion adds packed ints.  The
-  digit width w is the pool's own: it starts at 16 bits and doubles,
-  the pool packed again, whenever a step could carry a coefficient to
-  2^w; a step that could carry one to 2^64 raises
+  spherical one, holds no view; the recursion adds packed ints, and
+  the packed-digit kernel of ``weylkit._exact`` reads and widens them.
+  The digit width w is the pool's own: it starts at 16 bits and
+  doubles, the pool packed again, whenever a step could carry a
+  coefficient to 2^w; a step that could carry one to 2^64 raises
   ``ResourceLimitError`` (CLI exit 4) instead;
 * compact rows: the row of x is two arrays, the ids of the y <= x in
   ascending order and the pool ids of their P_{y,x}, from the
@@ -72,13 +73,13 @@ v^2
 
 from __future__ import annotations
 
-import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 
+from weylkit._exact import digit_width, repack, unpack
 from weylkit.lattice import ResourceLimitError, RootDatum
 from weylkit.coxeter import (
     AffineWeylElement,
@@ -357,39 +358,6 @@ def _sum_terms(triples) -> _Terms:
 
 
 _Row = tuple[array, array]  # (ids of y, ascending; pool ids of P_{y,x})
-_WIDTHS = {array(t).itemsize * 8: t for t in "QLIHB"}  # width: typecode
-
-
-def _digits(m: int, width: int) -> array:
-    """The base-2^width digits of m >= 0, lowest first, with no trailing
-    zero: the words of m, read in one pass."""
-    out = array(_WIDTHS[width],
-                m.to_bytes(-(-m.bit_length() // width) * (width // 8),
-                           "little"))
-    if sys.byteorder == "big":
-        out.byteswap()
-    return out
-
-
-def _unpack(m: int, width: int, cap: int | None = None) -> list[int]:
-    """The coefficients of m, a polynomial packed at the digit width,
-    indexed by exponent, with no trailing zero.  A negative m, or a
-    coefficient above cap, can only come from a negative coefficient
-    (see ``_KLRecursion._step``)."""
-    if m >= 0:
-        out = _digits(m, width)
-        if cap is None or max(out, default=0) <= cap:
-            return out.tolist()
-    raise RuntimeError(
-        "Kazhdan-Lusztig polynomial with a negative coefficient")
-
-
-def _repack(m: int, width: int, wider: int) -> int:
-    """m, packed at the digit width, packed again at a wider one."""
-    out = array(_WIDTHS[wider], _digits(m, width))
-    if sys.byteorder == "big":
-        out.byteswap()
-    return int.from_bytes(out.tobytes(), "little")
 
 
 class _KLRecursion:
@@ -437,10 +405,8 @@ class _KLRecursion:
     def _widen(self, bound: int) -> None:
         """Double the digit width until bound is below 2^width, and pack
         the pool again at the new width."""
-        width = self.width
-        while bound >> width:
-            width *= 2
-        self.polys = [_repack(m, self.width, width) for m in self.polys]
+        width = digit_width(bound, self.width)
+        self.polys = [repack(m, self.width, width) for m in self.polys]
         self.poly_ids = dict(zip(self.polys, range(len(self.polys))))
         self.width = width
 
@@ -449,7 +415,7 @@ class _KLRecursion:
         in the pool yet; unpacked, no coefficient may exceed cap."""
         got = self.poly_ids.get(m)
         if got is None:
-            p = _unpack(m, self.width, cap)
+            p = unpack(m, self.width, cap)
             got = self.poly_ids[m] = len(self.polys)
             self.polys.append(m)
             self.mu.append(p[1] if len(p) > 1 else 0)
@@ -460,7 +426,7 @@ class _KLRecursion:
     def view(self, k: int) -> LaurentPolynomial:
         got = self._views.get(k)
         if got is None:
-            coeffs = _unpack(self.polys[k], self.width)
+            coeffs = unpack(self.polys[k], self.width)
             got = self._views[k] = LaurentPolynomial._trusted(tuple(
                 (e, c) for e, c in enumerate(coeffs) if c))
         return got

@@ -271,17 +271,27 @@ def _check_link(H: GradedAbelianGroup, d: int) -> None:
                          f"[0, {2 * d - 1}]")
 
 
+def _field_stalks(H_link: GradedAbelianGroup, d: int, p: int,
+                  top: int) -> StalkTable:
+    """The shifted pushforward from the punctured cone, with
+    coefficients in a field k of characteristic p, in the degrees i in
+    [-d, top): the open stalk is k in degree -d, and the point stalk in
+    degree i is H^{i+d}(link; k)."""
+    _check_link(H_link, d)
+    dims = uct_field(H_link, p)
+    degrees = range(-d, top)
+    return StalkTable(
+        "field", p, d,
+        tuple((i, 1 if i == -d else 0) for i in degrees),
+        tuple((i, dims.get(i + d, 0)) for i in degrees))
+
+
 def cone_pushforward_stalks(H_link: GradedAbelianGroup, d: int, p: int
                             ) -> StalkTable:
     """Stalks of the full (untruncated) shifted pushforward from the
     punctured cone: point stalk in degree i is H^{i+d}(link; k).
     """
-    _check_link(H_link, d)
-    dims = uct_field(H_link, p)
-    return StalkTable(
-        "field", p, d,
-        tuple((i, 1 if i == -d else 0) for i in range(-d, d)),
-        tuple((i, dims.get(i + d, 0)) for i in range(-d, d)))
+    return _field_stalks(H_link, d, p, d)
 
 
 def cone_ic_stalks_field(H_link: GradedAbelianGroup, d: int, p: int
@@ -292,12 +302,7 @@ def cone_ic_stalks_field(H_link: GradedAbelianGroup, d: int, p: int
     >>> cone_ic_stalks_field(link_preset("rp3"), 2, 3).point_entries()
     {-2: 1, -1: 0}
     """
-    _check_link(H_link, d)
-    dims = uct_field(H_link, p)
-    return StalkTable(
-        "field", p, d,
-        tuple((i, 1 if i == -d else 0) for i in range(-d, 0)),
-        tuple((i, dims.get(i + d, 0)) for i in range(-d, 0)))
+    return _field_stalks(H_link, d, p, 0)
 
 
 def cone_ic_integral(H_link: GradedAbelianGroup, d: int) -> StalkTable:

@@ -367,13 +367,14 @@ def _decomposition_matrix(datum: RootDatum, p: int, max_len: int | None,
     bound = p * (p - h + 2)
     jantzen = [all(n <= bound for n in _rho_pairings(datum, w.coords))
                for _, w in map(orbit.__getitem__, ids)]
-    # column k for label k, -1 for a label that jantzen_only drops; a
-    # weight outside every label has none
-    col = dict.fromkeys(ids, -1)
     if jantzen_only:
         ids = list(itertools.compress(ids, jantzen))
         jantzen = [True] * len(ids)
-    col.update(zip(ids, itertools.count()))
+    # column k for label k; a weight outside every label has none, and a
+    # row that reaches one raises below: the labels of a length window,
+    # of a weight box (by the ideal test above) and of a Jantzen set are
+    # each closed downward
+    col = dict(zip(ids, itertools.count()))
     labels = tuple(orbit[i] for i in ids)
     if entries == "lcf":
         pos = [None] * len(orbit)
@@ -387,8 +388,6 @@ def _decomposition_matrix(datum: RootDatum, p: int, max_len: int | None,
                 for _, w in labels]
     if any(None in row for row in rows):
         raise RuntimeError("orbit truncation lost a term below a kept label")
-    for row in rows:
-        row.pop(-1, None)  # a column that jantzen_only drops
     return DecompositionMatrix(
         datum, p, "simple-in-standard", labels,
         tuple(map(_sparse_row, rows)), tuple(jantzen))
@@ -403,16 +402,22 @@ def invert_decomposition(m: DecompositionMatrix) -> DecompositionMatrix:
                                m.jantzen)
 
 
+def _sl2_weight(i: int, p: int) -> int:
+    """x . 0 for the x of id i in the table of dominant alcoves of SL2.
+    These form a chain 0, 2p-2, 2p, 4p-2, ..., one of each length: id
+    2q has length 2q and weight 2pq, id 2q + 1 length 2q + 1 and weight
+    2pq + 2p - 2."""
+    return i // 2 * 2 * p + i % 2 * (2 * p - 2)
+
+
 def _sl2_alcove_id(n: int, p: int) -> int:
     """The id of the x with x . 0 = n for SL2 in the table of dominant
-    alcoves, grown to it.  The dominant alcoves form a chain 0, 2p-2,
-    2p, 4p-2, ..., one of each length: the one at 2pq, or at
-    2pq + 2p - 2, has length 2q, or 2q + 1, and that is its id.
-    """
+    alcoves, grown to it (see ``_sl2_weight``)."""
     q, r = divmod(n, 2 * p)
-    if n < 0 or r not in (0, 2 * p - 2):
+    i = 2 * q + (r != 0)
+    if n < 0 or _sl2_weight(i, p) != n:
         raise ValueError(f"{n} is not in the dominant orbit of zero")
-    return _context(_A1).alcoves.up_to(2 * q + (r != 0)) - 1
+    return _context(_A1).alcoves.up_to(i) - 1
 
 
 def sl2_lcf_valid(n: int, p: int) -> bool:
@@ -433,8 +438,7 @@ def sl2_lcf_valid(n: int, p: int) -> bool:
     if n < 0:
         raise ValueError("weight must be nonnegative")
     row = _lcf_row(_A1, _sl2_alcove_id(n, p))
-    # id 2q is the weight 2pq, id 2q + 1 the weight 2pq + 2p - 2
-    return ({y // 2 * 2 * p + y % 2 * (2 * p - 2): a for y, a in row}
+    return ({_sl2_weight(y, p): a for y, a in row}
             == _sl2_simple_in_standard_basis(n, p))
 
 

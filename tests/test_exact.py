@@ -3,11 +3,13 @@
 The oracles are the rational-arithmetic eliminations these primitives
 replaced (a ``Fraction`` determinant, and ``Fraction`` heights from the
 inverse Cartan matrix), Bareiss's adjugate for the unitriangular
-inverse, a sieve for primality, and the classical invariant-factor
-identities for the Smith diagonal.
+inverse, sums of shifted digits for the packed-digit kernel, a sieve
+for primality, and the classical invariant-factor identities for the
+Smith diagonal.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -18,8 +20,8 @@ from hypothesis import strategies as st
 import weylkit._exact
 from weylkit import build_root_datum
 from weylkit._exact import (
-    base_p_digits, det_adjugate, is_prime, smith_diagonal,
-    unitriangular_inverse)
+    base_p_digits, det_adjugate, is_prime, repack, smith_diagonal,
+    unitriangular_inverse, unpack_signed)
 from weylkit.charring import _height
 
 SERIES = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "C2", "G2"]
@@ -219,6 +221,31 @@ def test_unitriangular_inverse_rejects_other_matrices(m):
 def test_unitriangular_inverse_rejects_malformed_rows(rows):
     with pytest.raises(ValueError, match="not unitriangular"):
         unitriangular_inverse(rows)
+
+
+WIDTHS = (8, 16, 32, 64, 128, 256)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_signed_digits_round_trip(width):
+    # digits out to +-(2^(width - 1) - 1), the widest the inverse packs
+    # at a width, summed by shifts, unpacked to the nonzero ones, and
+    # packed again at every wider width
+    top = (1 << (width - 1)) - 1
+    rng = random.Random(width)
+    cases = [[], [0], [top], [-top], [top, -top], [-top, top, 0, 0],
+             [0, 0, -1], [1, -1, 1, -1]]
+    for _ in range(300):
+        cases.append([rng.choice((0, 1, -1, top, -top,
+                                  rng.randint(-top, top)))
+                      for _ in range(rng.choice((1, 2, 7, 40, 200)))])
+    for digits in cases:
+        m = sum(e << (width * j) for j, e in enumerate(digits))
+        assert unpack_signed(m, width) == sparse_rows([digits])[0]
+        for wider in WIDTHS:
+            if wider > width:
+                assert repack(m, width, wider, signed=True) == sum(
+                    e << (wider * j) for j, e in enumerate(digits))
 
 
 # ----------------------------------------------------------------- Smith

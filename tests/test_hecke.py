@@ -57,6 +57,7 @@ from weylkit import (
     mult_standard_by_gen,
     multiply,
 )
+from weylkit._exact import repack, unpack
 from weylkit.coxeter import _context
 
 from test_coxeter import bare, greedy_word
@@ -794,12 +795,12 @@ def test_negative_packed_rows_raise():
     assert sts not in eng.kl
     # negative ints, and v - 1 packed as 2^w - 1 (a borrow), never unpack
     with pytest.raises(RuntimeError, match="negative coefficient"):
-        weylkit.hecke._unpack(-(1 << 640), w)
+        unpack(-(1 << 640), w)
     with pytest.raises(RuntimeError, match="negative coefficient"):
         eng._intern((1 << w) - 1, 3)
 
 
-WIDTHS = (8, 16, 32, 64)
+WIDTHS = (8, 16, 32, 64, 128, 256)
 
 
 def unpack_by_shifts(m, width, cap=None):
@@ -834,22 +835,21 @@ def check_unpack_at(width, rng):
             want = unpack_by_shifts(m, width, cap)
         except RuntimeError:
             with pytest.raises(RuntimeError, match="negative coefficient"):
-                weylkit.hecke._unpack(m, width, cap)
+                unpack(m, width, cap)
         else:
-            got = weylkit.hecke._unpack(m, width, cap)
+            got = unpack(m, width, cap)
             assert type(got) is list and got == want
             assert not got or got[-1]
             for wider in WIDTHS:
                 if wider > width:
-                    assert weylkit.hecke._repack(m, width, wider) == pack(
-                        want, wider)
-    assert weylkit.hecke._unpack(0, width) == []
+                    assert repack(m, width, wider) == pack(want, wider)
+    assert unpack(0, width) == []
     for m, cap in ((-1, 1), (-(1 << 640), 1 << (width - 1)),
                    ((5 << width) + 7, 6), (1 << (2 * width), 0)):
         with pytest.raises(RuntimeError, match="negative coefficient"):
             unpack_by_shifts(m, width, cap)
         with pytest.raises(RuntimeError, match="negative coefficient"):
-            weylkit.hecke._unpack(m, width, cap)
+            unpack(m, width, cap)
 
 
 @pytest.mark.parametrize("series, max_len", [("G2", 12), ("A3", 9)])

@@ -282,6 +282,33 @@ def test_scan_flags_inexact_arithmetic():
     assert _inexact(tree) == [1, 2, 4, 5, 6, 7]
 
 
+def _digit_work(tree: ast.Module) -> list[int]:
+    """Lines that read or write the bytes of an int, swap the bytes of
+    an array, or size its items: what base-2^w digits are made of."""
+    tools = ("to_bytes", "from_bytes", "byteswap", "itemsize")
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in tools})
+
+
+def test_packed_digits_only_in_exact():
+    # the Kazhdan-Lusztig pools and the exact inverse read and write
+    # their packed digits through the one kernel in _exact
+    found = {path.name for path in sorted(SRC.rglob("*.py"))
+             if _digit_work(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {"_exact.py"}, f"base-2^w digit work: {sorted(found)}"
+
+
+def test_scan_flags_digit_work():
+    tree = ast.parse(
+        "n = int.from_bytes(b, 'little')\n"
+        "b = n.to_bytes(2, 'little')\n"
+        "a.byteswap()\n"
+        "w = array('Q').itemsize * 8\n"
+        "s = 'to_bytes'\n"
+        "c = bytes(3)\n")
+    assert _digit_work(tree) == [1, 2, 3, 4]
+
+
 def test_importing_the_cli_builds_no_parser():
     # every benchmark workload imports weylkit.cli during set-up; the
     # parser is built by the first call of main

@@ -1096,10 +1096,12 @@ def test_jantzen_only_computes_the_jantzen_rows_only(bound, monkeypatch):
     assert all(jantzen_condition(x, 7) for x, _ in m.labels)
 
 
-def test_jantzen_only_drops_the_other_columns(monkeypatch):
-    # no data checked has a Jantzen row with an entry in another column,
-    # so give every row one, at the longest label, which is no Jantzen
-    # label here: both ways of restricting must drop it
+def test_jantzen_only_raises_on_a_column_it_drops(monkeypatch):
+    # no data checked has a Jantzen row with an entry in another column
+    # (the labels are closed downward), so give every row one, at the
+    # longest label, which is no Jantzen label here: restricting the
+    # whole matrix drops it, and computing only the Jantzen rows, which
+    # relies on the closure, must raise rather than drop it unseen
     g2 = build_root_datum("G2")
     lcf_row = weylkit.lcf._lcf_row
     top = len(dominant_orbit(g2, 7, 16)) - 1
@@ -1107,10 +1109,12 @@ def test_jantzen_only_drops_the_other_columns(monkeypatch):
     def padded(datum, x):
         return lcf_row(datum, x) + [(top, 7)]
 
+    want = _decomposition_matrix(g2, 7, 16, None, "lcf", jantzen_only=True)
+    assert len(want.labels) > 1
     monkeypatch.setattr(weylkit.lcf, "_lcf_row", padded)
     full = decomposition_matrix(g2, 7, max_len=16)
     assert not full.jantzen[full.weights().index(dominant_orbit(
         g2, 7, 16)[top][1])]
-    got = _decomposition_matrix(g2, 7, 16, None, "lcf", jantzen_only=True)
-    assert got == full.restrict_to_jantzen()
-    assert len(got.labels) > 1
+    assert full.restrict_to_jantzen() == want
+    with pytest.raises(RuntimeError, match="orbit truncation lost a term"):
+        _decomposition_matrix(g2, 7, 16, None, "lcf", jantzen_only=True)

@@ -30,9 +30,8 @@ from weylkit import (
     enumerate_finite_weyl,
     weyl_character,
 )
-from weylkit._exact import det_adjugate
+from weylkit._exact import det_adjugate, unpack
 from weylkit.coxeter import _context
-from weylkit.hecke import _unpack
 
 
 def kostant_q(alphas, box):
@@ -123,7 +122,7 @@ def test_spherical_rows_at_translations_are_q_weight_multiplicities(
         row = dict(zip(ys, ks))
         for y, mu in pairs:
             want = oracle.m(mu, lam)
-            got = _unpack(eng.polys[row[y]], eng.width) if y in row else []
+            got = unpack(eng.polys[row[y]], eng.width) if y in row else []
             # m(v) = m^mu_lambda(v^2): the even coefficients are m's
             assert got[::2] == want and not any(got[1::2]), (lam, mu)
             found += bool(want)
