@@ -53,6 +53,7 @@ e^{-2} + e^{0} + e^{2}
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import zip_longest
 from math import prod
@@ -119,11 +120,11 @@ class Character:
         return dict(self.terms)
 
     def coefficient(self, w: Weight) -> int:
-        idx = self.__dict__.get("_idx")
-        if idx is None:
-            idx = dict(self.terms)
-            object.__setattr__(self, "_idx", idx)
-        return idx.get(w, 0)
+        terms = self.terms
+        i = bisect_left(terms, w.coords, key=lambda t: t[0].coords)
+        if i < len(terms) and terms[i][0].coords == w.coords:
+            return terms[i][1]
+        return 0
 
     @property
     def rank(self) -> int | None:

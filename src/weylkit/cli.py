@@ -28,7 +28,8 @@ from weylkit.lattice import (
 )
 from weylkit.coxeter import generators, identity_element, multiply
 from weylkit.hecke import kl_polynomial
-from weylkit.charring import ResourceLimitError, sl2_simple_character
+from weylkit.charring import (DEFAULT_MAX_TERMS, ResourceLimitError,
+                              sl2_simple_character)
 from weylkit.lcf import _decomposition_matrix, _sl2_weight, sl2_lcf_valid
 from weylkit.icstalk import (
     FgAbelianGroup,
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("char", help="simple SL2 character in char p")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--p", type=int, required=True)
-    s.add_argument("--max-terms", type=int, default=10 ** 6,
+    s.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS,
                    dest="max_terms",
                    help="support cap for character arithmetic")
     _add_common(s)

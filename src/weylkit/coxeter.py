@@ -531,7 +531,7 @@ def inverse(x: AffineWeylElement) -> AffineWeylElement:
     det, adj = det_adjugate(x.finite.matrix)  # det w = +-1
     inv = tuple(tuple(det * c for c in row) for row in adj)
     trans = tuple(-c for c in _mat_vec(inv, x.translation))
-    return AffineWeylElement(FiniteWeylElement(x.datum, inv), trans)
+    return AffineWeylElement(_context(x.datum).intern(inv), trans)
 
 
 def dot_p(x: AffineWeylElement, weight: Weight, p: int) -> Weight:
@@ -658,6 +658,15 @@ def _elements_up_to_length(datum: RootDatum, max_len: int
     return table.elems[:table.up_to(max_len)]
 
 
+def _check_p(datum: RootDatum, p: int) -> None:
+    """Raise unless p is at least the Coxeter number h of the datum, the
+    least p at which 0 is p-regular: the principal block's orbit, its
+    alcoves and the character formula all assume it."""
+    h = _context(datum).h
+    if p < h:
+        raise ValueError(f"p must be at least the Coxeter number {h}")
+
+
 def dominant_orbit(datum: RootDatum, p: int, max_len: int
                    ) -> list[tuple[AffineWeylElement, Weight]]:
     """Minimal coset representatives with dominant dot-image of zero.
@@ -673,15 +682,12 @@ def dominant_orbit(datum: RootDatum, p: int, max_len: int
     >>> [w.coords[0] for _, w in dominant_orbit(d, 5, 6)]
     [0, 8, 10, 18, 20, 28, 30]
     """
-    h = coxeter_number(datum)
-    if p < h:
-        raise ValueError(f"p must be at least the Coxeter number {h}")
+    _check_p(datum, p)
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    alcoves = _context(datum).alcoves
-    n = alcoves.up_to(max_len)
-    zero = Weight((0,) * datum.rank)
-    return [(x, dot_p(x, zero, p)) for x in alcoves.elems[:n]]
+    ctx = _context(datum)
+    n = ctx.alcoves.up_to(max_len)
+    return [(x, dot_p(x, ctx.origin, p)) for x in ctx.alcoves.elems[:n]]
 
 
 def _rho_pairings(datum: RootDatum, coords: tuple[int, ...]) -> list[int]:
@@ -739,14 +745,19 @@ def same_block(datum: RootDatum, lam: Weight, mu: Weight, p: int) -> bool:
     return a == b
 
 
+def _in_jantzen_region(datum: RootDatum, weight: Weight, p: int) -> bool:
+    """<weight + rho, a_check> <= p(p - h + 2) over the positive roots a."""
+    bound = p * (p - _context(datum).h + 2)
+    return all(n <= bound for n in _rho_pairings(datum, weight.coords))
+
+
 def jantzen_condition(x: AffineWeylElement, p: int) -> bool:
     """Bound test <x . 0 + rho, a_check> <= p(p - h + 2) over positive a."""
     datum = x.datum
-    w = dot_p(x, Weight((0,) * datum.rank), p)
+    w = dot_p(x, _context(datum).origin, p)
     if not is_dominant(w):
         raise ValueError("x must have a dominant dot-image of zero")
-    bound = p * (p - coxeter_number(datum) + 2)
-    return all(n <= bound for n in _rho_pairings(datum, w.coords))
+    return _in_jantzen_region(datum, w, p)
 
 
 def count_p_restricted_in_orbit(datum: RootDatum, p: int) -> int:
@@ -759,9 +770,7 @@ def count_p_restricted_in_orbit(datum: RootDatum, p: int) -> int:
     >>> count_p_restricted_in_orbit(build_root_datum("A2"), 5)
     2
     """
-    h = coxeter_number(datum)
-    if p < h:
-        raise ValueError(f"p must be at least the Coxeter number {h}")
+    _check_p(datum, p)
     target = _canonical_chamber_point(datum, (1,) * datum.rank, p)
     count = 0
     for coords in itertools.product(range(p), repeat=datum.rank):

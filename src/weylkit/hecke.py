@@ -61,7 +61,10 @@ representatives.  It too owns only its rows and its pool.  Its ids,
 right action tables and last letters are the context's third table,
 that of the dominant alcoves, which ``dominant_orbit`` reads as well.
 The alcoves are not closed under inverses, so that table keeps no
-column of inverse ids, and every spherical row is stepped.
+column of inverse ids, and every spherical row is stepped.  The
+formula reads a row through ``_spherical_row``: the row's ids and the
+pool's values at v = 1 of their polynomials, which ``weylkit.lcf``
+signs and keys in one pass.
 
 >>> from weylkit.lattice import build_root_datum
 >>> from weylkit.coxeter import generators, multiply
@@ -371,7 +374,8 @@ class _KLRecursion:
     distinct P packed into one int, the sum of c_e 2^(w e) over its
     coefficients c_e for the pool's digit width w = ``width``,
     ``poly_ids`` maps it back to k, ``mu[k]`` is its coefficient of v
-    and ``ones[k]`` its value at v = 1.  ``_step`` adds packed ints,
+    and ``ones[k]`` its value at v = 1, which the character formula
+    reads off a spherical row's pool ids.  ``_step`` adds packed ints,
     and a sum is unpacked only when it is new to the pool; every
     coefficient is nonnegative (Kazhdan-Lusztig positivity).  The width
     starts at 16 bits, so that the small coefficients of most tables
@@ -489,11 +493,6 @@ class _KLRecursion:
         if j < len(ys) and ys[j] == y:
             return self.view(ks[j])
         return _ZERO
-
-    def values_at_one(self, x: int) -> list[tuple[int, int]]:
-        """(y, P_{y,x}(1)) over the y <= x by id."""
-        ys, ks = self.basis(x)
-        return list(zip(ys, map(self.ones.__getitem__, ks)))
 
     def _mu_terms(self, prev: _Row, s: int) -> list[tuple[int, int]]:
         """(y, mu) with ys < y or ys a leaf, and mu the v-coefficient of
@@ -703,11 +702,15 @@ class HeckeAlgebra:
             y = eng.table.find(y)
             return eng.polynomial(-1 if y is None else y, x)
 
-    def _spherical_row(self, x: int) -> list[tuple[int, int]]:
-        """(y, m_{y,x}(1)) by id, for x an id that the table of dominant
-        alcoves has handed out, and an affine handle."""
+    def _spherical_row(self, x: int) -> tuple[array, list[int]]:
+        """The ids of the y <= x, ascending, and their m_{y,x}(1), for x
+        an id that the table of dominant alcoves has handed out, and an
+        affine handle.  The values are read off the pool under the lock,
+        in C; the ids are the row's own array, not to be changed."""
         with self._lock:
-            return self._spherical.values_at_one(x)
+            eng = self._spherical
+            ys, ks = eng.basis(x)
+            return ys, list(map(eng.ones.__getitem__, ks))
 
 
 @_one_handle_per_datum

@@ -374,14 +374,13 @@ def cotangent_self_intersection(euler_characteristic: int) -> int:
     return -euler_characteristic
 
 
-def perverse_constraint_check(table: StalkTable, d: int | None = None,
-                              strict: bool = False) -> bool:
-    """Support bounds for a two-strata cone: open stratum only in
-    degree -d; point stratum within [-d, 0], or [-d, -1] when strict
-    (the genuine-IC bound).
+def perverse_constraint_check(table: StalkTable, *, strict: bool = False
+                              ) -> bool:
+    """Support bounds for a two-strata cone of dimension d: open stratum
+    only in degree -d; point stratum within [-d, 0], or [-d, -1] when
+    strict (the genuine-IC bound).
     """
-    if d is None:
-        d = table.cone_dimension
+    d = table.cone_dimension
     if any(deg != -d for deg in table.open_support()):
         return False
     hi = -1 if strict else 0

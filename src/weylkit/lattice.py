@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from weylkit._exact import det_adjugate
+from weylkit._exact import det, det_adjugate
 
 __all__ = [
     "Coroot",
@@ -347,8 +347,8 @@ def rho(datum: RootDatum) -> Weight:
     Weight(coords=(1, 1))
     """
     # x * B = (1, ..., 1) is solved by x = adj(B^T) (1, ..., 1) / det B
-    det, adj = det_adjugate(tuple(zip(*datum.lattice_basis)))
-    if det == 0 or any(sum(row) % det for row in adj):
+    det_b, adj = det_adjugate(tuple(zip(*datum.lattice_basis)))
+    if det_b == 0 or any(sum(row) % det_b for row in adj):
         raise ValueError(
             f"rho is not in the weight lattice of the {datum.variant} variant")
     return Weight((1,) * datum.rank)
@@ -371,8 +371,7 @@ def index_of_connection(datum: RootDatum) -> int:
     >>> index_of_connection(build_root_datum("G2"))
     1
     """
-    return (abs(det_adjugate(datum.cartan)[0])
-            // abs(det_adjugate(datum.lattice_basis)[0]))
+    return abs(det(datum.cartan)) // abs(det(datum.lattice_basis))
 
 
 _DUAL_SERIES = {"B2": "C2", "C2": "B2"}

@@ -23,10 +23,14 @@ The self-dual basis is b_x = sum over y <= x in ^fW of m_{y,x} M_y.
 The map 1 (x) h -> b_{w0} h embeds M in H and sends b_x to b_{w0 x},
 so m_{y,x} = P_{w0 y, w0 x}, w0 being the longest finite element.
 The row of x is computed in M alone, without the other terms of
-b_{w0 x}, which the formula does not read.  Rows are keyed by the ids
+b_{w0 x}, which the formula does not read.  Rows are read by the ids
 of the datum's table of dominant alcoves, position i of
-``dominant_orbit`` being id i: ``decomposition_matrix`` reads them by
-id, and ``lcf_coefficients`` is a view of one row keyed by element.
+``dominant_orbit`` being id i, as the ids y <= x and their m_{y,x}(1);
+one dict comprehension signs them and keys them as the caller needs:
+by matrix position in ``decomposition_matrix``, by element in
+``lcf_coefficients`` and by weight in ``sl2_lcf_valid``.  Whether p is
+at least the Coxeter number and whether a weight lies in Jantzen's
+region are decided in ``weylkit.coxeter``.
 
 The SL2 test compares coefficient vectors in the basis of Weyl
 characters chi(m), m >= 0, not weight multiplicities: the formula's
@@ -53,17 +57,13 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
-from weylkit.lattice import (
-    RootDatum,
-    Weight,
-    build_root_datum,
-    coxeter_number,
-    is_dominant,
-)
+from weylkit.lattice import RootDatum, Weight, build_root_datum
 from weylkit.coxeter import (
     AffineWeylElement,
     FiniteWeylElement,
+    _check_p,
     _context,
+    _in_jantzen_region,
     _rho_pairings,
     dominant_orbit,
     dot_p,
@@ -111,13 +111,15 @@ def kl_vector_finite(x: FiniteWeylElement) -> dict[FiniteWeylElement, int]:
     return out
 
 
-def _lcf_row(datum: RootDatum, x: int) -> list[tuple[int, int]]:
-    """(y, a_{y,x}) over the alcove ids y <= x, ascending, for x an id
-    that the datum's table of dominant alcoves has handed out."""
+def _lcf_row(datum: RootDatum, x: int, keys: list) -> dict:
+    """{keys[y]: a_{y,x}} over the alcove ids y <= x, ascending, for x an
+    id that the datum's table of dominant alcoves has handed out.  keys
+    names each id as the caller needs it: a matrix position (None for a
+    dropped column), an element, or an SL2 weight."""
     lens = _context(datum).alcoves.lens
     lx = lens[x]
-    return [(y, -m if (lx + lens[y]) % 2 else m)
-            for y, m in affine_hecke(datum)._spherical_row(x)]
+    ys, ms = affine_hecke(datum)._spherical_row(x)
+    return {keys[y]: -m if (lx + lens[y]) % 2 else m for y, m in zip(ys, ms)}
 
 
 def lcf_coefficients(x: AffineWeylElement, p: int
@@ -126,15 +128,12 @@ def lcf_coefficients(x: AffineWeylElement, p: int
     m_{y,x}(1) over the minimal representatives y <= x, in (length,
     reduced word) order.
     """
-    h = coxeter_number(x.datum)
-    if p < h:
-        raise ValueError(f"p must be at least the Coxeter number {h}")
-    # 0 is p-regular for p >= h: x is minimal iff x . 0 is dominant
-    if not is_dominant(dot_p(x, Weight((0,) * x.datum.rank), p)):
+    _check_p(x.datum, p)
+    ctx = _context(x.datum)
+    if not ctx.is_alcove(x):
         raise ValueError("x must be a minimal coset representative")
-    table = _context(x.datum).alcoves
-    row = _lcf_row(x.datum, table.element_id(x))
-    return {table.elems[y]: a for y, a in row}
+    table = ctx.alcoves
+    return _lcf_row(x.datum, table.element_id(x), table.elems)
 
 
 def lcf_character(x: AffineWeylElement, p: int) -> Character:
@@ -142,7 +141,7 @@ def lcf_character(x: AffineWeylElement, p: int) -> Character:
     x . 0: the a_{y,x}-weighted sum of standard characters.
     """
     datum = x.datum
-    zero = Weight((0,) * datum.rank)
+    zero = _context(datum).origin
     acc: dict[tuple[int, ...], int] = {}
     for y, a in lcf_coefficients(x, p).items():
         for w, c in _weyl_cached(datum, dot_p(y, zero, p)).terms:
@@ -332,9 +331,7 @@ def _decomposition_matrix(datum: RootDatum, p: int, max_len: int | None,
     """``decomposition_matrix``, or with ``jantzen_only`` its
     ``restrict_to_jantzen()``: then only the rows of the Jantzen labels
     are computed, and only their entries in Jantzen columns kept."""
-    h = coxeter_number(datum)
-    if p < h:
-        raise ValueError(f"p must be at least the Coxeter number {h}")
+    _check_p(datum, p)
     if max_len is None and max_weight is None:
         raise ValueError("need max_len or max_weight")
     if max_weight is not None and max_weight < 0:
@@ -364,25 +361,23 @@ def _decomposition_matrix(datum: RootDatum, p: int, max_len: int | None,
     height = _height(datum)
     ids = sorted(ids, key=lambda i: (height(orbit[i][1].coords),
                                      orbit[i][1].coords))
-    bound = p * (p - h + 2)
-    jantzen = [all(n <= bound for n in _rho_pairings(datum, w.coords))
+    jantzen = [_in_jantzen_region(datum, w, p)
                for _, w in map(orbit.__getitem__, ids)]
     if jantzen_only:
         ids = list(itertools.compress(ids, jantzen))
         jantzen = [True] * len(ids)
-    # column k for label k; a weight outside every label has none, and a
+    # column k for label k; a weight outside every label has None, and a
     # row that reaches one raises below: the labels of a length window,
     # of a weight box (by the ideal test above) and of a Jantzen set are
     # each closed downward
-    col = dict(zip(ids, itertools.count()))
     labels = tuple(orbit[i] for i in ids)
     if entries == "lcf":
         pos = [None] * len(orbit)
-        for i, k in col.items():
+        for k, i in enumerate(ids):
             pos[i] = k
-        rows = [{pos[y]: a for y, a in _lcf_row(datum, i)} for i in ids]
+        rows = [_lcf_row(datum, i, pos) for i in ids]
     else:
-        index = {orbit[i][1].coords[0]: k for i, k in col.items()}
+        index = {w.coords[0]: k for k, (_, w) in enumerate(labels)}
         rows = [{index.get(m): a for m, a in
                  _sl2_simple_in_standard_basis(w.coords[0], p).items()}
                 for _, w in labels]
@@ -437,9 +432,9 @@ def sl2_lcf_valid(n: int, p: int) -> bool:
         raise ValueError(f"{p} is not prime")
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    row = _lcf_row(_A1, _sl2_alcove_id(n, p))
-    return ({_sl2_weight(y, p): a for y, a in row}
-            == _sl2_simple_in_standard_basis(n, p))
+    x = _sl2_alcove_id(n, p)
+    weights = [_sl2_weight(y, p) for y in range(x + 1)]
+    return _lcf_row(_A1, x, weights) == _sl2_simple_in_standard_basis(n, p)
 
 
 def sl3_multiplicity_fixtures(p: int
@@ -447,11 +442,9 @@ def sl3_multiplicity_fixtures(p: int
     """The two A2 coefficient vectors at the weights (p-2)rho and
     p*rho, keyed by the dominant weights of their supports.
     """
-    if p < 3:
-        raise ValueError("p must be at least the Coxeter number 3")
     d = build_root_datum("A2", "sc")
     orbit = dominant_orbit(d, p, 6)
-    zero = Weight((0, 0))
+    zero = _context(d).origin
     targets = {Weight((p - 2, p - 2)): None, Weight((p, p)): None}
     for x, w in orbit:
         if w in targets and targets[w] is None:

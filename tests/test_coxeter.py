@@ -534,6 +534,17 @@ def test_inverse_column_is_the_group_inverse(series, max_len):
     assert ctx.alcoves.inverse is None
 
 
+def test_inverse_has_the_interned_finite_part():
+    # one finite part per matrix: the inverse's is the context's
+    ctx = _context(build_root_datum("B2"))
+    elems = ctx.group.elems[:ctx.group.up_to(6)]
+    assert len(elems) > 1
+    for x in elems:
+        w = inverse(x).finite
+        assert ctx.finite_parts[w.matrix] is w
+        assert inverse(inverse(x)).finite is x.finite
+
+
 def test_context_keeps_no_memo_by_element():
     # lengths, words and Bruhat comparisons of elements outside every
     # table leave the context as it was, but for the memos keyed by the

@@ -309,6 +309,15 @@ def test_scan_flags_digit_work():
     assert _digit_work(tree) == [1, 2, 3, 4]
 
 
+def test_principal_block_checks_written_once():
+    # "p >= h" and the Jantzen bound are decided in weylkit.coxeter, and
+    # every other module asks it
+    source = "".join(path.read_text(encoding="utf-8")
+                     for path in sorted(SRC.rglob("*.py")))
+    assert source.count("must be at least the Coxeter number") == 1
+    assert source.count("p * (p -") == 1
+
+
 def test_importing_the_cli_builds_no_parser():
     # every benchmark workload imports weylkit.cli during set-up; the
     # parser is built by the first call of main

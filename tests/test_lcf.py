@@ -250,24 +250,34 @@ def test_lcf_character_matches_character_fold():
 
 def test_lcf_input_validation():
     orbit = dominant_orbit(A1, 5, 2)
-    with pytest.raises(ValueError):
-        lcf_coefficients(orbit[1][0], 1)  # below the Coxeter number
-    with pytest.raises(ValueError):
-        lcf_coefficients(generators(A1)[0], 5)  # not a minimal coset rep
+    with pytest.raises(ValueError,
+                       match="^p must be at least the Coxeter number 2$"):
+        lcf_coefficients(orbit[1][0], 1)
+    with pytest.raises(ValueError,
+                       match="^x must be a minimal coset representative$"):
+        lcf_coefficients(generators(A1)[0], 5)
+    with pytest.raises(ValueError, match="Coxeter number 2"):
+        lcf_coefficients(generators(A1)[0], 1)  # p is checked first
 
 
 def test_decomposition_matrix_validation():
-    with pytest.raises(ValueError):
-        decomposition_matrix(A1, 5)  # need a bound
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need max_len or max_weight$"):
+        decomposition_matrix(A1, 5)
+    with pytest.raises(ValueError, match="^unknown entries mode 'bogus'$"):
         decomposition_matrix(A1, 5, max_len=3, entries="bogus")
     a2 = build_root_datum("A2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^entries='simple' needs the A1 "
+                       "simply connected datum and a prime p$"):
         decomposition_matrix(a2, 5, max_len=2, entries="simple")
-    with pytest.raises(ValueError):
-        decomposition_matrix(a2, 2, max_len=2)  # p below Coxeter number
-    with pytest.raises(ValueError, match="max_weight must be nonnegative"):
-        decomposition_matrix(a2, 5, max_weight=-3)
+    with pytest.raises(ValueError,
+                       match="^p must be at least the Coxeter number 3$"):
+        decomposition_matrix(a2, 2, max_len=2)
+    with pytest.raises(ValueError, match="Coxeter number 3"):
+        decomposition_matrix(a2, 2, max_weight=-3, entries="bogus")
+    with pytest.raises(ValueError, match="^max_weight must be nonnegative$"):
+        decomposition_matrix(a2, 5, max_weight=-3, entries="bogus")
+    with pytest.raises(ValueError, match="^need max_len or max_weight$"):
+        decomposition_matrix(a2, 5, entries="bogus")
 
 
 def test_rank_two_formula_matrix():
@@ -462,7 +472,7 @@ def coefficients_through(alg, x, p):
     i = table.element_id(x)
     lx = table.lens[i]
     return {table.elems[y]: -m if (lx + table.lens[y]) % 2 else m
-            for y, m in alg._spherical_row(i)}
+            for y, m in zip(*alg._spherical_row(i))}
 
 
 def check_alcove_table(table, datum, p):
@@ -1106,8 +1116,10 @@ def test_jantzen_only_raises_on_a_column_it_drops(monkeypatch):
     lcf_row = weylkit.lcf._lcf_row
     top = len(dominant_orbit(g2, 7, 16)) - 1
 
-    def padded(datum, x):
-        return lcf_row(datum, x) + [(top, 7)]
+    def padded(datum, x, keys):
+        row = lcf_row(datum, x, keys)
+        row[keys[top]] = 7
+        return row
 
     want = _decomposition_matrix(g2, 7, 16, None, "lcf", jantzen_only=True)
     assert len(want.labels) > 1
