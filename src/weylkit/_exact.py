@@ -10,9 +10,14 @@ reads digits in (-2^(w-1), 2^(w-1)) for ``unitriangular_inverse``;
 ``digit_width`` doubles a width until a bound fits.  Signed digits are
 read as unsigned ones after adding 2^(w-1) in every place.
 ``weylkit.charring.weyl_character`` packs weights on its own: its radix
-is chosen per call from the highest weight, and it decodes the whole
-support place by place, where a call of this kernel per weight would
-be slower.
+is chosen per call from the highest weight, and it decodes the sorted
+keys of the whole support place by place, one list per coordinate,
+then builds every weight in one bulk call, where a call of this kernel
+per weight would be slower.
+
+``exact_ints`` is the one test of exact integer input: the public
+constructors of weights, coroots, characters, Laurent polynomials and
+the ``icstalk`` groups ask it, and so do the character caps.
 """
 
 import sys
@@ -22,6 +27,16 @@ from math import gcd
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI13 = 3317044064679887385961981
+
+
+def exact_ints(values) -> bool:
+    """Is every value a plain int?  bool and every other subclass of int
+    are not: exact input is never reinterpreted or truncated.
+
+    >>> exact_ints((3, -1)), exact_ints(()), exact_ints((1, True, 2.0))
+    (True, True, False)
+    """
+    return set(map(type, values)) <= {int}
 
 
 def _bareiss(rows: list[list[int]], n: int) -> int:

@@ -15,29 +15,35 @@ lam - mu = sum_i n_i alpha_i, the formula reads, in integers,
     T_a(mu) = sum_{k>=1} m(mu + k a) <mu + k a, a^vee>,
 
 where d_i is the Cartan symmetrizer (short roots get 1) and
-d_a = (a, a) / 2; a nonzero remainder raises RuntimeError.  The
-weights are taken in order of depth (sum_i n_i), so every m(mu + k a)
-is known.  When mu + a is dominant, T_a(mu) = m(mu + a)
-(<mu, a^vee> + 2) + T_a(mu + a), read off the stored row of mu + a.
-Otherwise the a-string is walked up from mu: it has left the dominant
-chamber (a convex cone) and never comes back, so each weight of the
-support is walked over at most once per root.
+d_a = (a, a) / 2; a nonzero remainder raises RuntimeError.  One pass
+takes the dominant weights mu <= lam level by level in depth
+(sum_i n_i), from lam down: each mu - a that is dominant joins the
+level deeper by the height of a.  Every mu + k a is shallower than mu,
+so its multiplicity is known when mu is reached.  When mu + a is
+dominant, T_a(mu) = m(mu + a) (<mu, a^vee> + 2) + T_a(mu + a), read off
+the stored row of mu + a.  Otherwise the a-string is walked up from
+mu: it has left the dominant chamber (a convex cone) and never comes
+back, so each weight of the support is walked over at most once per
+root.
 
 A weight nu is packed into the int sum_i nu_i B^(r-1-i).  The packing
-is linear, so mu + a is one int add and w(mu) = sum_i mu_i P(w omega_i).
+is linear, so mu + a is one int add, and the W-orbit of mu - a is the
+orbit of mu less the packed w(a), one int subtraction per element w.
 The support lies in the convex hull of W lam, so its coordinates are at
 most M = max_{a>0} <lam, a^vee> in size, and a string walk looks at
 most R = max |root coordinate| beyond it.  With B = 2M + R + 1 the
 difference of a looked-up weight and a weight of the support has every
 coordinate below B in size, so distinct weights never share an int;
 and 2M < B, so sorted ints are in coordinate order and balanced base-B
-digits unpack them.
+digits unpack them.  Only the packed keys are sorted; the weights are
+built from their digits in one bulk call.
 
 Budget: every dominant mu <= lam has m(mu) >= 1, so the support has
-exactly sum |W mu| terms over those mu.  ``max_terms`` caps it, and
-ResourceLimitError is raised while the dominant weights are being
-enumerated, as soon as that sum passes the cap, before any
-multiplicity is computed.
+exactly sum |W mu| terms over those mu.  ``max_terms`` caps it: the
+orbit of each dominant weight is charged as the pass reaches it, before
+it is stored, so ResourceLimitError is raised exactly when the support
+exceeds the cap, and at most ``max_terms`` terms are ever stored.  A
+cap that is not a positive int is a ValueError.
 
 In rank one the character of highest weight n is e^{n - 2k}, k = 0 ..
 n, written down at once: its n + 1 terms are checked against the cap
@@ -55,15 +61,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from math import prod
 from operator import add, mul, sub
 
-from weylkit._exact import base_p_digits, det_adjugate, is_prime
+from weylkit._exact import base_p_digits, det_adjugate, exact_ints, is_prime
 from weylkit.lattice import (
     ResourceLimitError,
     RootDatum,
     Weight,
+    _weights,
     build_root_datum,
     is_dominant,
 )
@@ -88,6 +95,14 @@ __all__ = [
 DEFAULT_MAX_TERMS = 10 ** 6
 
 
+def _check_cap(max_terms) -> None:
+    """A support cap is a positive int; bool and float are not."""
+    if not exact_ints((max_terms,)):
+        raise ValueError(f"max_terms must be an int, got {max_terms!r}")
+    if max_terms < 1:
+        raise ValueError("max_terms must be positive")
+
+
 @dataclass(frozen=True)
 class Character:
     """Finitely supported integer combination of e^weight terms."""
@@ -95,6 +110,13 @@ class Character:
     terms: tuple[tuple[Weight, int], ...]
 
     def __post_init__(self) -> None:
+        weights = [w for w, _ in self.terms]
+        if not all(isinstance(w, Weight) for w in weights):
+            raise ValueError("character terms must be keyed by Weight")
+        if len({len(w.coords) for w in weights}) > 1:
+            raise ValueError("character weights must all have one rank")
+        if not exact_ints(c for _, c in self.terms):
+            raise ValueError("multiplicities must be int")
         for (w1, c1), (w2, _) in zip(self.terms, self.terms[1:]):
             if w1.coords >= w2.coords:
                 raise ValueError("weights must be strictly ascending")
@@ -121,6 +143,8 @@ class Character:
 
     def coefficient(self, w: Weight) -> int:
         terms = self.terms
+        if terms and len(w.coords) != self.rank:
+            raise ValueError("weight rank does not match the character")
         i = bisect_left(terms, w.coords, key=lambda t: t[0].coords)
         if i < len(terms) and terms[i][0].coords == w.coords:
             return terms[i][1]
@@ -257,15 +281,14 @@ def weyl_character(datum: RootDatum, highest: Weight,
         raise ValueError("weight rank does not match the datum")
     if not is_dominant(highest):
         raise ValueError("highest weight must be dominant")
-    if max_terms < 1:
-        raise ValueError("max_terms must be positive")
+    _check_cap(max_terms)
     if datum.rank == 1:  # SL2: e^{n - 2k}, k = 0 .. n
         n = highest.coords[0]
         if n + 1 > max_terms:
             raise ResourceLimitError(
                 f"character support exceeded {max_terms} terms")
-        return Character._trusted(tuple(
-            (Weight._trusted((m,)), 1) for m in range(-n, n + 1, 2)))
+        weights = _weights(list(zip(range(-n, n + 1, 2))))
+        return Character._trusted(tuple(zip(weights, repeat(1))))
     k = _weyl_constants(datum)
     lam, r = highest.coords, datum.rank
     base = 2 * max(sum(map(mul, lam, co)) for *_, co, _ in k.roots) + (
@@ -278,70 +301,71 @@ def weyl_character(datum: RootDatum, highest: Weight,
         return x
 
     columns = [tuple(map(pack, w)) for w in k.columns]
-    roots = [(a, alpha, pack(a), co, da) for a, alpha, co, da in k.roots]
-    # the dominant weights mu <= lam, each with the n of lam - mu and
-    # its packed int
-    depth = {lam: ((0,) * r, pack(lam))}
-    dominant = [lam]
-    sizes: dict[tuple[bool, ...], int] = {}  # |W mu|, by where mu is 0
-    total = 0
-    for mu in dominant:
-        zeros = tuple(map(bool, mu))
-        size = sizes.get(zeros)
-        if size is None:
-            size = sizes[zeros] = len({sum(map(mul, mu, w)) for w in columns})
-        total += size
-        if total > max_terms:
-            raise ResourceLimitError(
-                f"character support exceeded {max_terms} terms")
-        n, p = depth[mu]
-        for a, alpha, pa, _, _ in roots:
-            nu = tuple(map(sub, mu, a))
-            if min(nu) >= 0 and nu not in depth:
-                depth[nu] = (tuple(map(add, n, alpha)), p - pa)
-                dominant.append(nu)
-    dominant.sort(key=lambda mu: sum(depth[mu][0]))
+    roots = [(a, alpha, sum(alpha), pack(a),
+              [sum(map(mul, a, w)) for w in columns], co, da)
+             for a, alpha, co, da in k.roots]
     lam2 = [c + 2 for c in lam]  # lam + 2 rho
+    sizes: dict[tuple[bool, ...], int] = {}  # |W mu|, by where mu is 0
     mult: dict[int, int] = {}  # the support so far, packed
     tails: dict[int, list[int]] = {}  # T_a(mu) per root, mu dominant
-    for mu in dominant:
-        n, p = depth[mu]
-        row = []
-        num = 0
-        for i, (_, _, pa, co, da) in enumerate(roots):
-            c = sum(map(mul, mu, co))
-            q = p + pa
-            above = tails.get(q)  # a row iff mu + a is dominant, <= lam
-            if above is not None:
-                t = mult[q] * (c + 2) + above[i]
-            else:  # the a-string above mu, outside the chamber
-                t = 0
-                while q in mult:
-                    c += 2
-                    t += mult[q] * c
-                    q += pa
-            row.append(t)
-            num += da * t
-        den = sum(map(mul, n, map(mul, k.sym, map(add, lam2, mu))))
-        if den:
-            m, rest = divmod(2 * num, den)
-            if rest:
-                raise RuntimeError(
-                    "Freudenthal's formula left a nonzero remainder")
-        else:
-            m = 1  # mu = lam
-        tails[p] = row
-        for w in columns:
-            mult[sum(map(mul, mu, w))] = m
+    # the dominant weights mu <= lam by depth: packed mu -> (mu, the n
+    # of lam - mu, the packed w(mu) for each w in W); mu - a lies deeper
+    # than mu by the height of a, and its w(mu - a) are w(mu) - w(a)
+    levels: dict[int, dict[int, tuple]] = {0: {pack(lam): (
+        lam, (0,) * r, [sum(map(mul, lam, w)) for w in columns])}}
+    depth = 0
+    while levels:
+        for p, (mu, n, orbit) in levels.pop(depth, {}).items():
+            zeros = tuple(map(bool, mu))
+            size = sizes.get(zeros)
+            if size is None:
+                size = sizes[zeros] = len(set(orbit))
+            if len(mult) + size > max_terms:
+                raise ResourceLimitError(
+                    f"character support exceeded {max_terms} terms")
+            row = []
+            num = 0
+            for i, (a, alpha, height, pa, wa, co, da) in enumerate(roots):
+                c = sum(map(mul, mu, co))
+                q = p + pa
+                above = tails.get(q)  # a row iff mu + a is dominant, <= lam
+                if above is not None:
+                    t = mult[q] * (c + 2) + above[i]
+                else:  # the a-string above mu, outside the chamber
+                    t = 0
+                    while q in mult:
+                        c += 2
+                        t += mult[q] * c
+                        q += pa
+                row.append(t)
+                num += da * t
+                below = levels.get(depth + height)
+                if below is None:
+                    below = levels[depth + height] = {}
+                if p - pa not in below and min(map(sub, mu, a)) >= 0:
+                    below[p - pa] = (tuple(map(sub, mu, a)),
+                                     tuple(map(add, n, alpha)),
+                                     list(map(sub, orbit, wa)))
+            den = sum(map(mul, n, map(mul, k.sym, map(add, lam2, mu))))
+            if den:
+                m, rest = divmod(2 * num, den)
+                if rest:
+                    raise RuntimeError(
+                        "Freudenthal's formula left a nonzero remainder")
+            else:
+                m = 1  # mu = lam
+            tails[p] = row
+            mult.update(zip(orbit, repeat(m)))
+        depth += 1
     # balanced base-B digits: shifted by B // 2 in every place, they
     # are the plain digits
-    items = sorted(mult.items())
+    keys = sorted(mult)
     half = base // 2
     shift = pack((half,) * r)
-    digits = [[(x + shift) // place % base - half for x, _ in items]
+    digits = [[(x + shift) // place % base - half for x in keys]
               for place in [base ** i for i in range(r - 1, -1, -1)]]
-    return Character._trusted(tuple(zip(map(Weight._trusted, zip(*digits)),
-                                        (m for _, m in items))))
+    return Character._trusted(tuple(zip(_weights(list(zip(*digits))),
+                                        map(mult.__getitem__, keys))))
 
 
 def is_weyl_invariant(datum: RootDatum, ch: Character) -> bool:
@@ -373,8 +397,7 @@ def tensor(a: Character, b: Character,
            max_terms: int = DEFAULT_MAX_TERMS) -> Character:
     """Product of characters (convolution of supports)."""
     a._check_rank(b)
-    if max_terms < 1:
-        raise ValueError("max_terms must be positive")
+    _check_cap(max_terms)
     acc: dict[Weight, int] = {}
     for wa, ca in a.terms:
         for wb, cb in b.terms:
@@ -399,6 +422,7 @@ def sl2_simple_character(n: int, p: int,
     """
     if n < 0:
         raise ValueError("highest weight must be nonnegative")
+    _check_cap(max_terms)
     out = trivial_character(1)
     for i, digit in enumerate(steinberg_digits(Weight((n,)), p)):
         out = tensor(

@@ -79,10 +79,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 
-from weylkit._exact import digit_width, repack, unpack
+from weylkit._exact import digit_width, exact_ints, repack, unpack
 from weylkit.lattice import ResourceLimitError, RootDatum
 from weylkit.coxeter import (
     AffineWeylElement,
@@ -138,6 +138,8 @@ class LaurentPolynomial:
     coeffs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
+        if not exact_ints(chain.from_iterable(self.coeffs)):
+            raise ValueError("exponents and coefficients must be int")
         for (e1, c1), (e2, _) in zip(self.coeffs, self.coeffs[1:]):
             if e1 >= e2:
                 raise ValueError("exponents must be strictly ascending")
@@ -168,12 +170,16 @@ class LaurentPolynomial:
 
     @classmethod
     def monomial(cls, coefficient: int, exponent: int) -> "LaurentPolynomial":
+        if not exact_ints((coefficient, exponent)):
+            raise ValueError("exponents and coefficients must be int")
         if coefficient == 0:
             return cls(())
         return cls(((exponent, coefficient),))
 
     @classmethod
     def from_dict(cls, d: dict[int, int]) -> "LaurentPolynomial":
+        if not exact_ints(chain(d, d.values())):
+            raise ValueError("exponents and coefficients must be int")
         return cls._trusted(_norm_coeffs(d.items()))
 
     def coefficient(self, exponent: int) -> int:

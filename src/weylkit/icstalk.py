@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from weylkit._exact import det, is_prime, smith_diagonal
+from weylkit._exact import det, exact_ints, is_prime, smith_diagonal
 
 __all__ = [
     "FgAbelianGroup",
@@ -39,8 +39,9 @@ __all__ = [
 
 
 def _check_ints(values, what: str) -> None:
-    """Exact input only: reject anything but an int, bool included."""
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+    """Exact input only: reject anything but a plain int, bool and other
+    subclasses of int included."""
+    if not exact_ints(values):
         raise ValueError(f"{what} must be integers")
 
 

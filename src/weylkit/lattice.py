@@ -30,9 +30,11 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, fields
+from itertools import repeat
 
-from weylkit._exact import det, det_adjugate
+from weylkit._exact import det, det_adjugate, exact_ints
 
 __all__ = [
     "Coroot",
@@ -63,15 +65,18 @@ def _int_coords(obj) -> None:
     """Store ``obj.coords`` as a tuple of exact ints; bool and float are
     rejected, never truncated."""
     coords = tuple(obj.coords)
-    if any(type(c) is not int for c in coords):
+    if not exact_ints(coords):
         raise ValueError(f"{type(obj).__name__} coordinates must be int, "
                          f"got {coords!r}")
     object.__setattr__(obj, "coords", coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Weight:
     """Element of the weight lattice, in fundamental-weight coordinates.
+
+    Slotted: a weight holds its coordinates and nothing else, with no
+    instance attributes and no weak references.
 
     >>> Weight((1, 0)) + Weight((0, 2))
     Weight(coords=(1, 2))
@@ -84,13 +89,11 @@ class Weight:
     def __post_init__(self) -> None:
         _int_coords(self)
 
-    @classmethod
-    def _trusted(cls, coords: tuple[int, ...]) -> "Weight":
-        """A weight from a tuple the package has built from ints: skips
-        the checks of the public constructor."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "coords", coords)  # as a frozen __init__ does
-        return w
+    def __reduce__(self):
+        # through the public constructor, the same on every supported
+        # Python: the default state setter cannot fill the slot of a
+        # frozen dataclass, and not every release gives it its own
+        return Weight, (self.coords,)
 
     def __add__(self, other: "Weight") -> "Weight":
         if len(self.coords) != len(other.coords):
@@ -107,6 +110,24 @@ class Weight:
 
     def __rmul__(self, n: int) -> "Weight":
         return Weight(tuple(n * a for a in self.coords))
+
+
+_set_coords = Weight.coords.__set__  # the slot's own setter
+
+
+def _weights(coords: list[tuple[int, ...]]) -> list[Weight]:
+    """The weights of coordinate tuples the package has built from ints,
+    all at once: the package's one trusted construction of weights.  It
+    skips the checks of the public constructor, and ``object.__new__``
+    and the slot's setter are mapped in C, with no Python call per
+    weight.
+
+    >>> _weights([(1, 0), (-2, 3)])
+    [Weight(coords=(1, 0)), Weight(coords=(-2, 3))]
+    """
+    out = list(map(object.__new__, repeat(Weight, len(coords))))
+    deque(map(_set_coords, out, coords), maxlen=0)
+    return out
 
 
 @dataclass(frozen=True)

@@ -274,6 +274,45 @@ def test_character_accessors():
     ]
 
 
+def test_character_checks_its_public_input():
+    # a term is a Weight with an int multiplicity, all of one rank; a
+    # float or bool never enters, and no bare tuple stands for a weight
+    w0, w1 = Weight((0,)), Weight((1,))
+    for terms, message in [
+            (((w0, 1.5),), "multiplicities must be int"),
+            (((w0, True),), "multiplicities must be int"),
+            (((w0, 2.0),), "multiplicities must be int"),
+            (((w1, 1), (Weight((1, 2)), 1)), "one rank"),
+            ((((0,), 1),), "keyed by Weight"),
+            (((w0, 1), ((1,), 1)), "keyed by Weight")]:
+        with pytest.raises(ValueError, match=message):
+            Character(terms)
+    with pytest.raises(ValueError, match="multiplicities must be int"):
+        Character.from_dict({w0: 0.5})
+    with pytest.raises(ValueError, match="one rank"):
+        Character.from_dict({w0: 1, Weight((0, 0)): 1})
+    # the coefficient at a weight of another rank is an error, not 0
+    with pytest.raises(ValueError, match="rank does not match"):
+        trivial_character(2).coefficient(w0)
+    assert Character(()).coefficient(Weight((0, 0))) == 0
+    assert Character(((w0, -3), (w1, 2))).coefficient(w1) == 2
+
+
+def test_max_terms_must_be_an_int():
+    # a cap that is not an int is invalid input, not an exceeded limit
+    g2, a1 = build_root_datum("G2"), build_root_datum("A1")
+    one = trivial_character(1)
+    for cap in (2.5, 1000.0, True, "10"):
+        with pytest.raises(ValueError, match="max_terms must be an int"):
+            weyl_character(g2, Weight((1, 1)), max_terms=cap)
+        with pytest.raises(ValueError, match="max_terms must be an int"):
+            weyl_character(a1, Weight((1,)), max_terms=cap)
+        with pytest.raises(ValueError, match="max_terms must be an int"):
+            tensor(one, one, max_terms=cap)
+        with pytest.raises(ValueError, match="max_terms must be an int"):
+            sl2_simple_character(3, 5, max_terms=cap)
+
+
 def test_weyl_memo_is_dropped_with_the_contexts():
     b2 = build_root_datum("B2")
     lam = Weight((1, 1))
@@ -396,8 +435,8 @@ def test_tensor_matches_star():
 
 
 def test_budget_is_spent_before_any_multiplicity():
-    # G2 (80, 80) has 154 081 terms; the cap stops the enumeration of
-    # the dominant weights after about a thousand terms
+    # G2 (80, 80) has 154 081 terms; the cap stops the pass by depth
+    # after about a thousand terms, each orbit charged before it is stored
     g2 = build_root_datum("G2")
     weyl_character(g2, Weight((1, 1)))  # the datum's constants, built once
     tracemalloc.start()

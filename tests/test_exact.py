@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 import weylkit._exact
 from weylkit import build_root_datum
 from weylkit._exact import (
-    base_p_digits, det_adjugate, is_prime, repack, smith_diagonal,
-    unitriangular_inverse, unpack_signed)
+    base_p_digits, det_adjugate, exact_ints, is_prime, repack,
+    smith_diagonal, unitriangular_inverse, unpack_signed)
 from weylkit.charring import _height
 
 SERIES = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "C2", "G2"]
@@ -332,3 +332,36 @@ def test_base_p_digits_rejects_bad_input():
         base_p_digits(5, 1)
     with pytest.raises(ValueError):
         base_p_digits(-1, 5)
+
+
+def test_one_exact_int_test_rejects_int_subclasses():
+    # exact_ints is the package's one test of exact integer input: a
+    # plain int passes; bool and any other subclass of int do not, at
+    # each public constructor and cap that asks it
+    from enum import IntEnum
+
+    from weylkit import Character, Weight, weyl_character
+    from weylkit.hecke import LaurentPolynomial
+    from weylkit.icstalk import FgAbelianGroup
+
+    class Two(IntEnum):
+        TWO = 2
+
+    class Wide(int):
+        pass
+
+    for odd in (True, Two.TWO, Wide(2), 2.0, "2", None):
+        assert not exact_ints((1, odd))
+    assert exact_ints([0, -5, 10 ** 40]) and exact_ints(())
+    odd = Wide(2)
+    for build in (lambda: Weight((odd, 0)),
+                  lambda: Character(((Weight((0,)), odd),)),
+                  lambda: LaurentPolynomial(((0, odd),)),
+                  lambda: LaurentPolynomial.monomial(odd, 0),
+                  lambda: LaurentPolynomial.from_dict({odd: 1}),
+                  lambda: FgAbelianGroup(0, (odd,)),
+                  lambda: FgAbelianGroup.from_presentation(1, [[odd]]),
+                  lambda: weyl_character(build_root_datum("A2"),
+                                         Weight((1, 0)), max_terms=Wide(9))):
+        with pytest.raises(ValueError):
+            build()

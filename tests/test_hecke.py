@@ -155,6 +155,24 @@ def test_laurent_constructor_rejects_unnormalised_input():
     assert LaurentPolynomial(((-1, 2), (3, -1))).coeffs == ((-1, 2), (3, -1))
 
 
+def test_laurent_public_input_must_be_int():
+    # exponents and coefficients are exact ints: no float or bool enters
+    # through the constructor, monomial or from_dict
+    for coeffs in (((0.5, 1),), ((0, 1.5),), ((True, 1),), ((0, True),),
+                   ((0, 1), (1, 2.0))):
+        with pytest.raises(ValueError, match="must be int"):
+            LaurentPolynomial(coeffs)
+    for coefficient, exponent in ((1.5, 0), (1, 0.5), (True, 0), (1, False),
+                                  (0.0, 0)):
+        with pytest.raises(ValueError, match="must be int"):
+            LaurentPolynomial.monomial(coefficient, exponent)
+    for d in ({0: 1.5}, {0.5: 1}, {True: 1}, {0: False}):
+        with pytest.raises(ValueError, match="must be int"):
+            LaurentPolynomial.from_dict(d)
+    assert LaurentPolynomial.monomial(0, 3) == LaurentPolynomial.zero()
+    assert LaurentPolynomial.from_dict({2: 3, -1: 0}).coeffs == ((2, 3),)
+
+
 def test_laurent_coefficient_and_json():
     p = LaurentPolynomial.from_dict({-1: 2, 3: -5})
     assert p.coefficient(-1) == 2

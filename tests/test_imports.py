@@ -309,6 +309,53 @@ def test_scan_flags_digit_work():
     assert _digit_work(tree) == [1, 2, 3, 4]
 
 
+def _weight_bypasses(tree: ast.Module) -> list[int]:
+    """Lines that build a Weight past its public constructor: a call of
+    ``__new__`` that names Weight, the ``coords`` slot's ``__set__``,
+    ``__setattr__`` of "coords", or ``Weight._trusted``."""
+    def names(node, kind, field, value):
+        return any(isinstance(n, kind) and getattr(n, field) == value
+                   for n in ast.walk(node))
+
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if (isinstance(node, ast.Call)
+                       and names(node, ast.Attribute, "attr", "__new__")
+                       and names(node, ast.Name, "id", "Weight"))
+                   or (isinstance(node, ast.Attribute)
+                       and node.attr == "__set__"
+                       and isinstance(node.value, ast.Attribute)
+                       and node.value.attr == "coords")
+                   or (isinstance(node, ast.Call)
+                       and isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "__setattr__"
+                       and names(node, ast.Constant, "value", "coords"))
+                   or (isinstance(node, ast.Attribute)
+                       and node.attr == "_trusted"
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id == "Weight")})
+
+
+def test_trusted_weights_built_only_in_lattice():
+    # weights built without the public constructor's checks come from
+    # the one bulk constructor in weylkit.lattice
+    found = {path.name for path in sorted(SRC.rglob("*.py"))
+             if _weight_bypasses(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {"lattice.py"}, f"trusted weights built in {sorted(found)}"
+
+
+def test_scan_flags_trusted_weights():
+    tree = ast.parse(
+        "w = object.__new__(Weight)\n"
+        "ws = list(map(object.__new__, repeat(Weight, n)))\n"
+        "Weight.coords.__set__(w, (1,))\n"
+        "object.__setattr__(w, 'coords', (1,))\n"
+        "v = Weight._trusted((1,))\n"
+        "c = object.__new__(Character)\n"
+        "object.__setattr__(c, 'terms', ())\n"
+        "u = Weight((1,))\n")
+    assert _weight_bypasses(tree) == [1, 2, 3, 4, 5]
+
+
 def test_principal_block_checks_written_once():
     # "p >= h" and the Jantzen bound are decided in weylkit.coxeter, and
     # every other module asks it

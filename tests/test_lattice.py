@@ -198,15 +198,33 @@ def test_float_weight_never_reaches_a_character():
 
 
 def test_trusted_weights_equal_checked_ones():
-    # weyl_character builds its weights from ints it computed itself,
-    # without the constructor's checks: each must be the same value,
-    # with the same hash, as the checked weight of those coordinates
+    # weyl_character builds its weights in bulk from ints it computed
+    # itself, without the constructor's checks: each must be the same
+    # value, with the same hash, as the checked weight of those
+    # coordinates, as frozen and as slotted, and pickle and copy alike
+    import copy
+    import pickle
+    import weakref
     from dataclasses import FrozenInstanceError
     from weylkit import weyl_character
-    w = Weight._trusted((2, -1))
-    assert w == Weight((2, -1)) and hash(w) == hash(Weight((2, -1)))
-    with pytest.raises(FrozenInstanceError):
-        w.coords = (0, 0)
+    from weylkit.lattice import _weights
+    coords = [(2, -1), (0,), (), (10 ** 30, -3, 7)]
+    built = _weights(coords)
+    assert [w.coords for w in built] == coords
+    for w, c in zip(built, coords):
+        checked = Weight(c)
+        assert type(w) is Weight
+        assert w == checked and hash(w) == hash(checked)
+        with pytest.raises(FrozenInstanceError):
+            w.coords = (0, 0)
+        assert not hasattr(w, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(w)
+        for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w),
+                     copy.deepcopy(w)):
+            assert type(twin) is Weight
+            assert twin == checked and hash(twin) == hash(checked)
+    assert _weights([]) == []
     for series in ("A2", "G2"):
         d = build_root_datum(series)
         for mu, _ in weyl_character(d, Weight((2, 1))).terms:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import weylkit.charring
 import weylkit.coxeter
 import weylkit.hecke
+import weylkit.lattice
 import weylkit.lcf
 from weylkit import (
     Character,
@@ -873,8 +874,9 @@ def test_sl2_check_builds_no_element_on_a_grown_table(fresh_context,
         "element", AffineWeylElement.__init__))
     monkeypatch.setattr(Weight, "__init__", counted("weight",
                                                     Weight.__init__))
-    monkeypatch.setattr(Weight, "_trusted", staticmethod(counted(
-        "weight", Weight._trusted)))
+    bulk = counted("weight", weylkit.lattice._weights)
+    for module in (weylkit.lattice, weylkit.charring, weylkit.lcf):
+        monkeypatch.setattr(module, "_weights", bulk, raising=False)
     for module in (weylkit.coxeter, weylkit.lcf):
         monkeypatch.setattr(module, "dot_p", counted("dot_p", dot_p),
                             raising=False)
@@ -889,6 +891,10 @@ def test_sl2_check_builds_no_element_on_a_grown_table(fresh_context,
     elems = _context(A1).alcoves.elems
     weylkit.lcf.dot_p(multiply(elems[1], elems[2]), Weight((0,)), p)
     assert set(built) == {"element", "dot_p", "weight"}
+    two = Weight((2,))
+    built.clear()
+    weylkit.charring.weyl_character(A1, two)  # three weights, in bulk
+    assert built == ["weight"]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
