@@ -173,7 +173,7 @@ class Character:
         return self + (-other)
 
     def __mul__(self, other) -> "Character":
-        if isinstance(other, int):
+        if exact_ints((other,)):
             if other == 0:
                 return Character(())
             return Character(tuple((w, c * other) for w, c in self.terms))
@@ -181,8 +181,7 @@ class Character:
             return tensor(self, other)
         return NotImplemented
 
-    def __rmul__(self, other) -> "Character":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if not self.terms:
@@ -387,8 +386,8 @@ def frobenius_twist(ch: Character, p: int) -> Character:
     >>> frobenius_twist(trivial_character(1), 7) == trivial_character(1)
     True
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not exact_ints((p,)) or p < 1:
+        raise ValueError(f"p must be an int at least 1, got {p!r}")
     return Character.from_dict(
         {Weight(tuple(p * c for c in w.coords)): m for w, m in ch.terms})
 

@@ -10,8 +10,9 @@ where P_{y,x} has nonnegative coefficients supported on exponents in
 [1, l(x) - l(y)] of the correct parity.
 
 The basis {b_x} comes from a private integer-indexed recursion in the
-style of du Cloux (Experiment. Math. 11, 2002), whose rows and pool each
-algebra handle owns, under the lock of the datum's context:
+style of du Cloux (Experiment. Math. 11, 2002).  The datum's context
+owns one recursion per table, with its rows, pool and bar memo, under
+its one lock; every handle of the datum shares them:
 
 * ids: the datum's context in ``weylkit.coxeter`` owns one table of
   the affine group and one of W_f, shared by every handle of the
@@ -53,18 +54,17 @@ algebra handle owns, under the lock of the datum's context:
   and its arithmetic and ``bar`` read the action tables, not the group
   law; ``kl_polynomial`` bisects one row.
 
-An affine handle also owns the same recursion on the spherical module
+The context's third recursion is the same one on the spherical module
 triv (x)_{H_f} H: its rows are the m_{y,x} = P_{w0 y, w0 x} that the
 character formula reads (see ``weylkit.lcf``), and the sum of mu b_y
 then also runs over the y whose y s leaves the minimal coset
-representatives.  It too owns only its rows and its pool.  Its ids,
-right action tables and last letters are the context's third table,
-that of the dominant alcoves, which ``dominant_orbit`` reads as well.
-The alcoves are not closed under inverses, so that table keeps no
-column of inverse ids, and every spherical row is stepped.  The
-formula reads a row through ``_spherical_row``: the row's ids and the
-pool's values at v = 1 of their polynomials, which ``weylkit.lcf``
-signs and keys in one pass.
+representatives.  Its ids, right action tables and last letters are
+the context's third table, that of the dominant alcoves, which
+``dominant_orbit`` reads as well.  The alcoves are not closed under
+inverses, so that table keeps no column of inverse ids, and every
+spherical row is stepped.  ``_row_at_one`` reads a row of any of the
+three tables: the row's ids and the pool's values at v = 1 of their
+polynomials, which ``weylkit.lcf`` signs and keys in one pass.
 
 >>> from weylkit.lattice import build_root_datum
 >>> from weylkit.coxeter import generators, multiply
@@ -203,7 +203,7 @@ class LaurentPolynomial:
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPolynomial":
-        if isinstance(other, int):
+        if exact_ints((other,)):
             return LaurentPolynomial._trusted(
                 tuple((e, c * other) for e, c in self.coeffs)
                 if other else ())
@@ -213,8 +213,7 @@ class LaurentPolynomial:
             (e1 + e2, c1 * c2)
             for e1, c1 in self.coeffs for e2, c2 in other.coeffs))
 
-    def __rmul__(self, other) -> "LaurentPolynomial":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def bar(self) -> "LaurentPolynomial":
         """The involution v -> v^{-1}."""
@@ -308,20 +307,19 @@ class HeckeElement:
         return self + (-other)
 
     def __mul__(self, other) -> "HeckeElement":
-        if isinstance(other, (int, LaurentPolynomial)):
-            return self.scale(other)
         if isinstance(other, HeckeElement):
             return self.algebra._product(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other) -> "HeckeElement":
-        if isinstance(other, (int, LaurentPolynomial)):
+        if exact_ints((other,)) or isinstance(other, LaurentPolynomial):
             return self.scale(other)
         return NotImplemented
 
+    __rmul__ = __mul__  # reflected only for a scalar on the left
+
     def scale(self, c) -> "HeckeElement":
-        if isinstance(c, int):
+        if exact_ints((c,)):
             c = LaurentPolynomial.monomial(c, 0)
+        elif not isinstance(c, LaurentPolynomial):
+            raise ValueError(f"scalar must be an int or a polynomial: {c!r}")
         return HeckeElement(self.algebra,
                             _sum_terms((x, p, c) for x, p in self._terms))
 
@@ -395,8 +393,9 @@ class _KLRecursion:
     and holds the row of x_i^{-1}, from ``_inverse_row``.
     ``view(k)`` is the ``LaurentPolynomial`` of entry k, unpacked once
     on first use, kept in ``_views`` by pool id and shared by every
-    caller.  The rows and the pool are not locked by themselves: the
-    owning algebra calls them under its lock, and reads only ids the
+    caller.  ``bar_memo`` holds bar(h_x) by id, for a table of a whole
+    group, as ``HeckeAlgebra.bar`` fills it.  Nothing here is locked by
+    itself: the callers take the context's lock, and read only ids the
     table has handed out.
     """
 
@@ -409,6 +408,7 @@ class _KLRecursion:
         self.ones: list[int] = []
         self._top = 0  # the largest coefficient in the pool
         self._views: dict[int, LaurentPolynomial] = {}
+        self.bar_memo: dict[int, _Terms] = {0: ((0, _ONE),)}
         self.kl: dict[int, _Row] = {
             0: (array("i", (0,)), array("i", (self._intern(1, 1),)))}
 
@@ -559,28 +559,48 @@ class _KLRecursion:
         return ys, array("i", ks)
 
 
+@_one_handle_per_datum
+def _recursions(datum: RootDatum) -> dict[_Table, _KLRecursion]:
+    """The Kazhdan-Lusztig recursion of each table of the datum's context,
+    ``group``, ``finite`` and ``alcoves``, keyed by table.  It is a
+    handle of the context, so the context owns their rows, pools, views
+    and bar memos, and every Hecke handle of the datum and the
+    character formula share them."""
+    ctx = _context(datum)
+    return {t: _KLRecursion(t) for t in (ctx.group, ctx.finite, ctx.alcoves)}
+
+
+def _row_at_one(datum: RootDatum, table: _Table, x: int) -> tuple:
+    """The row of x in the recursion over ``table``, one of the tables
+    of the datum's context, for x an id that the table has handed out:
+    an array of the ids of the y <= x, ascending, and a list of their
+    P_{y,x}(1).  The values are read off the pool under the context's
+    lock, in C; the ids are the row's own array, not to be changed."""
+    eng = _recursions(datum)[table]
+    with table.lock:
+        ys, ks = eng.basis(x)
+        return ys, list(map(eng.ones.__getitem__, ks))
+
+
 class HeckeAlgebra:
     """Hecke algebra of the finite or affine Weyl group of a datum.
 
-    Each handle owns the Kazhdan-Lusztig rows and pool of its group and
-    its bar memo, keyed by id, and an affine handle also owns the rows
-    and the pool of its spherical module.  The ids come from the tables
-    of the datum's context (the affine group or W_f, and the dominant
-    alcoves), which every handle of the datum shares.  One lock guards
-    all of these, the context's lock, which the tables take as well, so
-    concurrent calls see a single logical table.  A left product finds
-    each s x by the group law, and the spherical rows are read by
-    alcove id.
+    A handle owns no table: it references the Kazhdan-Lusztig recursion
+    of its group's table in the datum's context (the affine group or
+    W_f), with its rows, pool and bar memo keyed by id, which every
+    handle of the datum shares, ``affine_hecke``, ``finite_hecke`` and
+    any built directly.  One lock guards all of these, the context's
+    lock, which the tables take as well, so concurrent calls see a
+    single logical table.  Elements of two handles do not mix, even of
+    one datum.  A left product finds each s x by the group law.
     """
 
     def __init__(self, datum: RootDatum, affine: bool = True) -> None:
         self.datum = datum
         self.affine = affine
         ctx = _context(datum)
-        self._engine = _KLRecursion(ctx.group if affine else ctx.finite)
+        self._engine = _recursions(datum)[ctx.group if affine else ctx.finite]
         self.gens = list(self._engine.table.gens)
-        self._spherical = _KLRecursion(ctx.alcoves) if affine else None
-        self._bar_memo = {0: self.unit()._terms}
         self._lock = ctx.lock
 
     def _check_same(self, other: HeckeElement) -> None:
@@ -688,7 +708,7 @@ class HeckeAlgebra:
             for x, p in h._terms:
                 pb = p.bar()  # bar(h_x) = product of h_s + v - v^{-1}
                 triples.extend((y, q, pb) for y, q in self._times_word(
-                    self._bar_memo, x, _ZERO, _V_MINUS_VINV))
+                    self._engine.bar_memo, x, _ZERO, _V_MINUS_VINV))
         return HeckeElement(self, _sum_terms(triples))
 
     def kl_basis_element(self, x) -> HeckeElement:
@@ -707,16 +727,6 @@ class HeckeAlgebra:
             x = eng.table.element_id(x)
             y = eng.table.find(y)
             return eng.polynomial(-1 if y is None else y, x)
-
-    def _spherical_row(self, x: int) -> tuple[array, list[int]]:
-        """The ids of the y <= x, ascending, and their m_{y,x}(1), for x
-        an id that the table of dominant alcoves has handed out, and an
-        affine handle.  The values are read off the pool under the lock,
-        in C; the ids are the row's own array, not to be changed."""
-        with self._lock:
-            eng = self._spherical
-            ys, ks = eng.basis(x)
-            return ys, list(map(eng.ones.__getitem__, ks))
 
 
 @_one_handle_per_datum

@@ -23,14 +23,18 @@ The self-dual basis is b_x = sum over y <= x in ^fW of m_{y,x} M_y.
 The map 1 (x) h -> b_{w0} h embeds M in H and sends b_x to b_{w0 x},
 so m_{y,x} = P_{w0 y, w0 x}, w0 being the longest finite element.
 The row of x is computed in M alone, without the other terms of
-b_{w0 x}, which the formula does not read.  Rows are read by the ids
-of the datum's table of dominant alcoves, position i of
-``dominant_orbit`` being id i, as the ids y <= x and their m_{y,x}(1);
-one dict comprehension signs them and keys them as the caller needs:
-by matrix position in ``decomposition_matrix``, by element in
-``lcf_coefficients`` and by weight in ``sl2_lcf_valid``.  Whether p is
-at least the Coxeter number and whether a weight lies in Jantzen's
-region are decided in ``weylkit.coxeter``.
+b_{w0 x}, which the formula does not read.  Every row, here and in
+``kl_vector_finite``, is read one way, by ``weylkit.hecke``'s reader:
+the ids y <= x in one of the tables of the datum's context and the
+values at v = 1 of their polynomials.  One dict comprehension signs
+them by the parity of l(x) + l(y), read off the table, and keys them
+as the caller needs.  Over the dominant alcoves, position i of
+``dominant_orbit`` being id i, that is by matrix position in
+``decomposition_matrix``, by element in ``lcf_coefficients`` and by
+weight in ``sl2_lcf_valid``; over W_f it is by finite element in
+``kl_vector_finite``.  Whether p is at least the Coxeter number and
+whether a weight lies in Jantzen's region are decided in
+``weylkit.coxeter``.
 
 The SL2 test compares coefficient vectors in the basis of Weyl
 characters chi(m), m >= 0, not weight multiplicities: the formula's
@@ -61,16 +65,17 @@ from weylkit.lattice import RootDatum, Weight, build_root_datum
 from weylkit.coxeter import (
     AffineWeylElement,
     FiniteWeylElement,
+    _Table,
+    _as_affine,
     _check_p,
     _context,
     _in_jantzen_region,
     _rho_pairings,
     dominant_orbit,
     dot_p,
-    length,
     reduced_word,
 )
-from weylkit.hecke import affine_hecke, evaluate_at_one, kl_basis_element
+from weylkit.hecke import _row_at_one
 from weylkit.charring import (
     Character,
     _A1,
@@ -103,22 +108,20 @@ def kl_vector_finite(x: FiniteWeylElement) -> dict[FiniteWeylElement, int]:
     >>> sorted(kl_vector_finite(s).values())
     [-1, 1]
     """
-    lx = length(x)
-    out: dict[FiniteWeylElement, int] = {}
-    for y, poly in kl_basis_element(x).terms:
-        sign = -1 if (lx - length(y)) % 2 else 1
-        out[y.finite] = sign * evaluate_at_one(poly)
-    return out
+    table = _context(x.datum).finite
+    i = table.element_id(_as_affine(x))
+    return _lcf_row(x.datum, table, i, [y.finite for y in table.elems])
 
 
-def _lcf_row(datum: RootDatum, x: int, keys: list) -> dict:
-    """{keys[y]: a_{y,x}} over the alcove ids y <= x, ascending, for x an
-    id that the datum's table of dominant alcoves has handed out.  keys
-    names each id as the caller needs it: a matrix position (None for a
-    dropped column), an element, or an SL2 weight."""
-    lens = _context(datum).alcoves.lens
-    lx = lens[x]
-    ys, ms = affine_hecke(datum)._spherical_row(x)
+def _lcf_row(datum: RootDatum, table: _Table, x: int, keys: list) -> dict:
+    """{keys[y]: (-1)^{l(x)+l(y)} P_{y,x}(1)} over the ids y <= x,
+    ascending, in the recursion over ``table``, one of the datum's
+    context's tables, for x an id that the table has handed out: the
+    a_{y,x} over ``alcoves``, the signed KL vector over ``finite``.
+    keys names each id as the caller needs it: a matrix position (None
+    for a dropped column), an element, or an SL2 weight."""
+    lens, lx = table.lens, table.lens[x]
+    ys, ms = _row_at_one(datum, table, x)
     return {keys[y]: -m if (lx + lens[y]) % 2 else m for y, m in zip(ys, ms)}
 
 
@@ -133,7 +136,7 @@ def lcf_coefficients(x: AffineWeylElement, p: int
     if not ctx.is_alcove(x):
         raise ValueError("x must be a minimal coset representative")
     table = ctx.alcoves
-    return _lcf_row(x.datum, table.element_id(x), table.elems)
+    return _lcf_row(x.datum, table, table.element_id(x), table.elems)
 
 
 def lcf_character(x: AffineWeylElement, p: int) -> Character:
@@ -348,13 +351,14 @@ def _decomposition_matrix(datum: RootDatum, p: int, max_len: int | None,
         max_len = _max_len_for_weight_bound(datum, p, max_weight)
     # orbit position i is id i of the context's alcove table
     orbit = dominant_orbit(datum, p, max_len)
+    table = _context(datum).alcoves
     ids = range(len(orbit))
     if max_weight is not None:
         # A weight box need not be closed downward (it is not in rank
         # two).  The row of x involves exactly the y <= x in ^fW
         # (m_{y,x}(1) >= 1 on the Bruhat interval), so x is kept when
         # its lower ideal lies in the box, before any row is computed.
-        ideals = _context(datum).alcoves.ideals(len(orbit))
+        ideals = table.ideals(len(orbit))
         outside = sum(1 << i for i, (_, w) in enumerate(orbit)
                       if max(w.coords) > max_weight)
         ids = [i for i, ideal in enumerate(ideals) if not ideal & outside]
@@ -375,7 +379,7 @@ def _decomposition_matrix(datum: RootDatum, p: int, max_len: int | None,
         pos = [None] * len(orbit)
         for k, i in enumerate(ids):
             pos[i] = k
-        rows = [_lcf_row(datum, i, pos) for i in ids]
+        rows = [_lcf_row(datum, table, i, pos) for i in ids]
     else:
         index = {w.coords[0]: k for k, (_, w) in enumerate(labels)}
         rows = [{index.get(m): a for m, a in
@@ -434,7 +438,8 @@ def sl2_lcf_valid(n: int, p: int) -> bool:
         raise ValueError("weight must be nonnegative")
     x = _sl2_alcove_id(n, p)
     weights = [_sl2_weight(y, p) for y in range(x + 1)]
-    return _lcf_row(_A1, x, weights) == _sl2_simple_in_standard_basis(n, p)
+    return (_lcf_row(_A1, _context(_A1).alcoves, x, weights)
+            == _sl2_simple_in_standard_basis(n, p))
 
 
 def sl3_multiplicity_fixtures(p: int

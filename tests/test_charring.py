@@ -298,6 +298,28 @@ def test_character_checks_its_public_input():
     assert Character(((w0, -3), (w1, 2))).coefficient(w1) == 2
 
 
+def test_character_scalar_must_be_an_int():
+    # an int scales; a bool or a float is no exact scalar, and the
+    # product is a TypeError, as for any other unsupported operand
+    w0, w1 = Weight((0,)), Weight((1,))
+    ch = Character(((w0, 1), (w1, -2)))
+    assert ch * 3 == 3 * ch == Character(((w0, 3), (w1, -6)))
+    assert ch * 0 == Character(())
+    for c in (True, False, 2.0, 0.5):
+        with pytest.raises(TypeError):
+            ch * c
+        with pytest.raises(TypeError):
+            c * ch
+
+
+def test_frobenius_twist_p_must_be_an_int():
+    ch = sl2_simple_character(2, 5)
+    assert frobenius_twist(ch, 1) == ch
+    for p in (True, 2.0, "2", 0, -3):
+        with pytest.raises(ValueError, match="p must be an int at least 1"):
+            frobenius_twist(ch, p)
+
+
 def test_max_terms_must_be_an_int():
     # a cap that is not an int is invalid input, not an exceeded limit
     g2, a1 = build_root_datum("G2"), build_root_datum("A1")

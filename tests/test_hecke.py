@@ -61,7 +61,7 @@ from weylkit._exact import repack, unpack
 from weylkit.coxeter import _context
 
 from test_coxeter import bare, greedy_word
-from test_lcf import YieldingList, check_alcove_table
+from test_lcf import YieldingList, check_alcove_table, spherical_recursion
 
 V = LaurentPolynomial.v()
 ONE = LaurentPolynomial.one()
@@ -171,6 +171,39 @@ def test_laurent_public_input_must_be_int():
             LaurentPolynomial.from_dict(d)
     assert LaurentPolynomial.monomial(0, 3) == LaurentPolynomial.zero()
     assert LaurentPolynomial.from_dict({2: 3, -1: 0}).coeffs == ((2, 3),)
+
+
+def test_laurent_scalar_must_be_an_int():
+    # an int scales; a bool or a float is no exact scalar, and the
+    # product is a TypeError, as for any other unsupported operand
+    p = LaurentPolynomial.from_dict({-1: 2, 3: -5})
+    assert p * 3 == 3 * p == LaurentPolynomial.from_dict({-1: 6, 3: -15})
+    assert p * 0 == ZERO
+    for c in (True, False, 2.0, 0.5):
+        with pytest.raises(TypeError):
+            p * c
+        with pytest.raises(TypeError):
+            c * p
+
+
+def test_hecke_scalar_must_be_an_int_or_a_polynomial():
+    alg = affine_hecke(build_root_datum("A1"))
+    h = alg.standard_basis_element(generators(alg.datum)[1]) + alg.unit()
+    two = LaurentPolynomial.monomial(2, 0)
+    assert h * 2 == 2 * h == h * two == two * h == h + h
+    for c in (True, False, 2.0, 0.5):
+        with pytest.raises(TypeError):
+            h * c
+        with pytest.raises(TypeError):
+            c * h
+
+
+def test_hecke_scale_rejects_inexact_scalars():
+    h = affine_hecke(build_root_datum("A1")).unit()
+    assert h.scale(2) == h.scale(LaurentPolynomial.monomial(2, 0)) == h + h
+    for c in (2.0, True, "2", None):
+        with pytest.raises(ValueError, match="scalar must be an int"):
+            h.scale(c)
 
 
 def test_laurent_coefficient_and_json():
@@ -575,7 +608,8 @@ def test_two_handles_grow_the_group_table_at_once():
         sys.setswitchinterval(old)
 
 
-def test_kl_pool_holds_each_polynomial_once():
+def test_kl_pool_holds_each_polynomial_once(fresh_context):
+    # on a fresh context, whose pool holds only what this test asks for
     datum = build_root_datum("B2")
     alg = HeckeAlgebra(datum)
     els = elements_up_to(datum, 8)
@@ -699,10 +733,12 @@ def test_packed_rows_match_the_dense_step(series, max_len):
 @pytest.mark.parametrize("series, max_len, seed", [
     ("A2", 9, 1), ("B2", 9, 2), ("G2", 9, 3), ("A3", 8, 4)])
 def test_rows_in_shuffled_order_match_the_dense_step(series, max_len, seed,
-                                                     monkeypatch):
+                                                     monkeypatch,
+                                                     fresh_context):
     # a row of x is read off the row of x^{-1} when that row is there,
     # and stepped otherwise: with the rows asked for in shuffled order,
-    # the dense step checks rows from both paths
+    # the dense step checks rows from both paths, on a fresh context so
+    # that every row is made here
     made = {"step": 0, "inverse": 0}
 
     def counted(name):
@@ -725,9 +761,10 @@ def test_rows_in_shuffled_order_match_the_dense_step(series, max_len, seed,
     # at p = 11 the A1 alcove of length k is (11 k - 1, 11 k + 10), so
     # 1331 lies in the alcove of length 121
     ("A2", 14), ("B2", 14), ("G2", 14), ("A1", 121)])
-def test_packed_spherical_rows_match_the_dense_step(series, max_len):
-    alg = HeckeAlgebra(build_root_datum(series))
-    assert assert_rows_match_dense(alg._spherical, max_len) > max_len
+def test_packed_spherical_rows_match_the_dense_step(series, max_len,
+                                                    fresh_context):
+    eng = spherical_recursion(build_root_datum(series))
+    assert assert_rows_match_dense(eng, max_len) > max_len
 
 
 def pack(coeffs, width):
@@ -923,6 +960,46 @@ def test_second_handle_reads_the_walked_group(fresh_context, monkeypatch):
     assert second._engine.table is _context(datum).group
 
 
+def test_second_handle_recomputes_nothing(fresh_context, monkeypatch):
+    # the context owns the recursion of each table and its bar memo: a
+    # second handle of the datum, built directly or by the builder,
+    # reads the rows, pool and memo that the first one filled, with no
+    # step, no new pool entry and no product of the bar's word
+    datum = build_root_datum("B2")
+    els = elements_up_to(datum, 8)
+    longer = elements_up_to(datum, 9)[-1]
+    first = HeckeAlgebra(datum)
+    kl = {x: first.kl_basis_element(x).terms for x in els}
+    barred = {x: first.bar(first.standard_basis_element(x)).terms
+              for x in els}
+    w0 = embed_finite(longest_finite_element(datum))
+    finite = HeckeAlgebra(datum, affine=False)
+    kl_w0 = finite.kl_basis_element(w0).terms
+    calls = []
+    for cls, name in ((weylkit.hecke._KLRecursion, "_step"),
+                      (weylkit.hecke._KLRecursion, "_intern"),
+                      (HeckeAlgebra, "_times_gen")):
+        def counted(*args, method=getattr(cls, name), name=name):
+            calls.append(name)
+            return method(*args)
+        monkeypatch.setattr(cls, name, counted)
+    for second in (HeckeAlgebra(datum), affine_hecke(datum)):
+        assert second is not first and second._engine is first._engine
+        for x in els:
+            assert second.kl_basis_element(x).terms == kl[x]
+            h_x = second.standard_basis_element(x)
+            assert second.bar(h_x).terms == barred[x]
+    for second in (HeckeAlgebra(datum, affine=False), finite_hecke(datum)):
+        assert second._engine is finite._engine
+        assert second.kl_basis_element(w0).terms == kl_w0
+    assert calls == []
+    # the counters see what they count
+    assert length(longer) == 9
+    first.kl_basis_element(longer)
+    first.bar(first.standard_basis_element(longer))
+    assert {"_step", "_intern", "_times_gen"} <= set(calls)
+
+
 def test_clearing_the_context_drops_the_handles_built_on_it():
     # a handle keeps the tables of its context, so a cleared context
     # must take the handles with it, or a new handle would walk the
@@ -932,10 +1009,11 @@ def test_clearing_the_context_drops_the_handles_built_on_it():
     _context.cache_clear()
     ctx = _context(datum)
     assert affine_hecke(datum)._engine.table is ctx.group
-    assert affine_hecke(datum)._spherical.table is ctx.alcoves
+    assert spherical_recursion(datum).table is ctx.alcoves
     assert finite_hecke(datum)._engine.table is ctx.finite
     assert affine_hecke(datum) is not stale[0]
     assert finite_hecke(datum) is not stale[1]
+    assert affine_hecke(datum)._engine is not stale[0]._engine
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1031,7 +1109,7 @@ def test_views_are_built_for_read_entries_only(fresh_context):
     datum = build_root_datum("G2")
     alg = affine_hecke(datum)
     decomposition_matrix(datum, 7, max_len=14)
-    assert alg._spherical._views == {}
+    assert spherical_recursion(datum)._views == {}
     eng = alg._engine
     read = set()
     for x in elements_up_to(datum, 9)[::7]:

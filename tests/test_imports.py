@@ -209,6 +209,26 @@ def test_scan_flags_a_second_matrix_product():
     assert _calls(tree, "_mat_mul") == [2, 3]
 
 
+def test_one_kl_recursion_per_table():
+    # the datum's context holds one recursion per table, built in one
+    # place; a handle that built its own would compute every row again
+    found = [f"{path.name}: line {line}" for path in sorted(SRC.rglob("*.py"))
+             for line in _calls(ast.parse(path.read_text(encoding="utf-8")),
+                                "_KLRecursion")]
+    assert len(found) == 1, f"recursions built: {found}"
+
+
+def test_scan_flags_a_second_kl_recursion():
+    tree = ast.parse(
+        "class _KLRecursion: pass\n"
+        "a = _KLRecursion(ctx.group)\n"
+        "b = hecke._KLRecursion(\n"
+        "    ctx.alcoves)\n"
+        "k = _KLRecursion\n"
+        "s = '_KLRecursion(t)'\n")
+    assert _calls(tree, "_KLRecursion") == [2, 3]
+
+
 def _functools_caches(tree: ast.Module) -> list[int]:
     """Lines that import or name functools.lru_cache or functools.cache."""
     caches = ("lru_cache", "cache")

@@ -38,6 +38,7 @@ from weylkit import (
     dominant_orbit,
     dot_p,
     embed_finite,
+    enumerate_finite_weyl,
     expand_in_standard_basis,
     evaluate_at_one,
     finite_hecke,
@@ -69,6 +70,7 @@ from weylkit.charring import (
     _weyl_cached,
 )
 from weylkit.coxeter import _LEAF, AffineWeylElement, _context
+from weylkit.hecke import _row_at_one
 from weylkit.lcf import (
     _decomposition_matrix,
     _max_len_for_weight_bound,
@@ -362,11 +364,15 @@ def members(bits):
     return {y for y, b in enumerate(reversed(bin(bits)[2:])) if b == "1"}
 
 
+def spherical_recursion(datum):
+    """The context's Kazhdan-Lusztig recursion over the dominant alcoves."""
+    return weylkit.hecke._recursions(datum)[_context(datum).alcoves]
+
+
 def spherical_row(x):
     """{y: m_{y,x}} as Laurent polynomials, read off the engine."""
-    alg = affine_hecke(x.datum)
-    with alg._lock:
-        eng = alg._spherical
+    eng = spherical_recursion(x.datum)
+    with eng.table.lock:
         return {eng.table.elems[y]: m
                 for y, m in eng.terms(eng.table.element_id(x))}
 
@@ -391,7 +397,7 @@ def test_spherical_rows_are_kl_polynomials_of_the_bruhat_ideal(case, data):
     below = {y for y in orbit if length(y) <= lx and bruhat_leq(y, x)}
     assert set(row) == below
     assert all(evaluate_at_one(row[y]) >= 1 for y in below)
-    table = affine_hecke(x.datum)._spherical.table
+    table = spherical_recursion(x.datum).table
     i = table.element_id(x)
     assert {table.elems[y] for y in members(table.ideals(i + 1)[i])} == below
 
@@ -416,7 +422,7 @@ def test_lcf_coefficients_shared_by_many_threads(fresh_affine_hecke):
     try:
         for _ in range(8):
             _context.cache_clear()
-            eng = affine_hecke(datum)._spherical.table
+            eng = spherical_recursion(datum).table
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [pool.submit(lcf_coefficients, x, 5) for x in order]
                 results = [f.result(timeout=120) for f in futures]
@@ -450,7 +456,7 @@ def test_orbit_and_rows_walk_the_alcoves_once(fresh_context, monkeypatch):
     m = decomposition_matrix(datum, 7, max_weight=20)
     assert len(m.labels) == 46
     assert calls == []
-    assert affine_hecke(datum)._spherical.table is _context(datum).alcoves
+    assert spherical_recursion(datum).table is _context(datum).alcoves
     # on warm tables the rows are read by alcove id: no group element is
     # hashed, under either bound
     m_len = decomposition_matrix(datum, 7, max_len=12)
@@ -468,12 +474,13 @@ def test_orbit_and_rows_walk_the_alcoves_once(fresh_context, monkeypatch):
 
 
 def coefficients_through(alg, x, p):
-    """lcf_coefficients, read through the spherical engine of alg."""
-    table = alg._spherical.table
+    """lcf_coefficients, read through the row reader of the datum of
+    alg, with no call of lcf."""
+    table = _context(alg.datum).alcoves
     i = table.element_id(x)
     lx = table.lens[i]
     return {table.elems[y]: -m if (lx + table.lens[y]) % 2 else m
-            for y, m in zip(*alg._spherical_row(i))}
+            for y, m in zip(*_row_at_one(alg.datum, table, i))}
 
 
 def check_alcove_table(table, datum, p):
@@ -569,7 +576,8 @@ def test_alcove_table_shared_by_orbit_walks_and_two_handles(fresh_context):
                     assert list(got.items()) == list(
                         expected[task[-2]].items())
             assert _context(datum).alcoves is table
-            assert all(h._spherical.table is table for h in handles)
+            assert spherical_recursion(datum).table is table
+            assert handles[0]._engine is handles[1]._engine
             check_alcove_table(table, datum, p)
     finally:
         sys.setswitchinterval(old)
@@ -635,8 +643,15 @@ def test_first_calls_across_layers_on_one_fresh_context(
         built.append(("constants",))
         return constants(*args)
 
+    recursion = weylkit.hecke._KLRecursion
+
+    def counted_recursion(table):
+        built.append(("rows", table.elems[0].datum.series))
+        return recursion(table)
+
     monkeypatch.setattr(HeckeAlgebra, "__init__", counted_init)
     monkeypatch.setattr(weylkit.charring, "_WeylConstants", counted_constants)
+    monkeypatch.setattr(weylkit.hecke, "_KLRecursion", counted_recursion)
     g2 = build_root_datum("G2")
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -653,8 +668,11 @@ def test_first_calls_across_layers_on_one_fresh_context(
                 results[k] = {name: call() for name, call in order}
 
             in_threads([lambda k=k: run(k) for k in range(8)])
+            # the rank-one check reads the rows of A1 through no handle;
+            # each datum's three recursions are built once
             assert sorted(built) == sorted(
-                [("A1", True), ("G2", False), ("G2", True), ("constants",)])
+                [("G2", False), ("G2", True), ("constants",)]
+                + [("rows", "A1")] * 3 + [("rows", "G2")] * 3)
             for got in results:
                 assert got["affine"] is affine_hecke(g2)
                 assert got["finite"] is finite_hecke(g2)
@@ -678,18 +696,26 @@ def test_decomposition_matrix_leaves_the_full_affine_engine_empty(
     alg = affine_hecke(datum)
     assert alg._engine.table.elems == [identity_element(datum)]
     assert list(alg._engine.kl) == [0]
-    assert len(alg._spherical.kl) > 1
+    assert len(spherical_recursion(datum).kl) > 1
+
+
+def counted_rows(monkeypatch):
+    """The ids x whose rows lcf reads through the row reader, from now
+    on, each checked to be read over the table of dominant alcoves."""
+    calls = []
+    row_at_one = weylkit.lcf._row_at_one
+
+    def counted(datum, table, x):
+        assert table is _context(datum).alcoves
+        calls.append(x)
+        return row_at_one(datum, table, x)
+
+    monkeypatch.setattr(weylkit.lcf, "_row_at_one", counted)
+    return calls
 
 
 def test_weight_bound_computes_rows_for_kept_labels_only(monkeypatch):
-    calls = []
-    spherical_row = HeckeAlgebra._spherical_row
-
-    def counted(alg, x):
-        calls.append(x)
-        return spherical_row(alg, x)
-
-    monkeypatch.setattr(HeckeAlgebra, "_spherical_row", counted)
+    calls = counted_rows(monkeypatch)
     g2 = build_root_datum("G2")
     m = decomposition_matrix(g2, 7, max_weight=20)
     assert len(m.labels) == 46
@@ -927,6 +953,42 @@ def test_kl_vector_finite():
     assert vec[e] == -1
 
 
+def kl_vector_through_the_basis(x):
+    """The oracle of kl_vector_finite, through the public Hecke layer:
+    the terms of b_x, each polynomial evaluated at one and signed by the
+    lengths of the group elements."""
+    lx = length(x)
+    out = {}
+    for y, poly in kl_basis_element(x).terms:
+        sign = -1 if (lx - length(y)) % 2 else 1
+        out[y.finite] = sign * evaluate_at_one(poly)
+    return out
+
+
+@pytest.mark.parametrize("series", ["A1", "A2", "A3", "B2", "C2", "G2"])
+def test_kl_vector_finite_reads_the_row_at_one(series, fresh_context,
+                                               monkeypatch):
+    # on a fresh context, every kl_vector_finite of W_f builds no
+    # polynomial, and then equals the path through b_x, order included;
+    # an element of W_f may also come as an affine one
+    datum = build_root_datum(series)
+    finite = [w for w, _ in enumerate_finite_weyl(datum)]
+    finite += [embed_finite(w) for w in finite]
+    made = []
+    trusted = LaurentPolynomial._trusted
+
+    def counted(coeffs):
+        made.append(coeffs)
+        return trusted(coeffs)
+
+    monkeypatch.setattr(LaurentPolynomial, "_trusted", staticmethod(counted))
+    got = [kl_vector_finite(w) for w in finite]
+    assert made == []
+    monkeypatch.undo()
+    for w, vec in zip(finite, got):
+        assert list(vec.items()) == list(kl_vector_through_the_basis(w).items())
+
+
 def test_sl3_fixture_tables():
     first, second = sl3_multiplicity_fixtures(5)
     assert {w.coords: c for w, c in first.items()} == {
@@ -1094,14 +1156,7 @@ def test_jantzen_only_is_the_restriction(series, variant, p):
 
 @pytest.mark.parametrize("bound", [{"max_len": 24}, {"max_weight": 30}])
 def test_jantzen_only_computes_the_jantzen_rows_only(bound, monkeypatch):
-    calls = []
-    spherical_row = HeckeAlgebra._spherical_row
-
-    def counted(alg, x):
-        calls.append(x)
-        return spherical_row(alg, x)
-
-    monkeypatch.setattr(HeckeAlgebra, "_spherical_row", counted)
+    calls = counted_rows(monkeypatch)
     g2 = build_root_datum("G2")
     m = _decomposition_matrix(g2, 7, bound.get("max_len"),
                               bound.get("max_weight"), "lcf",
@@ -1122,8 +1177,8 @@ def test_jantzen_only_raises_on_a_column_it_drops(monkeypatch):
     lcf_row = weylkit.lcf._lcf_row
     top = len(dominant_orbit(g2, 7, 16)) - 1
 
-    def padded(datum, x, keys):
-        row = lcf_row(datum, x, keys)
+    def padded(datum, table, x, keys):
+        row = lcf_row(datum, table, x, keys)
         row[keys[top]] = 7
         return row
 

@@ -24,7 +24,6 @@ import itertools
 import pytest
 
 from weylkit import (
-    HeckeAlgebra,
     Weight,
     build_root_datum,
     enumerate_finite_weyl,
@@ -32,6 +31,7 @@ from weylkit import (
 )
 from weylkit._exact import det_adjugate, unpack
 from weylkit.coxeter import _context
+from weylkit.hecke import _recursions
 
 
 def kostant_q(alphas, box):
@@ -113,7 +113,7 @@ CASES = [("A1", 30, 136), ("A2", 24, 396), ("B2", 30, 345),
 def test_spherical_rows_at_translations_are_q_weight_multiplicities(
         series, max_len, nonzero):
     datum = build_root_datum(series)
-    eng = HeckeAlgebra(datum)._spherical
+    eng = _recursions(datum)[_context(datum).alcoves]
     pairs = translations(datum, max_len)
     oracle = LusztigKato(datum, [lam for _, lam in pairs])
     found = 0
