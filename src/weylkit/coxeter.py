@@ -496,6 +496,9 @@ def generators(datum: RootDatum) -> list[AffineWeylElement]:
 
 def embed_finite(w: FiniteWeylElement) -> AffineWeylElement:
     """View a finite element as an affine one (zero translation)."""
+    if not isinstance(w, FiniteWeylElement):
+        raise TypeError(
+            f"embed_finite needs a FiniteWeylElement, got {type(w).__name__}")
     return AffineWeylElement(w, (0,) * w.datum.rank)
 
 
@@ -545,6 +548,8 @@ def dot_p(x: AffineWeylElement, weight: Weight, p: int) -> Weight:
     """
     if p < 1:
         raise ValueError("p must be at least 1")
+    if len(weight.coords) != len(x.translation):
+        raise ValueError("weight and element have different ranks")
     moved = _mat_vec(x.finite.matrix, tuple(c + 1 for c in weight.coords))
     return Weight(tuple(m - 1 + p * g for m, g in zip(moved, x.translation)))
 

@@ -11,8 +11,9 @@ where P_{y,x} has nonnegative coefficients supported on exponents in
 
 The basis {b_x} comes from a private integer-indexed recursion in the
 style of du Cloux (Experiment. Math. 11, 2002).  The datum's context
-owns one recursion per table, with its rows, pool and bar memo, under
-its one lock; every handle of the datum shares them:
+owns one recursion per table, built when that table is first read,
+with its rows, pool and bar memo, under its one lock; every handle of
+the datum shares them:
 
 * ids: the datum's context in ``weylkit.coxeter`` owns one table of
   the affine group and one of W_f, shared by every handle of the
@@ -29,9 +30,9 @@ its one lock; every handle of the datum shares them:
   recursion, packed into one int, the sum of c_e 2^(w e) over its
   coefficients c_e (Kronecker substitution), next to its coefficient
   of v (mu), its value at v = 1 and, once asked for, the one
-  ``LaurentPolynomial`` that every b_x containing it shares, unpacked
-  on that first view, so that a pool nobody reads, such as the
-  spherical one, holds no view; the recursion adds packed ints, and
+  ``LaurentPolynomial`` that every reader of it shares, unpacked on
+  that first read, so that a pool nobody reads, such as the spherical
+  one, holds no view; the recursion adds packed ints, and
   the packed-digit kernel of ``weylkit._exact`` reads and widens them.
   The digit width w is the pool's own: it starts at 16 bits and
   doubles, the pool packed again, whenever a step could carry a
@@ -50,9 +51,13 @@ its one lock; every handle of the datum shares them:
   h_{w^{-1}} fixes the basis up to relabelling): the ids go through the
   table's column of inverse ids, and the pool ids stay, with no
   arithmetic on polynomials;
-* elements: a ``HeckeElement`` holds (id, Laurent polynomial) pairs,
-  and its arithmetic and ``bar`` read the action tables, not the group
-  law; ``kl_polynomial`` bisects one row.
+* elements: a b_x from ``kl_basis_element`` holds its row, the two
+  arrays above, and nothing per term.  Its ``terms``, ``support`` and
+  ``coefficient`` read the row, and unpack an entry of the pool only
+  when it is first read; ``kl_polynomial`` bisects one row.  Arithmetic
+  and ``bar`` work on (id, Laurent polynomial) pairs, which a b_x
+  builds once, when arithmetic first asks for them, and read the action
+  tables, not the group law.
 
 The context's third recursion is the same one on the spherical module
 triv (x)_{H_f} H: its rows are the m_{y,x} = P_{w0 y, w0 x} that the
@@ -262,38 +267,70 @@ _ONE = LaurentPolynomial.one()
 _VINV_MINUS_V = LaurentPolynomial(((-1, 1), (1, -1)))
 _V_MINUS_VINV = -_VINV_MINUS_V
 _Terms = tuple[tuple[int, LaurentPolynomial], ...]  # (id of x, coefficient)
+_Row = tuple[array, array]  # (ids of y, ascending; pool ids of P_{y,x})
 
 
-@dataclass(frozen=True)
 class HeckeElement:
     """Finitely supported combination of standard basis elements h_x.
 
     ``terms`` pairs group elements with nonzero Laurent polynomials,
-    sorted by engine id, which is (length, reduced word) order; the
-    element holds them as (id, polynomial) on its algebra's engine.
+    sorted by engine id, which is (length, reduced word) order.  An
+    element that arithmetic builds holds them as (id, polynomial) on its
+    algebra's engine.  A b_x from ``kl_basis_element`` holds its row of
+    the recursion instead, the ids of the y <= x and the pool ids of
+    their P_{y,x}: ``terms``, ``support`` and ``coefficient`` read the
+    row, and arithmetic builds the (id, polynomial) pairs once, on first
+    use.  Both forms of one element are equal and hash alike.
     """
 
-    algebra: "HeckeAlgebra"
-    _terms: _Terms
+    __slots__ = ("algebra", "_row", "_pairs")
+
+    def __init__(self, algebra: "HeckeAlgebra", terms: _Terms) -> None:
+        self.algebra, self._row, self._pairs = algebra, None, terms
+
+    @property
+    def _terms(self) -> _Terms:
+        if self._pairs is None:
+            with self.algebra._lock:  # so that they are built once
+                if self._pairs is None:
+                    self._pairs = tuple(zip(self._row[0], self._views()))
+        return self._pairs
+
+    def _views(self) -> list[LaurentPolynomial]:
+        return self.algebra._engine.views(self._row[1])
 
     @property
     def terms(self) -> tuple[tuple[AffineWeylElement, LaurentPolynomial],
                              ...]:
         elems = self.algebra._engine.table.elems
-        return tuple((elems[x], p) for x, p in self._terms)
+        if self._row is None:
+            return tuple([(elems[x], p) for x, p in self._pairs])
+        return tuple(zip(map(elems.__getitem__, self._row[0]), self._views()))
 
     def support(self) -> list[AffineWeylElement]:
-        return [x for x, _ in self.terms]
+        ids = self._row[0] if self._row else [x for x, _ in self._pairs]
+        return list(map(self.algebra._engine.table.elems.__getitem__, ids))
 
     def coefficient(self, x: AffineWeylElement | FiniteWeylElement
                     ) -> LaurentPolynomial:
         i = self.algebra._engine.table.find(self.algebra._check_member(x))
-        terms = self._terms
-        if i is not None:
-            j = bisect_left(terms, i, key=itemgetter(0))
-            if j < len(terms) and terms[j][0] == i:
-                return terms[j][1]
+        if i is None:
+            return _ZERO
+        if self._row is not None:
+            with self.algebra._lock:
+                return self.algebra._engine.polynomial(i, self._row)
+        terms = self._pairs
+        j = bisect_left(terms, i, key=itemgetter(0))
+        if j < len(terms) and terms[j][0] == i:
+            return terms[j][1]
         return _ZERO
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, HeckeElement) and
+                (self.algebra, self._terms) == (other.algebra, other._terms))
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, self._terms))
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         self.algebra._check_same(other)
@@ -324,28 +361,19 @@ class HeckeElement:
                             _sum_terms((x, p, c) for x, p in self._terms))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
         for x, p in self.terms:
-            word = reduced_word(x)
-            label = "h_id" if not word else "h_" + "".join(str(i) for i in word)
-            if p == LaurentPolynomial.one():
+            label = "h_" + ("".join(map(str, reduced_word(x))) or "id")
+            if p == _ONE:
                 parts.append(label)
             else:
-                body = str(p)
-                if len(p.coeffs) > 1:
-                    body = f"({body})"
+                body = f"({p})" if len(p.coeffs) > 1 else str(p)
                 parts.append(f"{body}*{label}")
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
     def to_json_dict(self) -> dict:
-        return {
-            "terms": [
-                {"word": reduced_word(x), "poly": p.to_json_dict()}
-                for x, p in self.terms
-            ]
-        }
+        return {"terms": [{"word": reduced_word(x), "poly": p.to_json_dict()}
+                          for x, p in self.terms]}
 
 
 def _sum_terms(triples) -> _Terms:
@@ -362,9 +390,6 @@ def _sum_terms(triples) -> _Terms:
                 a[e] = a.get(e, 0) + c1 * c2
     terms = ((x, _nonzero(acc[x])) for x in sorted(acc))
     return tuple((x, LaurentPolynomial._trusted(c)) for x, c in terms if c)
-
-
-_Row = tuple[array, array]  # (ids of y, ascending; pool ids of P_{y,x})
 
 
 class _KLRecursion:
@@ -393,10 +418,11 @@ class _KLRecursion:
     and holds the row of x_i^{-1}, from ``_inverse_row``.
     ``view(k)`` is the ``LaurentPolynomial`` of entry k, unpacked once
     on first use, kept in ``_views`` by pool id and shared by every
-    caller.  ``bar_memo`` holds bar(h_x) by id, for a table of a whole
-    group, as ``HeckeAlgebra.bar`` fills it.  Nothing here is locked by
-    itself: the callers take the context's lock, and read only ids the
-    table has handed out.
+    caller; ``views(ks)`` looks up a row's entries in C.  ``bar_memo``
+    holds bar(h_x) by id, for a table of a whole group, as
+    ``HeckeAlgebra.bar`` fills it.  Only ``views`` takes the context's
+    lock itself, to unpack what is missing; the other callers take it,
+    and read only ids the table has handed out.
     """
 
     def __init__(self, table: _Table) -> None:
@@ -483,18 +509,20 @@ class _KLRecursion:
         ids = sorted(pool_ids)
         return array("i", ids), array("i", map(pool_ids.__getitem__, ids))
 
-    def terms(self, x: int) -> _Terms:
-        """b_x as (y, P_{y,x}) pairs by id: the views looked up in C,
-        and built one by one only when one is missing."""
-        ys, ks = self.basis(x)
+    def views(self, ks: array) -> list[LaurentPolynomial]:
+        """The views of the pool entries ks, looked up in C; only the
+        missing ones are unpacked, under the lock, since ``_widen``
+        replaces ``polys`` and ``width``."""
         try:
-            return tuple(zip(ys, map(self._views.__getitem__, ks)))
+            return list(map(self._views.__getitem__, ks))
         except KeyError:
-            return tuple(zip(ys, map(self.view, ks)))
+            with self.table.lock:
+                return list(map(self.view, ks))
 
-    def polynomial(self, y: int, x: int) -> LaurentPolynomial:
-        """P_{y,x}, zero unless y <= x."""
-        ys, ks = self.basis(x)
+    def polynomial(self, y: int, row: _Row) -> LaurentPolynomial:
+        """The coefficient of h_y in a row, P_{y,x} for the row of x:
+        zero unless y <= x.  Call under the lock."""
+        ys, ks = row
         j = bisect_left(ys, y)
         if j < len(ys) and ys[j] == y:
             return self.view(ks[j])
@@ -559,15 +587,23 @@ class _KLRecursion:
         return ys, array("i", ks)
 
 
+class _Recursions(dict):
+    """The Kazhdan-Lusztig recursion of each table of a datum's context,
+    ``group``, ``finite`` and ``alcoves``, keyed by table, each built
+    under the context's lock when its table is first read."""
+
+    def __missing__(self, table: _Table) -> _KLRecursion:
+        with table.lock:
+            return self.get(table) or self.setdefault(
+                table, _KLRecursion(table))
+
+
 @_one_handle_per_datum
-def _recursions(datum: RootDatum) -> dict[_Table, _KLRecursion]:
-    """The Kazhdan-Lusztig recursion of each table of the datum's context,
-    ``group``, ``finite`` and ``alcoves``, keyed by table.  It is a
-    handle of the context, so the context owns their rows, pools, views
-    and bar memos, and every Hecke handle of the datum and the
-    character formula share them."""
-    ctx = _context(datum)
-    return {t: _KLRecursion(t) for t in (ctx.group, ctx.finite, ctx.alcoves)}
+def _recursions(datum: RootDatum) -> _Recursions:
+    """The datum's recursions.  They are a handle of the context, so the
+    context owns their rows, pools, views and bar memos, and every Hecke
+    handle of the datum and the character formula share them."""
+    return _Recursions()
 
 
 def _row_at_one(datum: RootDatum, table: _Table, x: int) -> tuple:
@@ -712,21 +748,16 @@ class HeckeAlgebra:
         return HeckeElement(self, _sum_terms(triples))
 
     def kl_basis_element(self, x) -> HeckeElement:
-        """The self-dual basis element b_x = sum_{y <= x} P_{y,x} h_y."""
-        x = self._check_member(x)
+        """The self-dual basis element b_x = sum_{y <= x} P_{y,x} h_y,
+        holding the row of x."""
+        b, eng = HeckeElement(self, None), self._engine
         with self._lock:
-            eng = self._engine
-            return HeckeElement(self, eng.terms(eng.table.element_id(x)))
+            b._row = eng.basis(eng.table.element_id(self._check_member(x)))
+        return b
 
     def kl_polynomial(self, y, x) -> LaurentPolynomial:
         """Coefficient of h_y in b_x; zero unless y <= x in Bruhat order."""
-        y = self._check_member(y)
-        x = self._check_member(x)
-        with self._lock:
-            eng = self._engine
-            x = eng.table.element_id(x)
-            y = eng.table.find(y)
-            return eng.polynomial(-1 if y is None else y, x)
+        return self.kl_basis_element(x).coefficient(y)
 
 
 @_one_handle_per_datum

@@ -108,8 +108,11 @@ def kl_vector_finite(x: FiniteWeylElement) -> dict[FiniteWeylElement, int]:
     >>> sorted(kl_vector_finite(s).values())
     [-1, 1]
     """
+    x = _as_affine(x)
+    if any(x.translation):
+        raise ValueError("kl_vector_finite needs an element of W_f")
     table = _context(x.datum).finite
-    i = table.element_id(_as_affine(x))
+    i = table.element_id(x)
     return _lcf_row(x.datum, table, i, [y.finite for y in table.elems])
 
 

@@ -194,6 +194,20 @@ def test_dot_action_fixture():
     assert dot_p(multiply(sf, sa), zero, 5).coords == (-10,)
 
 
+def test_dot_action_rejects_a_weight_of_another_rank():
+    x = generators(build_root_datum("A2"))[-1]
+    for coords in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="different ranks"):
+            dot_p(x, Weight(coords), 5)
+
+
+def test_embed_finite_rejects_an_affine_element():
+    s1, _, s0 = generators(build_root_datum("A2"))
+    for x in (s0, embed_finite(s1.finite)):
+        with pytest.raises(TypeError, match="FiniteWeylElement"):
+            embed_finite(x)
+
+
 def test_dot_action_is_a_group_action():
     datum = build_root_datum("B2")
     els = sorted(bfs_lengths(datum, 3), key=length)

@@ -52,6 +52,7 @@ from weylkit import (
     inverse,
     kl_basis_element,
     kl_polynomial,
+    kl_vector_finite,
     length,
     longest_finite_element,
     mult_standard_by_gen,
@@ -61,7 +62,8 @@ from weylkit._exact import repack, unpack
 from weylkit.coxeter import _context
 
 from test_coxeter import bare, greedy_word
-from test_lcf import YieldingList, check_alcove_table, spherical_recursion
+from test_lcf import (YieldingList, check_alcove_table, row_terms,
+                      spherical_recursion)
 
 V = LaurentPolynomial.v()
 ONE = LaurentPolynomial.one()
@@ -717,7 +719,7 @@ def assert_rows_match_dense(eng, max_len, seed=None):
     if seed is not None:
         random.Random(seed).shuffle(order)
     for x in order:
-        assert eng.terms(x) == tuple(
+        assert row_terms(eng, x) == tuple(
             (y, LaurentPolynomial.from_dict(dict(enumerate(p))))
             for y, p in rows[x]), x
     return len(rows)
@@ -789,8 +791,8 @@ def test_packed_step_raises_before_a_coefficient_reaches_2_64():
     eng = weylkit.hecke._KLRecursion(table)
     eng.kl[0] = (array("i", (0,)), array("i", (intern(eng, [c]),)))
     assert eng.width == 64
-    assert eng.terms(1) == ((0, LaurentPolynomial(((1, c),))),
-                            (1, LaurentPolynomial(((0, c),))))
+    assert row_terms(eng, 1) == ((0, LaurentPolynomial(((1, c),))),
+                                 (1, LaurentPolynomial(((0, c),))))
     eng = weylkit.hecke._KLRecursion(table)
     eng.kl[0] = (array("i", (0,)), array("i", (intern(eng, [c + 1]),)))
     with pytest.raises(ResourceLimitError, match="2\\^64"):
@@ -822,8 +824,8 @@ def test_step_widens_below_2_64_and_raises_at_it():
                 eng.basis(1)
             assert eng.width == held and list(eng.kl) == [0]
             continue
-        assert eng.terms(1) == ((0, LaurentPolynomial(((1, c),))),
-                                (1, LaurentPolynomial(((0, c),))))
+        assert row_terms(eng, 1) == ((0, LaurentPolynomial(((1, c),))),
+                                     (1, LaurentPolynomial(((0, c),))))
         want = held
         while (3 * c) >> want:
             want *= 2
@@ -1104,8 +1106,9 @@ def test_coefficient_reads_the_sorted_terms(fresh_context):
 
 
 def test_views_are_built_for_read_entries_only(fresh_context):
-    # b_x views the pool entries of its own row, shared with every later
-    # reader; the spherical rows, which nobody views, build none
+    # reading the terms of b_x views the pool entries of its own row,
+    # shared with every later reader; the spherical rows, which nobody
+    # views, build none
     datum = build_root_datum("G2")
     alg = affine_hecke(datum)
     decomposition_matrix(datum, 7, max_len=14)
@@ -1114,8 +1117,103 @@ def test_views_are_built_for_read_entries_only(fresh_context):
     read = set()
     for x in elements_up_to(datum, 9)[::7]:
         b = alg.kl_basis_element(x)
+        terms = b.terms
         read.update(eng.basis(eng.table.element_id(x))[1])
         assert eng._views.keys() == read
         again = alg.kl_basis_element(bare(x))
-        assert all(p is q for (_, p), (_, q) in zip(b._terms, again._terms))
+        assert all(p is q for (_, p), (_, q) in zip(terms, again.terms))
     assert len(eng.polys) > len(read)
+
+
+def test_row_backed_element_equals_its_arithmetic_form():
+    # b_{s1} b_{s0} = b_{s1 s0} in affine A1: the b_x that holds its row
+    # and the product that arithmetic built are one dict key, each way,
+    # hashed before anything else is read off the row
+    datum = build_root_datum("A1")
+    s1, s0 = generators(datum)
+    b = kl_basis_element(multiply(s1, s0))
+    built = kl_basis_element(s1) * kl_basis_element(s0)
+    assert b._row is not None and built._row is None
+    assert hash(b) == hash(built)
+    assert b == built and built == b
+    assert {b: "row"}[built] == "row"
+    assert {built: "sum"}[kl_basis_element(multiply(s1, s0))] == "sum"
+    assert b != kl_basis_element(s1) and b != built + built
+    assert bar(b) == b and b + b == 2 * built
+
+
+def test_held_basis_elements_copy_no_terms(fresh_context):
+    # with the rows of affine G2 to length 20 computed first, holding
+    # all 505 b_x costs one small object each, 32 KiB of traced memory;
+    # copying each row into (id, polynomial) pairs took 5.8 MiB
+    # (CPython 3.11)
+    datum = build_root_datum("G2")
+    els = elements_up_to(datum, 20)
+    alg = affine_hecke(datum)
+    for x in els:
+        alg.kl_basis_element(x)
+    tracemalloc.start()
+    try:
+        held = [alg.kl_basis_element(x) for x in els]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 505
+    assert peak < 512 * 2 ** 10
+
+
+def test_row_backed_elements_read_by_many_threads(fresh_context):
+    # 8 threads read the terms and coefficients of shared b_x, whose
+    # views are not unpacked yet, while another thread computes longer
+    # rows and widens the pool twice: a view unpacked outside the lock
+    # could read a width that the pool no longer has
+    datum = build_root_datum("G2")
+    els = elements_up_to(datum, 10)
+    longer = elements_up_to(datum, 13)[len(els):]
+    ref = HeckeAlgebra(datum)
+    expected = {x: ref.kl_basis_element(x).terms for x in els}
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(3):
+            _context.cache_clear()
+            alg = HeckeAlgebra(datum)
+            eng = alg._engine
+            shared = [alg.kl_basis_element(x) for x in els]
+            assert eng._views == {}
+
+            def read(k):
+                rng = random.Random(f"{trial} {k}")
+                for i in rng.sample(range(len(els)), len(els)):
+                    b, want = shared[i], expected[els[i]]
+                    assert b.terms == want
+                    for y, p in want[k % 3::3]:
+                        assert b.coefficient(y) == p
+
+            def write():
+                for n, x in enumerate(longer):
+                    if n % (len(longer) // 2) == 1:
+                        with alg._lock:
+                            eng._widen(1 << eng.width)
+                    alg.kl_basis_element(x)
+
+            with ThreadPoolExecutor(max_workers=9) as pool:
+                futures = [pool.submit(read, k) for k in range(8)]
+                futures.append(pool.submit(write))
+                for f in futures:
+                    f.result(timeout=120)
+            assert eng.width == 64
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_only_the_recursions_read_are_built(fresh_context):
+    # b_x of affine elements alone build the recursion over the group;
+    # the one over W_f comes with the first finite row
+    datum = build_root_datum("B2")
+    ctx = _context(datum)
+    for x in elements_up_to(datum, 4):
+        kl_basis_element(x)
+    assert list(weylkit.hecke._recursions(datum)) == [ctx.group]
+    kl_vector_finite(longest_finite_element(datum))
+    assert list(weylkit.hecke._recursions(datum)) == [ctx.group, ctx.finite]

@@ -369,12 +369,19 @@ def spherical_recursion(datum):
     return weylkit.hecke._recursions(datum)[_context(datum).alcoves]
 
 
+def row_terms(eng, x):
+    """The row of the id x in the recursion eng as (y, P_{y,x}) pairs
+    by id, each polynomial the pool's view."""
+    with eng.table.lock:
+        ys, ks = eng.basis(x)
+        return tuple(zip(ys, map(eng.view, ks)))
+
+
 def spherical_row(x):
     """{y: m_{y,x}} as Laurent polynomials, read off the engine."""
     eng = spherical_recursion(x.datum)
-    with eng.table.lock:
-        return {eng.table.elems[y]: m
-                for y, m in eng.terms(eng.table.element_id(x))}
+    return {eng.table.elems[y]: m
+            for y, m in row_terms(eng, eng.table.element_id(x))}
 
 
 @settings(max_examples=60, deadline=None)
@@ -668,11 +675,12 @@ def test_first_calls_across_layers_on_one_fresh_context(
                 results[k] = {name: call() for name, call in order}
 
             in_threads([lambda k=k: run(k) for k in range(8)])
-            # the rank-one check reads the rows of A1 through no handle;
-            # each datum's three recursions are built once
+            # the rank-one check reads the rows of A1 through no handle
+            # and builds the recursion of its alcoves alone; each of G2's
+            # three recursions is built once
             assert sorted(built) == sorted(
                 [("G2", False), ("G2", True), ("constants",)]
-                + [("rows", "A1")] * 3 + [("rows", "G2")] * 3)
+                + [("rows", "A1")] + [("rows", "G2")] * 3)
             for got in results:
                 assert got["affine"] is affine_hecke(g2)
                 assert got["finite"] is finite_hecke(g2)
@@ -951,6 +959,15 @@ def test_kl_vector_finite():
         assert c == (-1) ** (3 + length(y))
     e = [y for y in vec if length(y) == 0][0]
     assert vec[e] == -1
+
+
+def test_kl_vector_finite_rejects_an_affine_element(fresh_context):
+    # checked before the finite table is walked
+    datum = build_root_datum("A2")
+    s0 = generators(datum)[-1]
+    with pytest.raises(ValueError, match="element of W_f"):
+        kl_vector_finite(s0)
+    assert len(_context(datum).finite.elems) == 1
 
 
 def kl_vector_through_the_basis(x):
