@@ -15,9 +15,14 @@ keys of the whole support place by place, one list per coordinate,
 then builds every weight in one bulk call, where a call of this kernel
 per weight would be slower.
 
-``exact_ints`` is the one test of exact integer input: the public
-constructors of weights, coroots, characters, Laurent polynomials and
-the ``icstalk`` groups ask it, and so do the character caps.
+The package's input contract for numbers is written here once:
+``check_ints`` passes plain ints only, ``check_int`` one plain int with
+a lower bound, and ``check_prime`` a prime.  Each raises ValueError
+for a float, a bool or any other non-``int``, and for a value out of
+range; every public function that takes an exact int, a ``p``, an
+``n``, a length or weight bound or a term cap asks one of them.
+``exact_ints`` is their predicate, which the scalar products ask as
+well, where a non-int is an unsupported operand (TypeError).
 """
 
 import sys
@@ -37,6 +42,41 @@ def exact_ints(values) -> bool:
     (True, True, False)
     """
     return set(map(type, values)) <= {int}
+
+
+def check_ints(what: str, values):
+    """The values, a sequence, if every one is a plain int (see
+    ``exact_ints``); ValueError naming the first that is not, ``what``
+    naming them all.
+
+    >>> check_ints("coordinates", (1, -2))
+    (1, -2)
+    """
+    if not exact_ints(values):
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"{what} must be int, got {bad!r}")
+    return values
+
+
+def check_int(what: str, value, low: int) -> int:
+    """The value, if it is a plain int of at least low; ValueError
+    otherwise, ``what`` naming it.
+
+    >>> check_int("n", 3, 0)
+    3
+    """
+    if type(value) is not int or value < low:
+        check_ints(what, (value,))
+        raise ValueError(f"{what} must be at least {low}, got {value}")
+    return value
+
+
+def check_prime(p) -> int:
+    """p, if it is a plain int and prime; ValueError otherwise."""
+    check_ints("p", (p,))
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p
 
 
 def _bareiss(rows: list[list[int]], n: int) -> int:
@@ -305,8 +345,8 @@ def base_p_digits(n: int, p: int) -> list[int]:
     >>> base_p_digits(0, 7), base_p_digits(48, 5)
     ([0], [3, 4, 1])
     """
-    if p < 2 or n < 0:
-        raise ValueError("need a base p >= 2 and n >= 0")
+    check_int("n", n, 0)
+    check_int("p", p, 2)
     digits = []
     while True:
         n, r = divmod(n, p)

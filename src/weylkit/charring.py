@@ -65,11 +65,13 @@ from itertools import repeat, zip_longest
 from math import prod
 from operator import add, mul, sub
 
-from weylkit._exact import base_p_digits, det_adjugate, exact_ints, is_prime
+from weylkit._exact import (base_p_digits, check_int, check_ints,
+                            check_prime, det_adjugate, exact_ints)
 from weylkit.lattice import (
     ResourceLimitError,
     RootDatum,
     Weight,
+    _check_weight,
     _weights,
     build_root_datum,
     is_dominant,
@@ -95,14 +97,6 @@ __all__ = [
 DEFAULT_MAX_TERMS = 10 ** 6
 
 
-def _check_cap(max_terms) -> None:
-    """A support cap is a positive int; bool and float are not."""
-    if not exact_ints((max_terms,)):
-        raise ValueError(f"max_terms must be an int, got {max_terms!r}")
-    if max_terms < 1:
-        raise ValueError("max_terms must be positive")
-
-
 @dataclass(frozen=True)
 class Character:
     """Finitely supported integer combination of e^weight terms."""
@@ -110,13 +104,10 @@ class Character:
     terms: tuple[tuple[Weight, int], ...]
 
     def __post_init__(self) -> None:
-        weights = [w for w, _ in self.terms]
-        if not all(isinstance(w, Weight) for w in weights):
-            raise ValueError("character terms must be keyed by Weight")
-        if len({len(w.coords) for w in weights}) > 1:
-            raise ValueError("character weights must all have one rank")
-        if not exact_ints(c for _, c in self.terms):
-            raise ValueError("multiplicities must be int")
+        rank = None  # that of the first weight
+        for w, _ in self.terms:
+            rank = len(_check_weight(w, rank).coords)
+        check_ints("multiplicities", [c for _, c in self.terms])
         for (w1, c1), (w2, _) in zip(self.terms, self.terms[1:]):
             if w1.coords >= w2.coords:
                 raise ValueError("weights must be strictly ascending")
@@ -143,8 +134,7 @@ class Character:
 
     def coefficient(self, w: Weight) -> int:
         terms = self.terms
-        if terms and len(w.coords) != self.rank:
-            raise ValueError("weight rank does not match the character")
+        _check_weight(w, self.rank)
         i = bisect_left(terms, w.coords, key=lambda t: t[0].coords)
         if i < len(terms) and terms[i][0].coords == w.coords:
             return terms[i][1]
@@ -155,9 +145,8 @@ class Character:
         return len(self.terms[0][0].coords) if self.terms else None
 
     def _check_rank(self, other: "Character") -> None:
-        a, b = self.rank, other.rank
-        if a is not None and b is not None and a != b:
-            raise ValueError("characters live on different lattices")
+        if other.terms:
+            _check_weight(other.terms[0][0], self.rank)
 
     def __add__(self, other: "Character") -> "Character":
         self._check_rank(other)
@@ -208,7 +197,7 @@ class Character:
 
 def trivial_character(rank: int) -> Character:
     """The character e^0 of the trivial module."""
-    return Character(((Weight((0,) * rank), 1),))
+    return Character(((Weight((0,) * check_int("rank", rank, 0)), 1),))
 
 
 def dimension(ch: Character) -> int:
@@ -276,11 +265,9 @@ def weyl_character(datum: RootDatum, highest: Weight,
     """
     if datum.variant != "sc":
         raise ValueError("characters need the simply connected variant")
-    if len(highest.coords) != datum.rank:
-        raise ValueError("weight rank does not match the datum")
-    if not is_dominant(highest):
+    if not is_dominant(_check_weight(highest, datum.rank)):
         raise ValueError("highest weight must be dominant")
-    _check_cap(max_terms)
+    check_int("max_terms", max_terms, 1)
     if datum.rank == 1:  # SL2: e^{n - 2k}, k = 0 .. n
         n = highest.coords[0]
         if n + 1 > max_terms:
@@ -386,8 +373,7 @@ def frobenius_twist(ch: Character, p: int) -> Character:
     >>> frobenius_twist(trivial_character(1), 7) == trivial_character(1)
     True
     """
-    if not exact_ints((p,)) or p < 1:
-        raise ValueError(f"p must be an int at least 1, got {p!r}")
+    check_int("p", p, 1)
     return Character.from_dict(
         {Weight(tuple(p * c for c in w.coords)): m for w, m in ch.terms})
 
@@ -396,7 +382,7 @@ def tensor(a: Character, b: Character,
            max_terms: int = DEFAULT_MAX_TERMS) -> Character:
     """Product of characters (convolution of supports)."""
     a._check_rank(b)
-    _check_cap(max_terms)
+    check_int("max_terms", max_terms, 1)
     acc: dict[Weight, int] = {}
     for wa, ca in a.terms:
         for wb, cb in b.terms:
@@ -419,9 +405,8 @@ def sl2_simple_character(n: int, p: int,
     >>> print(sl2_simple_character(5, 5))
     e^{-5} + e^{5}
     """
-    if n < 0:
-        raise ValueError("highest weight must be nonnegative")
-    _check_cap(max_terms)
+    check_int("n", n, 0)
+    check_int("max_terms", max_terms, 1)
     out = trivial_character(1)
     for i, digit in enumerate(steinberg_digits(Weight((n,)), p)):
         out = tensor(
@@ -473,8 +458,7 @@ def steinberg_digits(lam: Weight, p: int) -> list[Weight]:
     >>> steinberg_digits(Weight((10,)), 5)
     [Weight(coords=(0,)), Weight(coords=(2,))]
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     if not is_dominant(lam):
         raise ValueError("weight must be dominant")
     return [Weight(digits) for digits in zip_longest(

@@ -18,7 +18,7 @@ import re
 import sys
 from collections.abc import Iterable
 
-from weylkit._exact import base_p_digits, is_prime
+from weylkit._exact import base_p_digits, check_int, check_prime
 from weylkit.lattice import (
     UnsupportedDatumError,
     build_root_datum,
@@ -187,11 +187,7 @@ def _cmd_char(args) -> str:
 
 
 def _cmd_sl2_check(args) -> str:
-    p, upto = args.p, args.upto
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if upto < 0:
-        raise ValueError("--upto must be nonnegative")
+    p, upto = check_prime(args.p), check_int("--upto", args.upto, 0)
     rows = []
     i = 0
     while (n := _sl2_weight(i, p)) <= upto:  # the dominant orbit of zero

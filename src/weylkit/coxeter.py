@@ -42,11 +42,12 @@ from dataclasses import dataclass
 from functools import cached_property, wraps
 from operator import mul
 
-from weylkit._exact import det_adjugate
+from weylkit._exact import check_int, check_ints, det_adjugate
 from weylkit.lattice import (
     Coroot,
     RootDatum,
     Weight,
+    _check_weight,
     coxeter_number,
     is_dominant,
 )
@@ -121,6 +122,7 @@ class FiniteWeylElement:
         return FiniteWeylElement, (self.datum, self.matrix)
 
     def apply(self, weight: Weight) -> Weight:
+        _check_weight(weight, self.datum.rank)
         return Weight(_mat_vec(self.matrix, weight.coords))
 
 
@@ -509,11 +511,16 @@ def multiply(x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
     context, and the table already holds x y, that element is returned:
     the table is the memo of this arithmetic, which filled it.  The read
     takes no lock: an entry of ``right`` is set once, after the element
-    it names is appended."""
-    w, v = x.finite, y.finite
+    it names is appended.  A finite element is embedded, and anything
+    else raises as ``_as_affine`` does, both off the path of a product
+    of two affine elements of one datum."""
+    try:
+        w, v = x.finite, y.finite
+    except AttributeError:
+        return multiply(_as_affine(x), _as_affine(y))
     datum = w.datum
-    if datum is not v.datum and datum != v.datum:
-        raise ValueError("elements belong to different root data")
+    if datum is not v.datum:
+        _as_affine(y, datum)
     ctx = _context(datum)
     i = x._gid
     if i is not None:
@@ -531,6 +538,7 @@ def multiply(x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
 
 def inverse(x: AffineWeylElement) -> AffineWeylElement:
     """Group inverse t_{-w^{-1}(gamma)} w^{-1}."""
+    x = _as_affine(x)
     det, adj = det_adjugate(x.finite.matrix)  # det w = +-1
     inv = tuple(tuple(det * c for c in row) for row in adj)
     trans = tuple(-c for c in _mat_vec(inv, x.translation))
@@ -546,17 +554,26 @@ def dot_p(x: AffineWeylElement, weight: Weight, p: int) -> Weight:
     >>> dot_p(s1, Weight((0,)), 5)
     Weight(coords=(-2,))
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if len(weight.coords) != len(x.translation):
-        raise ValueError("weight and element have different ranks")
+    x = _as_affine(x)
+    check_int("p", p, 1)
+    _check_weight(weight, len(x.translation))
     moved = _mat_vec(x.finite.matrix, tuple(c + 1 for c in weight.coords))
     return Weight(tuple(m - 1 + p * g for m, g in zip(moved, x.translation)))
 
 
-def _as_affine(x: AffineWeylElement | FiniteWeylElement) -> AffineWeylElement:
-    if isinstance(x, FiniteWeylElement):
-        return embed_finite(x)
+def _as_affine(x: AffineWeylElement | FiniteWeylElement,
+               datum: RootDatum | None = None) -> AffineWeylElement:
+    """x as an element of the affine group, a finite element embedded:
+    TypeError if x is no Weyl group element, ValueError if it belongs
+    to another datum than the one given.  Every public function that
+    takes an element asks it."""
+    if not isinstance(x, AffineWeylElement):
+        if not isinstance(x, FiniteWeylElement):
+            raise TypeError(
+                f"expected a Weyl group element, got {type(x).__name__}")
+        x = embed_finite(x)
+    if datum is not None and x.datum is not datum and x.datum != datum:
+        raise ValueError("elements belong to different root data")
     return x
 
 
@@ -635,9 +652,7 @@ def bruhat_leq(x: AffineWeylElement | FiniteWeylElement,
     x <= y iff sx <= sy, otherwise x <= y iff x <= sy.
     """
     x = _as_affine(x)
-    y = _as_affine(y)
-    if x.datum is not y.datum and x.datum != y.datum:
-        raise ValueError("elements belong to different root data")
+    y = _as_affine(y, x.datum)
     ctx = _context(x.datum)
     x_len, y_len = _length(x), _length(y)
     while x_len < y_len:
@@ -651,6 +666,7 @@ def bruhat_leq(x: AffineWeylElement | FiniteWeylElement,
 
 def is_min_coset_rep_fW(x: AffineWeylElement) -> bool:
     """True iff no finite simple reflection shortens x from the left."""
+    x = _as_affine(x)
     ctx = _context(x.datum)
     lx = _length(x)
     return all(_length(multiply(s, x)) > lx for s in ctx.finite_gens)
@@ -664,10 +680,12 @@ def _elements_up_to_length(datum: RootDatum, max_len: int
 
 
 def _check_p(datum: RootDatum, p: int) -> None:
-    """Raise unless p is at least the Coxeter number h of the datum, the
-    least p at which 0 is p-regular: the principal block's orbit, its
-    alcoves and the character formula all assume it."""
+    """Raise unless p is a plain int at least the Coxeter number h of
+    the datum, the least p at which 0 is p-regular: the principal
+    block's orbit, its alcoves and the character formula all assume
+    it."""
     h = _context(datum).h
+    check_ints("p", (p,))
     if p < h:
         raise ValueError(f"p must be at least the Coxeter number {h}")
 
@@ -688,8 +706,7 @@ def dominant_orbit(datum: RootDatum, p: int, max_len: int
     [0, 8, 10, 18, 20, 28, 30]
     """
     _check_p(datum, p)
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
+    check_int("max_len", max_len, 0)
     ctx = _context(datum)
     n = ctx.alcoves.up_to(max_len)
     return [(x, dot_p(x, ctx.origin, p)) for x in ctx.alcoves.elems[:n]]
@@ -704,8 +721,8 @@ def _rho_pairings(datum: RootDatum, coords: tuple[int, ...]) -> list[int]:
 
 def is_p_regular(datum: RootDatum, weight: Weight, p: int) -> bool:
     """True iff no affine wall contains the weight (rho-shifted, mod p)."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    check_int("p", p, 1)
+    _check_weight(weight, datum.rank)
     return all(n % p for n in _rho_pairings(datum, weight.coords))
 
 
@@ -741,8 +758,9 @@ def same_block(datum: RootDatum, lam: Weight, mu: Weight, p: int) -> bool:
     Each rho-shifted weight is reflected to its unique representative in
     the closed fundamental alcove and the representatives are compared.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    check_int("p", p, 1)
+    _check_weight(lam, datum.rank)
+    _check_weight(mu, datum.rank)
     a = _canonical_chamber_point(
         datum, tuple(c + 1 for c in lam.coords), p)
     b = _canonical_chamber_point(
@@ -758,11 +776,11 @@ def _in_jantzen_region(datum: RootDatum, weight: Weight, p: int) -> bool:
 
 def jantzen_condition(x: AffineWeylElement, p: int) -> bool:
     """Bound test <x . 0 + rho, a_check> <= p(p - h + 2) over positive a."""
-    datum = x.datum
-    w = dot_p(x, _context(datum).origin, p)
+    x = _as_affine(x)
+    w = dot_p(x, _context(x.datum).origin, p)
     if not is_dominant(w):
         raise ValueError("x must have a dominant dot-image of zero")
-    return _in_jantzen_region(datum, w, p)
+    return _in_jantzen_region(x.datum, w, p)
 
 
 def count_p_restricted_in_orbit(datum: RootDatum, p: int) -> int:
@@ -799,6 +817,7 @@ def longest_finite_element(datum: RootDatum) -> FiniteWeylElement:
 def element_to_json(x: AffineWeylElement) -> dict:
     """Reduced word, finite matrix and the translation in simple-root
     coordinates."""
+    x = _as_affine(x)
     det, adj = det_adjugate(x.datum.cartan)
     return {
         "word": reduced_word(x),

@@ -87,15 +87,16 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from operator import itemgetter
 
-from weylkit._exact import digit_width, exact_ints, repack, unpack
+from weylkit._exact import (check_ints, digit_width, exact_ints, repack,
+                            unpack)
 from weylkit.lattice import ResourceLimitError, RootDatum
 from weylkit.coxeter import (
     AffineWeylElement,
     FiniteWeylElement,
     _Table,
+    _as_affine,
     _context,
     _one_handle_per_datum,
-    embed_finite,
     multiply,
     reduced_word,
 )
@@ -143,8 +144,8 @@ class LaurentPolynomial:
     coeffs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if not exact_ints(chain.from_iterable(self.coeffs)):
-            raise ValueError("exponents and coefficients must be int")
+        check_ints("exponents and coefficients",
+                   tuple(chain.from_iterable(self.coeffs)))
         for (e1, c1), (e2, _) in zip(self.coeffs, self.coeffs[1:]):
             if e1 >= e2:
                 raise ValueError("exponents must be strictly ascending")
@@ -175,16 +176,11 @@ class LaurentPolynomial:
 
     @classmethod
     def monomial(cls, coefficient: int, exponent: int) -> "LaurentPolynomial":
-        if not exact_ints((coefficient, exponent)):
-            raise ValueError("exponents and coefficients must be int")
-        if coefficient == 0:
-            return cls(())
-        return cls(((exponent, coefficient),))
+        return cls.from_dict({exponent: coefficient})
 
     @classmethod
     def from_dict(cls, d: dict[int, int]) -> "LaurentPolynomial":
-        if not exact_ints(chain(d, d.values())):
-            raise ValueError("exponents and coefficients must be int")
+        check_ints("exponents and coefficients", (*d, *d.values()))
         return cls._trusted(_norm_coeffs(d.items()))
 
     def coefficient(self, exponent: int) -> int:
@@ -644,10 +640,7 @@ class HeckeAlgebra:
             raise ValueError("elements belong to different Hecke algebras")
 
     def _check_member(self, x: AffineWeylElement) -> AffineWeylElement:
-        if isinstance(x, FiniteWeylElement):
-            x = embed_finite(x)
-        if x.datum is not self.datum and x.datum != self.datum:
-            raise ValueError("element belongs to a different root datum")
+        x = _as_affine(x, self.datum)
         if not self.affine and any(c != 0 for c in x.translation):
             raise ValueError("finite Hecke algebra got an affine element")
         return x
@@ -664,6 +657,7 @@ class HeckeAlgebra:
 
     def _gen_index(self, s) -> int:
         if isinstance(s, int):
+            check_ints("generator index", (s,))
             if not 0 <= s < len(self.gens):
                 raise ValueError(f"generator index {s} out of range")
             return s
@@ -773,7 +767,7 @@ def finite_hecke(datum: RootDatum) -> HeckeAlgebra:
 
 
 def _algebra_for(*elems) -> HeckeAlgebra:
-    datum = elems[0].datum
+    datum = _as_affine(elems[0]).datum
     if all(isinstance(e, FiniteWeylElement) for e in elems):
         return finite_hecke(datum)
     return affine_hecke(datum)

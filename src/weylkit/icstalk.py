@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from weylkit._exact import det, exact_ints, is_prime, smith_diagonal
+from weylkit._exact import (check_int, check_ints, check_prime, det,
+                            smith_diagonal)
 
 __all__ = [
     "FgAbelianGroup",
@@ -38,13 +39,6 @@ __all__ = [
 ]
 
 
-def _check_ints(values, what: str) -> None:
-    """Exact input only: reject anything but a plain int, bool and other
-    subclasses of int included."""
-    if not exact_ints(values):
-        raise ValueError(f"{what} must be integers")
-
-
 @dataclass(frozen=True)
 class FgAbelianGroup:
     """Finitely generated abelian group in invariant-factor form."""
@@ -55,14 +49,9 @@ class FgAbelianGroup:
     def __post_init__(self) -> None:
         if not isinstance(self.torsion, (tuple, list)):
             raise ValueError("torsion must be a sequence of integers")
-        _check_ints((self.free_rank, *self.torsion),
-                    "free rank and invariant factors")
-        if self.free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(self.torsion))
-        for t in self.torsion:
-            if t < 2:
-                raise ValueError("invariant factors must be at least 2")
+        check_int("free rank", self.free_rank, 0)
+        object.__setattr__(self, "torsion", tuple(
+            check_int("invariant factors", t, 2) for t in self.torsion))
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError("invariant factors must form a "
@@ -78,8 +67,6 @@ class FgAbelianGroup:
 
     @classmethod
     def cyclic(cls, m: int) -> "FgAbelianGroup":
-        if m < 2:
-            raise ValueError("cyclic torsion order must be at least 2")
         return cls(0, (m,))
 
     @classmethod
@@ -88,7 +75,7 @@ class FgAbelianGroup:
         """Cokernel of the relation matrix (rows = relations)."""
         if any(len(r) != num_generators for r in relations):
             raise ValueError("relation rows must match the generator count")
-        _check_ints([x for r in relations for x in r], "relation entries")
+        check_ints("relation entries", [x for r in relations for x in r])
         diag = smith_diagonal(relations)
         nonzero = [d for d in diag if d != 0]
         return cls(num_generators - len(nonzero),
@@ -127,11 +114,11 @@ class GradedAbelianGroup:
     groups: tuple[tuple[int, FgAbelianGroup], ...] = ()
 
     def __post_init__(self) -> None:
+        for d, _ in self.groups:
+            check_int("degrees", d, 0)
         for (d1, _), (d2, _) in zip(self.groups, self.groups[1:]):
             if d1 >= d2:
                 raise ValueError("degrees must be strictly ascending")
-        if any(d < 0 for d, _ in self.groups):
-            raise ValueError("degrees must be nonnegative")
         if any(g.is_trivial for _, g in self.groups):
             raise ValueError("trivial groups must not be stored")
 
@@ -181,8 +168,9 @@ def link_preset(name: str) -> GradedAbelianGroup:
 
 
 def _check_characteristic(p: int) -> None:
-    if p != 0 and not is_prime(p):
-        raise ValueError("characteristic must be 0 or a prime")
+    """A characteristic is 0 or a prime."""
+    if check_int("p", p, 0):
+        check_prime(p)
 
 
 def uct_field(H: GradedAbelianGroup, p: int) -> dict[int, int]:
@@ -265,8 +253,7 @@ class StalkTable:
 
 
 def _check_link(H: GradedAbelianGroup, d: int) -> None:
-    if d < 1:
-        raise ValueError("cone dimension must be at least 1")
+    check_int("d", d, 1)
     if any(deg < 0 or deg > 2 * d - 1 for deg in H.degrees()):
         raise ValueError("link cohomology degrees must lie in "
                          f"[0, {2 * d - 1}]")
@@ -357,7 +344,7 @@ def intersection_form_semisimple(form, p: int) -> bool:
     mat = [list(row) for row in form]
     if any(len(row) != len(mat) for row in mat):
         raise ValueError("matrix must be square")
-    _check_ints([x for row in mat for x in row], "matrix entries")
+    check_ints("matrix entries", [x for row in mat for x in row])
     if mat != [list(col) for col in zip(*mat)]:
         raise ValueError("matrix must be symmetric")
     _check_characteristic(p)
@@ -372,6 +359,7 @@ def cotangent_self_intersection(euler_characteristic: int) -> int:
     >>> cotangent_self_intersection(2)
     -2
     """
+    check_ints("Euler characteristic", (euler_characteristic,))
     return -euler_characteristic
 
 

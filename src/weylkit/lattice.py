@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass, fields
 from itertools import repeat
 
-from weylkit._exact import det, det_adjugate, exact_ints
+from weylkit._exact import check_int, check_ints, det, det_adjugate
 
 __all__ = [
     "Coroot",
@@ -61,16 +61,6 @@ class ResourceLimitError(RuntimeError):
     support cap, or Kazhdan-Lusztig coefficients past 2^64."""
 
 
-def _int_coords(obj) -> None:
-    """Store ``obj.coords`` as a tuple of exact ints; bool and float are
-    rejected, never truncated."""
-    coords = tuple(obj.coords)
-    if not exact_ints(coords):
-        raise ValueError(f"{type(obj).__name__} coordinates must be int, "
-                         f"got {coords!r}")
-    object.__setattr__(obj, "coords", coords)
-
-
 @dataclass(frozen=True, slots=True)
 class Weight:
     """Element of the weight lattice, in fundamental-weight coordinates.
@@ -87,7 +77,7 @@ class Weight:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _int_coords(self)
+        _set_coords(self, check_ints("Weight coordinates", tuple(self.coords)))
 
     def __reduce__(self):
         # through the public constructor, the same on every supported
@@ -96,13 +86,11 @@ class Weight:
         return Weight, (self.coords,)
 
     def __add__(self, other: "Weight") -> "Weight":
-        if len(self.coords) != len(other.coords):
-            raise ValueError("rank mismatch")
+        _check_weight(other, len(self.coords))
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        if len(self.coords) != len(other.coords):
-            raise ValueError("rank mismatch")
+        _check_weight(other, len(self.coords))
         return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "Weight":
@@ -113,6 +101,23 @@ class Weight:
 
 
 _set_coords = Weight.coords.__set__  # the slot's own setter
+
+
+def _check_weight(weight, rank: int | None = None) -> Weight:
+    """The weight, if it is a ``Weight`` of the rank (of any rank when
+    rank is None): TypeError for any other object, ValueError for a
+    weight of another rank.  Every public function that takes a weight
+    asks it.
+
+    >>> _check_weight(Weight((1, 0)), 2)
+    Weight(coords=(1, 0))
+    """
+    if not isinstance(weight, Weight):
+        raise TypeError(f"expected a Weight, got {type(weight).__name__}")
+    if rank is not None and len(weight.coords) != rank:
+        raise ValueError(f"weight of rank {len(weight.coords)} where rank "
+                         f"{rank} is expected")
+    return weight
 
 
 def _weights(coords: list[tuple[int, ...]]) -> list[Weight]:
@@ -137,7 +142,8 @@ class Coroot:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _int_coords(self)
+        object.__setattr__(self, "coords", check_ints(
+            "Coroot coordinates", tuple(self.coords)))
 
 
 def pairing(weight: Weight, coroot: Coroot) -> int:
@@ -149,8 +155,7 @@ def pairing(weight: Weight, coroot: Coroot) -> int:
     >>> pairing(Weight((1, 1)), Coroot((1, 1)))
     2
     """
-    if len(weight.coords) != len(coroot.coords):
-        raise ValueError("rank mismatch")
+    _check_weight(weight, len(coroot.coords))
     return sum(a * b for a, b in zip(weight.coords, coroot.coords))
 
 
@@ -343,7 +348,7 @@ def is_dominant(weight: Weight) -> bool:
     >>> is_dominant(Weight((-1, 3)))
     False
     """
-    return all(c >= 0 for c in weight.coords)
+    return all(c >= 0 for c in _check_weight(weight).coords)
 
 
 def is_p_restricted(weight: Weight, p: int) -> bool:
@@ -352,9 +357,8 @@ def is_p_restricted(weight: Weight, p: int) -> bool:
     >>> is_p_restricted(Weight((4,)), 5), is_p_restricted(Weight((5,)), 5)
     (True, False)
     """
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    return all(0 <= c < p for c in weight.coords)
+    check_int("p", p, 2)
+    return all(0 <= c < p for c in _check_weight(weight).coords)
 
 
 def rho(datum: RootDatum) -> Weight:

@@ -83,7 +83,8 @@ from weylkit.charring import (
     _sl2_simple_in_standard_basis,
     _weyl_cached,
 )
-from weylkit._exact import SparseRow, is_prime, unitriangular_inverse
+from weylkit._exact import (SparseRow, check_int, check_prime, is_prime,
+                            unitriangular_inverse)
 
 __all__ = [
     "DecompositionMatrix",
@@ -134,6 +135,7 @@ def lcf_coefficients(x: AffineWeylElement, p: int
     m_{y,x}(1) over the minimal representatives y <= x, in (length,
     reduced word) order.
     """
+    x = _as_affine(x)
     _check_p(x.datum, p)
     ctx = _context(x.datum)
     if not ctx.is_alcove(x):
@@ -146,6 +148,7 @@ def lcf_character(x: AffineWeylElement, p: int) -> Character:
     """The character the formula predicts for the simple module at
     x . 0: the a_{y,x}-weighted sum of standard characters.
     """
+    x = _as_affine(x)
     datum = x.datum
     zero = _context(datum).origin
     acc: dict[tuple[int, ...], int] = {}
@@ -340,8 +343,8 @@ def _decomposition_matrix(datum: RootDatum, p: int, max_len: int | None,
     _check_p(datum, p)
     if max_len is None and max_weight is None:
         raise ValueError("need max_len or max_weight")
-    if max_weight is not None and max_weight < 0:
-        raise ValueError("max_weight must be nonnegative")
+    if max_weight is not None:
+        check_int("max_weight", max_weight, 0)
     if entries not in ("auto", "lcf", "simple"):
         raise ValueError(f"unknown entries mode {entries!r}")
     sl2 = datum.series == "A1" and datum.variant == "sc" and is_prime(p)
@@ -417,7 +420,7 @@ def _sl2_alcove_id(n: int, p: int) -> int:
     alcoves, grown to it (see ``_sl2_weight``)."""
     q, r = divmod(n, 2 * p)
     i = 2 * q + (r != 0)
-    if n < 0 or _sl2_weight(i, p) != n:
+    if _sl2_weight(i, p) != n:
         raise ValueError(f"{n} is not in the dominant orbit of zero")
     return _context(_A1).alcoves.up_to(i) - 1
 
@@ -435,11 +438,8 @@ def sl2_lcf_valid(n: int, p: int) -> bool:
     >>> sl2_lcf_valid(0, 5)
     True
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
-    x = _sl2_alcove_id(n, p)
+    check_prime(p)
+    x = _sl2_alcove_id(check_int("n", n, 0), p)
     weights = [_sl2_weight(y, p) for y in range(x + 1)]
     return (_lcf_row(_A1, _context(_A1).alcoves, x, weights)
             == _sl2_simple_in_standard_basis(n, p))

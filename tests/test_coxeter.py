@@ -197,7 +197,8 @@ def test_dot_action_fixture():
 def test_dot_action_rejects_a_weight_of_another_rank():
     x = generators(build_root_datum("A2"))[-1]
     for coords in ((1,), (1, 2, 3)):
-        with pytest.raises(ValueError, match="different ranks"):
+        with pytest.raises(ValueError,
+                           match="weight of rank . where rank 2 is expected"):
             dot_p(x, Weight(coords), 5)
 
 

@@ -385,6 +385,25 @@ def test_principal_block_checks_written_once():
     assert source.count("p * (p -") == 1
 
 
+def test_input_checks_written_once():
+    # each kind of argument is checked by one function, in the layer
+    # that owns its type: exact ints and primes in weylkit._exact,
+    # weights in weylkit.lattice, elements in weylkit.coxeter; the
+    # ad-hoc spellings they replaced are gone
+    source = "".join(path.read_text(encoding="utf-8")
+                     for path in sorted(SRC.rglob("*.py")))
+    for message in ("must be int, got", "must be at least {low}, got",
+                    "is not prime", "expected a Weight, got", "where rank",
+                    "expected a Weyl group element, got",
+                    "different root data"):
+        assert source.count(message) == 1, message
+    for spelling in ("p must be at least 1", "rank mismatch",
+                     "must be an int,", "an int at least", "must be integers",
+                     "must be nonnegative", "different root datum",
+                     "different ranks"):
+        assert spelling not in source, spelling
+
+
 def test_importing_the_cli_builds_no_parser():
     # every benchmark workload imports weylkit.cli during set-up; the
     # parser is built by the first call of main

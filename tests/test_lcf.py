@@ -277,7 +277,8 @@ def test_decomposition_matrix_validation():
         decomposition_matrix(a2, 2, max_len=2)
     with pytest.raises(ValueError, match="Coxeter number 3"):
         decomposition_matrix(a2, 2, max_weight=-3, entries="bogus")
-    with pytest.raises(ValueError, match="^max_weight must be nonnegative$"):
+    with pytest.raises(ValueError,
+                       match="^max_weight must be at least 0, got -3$"):
         decomposition_matrix(a2, 5, max_weight=-3, entries="bogus")
     with pytest.raises(ValueError, match="^need max_len or max_weight$"):
         decomposition_matrix(a2, 5, entries="bogus")
