@@ -15,168 +15,16 @@ The package computes, in exact integer arithmetic:
 Everything is deterministic and floating-point free.
 """
 
-from weylkit.lattice import (
-    Coroot,
-    RootDatum,
-    UnsupportedDatumError,
-    Weight,
-    build_root_datum,
-    coxeter_number,
-    dual_root_datum,
-    index_of_connection,
-    is_dominant,
-    is_p_restricted,
-    pairing,
-    rho,
-)
-from weylkit.coxeter import (
-    AffineWeylElement,
-    FiniteWeylElement,
-    bruhat_leq,
-    count_p_restricted_in_orbit,
-    dominant_orbit,
-    dot_p,
-    element_to_json,
-    embed_finite,
-    enumerate_finite_weyl,
-    generators,
-    identity_element,
-    inverse,
-    is_min_coset_rep_fW,
-    is_p_regular,
-    jantzen_condition,
-    length,
-    longest_finite_element,
-    multiply,
-    reduced_word,
-    same_block,
-)
-from weylkit.hecke import (
-    HeckeAlgebra,
-    HeckeElement,
-    LaurentPolynomial,
-    affine_hecke,
-    bar,
-    evaluate_at_one,
-    finite_hecke,
-    kl_basis_element,
-    kl_polynomial,
-    mult_standard_by_gen,
-)
-from weylkit.charring import (
-    Character,
-    ResourceLimitError,
-    dimension,
-    expand_in_standard_basis,
-    frobenius_twist,
-    is_weyl_invariant,
-    sl2_simple_character,
-    steinberg_digits,
-    tensor,
-    trivial_character,
-    weyl_character,
-)
-from weylkit.lcf import (
-    DecompositionMatrix,
-    decomposition_matrix,
-    invert_decomposition,
-    kl_vector_finite,
-    lcf_character,
-    lcf_coefficients,
-    sl2_lcf_valid,
-    sl3_multiplicity_fixtures,
-)
-from weylkit.icstalk import (
-    FgAbelianGroup,
-    GradedAbelianGroup,
-    StalkTable,
-    cone_ic_integral,
-    cone_ic_plus,
-    cone_ic_stalks_field,
-    cone_pushforward_stalks,
-    cotangent_self_intersection,
-    intersection_form_semisimple,
-    link_preset,
-    mod_p_simple,
-    perverse_constraint_check,
-    uct_field,
-)
+from weylkit.lattice import *
+from weylkit.coxeter import *
+from weylkit.hecke import *
+from weylkit.charring import *
+from weylkit.lcf import *
+from weylkit.icstalk import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineWeylElement",
-    "Character",
-    "Coroot",
-    "DecompositionMatrix",
-    "FgAbelianGroup",
-    "FiniteWeylElement",
-    "GradedAbelianGroup",
-    "HeckeAlgebra",
-    "HeckeElement",
-    "LaurentPolynomial",
-    "ResourceLimitError",
-    "RootDatum",
-    "StalkTable",
-    "UnsupportedDatumError",
-    "Weight",
-    "affine_hecke",
-    "bar",
-    "bruhat_leq",
-    "build_root_datum",
-    "cone_ic_integral",
-    "cone_ic_plus",
-    "cone_ic_stalks_field",
-    "cone_pushforward_stalks",
-    "cotangent_self_intersection",
-    "count_p_restricted_in_orbit",
-    "coxeter_number",
-    "decomposition_matrix",
-    "dimension",
-    "dominant_orbit",
-    "dot_p",
-    "dual_root_datum",
-    "element_to_json",
-    "embed_finite",
-    "enumerate_finite_weyl",
-    "evaluate_at_one",
-    "expand_in_standard_basis",
-    "finite_hecke",
-    "frobenius_twist",
-    "generators",
-    "identity_element",
-    "index_of_connection",
-    "intersection_form_semisimple",
-    "invert_decomposition",
-    "inverse",
-    "is_dominant",
-    "is_min_coset_rep_fW",
-    "is_p_regular",
-    "is_p_restricted",
-    "is_weyl_invariant",
-    "jantzen_condition",
-    "kl_basis_element",
-    "kl_polynomial",
-    "kl_vector_finite",
-    "lcf_character",
-    "lcf_coefficients",
-    "length",
-    "link_preset",
-    "longest_finite_element",
-    "mod_p_simple",
-    "mult_standard_by_gen",
-    "multiply",
-    "pairing",
-    "perverse_constraint_check",
-    "reduced_word",
-    "rho",
-    "same_block",
-    "sl2_lcf_valid",
-    "sl2_simple_character",
-    "sl3_multiplicity_fixtures",
-    "steinberg_digits",
-    "tensor",
-    "trivial_character",
-    "uct_field",
-    "weyl_character",
-]
+# each layer module lists its public names once, in its own __all__;
+# importing a submodule binds it here, as the lists below read it
+__all__ = (lattice.__all__ + coxeter.__all__ + hecke.__all__
+           + charring.__all__ + lcf.__all__ + icstalk.__all__)

@@ -82,7 +82,6 @@ from weylkit.coxeter import (_one_handle_per_datum, enumerate_finite_weyl,
 __all__ = [
     "Character",
     "DEFAULT_MAX_TERMS",
-    "ResourceLimitError",
     "dimension",
     "expand_in_standard_basis",
     "frobenius_twist",
@@ -149,6 +148,8 @@ class Character:
             _check_weight(other.terms[0][0], self.rank)
 
     def __add__(self, other: "Character") -> "Character":
+        if not isinstance(other, Character):
+            return NotImplemented
         self._check_rank(other)
         acc = dict(self.terms)
         for w, c in other.terms:
@@ -159,7 +160,8 @@ class Character:
         return Character(tuple((w, -c) for w, c in self.terms))
 
     def __sub__(self, other: "Character") -> "Character":
-        return self + (-other)
+        return (self + -other if isinstance(other, Character)
+                else NotImplemented)
 
     def __mul__(self, other) -> "Character":
         if exact_ints((other,)):

@@ -193,6 +193,8 @@ class LaurentPolynomial:
         return bool(self.coeffs)
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
         return LaurentPolynomial._trusted(
             _norm_coeffs(self.coeffs + other.coeffs))
 
@@ -201,7 +203,8 @@ class LaurentPolynomial:
             tuple((e, -c) for e, c in self.coeffs))
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
+        return (self + -other if isinstance(other, LaurentPolynomial)
+                else NotImplemented)
 
     def __mul__(self, other) -> "LaurentPolynomial":
         if exact_ints((other,)):
@@ -329,6 +332,8 @@ class HeckeElement:
         return hash((self.algebra, self._terms))
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
+        if not isinstance(other, HeckeElement):
+            return NotImplemented
         self.algebra._check_same(other)
         return HeckeElement(self.algebra, _sum_terms(
             (x, p, _ONE) for x, p in self._terms + other._terms))
@@ -337,7 +342,8 @@ class HeckeElement:
         return self.scale(-1)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
+        return (self + -other if isinstance(other, HeckeElement)
+                else NotImplemented)
 
     def __mul__(self, other) -> "HeckeElement":
         if isinstance(other, HeckeElement):

@@ -30,14 +30,17 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import repeat
 
-from weylkit._exact import check_int, check_ints, det, det_adjugate
+from weylkit._exact import (check_int, check_ints, det, det_adjugate,
+                            exact_ints)
 
 __all__ = [
     "Coroot",
+    "ResourceLimitError",
     "RootDatum",
     "UnsupportedDatumError",
     "Weight",
@@ -97,6 +100,8 @@ class Weight:
         return Weight(tuple(-a for a in self.coords))
 
     def __rmul__(self, n: int) -> "Weight":
+        if not exact_ints((n,)):
+            return NotImplemented
         return Weight(tuple(n * a for a in self.coords))
 
 
@@ -232,19 +237,19 @@ class RootDatum:
 
 
 def _cartan_for(series: str) -> tuple[tuple[int, ...], ...]:
-    if len(series) >= 2 and series[0] == "A" and series[1:].isdigit():
+    # one spelling per series: ASCII digits, no leading zero
+    if re.fullmatch("A[1-9][0-9]*", series):
         n = int(series[1:])
-        if n >= 1:
-            rows = []
-            for i in range(n):
-                row = [0] * n
-                row[i] = 2
-                if i > 0:
-                    row[i - 1] = -1
-                if i + 1 < n:
-                    row[i + 1] = -1
-                rows.append(tuple(row))
-            return tuple(rows)
+        rows = []
+        for i in range(n):
+            row = [0] * n
+            row[i] = 2
+            if i > 0:
+                row[i - 1] = -1
+            if i + 1 < n:
+                row[i + 1] = -1
+            rows.append(tuple(row))
+        return tuple(rows)
     fixed = {
         "B2": ((2, -1), (-2, 2)),
         "C2": ((2, -2), (-1, 2)),

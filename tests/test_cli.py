@@ -306,6 +306,8 @@ def test_intersection_form_json(capsys):
     (["lcf", "A2", "--p", "5", "--max-len", "3", "--out", "."], 3),
     # --dihedral names affine A1's elements: no other series
     (["kl", "A2", "--dihedral", "--x", "w2", "--y", "id"], 2),
+    # a series has one spelling: A01 is not A1
+    (["lcf", "A01", "--p", "5", "--max-weight", "30"], 2),
 ])
 def test_exit_codes(capsys, argv, code):
     got, out, err = run(capsys, argv)

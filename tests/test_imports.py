@@ -1,19 +1,23 @@
-"""Every module-level import in the package is used, every name the
-benchmark imports from the package exists, and no private code of the
-package is left without a caller.
+"""Every module-level import in the package is used, every public name
+is declared once, every name the benchmark imports from the package
+exists, and no private code of the package is left without a caller.
 
 A name bound by an import at the top level of a module must be read
 somewhere in that module (code, annotations or doctests aside) or be
-listed in its ``__all__``.  ``__init__.py`` exists to re-export, and
-``from __future__`` imports bind nothing, so both are skipped.
+listed in its ``__all__``.  ``from __future__`` imports bind nothing,
+so they are skipped.  ``__init__.py`` names no public name: it
+star-imports the layer modules and joins their ``__all__`` lists, so
+it is checked for that alone.
 """
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -77,6 +81,55 @@ def test_scan_flags_an_unused_import():
     keep = _used(tree) | _exported(tree)
     assert sorted(n for n in _imported_names(tree) if n not in keep) == [
         "b", "os"]
+
+
+LAYERS = ("lattice", "coxeter", "hecke", "charring", "lcf", "icstalk")
+
+
+def _named_imports(tree: ast.Module) -> list[str]:
+    """module.name for every ``from ... import`` of a name, not of ``*``."""
+    return [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name != "*"]
+
+
+def _defined_elsewhere(module) -> list[str]:
+    """The classes and functions of a module's ``__all__`` that another
+    module defines."""
+    listed = ((name, getattr(module, name)) for name in module.__all__)
+    return [name for name, obj in listed
+            if (inspect.isclass(obj) or inspect.isfunction(obj))
+            and obj.__module__ != module.__name__]
+
+
+def test_public_names_declared_once():
+    # a name is public where the module that defines it lists it; the
+    # package's __all__ is those lists joined, in the order of layers
+    import weylkit
+    modules = [importlib.import_module(f"weylkit.{m}") for m in LAYERS]
+    assert list(weylkit.__all__) == [n for m in modules for n in m.__all__]
+    assert len(set(weylkit.__all__)) == len(weylkit.__all__)
+    elsewhere = [f"{m.__name__}.{name}" for m in modules
+                 for name in _defined_elsewhere(m)]
+    assert not elsewhere, f"listed where not defined: {elsewhere}"
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert not _named_imports(init), _named_imports(init)
+
+
+def test_scan_flags_a_second_declaration():
+    tree = ast.parse("from a import *\n"
+                     "from b import c\n"
+                     "from d import (e, f as g)\n"
+                     "import h\n")
+    assert _named_imports(tree) == ["b.c", "d.e", "d.f"]
+
+    class Own:
+        pass
+
+    module = SimpleNamespace(
+        __name__=__name__, __all__=["Own", "own", "Foreign", "CONSTANT"],
+        Own=Own, own=lambda: None, Foreign=ast.Module, CONSTANT=3)
+    assert _defined_elsewhere(module) == ["Foreign"]
 
 
 PERFBENCH = SRC.parent.parent / "perfbench"

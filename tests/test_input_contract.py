@@ -20,6 +20,7 @@ import weylkit
 from weylkit import (
     Character,
     Coroot,
+    LaurentPolynomial,
     ResourceLimitError,
     Weight,
     affine_hecke,
@@ -89,9 +90,20 @@ RP3 = link_preset("rp3")
     (lambda: element_to_json(None), TypeError, "got NoneType"),
     (lambda: multiply(X, "x"), TypeError, "got str"),
     (lambda: kl_basis_element("x"), TypeError, "got str"),
+    # a foreign operand is unsupported, and a scalar product asks
+    # exact_ints: neither yields a result or a bare AttributeError
+    (lambda: ONE + None, TypeError, "unsupported operand"),
+    (lambda: ONE - 3, TypeError, "unsupported operand"),
+    (lambda: LaurentPolynomial.one() + 3, TypeError, "unsupported operand"),
+    (lambda: kl_basis_element(X) + None, TypeError, "unsupported operand"),
+    (lambda: True * Weight((1, -1)), TypeError, "unsupported operand"),
+    (lambda: 2.0 * W, TypeError, "unsupported operand"),
 ], ids=["same_block-rank", "length-str", "reduced_word-None",
         "bruhat_leq-str", "inverse-None", "is_min_coset_rep_fW-None",
-        "element_to_json-None", "multiply-str", "kl_basis_element-str"])
+        "element_to_json-None", "multiply-str", "kl_basis_element-str",
+        "Character-add-None", "Character-sub-int",
+        "LaurentPolynomial-add-int", "HeckeElement-add-None",
+        "Weight-rmul-bool", "Weight-rmul-float"])
 def test_bare_errors_are_documented_ones(call, error, message):
     with pytest.raises(error, match=message):
         call()

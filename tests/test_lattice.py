@@ -30,7 +30,9 @@ def test_cartan_matrices():
 
 
 def test_unsupported_series_rejected():
-    for bad in ("F4", "D4", "E6", "A0", "X9", "B3", ""):
+    # one spelling per series: no leading zero, ASCII digits only
+    for bad in ("F4", "D4", "E6", "A0", "X9", "B3", "", "A01", "A001",
+                "A\u0663"):
         with pytest.raises(UnsupportedDatumError):
             build_root_datum(bad)
     with pytest.raises(ValueError):
@@ -185,7 +187,8 @@ def test_int_coordinates_kept_exactly():
     assert Weight([1, -2]).coords == (1, -2)
     assert Coroot(iter([0, 3])).coords == (0, 3)
     assert Weight((10 ** 30,)).coords == (10 ** 30,)
-    with pytest.raises(ValueError):
+    # a float scalar is an unsupported operand, as for every product
+    with pytest.raises(TypeError):
         1.5 * Weight((1, 1))
 
 
