@@ -197,6 +197,14 @@ class Character:
         return [{"weight": list(w.coords), "mult": c} for w, c in self.terms]
 
 
+def _check_character(ch) -> Character:
+    """ch, if it is a ``Character``: TypeError for any other object.
+    Every public function that takes a character asks it."""
+    if not isinstance(ch, Character):
+        raise TypeError(f"expected a Character, got {type(ch).__name__}")
+    return ch
+
+
 def trivial_character(rank: int) -> Character:
     """The character e^0 of the trivial module."""
     return Character(((Weight((0,) * check_int("rank", rank, 0)), 1),))
@@ -208,7 +216,7 @@ def dimension(ch: Character) -> int:
     >>> dimension(trivial_character(2))
     1
     """
-    return sum(c for _, c in ch.terms)
+    return sum(c for _, c in _check_character(ch).terms)
 
 
 def _height(datum: RootDatum):
@@ -361,7 +369,7 @@ def is_weyl_invariant(datum: RootDatum, ch: Character) -> bool:
     reflection?
     """
     gens = generators(datum)[:datum.rank]
-    table = ch.as_dict()
+    table = _check_character(ch).as_dict()
     for g in gens:
         for w, c in table.items():
             if table.get(g.finite.apply(w), 0) != c:
@@ -376,14 +384,14 @@ def frobenius_twist(ch: Character, p: int) -> Character:
     True
     """
     check_int("p", p, 1)
-    return Character.from_dict(
-        {Weight(tuple(p * c for c in w.coords)): m for w, m in ch.terms})
+    return Character.from_dict({Weight(tuple(p * c for c in w.coords)): m
+                                for w, m in _check_character(ch).terms})
 
 
 def tensor(a: Character, b: Character,
            max_terms: int = DEFAULT_MAX_TERMS) -> Character:
     """Product of characters (convolution of supports)."""
-    a._check_rank(b)
+    _check_character(a)._check_rank(_check_character(b))
     check_int("max_terms", max_terms, 1)
     acc: dict[Weight, int] = {}
     for wa, ca in a.terms:

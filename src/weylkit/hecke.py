@@ -51,13 +51,13 @@ the datum shares them:
   h_{w^{-1}} fixes the basis up to relabelling): the ids go through the
   table's column of inverse ids, and the pool ids stay, with no
   arithmetic on polynomials;
-* elements: a b_x from ``kl_basis_element`` holds its row, the two
-  arrays above, and nothing per term.  Its ``terms``, ``support`` and
-  ``coefficient`` read the row, and unpack an entry of the pool only
-  when it is first read; ``kl_polynomial`` bisects one row.  Arithmetic
-  and ``bar`` work on (id, Laurent polynomial) pairs, which a b_x
-  builds once, when arithmetic first asks for them, and read the action
-  tables, not the group law.
+* elements: every element holds the ascending ids of its support and
+  their coefficients, and is read one way.  For a b_x from
+  ``kl_basis_element`` these are its row, the two arrays above, and
+  nothing per term: a coefficient is a pool id, unpacked only when it
+  is first read, and ``kl_polynomial`` bisects one row.  Arithmetic and
+  ``bar`` read (id, Laurent polynomial) pairs off their operands, and
+  the action tables, not the group law.
 
 The context's third recursion is the same one on the spherical module
 triv (x)_{H_f} H: its rows are the m_{y,x} = P_{w0 y, w0 x} that the
@@ -85,7 +85,6 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress
-from operator import itemgetter
 
 from weylkit._exact import (check_ints, digit_width, exact_ints, repack,
                             unpack)
@@ -184,10 +183,7 @@ class LaurentPolynomial:
         return cls._trusted(_norm_coeffs(d.items()))
 
     def coefficient(self, exponent: int) -> int:
-        for e, c in self.coeffs:
-            if e == exponent:
-                return c
-        return 0
+        return dict(self.coeffs).get(exponent, 0)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -228,8 +224,6 @@ class LaurentPolynomial:
         return {str(e): c for e, c in self.coeffs}
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         parts = []
         for e, c in self.coeffs:
             if e == 0:
@@ -243,13 +237,16 @@ class LaurentPolynomial:
                 else:
                     term = f"{c}*{power}"
             parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            if term.startswith("-"):
-                out += " - " + term[1:]
-            else:
-                out += " + " + term
-        return out
+        return " + ".join(parts).replace(" + -", " - ") or "0"
+
+
+def _check_laurent_polynomial(p) -> LaurentPolynomial:
+    """p, if it is a ``LaurentPolynomial``: TypeError for any other
+    object.  Every public function that takes a polynomial asks it."""
+    if not isinstance(p, LaurentPolynomial):
+        raise TypeError(
+            f"expected a LaurentPolynomial, got {type(p).__name__}")
+    return p
 
 
 def evaluate_at_one(p: LaurentPolynomial) -> int:
@@ -258,7 +255,7 @@ def evaluate_at_one(p: LaurentPolynomial) -> int:
     >>> evaluate_at_one(LaurentPolynomial.from_dict({-1: 1, 1: 1}))
     2
     """
-    return sum(c for _, c in p.coeffs)
+    return sum(c for _, c in _check_laurent_polynomial(p).coeffs)
 
 
 _ZERO = LaurentPolynomial.zero()
@@ -274,55 +271,58 @@ class HeckeElement:
 
     ``terms`` pairs group elements with nonzero Laurent polynomials,
     sorted by engine id, which is (length, reduced word) order.  An
-    element that arithmetic builds holds them as (id, polynomial) on its
-    algebra's engine.  A b_x from ``kl_basis_element`` holds its row of
-    the recursion instead, the ids of the y <= x and the pool ids of
-    their P_{y,x}: ``terms``, ``support`` and ``coefficient`` read the
-    row, and arithmetic builds the (id, polynomial) pairs once, on first
-    use.  Both forms of one element are equal and hash alike.
+    element holds the ascending ids of its support on its algebra's
+    engine, ``_ids``, and their coefficients, ``_coeffs``: the
+    polynomials, for an element that arithmetic builds, and for a b_x
+    from ``kl_basis_element`` the two arrays of its row of the
+    recursion, the ids of the y <= x and the pool ids of their P_{y,x}.
+    Every reader takes coefficients from ``_polys``, which reads pool
+    ids through the recursion's views, so an element is equal to, and
+    hashes like, the same element built by arithmetic.
     """
 
-    __slots__ = ("algebra", "_row", "_pairs")
+    __slots__ = ("algebra", "_ids", "_coeffs")
 
     def __init__(self, algebra: "HeckeAlgebra", terms: _Terms) -> None:
-        self.algebra, self._row, self._pairs = algebra, None, terms
+        self.algebra = algebra
+        self._ids, self._coeffs = tuple(zip(*terms)) or ((), ())
+
+    @classmethod
+    def _of_row(cls, algebra: "HeckeAlgebra", row: _Row) -> "HeckeElement":
+        """b_x from the row of x, holding the row's two arrays."""
+        b = object.__new__(cls)
+        b.algebra, (b._ids, b._coeffs) = algebra, row
+        return b
+
+    def _polys(self, lo: int = 0, hi: int | None = None
+               ) -> tuple[LaurentPolynomial, ...]:
+        """The coefficients of ``_ids[lo:hi]``: the polynomials held, or
+        the views of the pool ids held, which ``views`` unpacks under the
+        lock where missing."""
+        cs = self._coeffs[lo:hi]
+        return cs if type(cs) is tuple else self.algebra._engine.views(cs)
 
     @property
     def _terms(self) -> _Terms:
-        if self._pairs is None:
-            with self.algebra._lock:  # so that they are built once
-                if self._pairs is None:
-                    self._pairs = tuple(zip(self._row[0], self._views()))
-        return self._pairs
-
-    def _views(self) -> list[LaurentPolynomial]:
-        return self.algebra._engine.views(self._row[1])
+        return tuple(zip(self._ids, self._polys()))
 
     @property
     def terms(self) -> tuple[tuple[AffineWeylElement, LaurentPolynomial],
                              ...]:
         elems = self.algebra._engine.table.elems
-        if self._row is None:
-            return tuple([(elems[x], p) for x, p in self._pairs])
-        return tuple(zip(map(elems.__getitem__, self._row[0]), self._views()))
+        return tuple(zip(map(elems.__getitem__, self._ids), self._polys()))
 
     def support(self) -> list[AffineWeylElement]:
-        ids = self._row[0] if self._row else [x for x, _ in self._pairs]
-        return list(map(self.algebra._engine.table.elems.__getitem__, ids))
+        return list(map(self.algebra._engine.table.elems.__getitem__,
+                        self._ids))
 
     def coefficient(self, x: AffineWeylElement | FiniteWeylElement
                     ) -> LaurentPolynomial:
         i = self.algebra._engine.table.find(self.algebra._check_member(x))
         if i is None:
             return _ZERO
-        if self._row is not None:
-            with self.algebra._lock:
-                return self.algebra._engine.polynomial(i, self._row)
-        terms = self._pairs
-        j = bisect_left(terms, i, key=itemgetter(0))
-        if j < len(terms) and terms[j][0] == i:
-            return terms[j][1]
-        return _ZERO
+        j = bisect_left(self._ids, i)
+        return self._polys(j, j + 1)[0] if i in self._ids[j:j + 1] else _ZERO
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HeckeElement) and
@@ -378,6 +378,14 @@ class HeckeElement:
                           for x, p in self.terms]}
 
 
+def _check_hecke_element(h) -> HeckeElement:
+    """h, if it is a ``HeckeElement``: TypeError for any other object.
+    Every public function that takes a Hecke element asks it."""
+    if not isinstance(h, HeckeElement):
+        raise TypeError(f"expected a HeckeElement, got {type(h).__name__}")
+    return h
+
+
 def _sum_terms(triples) -> _Terms:
     """Sum of p q h_x over (id of x, p, q) triples, as nonzero terms by
     id; the products are summed without building them."""
@@ -420,7 +428,8 @@ class _KLRecursion:
     and holds the row of x_i^{-1}, from ``_inverse_row``.
     ``view(k)`` is the ``LaurentPolynomial`` of entry k, unpacked once
     on first use, kept in ``_views`` by pool id and shared by every
-    caller; ``views(ks)`` looks up a row's entries in C.  ``bar_memo``
+    caller; ``views(ks)`` looks up a row's entries in C, and is how a
+    ``HeckeElement`` reads the coefficients of a b_x.  ``bar_memo``
     holds bar(h_x) by id, for a table of a whole group, as
     ``HeckeAlgebra.bar`` fills it.  Only ``views`` takes the context's
     lock itself, to unpack what is missing; the other callers take it,
@@ -511,24 +520,15 @@ class _KLRecursion:
         ids = sorted(pool_ids)
         return array("i", ids), array("i", map(pool_ids.__getitem__, ids))
 
-    def views(self, ks: array) -> list[LaurentPolynomial]:
+    def views(self, ks: array) -> tuple[LaurentPolynomial, ...]:
         """The views of the pool entries ks, looked up in C; only the
         missing ones are unpacked, under the lock, since ``_widen``
         replaces ``polys`` and ``width``."""
         try:
-            return list(map(self._views.__getitem__, ks))
+            return tuple(map(self._views.__getitem__, ks))
         except KeyError:
             with self.table.lock:
-                return list(map(self.view, ks))
-
-    def polynomial(self, y: int, row: _Row) -> LaurentPolynomial:
-        """The coefficient of h_y in a row, P_{y,x} for the row of x:
-        zero unless y <= x.  Call under the lock."""
-        ys, ks = row
-        j = bisect_left(ys, y)
-        if j < len(ys) and ys[j] == y:
-            return self.view(ks[j])
-        return _ZERO
+                return tuple(map(self.view, ks))
 
     def _mu_terms(self, prev: _Row, s: int) -> list[tuple[int, int]]:
         """(y, mu) with ys < y or ys a leaf, and mu the v-coefficient of
@@ -642,7 +642,7 @@ class HeckeAlgebra:
         self._lock = ctx.lock
 
     def _check_same(self, other: HeckeElement) -> None:
-        if other.algebra is not self:
+        if _check_hecke_element(other).algebra is not self:
             raise ValueError("elements belong to different Hecke algebras")
 
     def _check_member(self, x: AffineWeylElement) -> AffineWeylElement:
@@ -750,10 +750,10 @@ class HeckeAlgebra:
     def kl_basis_element(self, x) -> HeckeElement:
         """The self-dual basis element b_x = sum_{y <= x} P_{y,x} h_y,
         holding the row of x."""
-        b, eng = HeckeElement(self, None), self._engine
+        eng = self._engine
         with self._lock:
-            b._row = eng.basis(eng.table.element_id(self._check_member(x)))
-        return b
+            row = eng.basis(eng.table.element_id(self._check_member(x)))
+        return HeckeElement._of_row(self, row)
 
     def kl_polynomial(self, y, x) -> LaurentPolynomial:
         """Coefficient of h_y in b_x; zero unless y <= x in Bruhat order."""
@@ -784,12 +784,13 @@ def mult_standard_by_gen(h: HeckeElement, s, side: str = "right"
     """h * h_s (or h_s * h): h_x h_s = h_{xs} when xs > x, and
     h_{xs} + (v^{-1} - v) h_x when xs < x.
     """
-    return h.algebra.mult_standard_by_gen(h, s, side=side)
+    return _check_hecke_element(h).algebra.mult_standard_by_gen(
+        h, s, side=side)
 
 
 def bar(h: HeckeElement) -> HeckeElement:
     """Bar involution of a Hecke element."""
-    return h.algebra.bar(h)
+    return _check_hecke_element(h).algebra.bar(h)
 
 
 def kl_basis_element(x) -> HeckeElement:

@@ -75,6 +75,8 @@ class Weight:
     Weight(coords=(1, 2))
     >>> 3 * Weight((1, -1))
     Weight(coords=(3, -3))
+    >>> Weight((1, -1)) * 3
+    Weight(coords=(3, -3))
     """
 
     coords: tuple[int, ...]
@@ -99,10 +101,12 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight(tuple(-a for a in self.coords))
 
-    def __rmul__(self, n: int) -> "Weight":
+    def __mul__(self, n: int) -> "Weight":
         if not exact_ints((n,)):
             return NotImplemented
         return Weight(tuple(n * a for a in self.coords))
+
+    __rmul__ = __mul__
 
 
 _set_coords = Weight.coords.__set__  # the slot's own setter

@@ -163,7 +163,11 @@ def _weight_label(prefix: str, w: Weight) -> str:
 
 
 def _sparse_row(row: dict[int, int]) -> SparseRow:
-    """A row given as {column: entry}, by ascending column."""
+    """A row given as {column: entry}, by ascending column.  A column of
+    None is a weight outside the labels, which a row must not reach:
+    the labels of a truncated orbit are closed downward."""
+    if None in row:
+        raise RuntimeError("orbit truncation lost a term below a kept label")
     cols = sorted(row)
     return tuple(cols), tuple(map(row.__getitem__, cols))
 
@@ -310,6 +314,15 @@ class DecompositionMatrix:
         return "".join(self.text_lines())
 
 
+def _check_decomposition_matrix(m) -> DecompositionMatrix:
+    """m, if it is a ``DecompositionMatrix``: TypeError for any other
+    object."""
+    if not isinstance(m, DecompositionMatrix):
+        raise TypeError(
+            f"expected a DecompositionMatrix, got {type(m).__name__}")
+    return m
+
+
 def _max_len_for_weight_bound(datum: RootDatum, p: int, bound: int) -> int:
     """Number of affine walls between the base alcove and the weight
     with every coordinate equal to the bound: a sufficient search
@@ -385,14 +398,12 @@ def _decomposition_matrix(datum: RootDatum, p: int, max_len: int | None,
         pos = [None] * len(orbit)
         for k, i in enumerate(ids):
             pos[i] = k
-        rows = [_lcf_row(datum, table, i, pos) for i in ids]
+        rows = (_lcf_row(datum, table, i, pos) for i in ids)
     else:
         index = {w.coords[0]: k for k, (_, w) in enumerate(labels)}
-        rows = [{index.get(m): a for m, a in
+        rows = ({index.get(m): a for m, a in
                  _sl2_simple_in_standard_basis(w.coords[0], p).items()}
-                for _, w in labels]
-    if any(None in row for row in rows):
-        raise RuntimeError("orbit truncation lost a term below a kept label")
+                for _, w in labels)
     return DecompositionMatrix(
         datum, p, "simple-in-standard", labels,
         tuple(map(_sparse_row, rows)), tuple(jantzen))
@@ -400,6 +411,7 @@ def _decomposition_matrix(datum: RootDatum, p: int, max_len: int | None,
 
 def invert_decomposition(m: DecompositionMatrix) -> DecompositionMatrix:
     """Exact integer inverse of a unitriangular decomposition matrix."""
+    _check_decomposition_matrix(m)
     kind = ("standard-in-simple" if m.kind == "simple-in-standard"
             else "simple-in-standard")
     return DecompositionMatrix(m.datum, m.p, kind, m.labels,

@@ -1133,7 +1133,7 @@ def test_row_backed_element_equals_its_arithmetic_form():
     s1, s0 = generators(datum)
     b = kl_basis_element(multiply(s1, s0))
     built = kl_basis_element(s1) * kl_basis_element(s0)
-    assert b._row is not None and built._row is None
+    assert type(b._coeffs) is not tuple and type(built._coeffs) is tuple
     assert hash(b) == hash(built)
     assert b == built and built == b
     assert {b: "row"}[built] == "row"

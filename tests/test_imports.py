@@ -282,6 +282,45 @@ def test_scan_flags_a_second_kl_recursion():
     assert _calls(tree, "_KLRecursion") == [2, 3]
 
 
+def _pool_view_reads(tree: ast.Module) -> list[int]:
+    """Lines outside the class ``_KLRecursion`` that name ``_views`` or
+    call ``view``, and lines that define a method named ``polynomial``."""
+    own = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "_KLRecursion":
+            own.update(range(node.lineno, node.end_lineno + 1))
+    views = {node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr == "_views")
+             or (isinstance(node, ast.FunctionDef) and node.name == "_views")}
+    polynomial = {item.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) for item in node.body
+                  if isinstance(item, ast.FunctionDef)
+                  and item.name == "polynomial"}
+    return sorted((views | set(_calls(tree, "view"))) - own | polynomial)
+
+
+def test_pool_views_read_only_by_the_recursion():
+    # every coefficient of a b_x is read through _KLRecursion.views,
+    # which unpacks what is missing under the context's lock; a second
+    # reader, on an element or per entry, would be a second form
+    tree = ast.parse((SRC / "hecke.py").read_text(encoding="utf-8"))
+    assert _pool_view_reads(tree) == []
+
+
+def test_scan_flags_a_second_reader_of_views():
+    tree = ast.parse(
+        "class _KLRecursion:\n"
+        "    def view(self, k): return self._views[k]\n"
+        "    def polynomial(self, y, row): return self.view(row[y])\n"
+        "class HeckeElement:\n"
+        "    def _views(self):\n"
+        "        return self.algebra._engine._views\n"
+        "    def one(self, k): return eng.view(k)\n"
+        "    def all(self, ks): return eng.views(ks)\n"
+        "s = '_views'\n")
+    assert _pool_view_reads(tree) == [3, 5, 6, 7]
+
+
 def _functools_caches(tree: ast.Module) -> list[int]:
     """Lines that import or name functools.lru_cache or functools.cache."""
     caches = ("lru_cache", "cache")

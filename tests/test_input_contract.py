@@ -6,7 +6,9 @@ its type: an exact int with a lower bound and a prime in
 and an element of the datum in ``weylkit.coxeter``.  A float, a bool or
 any other non-int where an int is expected is a ValueError, and so is a
 value out of range, a weight of another rank or an element of another
-datum; an object of the wrong kind where an element or a weight is
+datum; an object of the wrong kind where an element, a weight or
+another value object of the package (a character, a Hecke element, a
+polynomial, a graded group, a stalk table, a decomposition matrix) is
 expected is a TypeError.
 """
 
@@ -20,29 +22,37 @@ import weylkit
 from weylkit import (
     Character,
     Coroot,
+    GradedAbelianGroup,
     LaurentPolynomial,
     ResourceLimitError,
     Weight,
     affine_hecke,
+    bar,
     bruhat_leq,
     build_root_datum,
+    cone_ic_integral,
     cone_ic_stalks_field,
     cone_pushforward_stalks,
     cotangent_self_intersection,
     count_p_restricted_in_orbit,
     decomposition_matrix,
+    dimension,
     dominant_orbit,
     dot_p,
     element_to_json,
     embed_finite,
+    evaluate_at_one,
+    expand_in_standard_basis,
     frobenius_twist,
     generators,
     intersection_form_semisimple,
     inverse,
+    invert_decomposition,
     is_dominant,
     is_min_coset_rep_fW,
     is_p_regular,
     is_p_restricted,
+    is_weyl_invariant,
     jantzen_condition,
     kl_basis_element,
     kl_polynomial,
@@ -55,6 +65,7 @@ from weylkit import (
     mult_standard_by_gen,
     multiply,
     pairing,
+    perverse_constraint_check,
     reduced_word,
     same_block,
     sl2_lcf_valid,
@@ -98,12 +109,47 @@ RP3 = link_preset("rp3")
     (lambda: kl_basis_element(X) + None, TypeError, "unsupported operand"),
     (lambda: True * Weight((1, -1)), TypeError, "unsupported operand"),
     (lambda: 2.0 * W, TypeError, "unsupported operand"),
+    # a wrong kind of value object is a TypeError
+    (lambda: tensor(ONE, "x"), TypeError, "expected a Character, got str"),
+    (lambda: tensor("x", ONE), TypeError, "expected a Character, got str"),
+    (lambda: dimension("x"), TypeError, "expected a Character, got str"),
+    (lambda: frobenius_twist("x", 3), TypeError,
+     "expected a Character, got str"),
+    (lambda: is_weyl_invariant(A1, "x"), TypeError,
+     "expected a Character, got str"),
+    (lambda: expand_in_standard_basis(A1, "x"), TypeError,
+     "expected a Character, got str"),
+    (lambda: bar("x"), TypeError, "expected a HeckeElement, got str"),
+    (lambda: mult_standard_by_gen("x", 0), TypeError,
+     "expected a HeckeElement, got str"),
+    (lambda: evaluate_at_one("x"), TypeError,
+     "expected a LaurentPolynomial, got str"),
+    (lambda: uct_field("x", 2), TypeError,
+     "expected a GradedAbelianGroup, got str"),
+    (lambda: cone_ic_integral("x", 2), TypeError,
+     "expected a GradedAbelianGroup, got str"),
+    (lambda: cone_ic_stalks_field("x", 2, 2), TypeError,
+     "expected a GradedAbelianGroup, got str"),
+    (lambda: mod_p_simple("x", 2, 2), TypeError,
+     "expected a GradedAbelianGroup, got str"),
+    (lambda: perverse_constraint_check("x"), TypeError,
+     "expected a StalkTable, got str"),
+    (lambda: GradedAbelianGroup(((0, "x"),)), TypeError,
+     "expected an FgAbelianGroup, got str"),
+    (lambda: invert_decomposition("x"), TypeError,
+     "expected a DecompositionMatrix, got str"),
 ], ids=["same_block-rank", "length-str", "reduced_word-None",
         "bruhat_leq-str", "inverse-None", "is_min_coset_rep_fW-None",
         "element_to_json-None", "multiply-str", "kl_basis_element-str",
         "Character-add-None", "Character-sub-int",
         "LaurentPolynomial-add-int", "HeckeElement-add-None",
-        "Weight-rmul-bool", "Weight-rmul-float"])
+        "Weight-rmul-bool", "Weight-rmul-float", "tensor-right-str",
+        "tensor-left-str", "dimension-str", "frobenius_twist-str",
+        "is_weyl_invariant-str", "expand_in_standard_basis-str", "bar-str",
+        "mult_standard_by_gen-str", "evaluate_at_one-str", "uct_field-str",
+        "cone_ic_integral-str", "cone_ic_stalks_field-str",
+        "mod_p_simple-str", "perverse_constraint_check-str",
+        "GradedAbelianGroup-str", "invert_decomposition-str"])
 def test_bare_errors_are_documented_ones(call, error, message):
     with pytest.raises(error, match=message):
         call()

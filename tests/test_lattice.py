@@ -192,6 +192,17 @@ def test_int_coordinates_kept_exactly():
         1.5 * Weight((1, 1))
 
 
+def test_weight_takes_an_int_scalar_on_either_side():
+    w = Weight((1, -1))
+    assert w * 3 == 3 * w == Weight((3, -3))
+    assert w * 0 == Weight((0, 0)) and w * -2 == Weight((-2, 2))
+    for scalar in (2.0, True):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            w * scalar
+        with pytest.raises(TypeError, match="unsupported operand"):
+            scalar * w
+
+
 def test_float_weight_never_reaches_a_character():
     from weylkit import dimension, weyl_character
     d = build_root_datum("A2")
