@@ -71,6 +71,7 @@ from weylkit.lattice import (
     ResourceLimitError,
     RootDatum,
     Weight,
+    _check_datum,
     _check_weight,
     _weights,
     build_root_datum,
@@ -273,7 +274,7 @@ def weyl_character(datum: RootDatum, highest: Weight,
     >>> dimension(weyl_character(d, Weight((1, 1))))
     8
     """
-    if datum.variant != "sc":
+    if _check_datum(datum).variant != "sc":
         raise ValueError("characters need the simply connected variant")
     if not is_dominant(_check_weight(highest, datum.rank)):
         raise ValueError("highest weight must be dominant")

@@ -47,6 +47,7 @@ from weylkit.lattice import (
     Coroot,
     RootDatum,
     Weight,
+    _check_datum,
     _check_weight,
     coxeter_number,
     is_dominant,
@@ -176,11 +177,12 @@ def _reflection(root: Weight, coroot: Coroot) -> Matrix:
 class _Context:
     """Per-datum caches, the only owner of each: generators, the
     interned finite parts and the memo of their products (at most |W_f|
-    and |W_f|^2 entries), the inversion sets of finite parts (at most
-    |W_f|) and the three tables of ``_Table``: the affine group, W_f and
-    the dominant alcoves.  Nothing is memoised by group element:
-    lengths, words and Bruhat comparisons are computed, or read off the
-    tables, and W_f is listed in the order of its table.
+    and |W_f|^2 entries), the inversion sets of finite parts and their
+    w(rho) - rho (at most |W_f| each) and the three tables of
+    ``_Table``: the affine group, W_f and the dominant alcoves.  Nothing
+    is memoised by group element: lengths, words and Bruhat comparisons
+    are computed, or read off the tables, and W_f is listed in the order
+    of its table.
 
     The group table stores each element's id on the element as it
     numbers it (``_gid``): the identity is id 0 and the generators,
@@ -223,6 +225,7 @@ class _Context:
             w.coords: k for k, (w, _) in enumerate(datum.positive_roots)}
         self.origin = Weight(zero)
         self.inversions_memo: dict[Matrix, tuple[bool, ...]] = {}
+        self.rho_shifts: dict[Matrix, tuple[int, ...]] = {}
         self.handles: dict[object, object] = {}
         self.lock = threading.RLock()
         self.group = _Table(self.identity, self.gens, self.lock, tag=True)
@@ -237,8 +240,16 @@ class _Context:
 
     def is_alcove(self, x: AffineWeylElement) -> bool:
         """Is x in ^fW, that is, is x . 0 dominant at p = h?  0 is
-        p-regular for every p >= h, so the answer does not depend on p."""
-        return is_dominant(dot_p(x, self.origin, self.h))
+        p-regular for every p >= h, so the answer does not depend on p.
+        For x = t_gamma w, x . 0 = w(rho) - rho + h gamma, and w(rho) -
+        rho is read off ``rho_shifts``, one entry per finite part."""
+        m = x.finite.matrix
+        shift = self.rho_shifts.get(m)
+        if shift is None:
+            shift = self.rho_shifts[m] = tuple(
+                c - 1 for c in _mat_vec(m, (1,) * len(m)))
+        h = self.h
+        return all(a + h * g >= 0 for a, g in zip(shift, x.translation))
 
     def intern(self, m: Matrix) -> FiniteWeylElement:
         """The one finite part of matrix m."""
@@ -447,11 +458,14 @@ _CONTEXTS_LOCK = threading.Lock()
 
 def _context(datum: RootDatum) -> _Context:
     """The context of the datum, built on first use under the one lock
-    that creates contexts, so that concurrent first calls share it.
+    that creates contexts, so that concurrent first calls share it.  A
+    datum with no context is checked first, so every function that
+    reaches its context raises TypeError for an object of another kind.
     ``_context.cache_clear()`` drops every context, and with them every
     handle built on one."""
     got = _CONTEXTS.get(datum)
     if got is None:
+        _check_datum(datum)
         with _CONTEXTS_LOCK:
             got = _CONTEXTS.get(datum)
             if got is None:
@@ -721,6 +735,7 @@ def _rho_pairings(datum: RootDatum, coords: tuple[int, ...]) -> list[int]:
 
 def is_p_regular(datum: RootDatum, weight: Weight, p: int) -> bool:
     """True iff no affine wall contains the weight (rho-shifted, mod p)."""
+    _check_datum(datum)
     check_int("p", p, 1)
     _check_weight(weight, datum.rank)
     return all(n % p for n in _rho_pairings(datum, weight.coords))
@@ -758,6 +773,7 @@ def same_block(datum: RootDatum, lam: Weight, mu: Weight, p: int) -> bool:
     Each rho-shifted weight is reflected to its unique representative in
     the closed fundamental alcove and the representatives are compared.
     """
+    _check_datum(datum)
     check_int("p", p, 1)
     _check_weight(lam, datum.rank)
     _check_weight(mu, datum.rank)

@@ -66,10 +66,13 @@ then also runs over the y whose y s leaves the minimal coset
 representatives.  Its ids, right action tables and last letters are
 the context's third table, that of the dominant alcoves, which
 ``dominant_orbit`` reads as well.  The alcoves are not closed under
-inverses, so that table keeps no column of inverse ids, and every
-spherical row is stepped.  ``_row_at_one`` reads a row of any of the
-three tables: the row's ids and the pool's values at v = 1 of their
-polynomials, which ``weylkit.lcf`` signs and keys in one pass.
+inverses, so that table keeps no column of inverse ids, and a
+spherical row is stepped, but for a datum of rank one: its alcoves
+form a chain, one per length, m_{y,x} = v^{l(x)-l(y)} for every y <=
+x, and the row of x is written down in closed form, with no row below
+it.  ``_row_at_one`` reads a row of any of the three tables: the row's
+ids and the pool's values at v = 1 of their polynomials, which
+``weylkit.lcf`` signs and keys in one pass.
 
 >>> from weylkit.lattice import build_root_datum
 >>> from weylkit.coxeter import generators, multiply
@@ -425,7 +428,10 @@ class _KLRecursion:
     instead.  The row ``kl[i]`` of x_i holds two arrays, the ids of the
     y <= x_i in ascending order and the pool ids of their P_{y,x_i},
     either from ``_step`` or, when the table has an ``inverse`` column
-    and holds the row of x_i^{-1}, from ``_inverse_row``.
+    and holds the row of x_i^{-1}, from ``_inverse_row``.  Over a
+    ``chain``, the dominant alcoves of a rank-one datum, every row is
+    ``_chain_row``'s closed form instead, made only for the x asked
+    for, and ``_step`` is its test oracle.
     ``view(k)`` is the ``LaurentPolynomial`` of entry k, unpacked once
     on first use, kept in ``_views`` by pool id and shared by every
     caller; ``views(ks)`` looks up a row's entries in C, and is how a
@@ -438,6 +444,8 @@ class _KLRecursion:
 
     def __init__(self, table: _Table) -> None:
         self.table = table
+        # the dominant alcoves of a rank-one datum: rows in closed form
+        self.chain = table.member is not None and len(table.gens) == 2
         self.width = 16
         self.polys: list[int] = []
         self.poly_ids: dict[int, int] = {}
@@ -482,8 +490,11 @@ class _KLRecursion:
         """The row of x, computing what it needs, longest last: a row
         of z is read off the row of z^{-1} when the table has an
         ``inverse`` column and the recursion holds that row, and is
-        stepped from the row of z s otherwise."""
+        stepped from the row of z s otherwise.  Over a chain the row of
+        x is written down, and no other row is made."""
         kl, right, last = self.kl, self.table.right, self.table.last
+        if self.chain and x not in kl:
+            kl[x] = self._chain_row(x)
         inverse = self.table.inverse
         todo = [x]
         while todo:
@@ -510,6 +521,18 @@ class _KLRecursion:
             kl[z] = self._step(z, prev, s, mus)
             todo.pop()
         return kl[x]
+
+    def _chain_row(self, x: int) -> _Row:
+        """The row of x over the dominant alcoves of a rank-one datum,
+        in closed form.  Affine A1 is the infinite dihedral group, its
+        alcoves form a chain, one id per length, and m_{y,x} =
+        v^{l(x)-l(y)} for every y <= x (Soergel, Represent. Theory 1,
+        1997, for SL2).  Only this method fills the pool of a chain, one
+        v^d per d in ascending order after the 1 of row 0, so v^d has
+        pool id d, and the row's pool ids are l(x) - l(y) = x - y."""
+        for d in range(len(self.polys), x + 1):
+            self._intern(1 << self.width * d, 1)
+        return array("i", range(x + 1)), array("i", range(x, -1, -1))
 
     def _inverse_row(self, row: _Row) -> _Row:
         """The row of x from the row of x^{-1}: P_{y,x} = P_{y^{-1},x^{-1}},

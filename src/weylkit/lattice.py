@@ -164,8 +164,16 @@ def pairing(weight: Weight, coroot: Coroot) -> int:
     >>> pairing(Weight((1, 1)), Coroot((1, 1)))
     2
     """
-    _check_weight(weight, len(coroot.coords))
+    _check_weight(weight, len(_check_coroot(coroot).coords))
     return sum(a * b for a, b in zip(weight.coords, coroot.coords))
+
+
+def _check_coroot(coroot) -> Coroot:
+    """The coroot, if it is a ``Coroot``: TypeError for any other
+    object."""
+    if not isinstance(coroot, Coroot):
+        raise TypeError(f"expected a Coroot, got {type(coroot).__name__}")
+    return coroot
 
 
 @dataclass(frozen=True)
@@ -238,6 +246,23 @@ class RootDatum:
                 for w, c in self.positive_roots
             ],
         }
+
+
+def _check_datum(datum) -> RootDatum:
+    """The datum, if it is a ``RootDatum``: TypeError for any other
+    object.  Every public function that takes a datum asks it: those of
+    this module directly, the others through the datum's context in
+    ``weylkit.coxeter``, which asks it of a datum it has no context
+    for, or directly where they read the datum before its context.
+
+    >>> _check_datum("A1")
+    Traceback (most recent call last):
+    ...
+    TypeError: expected a RootDatum, got str
+    """
+    if not isinstance(datum, RootDatum):
+        raise TypeError(f"expected a RootDatum, got {type(datum).__name__}")
+    return datum
 
 
 def _cartan_for(series: str) -> tuple[tuple[int, ...], ...]:
@@ -316,6 +341,9 @@ def build_root_datum(series: str, variant: str = "sc") -> RootDatum:
     >>> len(build_root_datum("G2").positive_roots)
     6
     """
+    for name in (series, variant):
+        if not isinstance(name, str):
+            raise TypeError(f"expected a str, got {type(name).__name__}")
     if variant not in ("sc", "adjoint"):
         raise UnsupportedDatumError(f"unsupported variant {variant!r}")
     cartan = _cartan_for(series)
@@ -380,6 +408,7 @@ def rho(datum: RootDatum) -> Weight:
     >>> rho(build_root_datum("G2"))
     Weight(coords=(1, 1))
     """
+    _check_datum(datum)
     # x * B = (1, ..., 1) is solved by x = adj(B^T) (1, ..., 1) / det B
     det_b, adj = det_adjugate(tuple(zip(*datum.lattice_basis)))
     if det_b == 0 or any(sum(row) % det_b for row in adj):
@@ -394,6 +423,7 @@ def coxeter_number(datum: RootDatum) -> int:
     >>> [coxeter_number(build_root_datum(s)) for s in ("A1", "A2", "B2", "G2")]
     [2, 3, 4, 6]
     """
+    _check_datum(datum)
     return 1 + max(sum(c.coords) for _, c in datum.positive_roots)
 
 
@@ -405,6 +435,7 @@ def index_of_connection(datum: RootDatum) -> int:
     >>> index_of_connection(build_root_datum("G2"))
     1
     """
+    _check_datum(datum)
     return abs(det(datum.cartan)) // abs(det(datum.lattice_basis))
 
 
@@ -425,6 +456,7 @@ def dual_root_datum(datum: RootDatum) -> RootDatum:
     >>> dual_root_datum(dual_root_datum(d)) == d
     True
     """
+    _check_datum(datum)
     series = _DUAL_SERIES.get(datum.series, datum.series)
     return build_root_datum(series, _DUAL_VARIANT[datum.variant])
 

@@ -23,7 +23,11 @@ The self-dual basis is b_x = sum over y <= x in ^fW of m_{y,x} M_y.
 The map 1 (x) h -> b_{w0} h embeds M in H and sends b_x to b_{w0 x},
 so m_{y,x} = P_{w0 y, w0 x}, w0 being the longest finite element.
 The row of x is computed in M alone, without the other terms of
-b_{w0 x}, which the formula does not read.  Every row, here and in
+b_{w0 x}, which the formula does not read.  In rank one the dominant
+alcoves form a chain and m_{y,x} = v^{l(x)-l(y)} for every y <= x, so
+``weylkit.hecke`` writes the row of x down without stepping the rows
+below it: the SL2 check and the A1 coefficients and matrices make only
+the rows they read.  Every row, here and in
 ``kl_vector_finite``, is read one way, by ``weylkit.hecke``'s reader:
 the ids y <= x in one of the tables of the datum's context and the
 values at v = 1 of their polynomials.  One dict comprehension signs
@@ -445,7 +449,9 @@ def sl2_lcf_valid(n: int, p: int) -> bool:
     coefficients a_{y,x} keyed by y . 0, against the Steinberg digit
     product expanded by Brauer's formula (see the module docstring).
     The row of x is read by alcove id, and y . 0 is computed from the
-    id of y, so no group element or weight is built.
+    id of y, so no group element or weight is built.  The row is the
+    closed form m_{y,x} = v^{l(x)-l(y)} of rank one: a check makes the
+    one row of x + 1 entries that it reads, and no row below it.
 
     >>> sl2_lcf_valid(0, 5)
     True

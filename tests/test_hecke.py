@@ -18,7 +18,10 @@ Independent oracles frozen here:
     packed integers replaced, row by row over the same tables, for the
     group and for the spherical module, and with the rows asked for in
     shuffled order, so that it checks rows read off the row of the
-    inverse as well as stepped ones.
+    inverse as well as stepped ones;
+  * the recursion's own step over the chain of rank-one dominant
+    alcoves, against which the rows written there in closed form,
+    m_{y,x} = v^{l(x)-l(y)}, are compared.
 """
 
 import random
@@ -57,6 +60,7 @@ from weylkit import (
     longest_finite_element,
     mult_standard_by_gen,
     multiply,
+    sl2_lcf_valid,
 )
 from weylkit._exact import repack, unpack
 from weylkit.coxeter import _context
@@ -767,6 +771,61 @@ def test_packed_spherical_rows_match_the_dense_step(series, max_len,
                                                     fresh_context):
     eng = spherical_recursion(build_root_datum(series))
     assert assert_rows_match_dense(eng, max_len) > max_len
+
+
+def stepped(table, max_len):
+    """A recursion of its own over table, every row up to max_len made
+    by ``_step`` in id order, whatever path ``basis`` would take."""
+    eng = weylkit.hecke._KLRecursion(table)
+    for x in range(1, table.up_to(max_len)):
+        s = table.last[x]
+        prev = eng.kl[table.right[s][x]]
+        eng.kl[x] = eng._step(x, prev, s, eng._mu_terms(prev, s))
+    return eng
+
+
+@pytest.mark.parametrize("variant", ["sc", "adjoint"])
+def test_rank_one_alcove_rows_in_closed_form_are_the_stepped_ones(
+        variant, fresh_context, monkeypatch):
+    # the dominant alcoves of A1 form a chain, and their rows are
+    # written down, m_{y,x} = v^{l(x)-l(y)}: each is the row the step
+    # makes, with the same polynomials, values at 1 and mu, the same
+    # pool width and largest coefficient, and no step is taken for it
+    datum = build_root_datum("A1", variant)
+    ctx = _context(datum)
+    oracle = stepped(ctx.alcoves, 80)
+    steps = []
+
+    def counted(self, *args, step=weylkit.hecke._KLRecursion._step):
+        steps.append(self)
+        return step(self, *args)
+    monkeypatch.setattr(weylkit.hecke._KLRecursion, "_step", counted)
+    closed = spherical_recursion(datum)
+    assert closed.chain and len(oracle.kl) == 81
+    for x in reversed(range(81)):  # longest first: no row needs another
+        with ctx.lock:
+            ys, ks = closed.basis(x)
+        want_ys, want_ks = oracle.kl[x]
+        assert ys == want_ys == array("i", range(x + 1)), x
+        assert closed.views(ks) == oracle.views(want_ks), x
+        for column in ("ones", "mu"):
+            got, want = getattr(closed, column), getattr(oracle, column)
+            assert [got[k] for k in ks] == [want[k] for k in want_ks], x
+    assert steps == []
+    assert (closed.width, closed._top) == (oracle.width, oracle._top)
+    # every other table steps its rows, rank one or not
+    others = [ctx.group, ctx.finite, _context(build_root_datum("A2")).alcoves]
+    assert not any(weylkit.hecke._KLRecursion(t).chain for t in others)
+
+
+def test_rank_one_alcove_recursion_holds_only_the_rows_read(fresh_context):
+    # at p = 11 the weight 1320 = 2 * 11 * 60 is x . 0 for the alcove of
+    # id 120: its row is all that the check makes, not the 120 below it
+    assert sl2_lcf_valid(1320, 11)
+    eng = spherical_recursion(build_root_datum("A1"))
+    assert sorted(eng.kl) == [0, 120]  # row 0 is the recursion's seed
+    assert not sl2_lcf_valid(1318, 11)  # the alcove of id 119
+    assert sorted(eng.kl) == [0, 119, 120]
 
 
 def pack(coeffs, width):

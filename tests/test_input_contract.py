@@ -2,14 +2,15 @@
 
 Each kind of argument is checked by one function, in the layer that owns
 its type: an exact int with a lower bound and a prime in
-``weylkit._exact``, a weight of the datum's rank in ``weylkit.lattice``
-and an element of the datum in ``weylkit.coxeter``.  A float, a bool or
-any other non-int where an int is expected is a ValueError, and so is a
-value out of range, a weight of another rank or an element of another
-datum; an object of the wrong kind where an element, a weight or
-another value object of the package (a character, a Hecke element, a
-polynomial, a graded group, a stalk table, a decomposition matrix) is
-expected is a TypeError.
+``weylkit._exact``, a root datum, a coroot and a weight of the datum's
+rank in ``weylkit.lattice`` and an element of the datum in
+``weylkit.coxeter``.  A float, a bool or any other non-int where an int
+is expected is a ValueError, and so is a value out of range, a weight
+of another rank or an element of another datum; an object of the wrong
+kind where a datum, a coroot, an element, a weight or another value
+object of the package (a character, a Hecke element, a polynomial, a
+graded group, a stalk table, a decomposition matrix) is expected is a
+TypeError.
 """
 
 import inspect
@@ -23,6 +24,7 @@ from weylkit import (
     Character,
     Coroot,
     GradedAbelianGroup,
+    HeckeAlgebra,
     LaurentPolynomial,
     ResourceLimitError,
     Weight,
@@ -35,16 +37,22 @@ from weylkit import (
     cone_pushforward_stalks,
     cotangent_self_intersection,
     count_p_restricted_in_orbit,
+    coxeter_number,
     decomposition_matrix,
     dimension,
     dominant_orbit,
     dot_p,
+    dual_root_datum,
     element_to_json,
     embed_finite,
+    enumerate_finite_weyl,
     evaluate_at_one,
     expand_in_standard_basis,
+    finite_hecke,
     frobenius_twist,
     generators,
+    identity_element,
+    index_of_connection,
     intersection_form_semisimple,
     inverse,
     invert_decomposition,
@@ -61,12 +69,14 @@ from weylkit import (
     lcf_coefficients,
     length,
     link_preset,
+    longest_finite_element,
     mod_p_simple,
     mult_standard_by_gen,
     multiply,
     pairing,
     perverse_constraint_check,
     reduced_word,
+    rho,
     same_block,
     sl2_lcf_valid,
     sl2_simple_character,
@@ -138,6 +148,24 @@ RP3 = link_preset("rp3")
      "expected an FgAbelianGroup, got str"),
     (lambda: invert_decomposition("x"), TypeError,
      "expected a DecompositionMatrix, got str"),
+    # a wrong kind of root datum, coroot or series name too
+    (lambda: weyl_character("x", W), TypeError,
+     "expected a RootDatum, got str"),
+    (lambda: generators("x"), TypeError, "expected a RootDatum, got str"),
+    (lambda: dominant_orbit("x", 5, 2), TypeError,
+     "expected a RootDatum, got str"),
+    (lambda: coxeter_number("x"), TypeError, "expected a RootDatum, got str"),
+    (lambda: rho("x"), TypeError, "expected a RootDatum, got str"),
+    (lambda: decomposition_matrix("x", 5, max_len=2), TypeError,
+     "expected a RootDatum, got str"),
+    (lambda: affine_hecke("x"), TypeError, "expected a RootDatum, got str"),
+    (lambda: HeckeAlgebra("x"), TypeError, "expected a RootDatum, got str"),
+    (lambda: is_p_regular("x", W, 5), TypeError,
+     "expected a RootDatum, got str"),
+    (lambda: pairing(W, "x"), TypeError, "expected a Coroot, got str"),
+    (lambda: build_root_datum(3), TypeError, "expected a str, got int"),
+    (lambda: build_root_datum("A1", None), TypeError,
+     "expected a str, got NoneType"),
 ], ids=["same_block-rank", "length-str", "reduced_word-None",
         "bruhat_leq-str", "inverse-None", "is_min_coset_rep_fW-None",
         "element_to_json-None", "multiply-str", "kl_basis_element-str",
@@ -149,7 +177,13 @@ RP3 = link_preset("rp3")
         "mult_standard_by_gen-str", "evaluate_at_one-str", "uct_field-str",
         "cone_ic_integral-str", "cone_ic_stalks_field-str",
         "mod_p_simple-str", "perverse_constraint_check-str",
-        "GradedAbelianGroup-str", "invert_decomposition-str"])
+        "GradedAbelianGroup-str", "invert_decomposition-str",
+        "weyl_character-datum-str", "generators-datum-str",
+        "dominant_orbit-datum-str", "coxeter_number-datum-str",
+        "rho-datum-str", "decomposition_matrix-datum-str",
+        "affine_hecke-datum-str", "HeckeAlgebra-datum-str",
+        "is_p_regular-datum-str", "pairing-coroot-str",
+        "build_root_datum-series-int", "build_root_datum-variant-None"])
 def test_bare_errors_are_documented_ones(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -217,6 +251,11 @@ def elements(*other_data):
         lambda v: (v, ValueError)))
 
 
+# objects of the wrong kind for a root datum or a coroot
+DATA = st.one_of(WRONG_KIND.filter(lambda v: v is not A2),
+                 st.just(W)).map(lambda v: (v, TypeError))
+
+
 # a generator is an element or its index, so a bool there is a non-int
 GENERATORS = elements(B2, A1).map(
     lambda ve: (ve[0], ValueError) if type(ve[0]) is bool else ve)
@@ -233,9 +272,34 @@ def weights(rank=None):
 
 
 # (function, argument, call with the bad value, its bad values); every
-# function of weylkit.__all__ that takes an element, a weight, p, n,
-# max_len, max_weight or max_terms is listed, with each such argument
+# function of weylkit.__all__ that takes a datum, a coroot, an element,
+# a weight, p, n, max_len, max_weight or max_terms is listed, with each
+# such argument
 CASES = [
+    ("coxeter_number", "datum", coxeter_number, DATA),
+    ("dual_root_datum", "datum", dual_root_datum, DATA),
+    ("index_of_connection", "datum", index_of_connection, DATA),
+    ("rho", "datum", rho, DATA),
+    ("pairing", "coroot", lambda v: pairing(W, v), DATA),
+    ("count_p_restricted_in_orbit", "datum",
+     lambda v: count_p_restricted_in_orbit(v, 5), DATA),
+    ("dominant_orbit", "datum", lambda v: dominant_orbit(v, 5, 2), DATA),
+    ("enumerate_finite_weyl", "datum", enumerate_finite_weyl, DATA),
+    ("generators", "datum", generators, DATA),
+    ("identity_element", "datum", identity_element, DATA),
+    ("is_p_regular", "datum", lambda v: is_p_regular(v, W, 5), DATA),
+    ("longest_finite_element", "datum", longest_finite_element, DATA),
+    ("same_block", "datum", lambda v: same_block(v, W, W, 5), DATA),
+    ("affine_hecke", "datum", affine_hecke, DATA),
+    ("finite_hecke", "datum", finite_hecke, DATA),
+    ("HeckeAlgebra", "datum", HeckeAlgebra, DATA),
+    ("expand_in_standard_basis", "datum",
+     lambda v: expand_in_standard_basis(v, ONE), DATA),
+    ("is_weyl_invariant", "datum", lambda v: is_weyl_invariant(v, ONE),
+     DATA),
+    ("weyl_character", "datum", lambda v: weyl_character(v, W), DATA),
+    ("decomposition_matrix", "datum",
+     lambda v: decomposition_matrix(v, 5, max_len=2), DATA),
     ("is_dominant", "weight", is_dominant, weights()),
     ("is_p_restricted", "weight", lambda v: is_p_restricted(v, 5), weights()),
     ("is_p_restricted", "p", lambda v: is_p_restricted(W, v), below(2)),
@@ -322,8 +386,8 @@ CASES = [
 
 # the argument names of the kinds above; evaluate_at_one's p is a
 # Laurent polynomial, not a characteristic
-CHECKED = {"x", "y", "w", "weight", "lam", "mu", "highest", "p", "n",
-           "max_len", "max_weight", "max_terms"}
+CHECKED = {"datum", "coroot", "x", "y", "w", "weight", "lam", "mu",
+           "highest", "p", "n", "max_len", "max_weight", "max_terms"}
 
 
 def test_every_checked_argument_of_the_public_functions_is_listed():
