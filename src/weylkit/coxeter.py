@@ -40,7 +40,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from operator import mul
+from operator import add, mul
 
 from weylkit._exact import check_int, check_ints, det_adjugate
 from weylkit.lattice import (
@@ -177,8 +177,10 @@ def _reflection(root: Weight, coroot: Coroot) -> Matrix:
 class _Context:
     """Per-datum caches, the only owner of each: generators, the
     interned finite parts and the memo of their products (at most |W_f|
-    and |W_f|^2 entries), the inversion sets of finite parts and their
-    w(rho) - rho (at most |W_f| each) and the three tables of
+    and |W_f|^2 entries), the inversion sets of finite parts (at most
+    |W_f|), the finite parts that the tables meet, numbered, with their
+    w(rho) - rho and their step entries (at most |W_f| and |W_f| (rank +
+    1)), the automorphisms of the Coxeter graph and the three tables of
     ``_Table``: the affine group, W_f and the dominant alcoves.  Nothing
     is memoised by group element: lengths, words and Bruhat comparisons
     are computed, or read off the tables, and W_f is listed in the order
@@ -225,31 +227,85 @@ class _Context:
             w.coords: k for k, (w, _) in enumerate(datum.positive_roots)}
         self.origin = Weight(zero)
         self.inversions_memo: dict[Matrix, tuple[bool, ...]] = {}
-        self.rho_shifts: dict[Matrix, tuple[int, ...]] = {}
+        self.parts: list[FiniteWeylElement] = []
+        self.part_ids: dict[Matrix, int] = {}
+        self.rho_shifts: list[tuple[int, ...]] = []
+        self.steps: list[list[tuple[int, tuple[int, ...] | None] | None]] = []
         self.handles: dict[object, object] = {}
         self.lock = threading.RLock()
-        self.group = _Table(self.identity, self.gens, self.lock, tag=True)
-        self.finite = _Table(self.identity, self.finite_gens, self.lock)
-        self.alcoves = _Table(self.identity, self.gens, self.lock,
-                              member=self.is_alcove)
+        self.group = _Table(self, self.gens, tag=True)
+        self.finite = _Table(self, self.finite_gens)
+        self.alcoves = _Table(self, self.gens, member=self.in_alcove)
 
     @cached_property
     def h(self) -> int:
         # on first use, so that building a context calls no other layer
         return coxeter_number(self.datum)
 
-    def is_alcove(self, x: AffineWeylElement) -> bool:
-        """Is x in ^fW, that is, is x . 0 dominant at p = h?  0 is
-        p-regular for every p >= h, so the answer does not depend on p.
-        For x = t_gamma w, x . 0 = w(rho) - rho + h gamma, and w(rho) -
-        rho is read off ``rho_shifts``, one entry per finite part."""
-        m = x.finite.matrix
-        shift = self.rho_shifts.get(m)
-        if shift is None:
-            shift = self.rho_shifts[m] = tuple(
-                c - 1 for c in _mat_vec(m, (1,) * len(m)))
+    @cached_property
+    def automorphisms(self) -> list[tuple[int, ...]]:
+        """The automorphisms of the Coxeter graph of ``gens`` but the
+        identity, each as the tuple of the images of the letters.  They
+        keep the Coxeter matrix, read off the extended Cartan matrix:
+        the simple roots, and -theta for s0, theta being the root that
+        s0 reflects in (the sign cancels in a_ij a_ji), and m_ij = 2, 3,
+        4, 6 for a_ij a_ji = 0, 1, 2, 3, infinite (0 here) past that.  The search places one letter at a
+        time, each image checked against the letters placed, the last
+        placed first, as it is the one a path of the graph joins.  On
+        first use, under the lock of the first table that grows."""
+        datum = self.datum
+        roots = [datum.simple_root(i) for i in range(datum.rank)]
+        roots.append(datum.highest_coroot())
+        n = len(roots)
+        m = [[_COXETER_M.get(sum(map(mul, a.coords, bc.coords))
+                             * sum(map(mul, b.coords, ac.coords)), 0)
+              for b, bc in roots] for a, ac in roots]
+        placed = [()]
+        for k in range(n):
+            placed = [p + (t,) for p in placed for t in range(n)
+                      if t not in p and all(m[t][p[j]] == m[k][j]
+                                            for j in range(k - 1, -1, -1))]
+        return [p for p in placed if p != tuple(range(n))]
+
+    def number(self, w: FiniteWeylElement) -> int:
+        """The number of the finite part w among those the tables met,
+        a new one, with its w(rho) - rho, the first time.  Call under
+        the lock."""
+        got = self.part_ids.get(w.matrix)
+        if got is None:
+            got = self.part_ids[w.matrix] = len(self.parts)
+            w = self.intern(w.matrix)
+            self.parts.append(w)
+            self.rho_shifts.append(tuple(
+                c - 1 for c in _mat_vec(w.matrix, (1,) * len(w.matrix))))
+            self.steps.append([None] * len(self.gens))
+        return got
+
+    def step(self, f: int, s: int) -> tuple[int, tuple[int, ...] | None]:
+        """The step entry of the numbered part w = ``parts[f]`` and the
+        letter s, with gens[s] = t_gamma v: the number of w v and
+        w(gamma), None when gamma = 0, so that t_beta w times gens[s] is
+        t_{beta + w(gamma)} w v.  ``finite_product`` finds w v, and the
+        entry is kept in ``steps[f][s]``.  Call under the lock."""
+        w, g = self.parts[f], self.gens[s]
+        moved = _mat_vec(w.matrix, g.translation) if any(
+            g.translation) else None
+        got = self.steps[f][s] = (
+            self.number(self.finite_product(w, g.finite)), moved)
+        return got
+
+    def in_alcove(self, f: int, gamma: tuple[int, ...]) -> bool:
+        """Is x = t_gamma w in ^fW, w the part numbered f, that is, is
+        x . 0 dominant at p = h?  0 is p-regular for every p >= h, so
+        the answer does not depend on p.  x . 0 = w(rho) - rho + h
+        gamma, and w(rho) - rho is read off ``rho_shifts``."""
         h = self.h
-        return all(a + h * g >= 0 for a, g in zip(shift, x.translation))
+        return all(a + h * g >= 0 for a, g in zip(self.rho_shifts[f], gamma))
+
+    def is_alcove(self, x: AffineWeylElement) -> bool:
+        """``in_alcove`` of an element."""
+        with self.lock:
+            return self.in_alcove(self.number(x.finite), x.translation)
 
     def intern(self, m: Matrix) -> FiniteWeylElement:
         """The one finite part of matrix m."""
@@ -291,29 +347,38 @@ class _Context:
 
 
 _LEAF = -2  # right-table mark of a table with a membership test
+_COXETER_M = {0: 2, 1: 3, 2: 4, 3: 6}  # m_ij by a_ij a_ji; infinite past
 _BIT = bytes.maketrans(b"01", b"\0\1")  # binary digits to selectors
 
 
 class _Table:
-    """The elements of the group that ``gens`` generate, or those that
-    pass ``member``, numbered level by level in (length, reduced word)
-    order.  ``member`` must hold for every prefix of a member; the
+    """The elements of the group that ``gens``, generators of the
+    context ``ctx``, generate, or those that pass ``member``, numbered
+    level by level in (length, reduced word) order.  ``member`` must
+    hold for every prefix of a member, and reads the key of an element
+    t_gamma w, the number of w among the context's parts and gamma; the
     context's table of dominant alcoves tests membership of the minimal
     coset representatives ^fW.
 
-    ``elems[i]`` is the element of id i, ``index`` maps it back and
-    ``lens[i]`` is its length.  With ``tag`` (the context's table of the
-    whole group), ``elems[i]._gid`` is i as well, and ``find`` reads
-    that instead of hashing.  The identity is ``elems[0]`` and each
-    generator of ``gens`` is numbered itself, not a copy.
+    ``elems[i]`` is the element of id i, ``index`` maps it back,
+    ``lens[i]`` is its length and ``part[i]`` the number of its finite
+    part.  With ``tag`` (the context's table of the whole group),
+    ``elems[i]._gid`` is i as well, and ``find`` reads that instead of
+    hashing.  The identity is ``elems[0]`` and each generator of
+    ``gens`` is numbered itself, not a copy.
     ``right[s][i]`` is the id of x_i s, ``_LEAF`` when x_i s fails
     ``member`` (for ^fW, x_i s = t x_i for a finite simple t, Deodhar's
     lemma), and -1 while x_i s is longer than every enumerated element.
     ``last[i]`` is the last letter of the reduced word of x_i.
     ``inverse[i]``, in a table with no ``member`` test (a whole group),
     is the id of x_i^{-1}, and ``inverse`` is None otherwise.
-    ``complete`` is set when a level finds nothing new: the group is
-    finite and every element has its id.
+    ``symmetries`` holds, per automorphism sigma of the Coxeter graph
+    but the identity that maps the table to itself, sigma (the images
+    of the letters) and two columns, the ids of sigma(x_i) and of
+    sigma^{-1}(x_i), one list for an involution: every sigma for the
+    whole affine group, those that fix s0 for W_f and the dominant
+    alcoves.  ``complete`` is set when a level finds nothing new: the
+    group is finite and every element has its id.
 
     A level is grown whole under ``lock``, the lock of the datum's
     context, and every question about what is enumerated goes through
@@ -325,61 +390,97 @@ class _Table:
     given its entries.
     """
 
-    def __init__(self, identity: AffineWeylElement,
-                 gens: list[AffineWeylElement], lock: threading.RLock,
+    def __init__(self, ctx: _Context, gens: list[AffineWeylElement],
                  member=None, tag: bool = False) -> None:
+        self.ctx = ctx
         self.gens = gens
-        self.lock = lock
+        self.lock = ctx.lock
         self.member = member
         self.tag = tag
+        identity = ctx.identity
         if tag:
             object.__setattr__(identity, "_gid", 0)
         self.elems = [identity]
         self.index = {identity: 0}
         self.lens = [0]
+        self.part: list[int] = []  # set, with symmetries, at the first level
         self.right = [[-1] for _ in gens]
         self.last = [-1]
         self.inverse = [0] if member is None else None
+        self.symmetries: list[tuple[tuple[int, ...], list[int], list[int]]
+                              ] | None = None
         self.complete = False
+
+    def _start(self) -> None:
+        """Number the identity's part and read off the context which
+        automorphisms map the table to itself: all of them for the whole
+        affine group, those that fix s0 otherwise, as W_f and ^fW are
+        made of s0 and the finite letters."""
+        ctx = self.ctx
+        self.part.append(ctx.number(ctx.identity.finite))
+        n = len(self.gens)
+        whole = self.member is None and n == len(ctx.gens)
+        cols = {sigma[:n]: [0] for sigma in ctx.automorphisms
+                if whole or sigma[-1] == len(sigma) - 1}
+        self.symmetries = [
+            (sigma, col, cols[tuple(sorted(range(n), key=sigma.__getitem__))])
+            for sigma, col in cols.items()]
 
     def _grow(self) -> None:
         """Enumerate the level one longer than the longest so far.  Every
         unknown edge from the top level leads one level up (prefixes of
         members are members, so no edge x s leads back), to a new
-        element or to a leaf; each is found by one group multiply.  The
-        smallest reduced word of y is that of its smallest x below,
-        followed by s, and the ids of the level below are in word order
-        already.  Id 0 is the identity, so its products are the
-        generators themselves.  Call under the lock."""
-        top, hi = self.lens[-1], len(self.elems)
+        element or to a leaf.  Each is found as a key, the number of its
+        finite part and its translation, by one step entry of the
+        context, and an element is built once per new key; id 0 is the
+        identity, so its products are the generators themselves.  The
+        edges are read by id and then by letter, so the first edge that
+        reaches a key is its smallest: the smallest reduced word of y is
+        that of its smallest x below, followed by s, and the ids of the
+        level below are in word order already.  The symmetry columns
+        follow, one lookup per new id each, sigma(x s) = sigma(x)
+        sigma(s).  Call under the lock."""
+        if self.symmetries is None:
+            self._start()
+        ctx, right, part, elems = self.ctx, self.right, self.part, self.elems
+        steps, member = ctx.steps, self.member
+        top, hi = self.lens[-1], len(elems)
         lo = bisect_left(self.lens, top)
-        found: dict[AffineWeylElement, list[tuple[int, int]]] = {}
-        for s, g in enumerate(self.gens):
-            col = self.right[s]
-            for i in range(lo, hi):
+        found: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
+        for i in range(lo, hi):
+            f, gamma = part[i], elems[i].translation
+            for s, col in enumerate(right):
                 if col[i] == -1:
-                    y = multiply(self.elems[i], g) if i else g
-                    if self.member is None or self.member(y):
-                        found.setdefault(y, []).append((i, s))
+                    g, moved = steps[f][s] or ctx.step(f, s)
+                    key = (g, gamma if moved is None
+                           else tuple(map(add, gamma, moved)))
+                    if member is None or member(*key):
+                        found.setdefault(key, []).append((i, s))
                     else:
                         col[i] = _LEAF
         if not found:
             self.complete = True
             return
-        for j, y in enumerate(sorted(found, key=lambda y: min(found[y])), hi):
-            self.elems.append(y)
+        down = [edges[0] for edges in found.values()]
+        for j, ((g, gamma), edges) in enumerate(found.items(), hi):
+            i, s = edges[0]
+            y = AffineWeylElement(ctx.parts[g], gamma) if i else self.gens[s]
+            elems.append(y)
             self.lens.append(top + 1)
-            self.last.append(min(found[y])[1])
-            for col in self.right:
+            self.last.append(s)
+            part.append(g)
+            for col in right:
                 col.append(-1)
             self.index[y] = j
             if self.tag:
                 object.__setattr__(y, "_gid", j)
-            for i, s in found[y]:
-                self.right[s][i] = j
-                self.right[s][j] = i
+            for i, s in edges:
+                right[s][i] = j
+                right[s][j] = i
+        for sigma, col, _ in self.symmetries:
+            col += [right[sigma[s]][col[i]] for i, s in down]
         if self.inverse is not None:
-            self.inverse += map(self._inverse, range(hi, len(self.elems)))
+            self.inverse += map(self._inverse, range(hi, len(elems)))
 
     def _inverse(self, j: int) -> int:
         """The id of x_j^{-1}, with no group law: the reduced word of x_j

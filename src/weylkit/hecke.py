@@ -45,12 +45,15 @@ the datum shares them:
   is the last letter of the reduced word of x.  A step sums into a
   dense list indexed by id, of length x + 1, as a row of x holds only
   ids in [0, x], and reads the row off it in C, with no sort;
-* inverse rows: in a table of a whole group (the affine group or W_f)
-  the row of x is the row of x^{-1} relabelled, when that row is
-  there, since P_{y,x} = P_{y^{-1},x^{-1}} (the anti-involution h_w ->
-  h_{w^{-1}} fixes the basis up to relabelling): the ids go through the
-  table's column of inverse ids, and the pool ids stay, with no
-  arithmetic on polynomials;
+* symmetric rows: the row of x is the row of an image of x
+  relabelled, when that row is there.  The basis is unique, so every
+  automorphism sigma of the Coxeter graph that maps the table to
+  itself gives P_{y,x} = P_{sigma(y),sigma(x)}, and in a table of a
+  whole group (the affine group or W_f) so does inversion, P_{y,x} =
+  P_{y^{-1},x^{-1}} (the anti-involution h_w -> h_{w^{-1}} fixes the
+  basis up to relabelling), and their composites: the ids go through
+  the table's symmetry columns and its column of inverse ids, and the
+  pool ids stay, with no arithmetic on polynomials;
 * elements: every element holds the ascending ids of its support and
   their coefficients, and is read one way.  For a b_x from
   ``kl_basis_element`` these are its row, the two arrays above, and
@@ -66,12 +69,15 @@ then also runs over the y whose y s leaves the minimal coset
 representatives.  Its ids, right action tables and last letters are
 the context's third table, that of the dominant alcoves, which
 ``dominant_orbit`` reads as well.  The alcoves are not closed under
-inverses, so that table keeps no column of inverse ids, and a
-spherical row is stepped, but for a datum of rank one: its alcoves
-form a chain, one per length, m_{y,x} = v^{l(x)-l(y)} for every y <=
-x, and the row of x is written down in closed form, with no row below
-it.  ``_row_at_one`` reads a row of any of the three tables: the row's
-ids and the pool's values at v = 1 of their polynomials, which
+inverses, so that table keeps no column of inverse ids, but the
+automorphisms that fix s0 map them to themselves: for A_n, n >= 2,
+the flip of the finite diagram, whose column gives about half the
+spherical rows; B2, C2 and G2 have none.  A spherical row is
+otherwise stepped, but for a datum of rank one: its alcoves form a
+chain, one per length, m_{y,x} = v^{l(x)-l(y)} for every y <= x, and
+the row of x is written down in closed form, with no row below it.
+``_row_at_one`` reads a row of any of the three tables: the row's ids
+and the pool's values at v = 1 of their polynomials, which
 ``weylkit.lcf`` signs and keys in one pass.
 
 >>> from weylkit.lattice import build_root_datum
@@ -88,6 +94,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress
+from operator import itemgetter
 
 from weylkit._exact import (check_ints, digit_width, exact_ints, repack,
                             unpack)
@@ -427,11 +434,14 @@ class _KLRecursion:
     step that could carry one to 2^64 raises ``ResourceLimitError``
     instead.  The row ``kl[i]`` of x_i holds two arrays, the ids of the
     y <= x_i in ascending order and the pool ids of their P_{y,x_i},
-    either from ``_step`` or, when the table has an ``inverse`` column
-    and holds the row of x_i^{-1}, from ``_inverse_row``.  Over a
-    ``chain``, the dominant alcoves of a rank-one datum, every row is
-    ``_chain_row``'s closed form instead, made only for the x asked
-    for, and ``_step`` is its test oracle.
+    either from ``_step`` or, when it holds the row of an image of x_i
+    under a symmetry of the table (an automorphism sigma of the Coxeter
+    graph in ``table.symmetries``, inversion in a table with an
+    ``inverse`` column, or the two composed), from ``_image_row``,
+    which relabels that row.  Over a ``chain``, the dominant alcoves of
+    a rank-one datum, every row is ``_chain_row``'s closed form
+    instead, made only for the x asked for, and ``_step`` is its test
+    oracle.
     ``view(k)`` is the ``LaurentPolynomial`` of entry k, unpacked once
     on first use, kept in ``_views`` by pool id and shared by every
     caller; ``views(ks)`` looks up a row's entries in C, and is how a
@@ -488,26 +498,24 @@ class _KLRecursion:
 
     def basis(self, x: int) -> _Row:
         """The row of x, computing what it needs, longest last: a row
-        of z is read off the row of z^{-1} when the table has an
-        ``inverse`` column and the recursion holds that row, and is
-        stepped from the row of z s otherwise.  Over a chain the row of
-        x is written down, and no other row is made."""
+        of z is read off a held row of an image of z under a symmetry of
+        the table (``_held_image``), and is stepped from the row of z s
+        otherwise.  Over a chain the row of x is written down, and no
+        other row is made."""
         kl, right, last = self.kl, self.table.right, self.table.last
         if self.chain and x not in kl:
             kl[x] = self._chain_row(x)
-        inverse = self.table.inverse
         todo = [x]
         while todo:
             z = todo[-1]
             if z in kl:
                 todo.pop()
                 continue
-            if inverse is not None:
-                row = kl.get(inverse[z])
-                if row is not None:
-                    kl[z] = self._inverse_row(row)
-                    todo.pop()
-                    continue
+            row = self._held_image(z)
+            if row is not None:
+                kl[z] = row
+                todo.pop()
+                continue
             s = last[z]
             prev = kl.get(right[s][z])
             if prev is None:
@@ -522,6 +530,29 @@ class _KLRecursion:
             todo.pop()
         return kl[x]
 
+    def _held_image(self, z: int) -> _Row | None:
+        """The row of z read off a held row of u = sigma(z), for sigma
+        an automorphism of the Coxeter graph in ``table.symmetries``, or,
+        in a table of a whole group, of u = z^{-1} or u = sigma(z)^{-1};
+        None when no such row is held.  P_{y,z} = P_{sigma(y),sigma(z)}
+        = P_{y^{-1},z^{-1}}, so the row of z holds the pool ids of the
+        row of u, each under the image of its id v: sigma^{-1}(v), v^{-1}
+        or sigma^{-1}(v^{-1})."""
+        kl, inverse = self.kl, self.table.inverse
+        for _, ahead, back in self.table.symmetries:
+            row = kl.get(ahead[z])
+            if row is not None:
+                return self._image_row(row, back)
+        if inverse is not None:
+            row = kl.get(inverse[z])
+            if row is not None:
+                return self._image_row(row, inverse)
+            for _, ahead, back in self.table.symmetries:
+                row = kl.get(inverse[ahead[z]])
+                if row is not None:
+                    return self._image_row(row, inverse, back)
+        return None
+
     def _chain_row(self, x: int) -> _Row:
         """The row of x over the dominant alcoves of a rank-one datum,
         in closed form.  Affine A1 is the infinite dihedral group, its
@@ -534,14 +565,18 @@ class _KLRecursion:
             self._intern(1 << self.width * d, 1)
         return array("i", range(x + 1)), array("i", range(x, -1, -1))
 
-    def _inverse_row(self, row: _Row) -> _Row:
-        """The row of x from the row of x^{-1}: P_{y,x} = P_{y^{-1},x^{-1}},
-        so the same pool ids under the ids of the inverses, which the
-        table's ``inverse`` column gives, sorted as ints."""
+    def _image_row(self, row: _Row, *back: list[int]) -> _Row:
+        """The row of z from a row of an image of z (see
+        ``_held_image``): the same pool ids under the images of its ids
+        through each column of ``back`` in turn, sorted as ints.  A row
+        of z > 0 holds id 0 and z, so ``itemgetter`` of its positions
+        returns a tuple."""
         ys, ks = row
-        pool_ids = dict(zip(map(self.table.inverse.__getitem__, ys), ks))
-        ids = sorted(pool_ids)
-        return array("i", ids), array("i", map(pool_ids.__getitem__, ids))
+        for col in back:
+            ys = map(col.__getitem__, ys)
+        ys = list(ys)
+        take = itemgetter(*sorted(range(len(ys)), key=ys.__getitem__))
+        return array("i", take(ys)), array("i", take(ks))
 
     def views(self, ks: array) -> tuple[LaurentPolynomial, ...]:
         """The views of the pool entries ks, looked up in C; only the

@@ -431,6 +431,16 @@ def _sl2_weight(i: int, p: int) -> int:
     return i // 2 * 2 * p + i % 2 * (2 * p - 2)
 
 
+def _sl2_weights(x: int, p: int) -> list[int]:
+    """``_sl2_weight`` of the ids 0 .. x, with no call per id: the even
+    ids and the odd ones are two progressions of step 2p, and id i has
+    a weight below p (x + 1) exactly when i <= x."""
+    weights = [0] * (x + 1)
+    weights[0::2] = range(0, p * (x + 1), 2 * p)
+    weights[1::2] = range(2 * p - 2, p * (x + 1), 2 * p)
+    return weights
+
+
 def _sl2_alcove_id(n: int, p: int) -> int:
     """The id of the x with x . 0 = n for SL2 in the table of dominant
     alcoves, grown to it (see ``_sl2_weight``)."""
@@ -458,8 +468,7 @@ def sl2_lcf_valid(n: int, p: int) -> bool:
     """
     check_prime(p)
     x = _sl2_alcove_id(check_int("n", n, 0), p)
-    weights = [_sl2_weight(y, p) for y in range(x + 1)]
-    return (_lcf_row(_A1, _context(_A1).alcoves, x, weights)
+    return (_lcf_row(_A1, _context(_A1).alcoves, x, _sl2_weights(x, p))
             == _sl2_simple_in_standard_basis(n, p))
 
 

@@ -16,6 +16,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -547,6 +548,82 @@ def test_inverse_column_is_the_group_inverse(series, max_len):
             assert table.elems[j] == inverse(x)
             assert table.inverse[j] == i and table.lens[j] == table.lens[i]
     assert ctx.alcoves.inverse is None
+
+
+# automorphisms of the Coxeter graph: of the whole affine group, and
+# of those that fix s0 (W_f and the dominant alcoves)
+AUTOMORPHISM_COUNTS = {"A1": (2, 1), "A2": (6, 2), "A3": (8, 2),
+                       "A4": (10, 2), "B2": (2, 1), "C2": (2, 1),
+                       "G2": (1, 1)}
+SYMMETRY_LENGTHS = {"A1": (12, 40), "A2": (9, 24), "A3": (7, 16),
+                    "A4": (5, 12), "B2": (9, 24), "C2": (9, 24),
+                    "G2": (9, 24)}
+
+
+def word_of(table, i):
+    """The letters of the smallest reduced word of id i."""
+    out = []
+    while i:
+        out.append(table.last[i])
+        i = table.right[table.last[i]][i]
+    return out[::-1]
+
+
+@pytest.mark.parametrize("series", list(AUTOMORPHISM_COUNTS))
+def test_symmetry_columns_are_automorphisms(series):
+    # each column sigma is a bijection on every complete level, keeps
+    # lengths and commutes with the right action, sigma(x s) = sigma(x)
+    # sigma(s), on every edge, leaves included; ``back`` undoes it; and
+    # sigma(x) is the product of the generators sigma(s) over a reduced
+    # word of x, by the matrix arithmetic
+    _context.cache_clear()
+    datum = build_root_datum(series)
+    ctx = _context(datum)
+    whole, fixing = AUTOMORPHISM_COUNTS[series]
+    group_len, alcove_len = SYMMETRY_LENGTHS[series]
+    for table, max_len, count in ((ctx.group, group_len, whole),
+                                  (ctx.finite, 99, fixing),
+                                  (ctx.alcoves, alcove_len, fixing)):
+        n = table.up_to(max_len)
+        lens = table.lens[:n]
+        top = lens[-1] if table.complete else lens[-1] - 1
+        assert len(table.symmetries) == count - 1
+        for sigma, col, back in table.symmetries:
+            assert len(col) == len(back) == len(table.elems)
+            assert sorted(sigma) == list(range(len(sigma))) != list(sigma)
+            assert [back[col[i]] for i in range(n)] == list(range(n))
+            for level in range(top + 1):
+                ids = range(lens.index(level), len(lens) - lens[::-1].index(
+                    level))
+                assert sorted(col[i] for i in ids) == list(ids)
+            for s, right in enumerate(table.right):
+                image = table.right[sigma[s]]
+                for i in range(n):
+                    if right[i] == weylkit.coxeter._LEAF or right[i] < n:
+                        assert image[col[i]] == (
+                            right[i] if right[i] < 0 else col[right[i]])
+            for i in range(n):
+                m, t = bare(ctx.identity).finite.matrix, (0,) * datum.rank
+                for s in word_of(table, i):
+                    x = AffineWeylElement(FiniteWeylElement(datum, m), t)
+                    m, t = arithmetic_product(x, ctx.gens[sigma[s]])
+                y = table.elems[col[i]]
+                assert (y.finite.matrix, y.translation) == (m, t)
+
+
+def test_automorphisms_of_a_large_cycle_are_found_quickly():
+    # affine A9 is a cycle of ten letters: its 2 * 10 automorphisms,
+    # the identity left out, by a search that places one letter at a
+    # time rather than trying all 10! orderings
+    _context.cache_clear()
+    ctx = _context(build_root_datum("A9"))
+    start = time.perf_counter()
+    autos = ctx.automorphisms
+    assert time.perf_counter() - start < 0.05
+    assert len(autos) == len(set(autos)) == 19
+    cycle = {frozenset((i, (i + 1) % 10)) for i in range(10)}
+    for sigma in autos:
+        assert {frozenset((sigma[a], sigma[b])) for a, b in cycle} == cycle
 
 
 def test_inverse_has_the_interned_finite_part():

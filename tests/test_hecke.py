@@ -741,26 +741,29 @@ def test_packed_rows_match_the_dense_step(series, max_len):
 def test_rows_in_shuffled_order_match_the_dense_step(series, max_len, seed,
                                                      monkeypatch,
                                                      fresh_context):
-    # a row of x is read off the row of x^{-1} when that row is there,
-    # and stepped otherwise: with the rows asked for in shuffled order,
-    # the dense step checks rows from both paths, on a fresh context so
-    # that every row is made here
-    made = {"step": 0, "inverse": 0}
+    # a row of x is read off a held row of an image of x under a
+    # symmetry of the table (sigma(x), x^{-1} or sigma(x)^{-1}), and
+    # stepped otherwise: with the rows asked for in shuffled order, the
+    # dense step checks rows from both paths, on a fresh context so that
+    # every row is made here
+    made = {"step": 0, "image": 0}
 
     def counted(name):
         method = getattr(weylkit.hecke._KLRecursion, name)
 
         def wrapper(self, *args):
-            made["inverse" if name == "_inverse_row" else "step"] += 1
+            made["image" if name == "_image_row" else "step"] += 1
             return method(self, *args)
         return wrapper
 
-    for name in ("_step", "_inverse_row"):
+    for name in ("_step", "_image_row"):
         monkeypatch.setattr(weylkit.hecke._KLRecursion, name, counted(name))
     alg = HeckeAlgebra(build_root_datum(series))
     n = assert_rows_match_dense(alg._engine, max_len, seed)
-    assert made["step"] + made["inverse"] == n - 1  # row 0 is given
-    assert min(made.values()) > n // 4
+    assert made["step"] + made["image"] == n - 1  # row 0 is given
+    # each path makes a share of the rows: A3 steps 50 of 425 rows and
+    # G2, which has no automorphism, reads 42 of 109 off inverses
+    assert made["step"] > n // 10 and made["image"] > n // 4
 
 
 @pytest.mark.parametrize("series, max_len", [

@@ -812,6 +812,14 @@ def test_sl2_validity_spot_checks():
         sl2_lcf_valid(8, 4)  # p must be prime
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_sl2_weights_are_the_weight_of_each_id(p):
+    # the two progressions of slices against the definition, id by id
+    for x in range(301):
+        assert weylkit.lcf._sl2_weights(x, p) == [
+            weylkit.lcf._sl2_weight(y, p) for y in range(x + 1)]
+
+
 def sl2_orbit(p, count):
     """The first ``count`` dominant alcoves of SL2 at p, as (x, n)."""
     return [(x, w.coords[0]) for x, w in dominant_orbit(A1, p, count - 1)]
