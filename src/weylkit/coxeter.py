@@ -623,8 +623,10 @@ def multiply(x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
     """Group law (t_g1 w1)(t_g2 w2) = t_{g1 + w1(g2)} (w1 w2).
 
     When the group table has numbered x and y is a generator of the
-    context, and the table already holds x y, that element is returned:
-    the table is the memo of this arithmetic, which filled it.  The read
+    context, and the table already holds x y, that element is returned,
+    tagged with its id, instead of a new one.  The table is a reader's
+    shortcut, not a memo: it grows on keys of its own (see
+    ``_Table._grow``) and never calls this arithmetic.  The read
     takes no lock: an entry of ``right`` is set once, after the element
     it names is appended.  A finite element is embedded, and anything
     else raises as ``_as_affine`` does, both off the path of a product

@@ -24,8 +24,8 @@ the datum shares them:
   without hashing;
 * action tables: per generator s, the ids of x s, kept by the same
   table, so lengths, descents and the term order need no group
-  arithmetic; the id of s x is looked up when a left product asks for
-  it;
+  arithmetic; the id of s x = (x^{-1} s)^{-1} is read off the right
+  action through the table's column of inverse ids;
 * a polynomial pool: every distinct P_{y,x} is stored once per
   recursion, packed into one int, the sum of c_e 2^(w e) over its
   coefficients c_e (Kronecker substitution), next to its coefficient
@@ -73,12 +73,14 @@ inverses, so that table keeps no column of inverse ids, but the
 automorphisms that fix s0 map them to themselves: for A_n, n >= 2,
 the flip of the finite diagram, whose column gives about half the
 spherical rows; B2, C2 and G2 have none.  A spherical row is
-otherwise stepped, but for a datum of rank one: its alcoves form a
-chain, one per length, m_{y,x} = v^{l(x)-l(y)} for every y <= x, and
-the row of x is written down in closed form, with no row below it.
-``_row_at_one`` reads a row of any of the three tables: the row's ids
-and the pool's values at v = 1 of their polynomials, which
-``weylkit.lcf`` signs and keys in one pass.
+otherwise stepped.  ``_row_at_one`` reads a row of any of the three
+tables at v = 1: the row's ids and the pool's values at v = 1 of
+their polynomials, which ``weylkit.lcf`` signs and keys in one pass.
+For a datum of rank one the alcoves form a chain, one per length, and
+m_{y,x} = v^{l(x)-l(y)} for every y <= x, so ``_row_at_one`` returns
+the spherical row of x at v = 1, all ones, with no recursion: no
+spherical row of rank one is stored, and the stepped rows are the
+test oracle of this closed form.
 
 >>> from weylkit.lattice import build_root_datum
 >>> from weylkit.coxeter import generators, multiply
@@ -106,7 +108,6 @@ from weylkit.coxeter import (
     _as_affine,
     _context,
     _one_handle_per_datum,
-    multiply,
     reduced_word,
 )
 
@@ -438,10 +439,7 @@ class _KLRecursion:
     under a symmetry of the table (an automorphism sigma of the Coxeter
     graph in ``table.symmetries``, inversion in a table with an
     ``inverse`` column, or the two composed), from ``_image_row``,
-    which relabels that row.  Over a ``chain``, the dominant alcoves of
-    a rank-one datum, every row is ``_chain_row``'s closed form
-    instead, made only for the x asked for, and ``_step`` is its test
-    oracle.
+    which relabels that row.
     ``view(k)`` is the ``LaurentPolynomial`` of entry k, unpacked once
     on first use, kept in ``_views`` by pool id and shared by every
     caller; ``views(ks)`` looks up a row's entries in C, and is how a
@@ -454,8 +452,6 @@ class _KLRecursion:
 
     def __init__(self, table: _Table) -> None:
         self.table = table
-        # the dominant alcoves of a rank-one datum: rows in closed form
-        self.chain = table.member is not None and len(table.gens) == 2
         self.width = 16
         self.polys: list[int] = []
         self.poly_ids: dict[int, int] = {}
@@ -500,22 +496,23 @@ class _KLRecursion:
         """The row of x, computing what it needs, longest last: a row
         of z is read off a held row of an image of z under a symmetry of
         the table (``_held_image``), and is stepped from the row of z s
-        otherwise.  Over a chain the row of x is written down, and no
-        other row is made."""
+        otherwise.  The images of z are searched once, the first time z
+        is on top: every row made from then until z is stepped is one it
+        needs, shorter than z, so no image of z appears meanwhile."""
         kl, right, last = self.kl, self.table.right, self.table.last
-        if self.chain and x not in kl:
-            kl[x] = self._chain_row(x)
-        todo = [x]
+        todo, searched = [x], set()
         while todo:
             z = todo[-1]
             if z in kl:
                 todo.pop()
                 continue
-            row = self._held_image(z)
-            if row is not None:
-                kl[z] = row
-                todo.pop()
-                continue
+            if z not in searched:
+                searched.add(z)
+                row = self._held_image(z)
+                if row is not None:
+                    kl[z] = row
+                    todo.pop()
+                    continue
             s = last[z]
             prev = kl.get(right[s][z])
             if prev is None:
@@ -552,18 +549,6 @@ class _KLRecursion:
                 if row is not None:
                     return self._image_row(row, inverse, back)
         return None
-
-    def _chain_row(self, x: int) -> _Row:
-        """The row of x over the dominant alcoves of a rank-one datum,
-        in closed form.  Affine A1 is the infinite dihedral group, its
-        alcoves form a chain, one id per length, and m_{y,x} =
-        v^{l(x)-l(y)} for every y <= x (Soergel, Represent. Theory 1,
-        1997, for SL2).  Only this method fills the pool of a chain, one
-        v^d per d in ascending order after the 1 of row 0, so v^d has
-        pool id d, and the row's pool ids are l(x) - l(y) = x - y."""
-        for d in range(len(self.polys), x + 1):
-            self._intern(1 << self.width * d, 1)
-        return array("i", range(x + 1)), array("i", range(x, -1, -1))
 
     def _image_row(self, row: _Row, *back: list[int]) -> _Row:
         """The row of z from a row of an image of z (see
@@ -666,13 +651,23 @@ def _recursions(datum: RootDatum) -> _Recursions:
     return _Recursions()
 
 
-def _row_at_one(datum: RootDatum, table: _Table, x: int) -> tuple:
-    """The row of x in the recursion over ``table``, one of the tables
-    of the datum's context, for x an id that the table has handed out:
-    an array of the ids of the y <= x, ascending, and a list of their
-    P_{y,x}(1).  The values are read off the pool under the context's
-    lock, in C; the ids are the row's own array, not to be changed."""
-    eng = _recursions(datum)[table]
+def _row_at_one(table: _Table, x: int) -> tuple:
+    """The row of x over ``table``, one of the tables of a datum's
+    context, for x an id that the table has handed out: the ids of the
+    y <= x, ascending, and a list of their P_{y,x}(1).
+
+    Over the dominant alcoves of a rank-one datum these are
+    ``range(x + 1)`` and x + 1 ones, with no recursion: affine A1 is the
+    infinite dihedral group, its alcoves form a chain, one id per
+    length, and m_{y,x} = v^{l(x)-l(y)} for every y <= x (Soergel,
+    Represent. Theory 1, 1997, for SL2).  Otherwise the row is the
+    one the table's recursion holds: the values are read off the pool
+    under the context's lock, in C, and the ids are the row's own
+    array, not to be changed."""
+    ctx = table.ctx
+    if table is ctx.alcoves and ctx.datum.rank == 1:
+        return range(x + 1), [1] * (x + 1)
+    eng = _recursions(ctx.datum)[table]
     with table.lock:
         ys, ks = eng.basis(x)
         return ys, list(map(eng.ones.__getitem__, ks))
@@ -688,7 +683,8 @@ class HeckeAlgebra:
     any built directly.  One lock guards all of these, the context's
     lock, which the tables take as well, so concurrent calls see a
     single logical table.  Elements of two handles do not mix, even of
-    one datum.  A left product finds each s x by the group law.
+    one datum.  A left product reads each s x = (x^{-1} s)^{-1} off the
+    table's right action and its column of inverse ids.
     """
 
     def __init__(self, datum: RootDatum, affine: bool = True) -> None:
@@ -751,19 +747,19 @@ class HeckeAlgebra:
     def mult_standard_by_gen(self, h: HeckeElement, s,
                              side: str = "right") -> HeckeElement:
         """Multiply by h_s, using the quadratic relation when shortening;
-        on the left, each s x is found by one group multiply."""
+        on the left, s x is read as (x^{-1} s)^{-1} off the table grown
+        one length past the longest term."""
         self._check_same(h)
         if side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
         s = self._gen_index(s)
         table = self._engine.table
         with self._lock:
-            if side == "right":
-                action = table.right[s]
-            else:
-                g, elems = self.gens[s], table.elems
-                action = {x: table.element_id(multiply(g, elems[x]))
-                          for x, _ in h._terms}
+            right = action = table.right[s]
+            if side == "left" and h._ids:
+                table.up_to(table.lens[h._ids[-1]] + 1)
+                inv = table.inverse
+                action = {x: inv[right[inv[x]]] for x in h._ids}
             return HeckeElement(self, self._times_gen(
                 h._terms, action, _VINV_MINUS_V, _ZERO))
 

@@ -25,20 +25,19 @@ so m_{y,x} = P_{w0 y, w0 x}, w0 being the longest finite element.
 The row of x is computed in M alone, without the other terms of
 b_{w0 x}, which the formula does not read.  In rank one the dominant
 alcoves form a chain and m_{y,x} = v^{l(x)-l(y)} for every y <= x, so
-``weylkit.hecke`` writes the row of x down without stepping the rows
-below it: the SL2 check and the A1 coefficients and matrices make only
-the rows they read.  Every row, here and in
-``kl_vector_finite``, is read one way, by ``weylkit.hecke``'s reader:
-the ids y <= x in one of the tables of the datum's context and the
-values at v = 1 of their polynomials.  One dict comprehension signs
-them by the parity of l(x) + l(y), read off the table, and keys them
-as the caller needs.  Over the dominant alcoves, position i of
-``dominant_orbit`` being id i, that is by matrix position in
-``decomposition_matrix``, by element in ``lcf_coefficients`` and by
-weight in ``sl2_lcf_valid``; over W_f it is by finite element in
-``kl_vector_finite``.  Whether p is at least the Coxeter number and
-whether a weight lies in Jantzen's region are decided in
-``weylkit.coxeter``.
+``weylkit.hecke``'s reader returns the row of x at v = 1, all ones,
+with no recursion: the SL2 check and the A1 coefficients and matrices
+store no row.  Every row, here and in ``kl_vector_finite``, is read
+one way, by that reader, given the table alone: the ids y <= x in one
+of the tables of a datum's context and the values at v = 1 of their
+polynomials.  One dict comprehension signs them by the parity of l(x)
++ l(y), read off the table, and keys them as the caller needs.  Over
+the dominant alcoves, position i of ``dominant_orbit`` being id i,
+that is by matrix position in ``decomposition_matrix``, by element in
+``lcf_coefficients`` and by weight in ``sl2_lcf_valid``; over W_f it
+is by finite element in ``kl_vector_finite``.  Whether p is at least
+the Coxeter number and whether a weight lies in Jantzen's region are
+decided in ``weylkit.coxeter``.
 
 The SL2 test compares coefficient vectors in the basis of Weyl
 characters chi(m), m >= 0, not weight multiplicities: the formula's
@@ -118,18 +117,18 @@ def kl_vector_finite(x: FiniteWeylElement) -> dict[FiniteWeylElement, int]:
         raise ValueError("kl_vector_finite needs an element of W_f")
     table = _context(x.datum).finite
     i = table.element_id(x)
-    return _lcf_row(x.datum, table, i, [y.finite for y in table.elems])
+    return _lcf_row(table, i, [y.finite for y in table.elems])
 
 
-def _lcf_row(datum: RootDatum, table: _Table, x: int, keys: list) -> dict:
+def _lcf_row(table: _Table, x: int, keys: list) -> dict:
     """{keys[y]: (-1)^{l(x)+l(y)} P_{y,x}(1)} over the ids y <= x,
-    ascending, in the recursion over ``table``, one of the datum's
-    context's tables, for x an id that the table has handed out: the
+    ascending, in the recursion over ``table``, one of the tables of a
+    datum's context, for x an id that the table has handed out: the
     a_{y,x} over ``alcoves``, the signed KL vector over ``finite``.
     keys names each id as the caller needs it: a matrix position (None
     for a dropped column), an element, or an SL2 weight."""
     lens, lx = table.lens, table.lens[x]
-    ys, ms = _row_at_one(datum, table, x)
+    ys, ms = _row_at_one(table, x)
     return {keys[y]: -m if (lx + lens[y]) % 2 else m for y, m in zip(ys, ms)}
 
 
@@ -145,7 +144,7 @@ def lcf_coefficients(x: AffineWeylElement, p: int
     if not ctx.is_alcove(x):
         raise ValueError("x must be a minimal coset representative")
     table = ctx.alcoves
-    return _lcf_row(x.datum, table, table.element_id(x), table.elems)
+    return _lcf_row(table, table.element_id(x), table.elems)
 
 
 def lcf_character(x: AffineWeylElement, p: int) -> Character:
@@ -402,7 +401,7 @@ def _decomposition_matrix(datum: RootDatum, p: int, max_len: int | None,
         pos = [None] * len(orbit)
         for k, i in enumerate(ids):
             pos[i] = k
-        rows = (_lcf_row(datum, table, i, pos) for i in ids)
+        rows = (_lcf_row(table, i, pos) for i in ids)
     else:
         index = {w.coords[0]: k for k, (_, w) in enumerate(labels)}
         rows = ({index.get(m): a for m, a in
@@ -460,15 +459,15 @@ def sl2_lcf_valid(n: int, p: int) -> bool:
     product expanded by Brauer's formula (see the module docstring).
     The row of x is read by alcove id, and y . 0 is computed from the
     id of y, so no group element or weight is built.  The row is the
-    closed form m_{y,x} = v^{l(x)-l(y)} of rank one: a check makes the
-    one row of x + 1 entries that it reads, and no row below it.
+    closed form m_{y,x} = v^{l(x)-l(y)} of rank one, read at v = 1 as
+    x + 1 ones: a check stores no row and runs no recursion.
 
     >>> sl2_lcf_valid(0, 5)
     True
     """
     check_prime(p)
     x = _sl2_alcove_id(check_int("n", n, 0), p)
-    return (_lcf_row(_A1, _context(_A1).alcoves, x, _sl2_weights(x, p))
+    return (_lcf_row(_context(_A1).alcoves, x, _sl2_weights(x, p))
             == _sl2_simple_in_standard_basis(n, p))
 
 

@@ -12,16 +12,20 @@ Independent oracles frozen here:
     integer-indexed engine is compared element by element;
   * h_x h_s, h_s h_x and bar(h_x) written out with the group law
     (multiply, length and the left-greedy word) alone, so that the
-    arithmetic on the engine's action tables has an oracle that reads
-    no table;
+    arithmetic on the engine's action tables (the right action, and
+    for h_s h_x the right action read through the inverse ids) has an
+    oracle that reads no table;
   * the recursion's step on dense coefficient lists, which the step on
     packed integers replaced, row by row over the same tables, for the
     group and for the spherical module, and with the rows asked for in
-    shuffled order, so that it checks rows read off the row of the
-    inverse as well as stepped ones;
+    shuffled order, so that it checks rows read off a held row of an
+    image under a symmetry of the table (an automorphism of the
+    Coxeter graph, inversion, or the two composed) as well as stepped
+    ones;
   * the recursion's own step over the chain of rank-one dominant
-    alcoves, against which the rows written there in closed form,
-    m_{y,x} = v^{l(x)-l(y)}, are compared.
+    alcoves, every row stepped in id order: each of its polynomials is
+    v^{l(x)-l(y)}, and the row reader's closed form at v = 1, which
+    builds no recursion, hands out its ids and values.
 """
 
 import random
@@ -46,6 +50,7 @@ from weylkit import (
     build_root_datum,
     coxeter_number,
     decomposition_matrix,
+    dominant_orbit,
     embed_finite,
     enumerate_finite_weyl,
     evaluate_at_one,
@@ -56,6 +61,7 @@ from weylkit import (
     kl_basis_element,
     kl_polynomial,
     kl_vector_finite,
+    lcf_coefficients,
     length,
     longest_finite_element,
     mult_standard_by_gen,
@@ -788,47 +794,64 @@ def stepped(table, max_len):
 
 
 @pytest.mark.parametrize("variant", ["sc", "adjoint"])
-def test_rank_one_alcove_rows_in_closed_form_are_the_stepped_ones(
-        variant, fresh_context, monkeypatch):
-    # the dominant alcoves of A1 form a chain, and their rows are
-    # written down, m_{y,x} = v^{l(x)-l(y)}: each is the row the step
-    # makes, with the same polynomials, values at 1 and mu, the same
-    # pool width and largest coefficient, and no step is taken for it
+def test_rank_one_alcove_rows_at_one_are_the_stepped_ones(variant,
+                                                          fresh_context):
+    # the dominant alcoves of A1 form a chain, one id per length, and the
+    # reader hands out the row of x at v = 1 in closed form, x + 1 ones;
+    # the stepped rows are its oracle: every P_{y,x} is v^{x-y}, and the
+    # reader's ids and values are theirs, with no recursion built for it
     datum = build_root_datum("A1", variant)
-    ctx = _context(datum)
-    oracle = stepped(ctx.alcoves, 80)
-    steps = []
-
-    def counted(self, *args, step=weylkit.hecke._KLRecursion._step):
-        steps.append(self)
-        return step(self, *args)
-    monkeypatch.setattr(weylkit.hecke._KLRecursion, "_step", counted)
-    closed = spherical_recursion(datum)
-    assert closed.chain and len(oracle.kl) == 81
-    for x in reversed(range(81)):  # longest first: no row needs another
-        with ctx.lock:
-            ys, ks = closed.basis(x)
-        want_ys, want_ks = oracle.kl[x]
-        assert ys == want_ys == array("i", range(x + 1)), x
-        assert closed.views(ks) == oracle.views(want_ks), x
-        for column in ("ones", "mu"):
-            got, want = getattr(closed, column), getattr(oracle, column)
-            assert [got[k] for k in ks] == [want[k] for k in want_ks], x
-    assert steps == []
-    assert (closed.width, closed._top) == (oracle.width, oracle._top)
-    # every other table steps its rows, rank one or not
-    others = [ctx.group, ctx.finite, _context(build_root_datum("A2")).alcoves]
-    assert not any(weylkit.hecke._KLRecursion(t).chain for t in others)
+    table = _context(datum).alcoves
+    oracle = stepped(table, 200)
+    assert table.lens == list(range(201))
+    for x in range(201):
+        ys, ks = oracle.kl[x]
+        assert ys == array("i", range(x + 1)), x
+        assert oracle.views(ks) == tuple(
+            LaurentPolynomial.monomial(1, x - y) for y in ys), x
+        got_ys, got_ones = weylkit.hecke._row_at_one(table, x)
+        assert list(got_ys) == list(ys), x
+        assert got_ones == [oracle.ones[k] for k in ks], x
+    assert table not in weylkit.hecke._recursions(datum)
 
 
-def test_rank_one_alcove_recursion_holds_only_the_rows_read(fresh_context):
-    # at p = 11 the weight 1320 = 2 * 11 * 60 is x . 0 for the alcove of
-    # id 120: its row is all that the check makes, not the 120 below it
-    assert sl2_lcf_valid(1320, 11)
-    eng = spherical_recursion(build_root_datum("A1"))
-    assert sorted(eng.kl) == [0, 120]  # row 0 is the recursion's seed
+def test_rank_one_alcove_rows_build_no_recursion(fresh_context):
+    # the SL2 check, the coefficients and the character-formula matrices
+    # of A1 read their rows in closed form: none of them builds the
+    # recursion over the dominant alcoves, of either variant
+    assert sl2_lcf_valid(1320, 11)  # the alcove of id 120 at p = 11
     assert not sl2_lcf_valid(1318, 11)  # the alcove of id 119
-    assert sorted(eng.kl) == [0, 119, 120]
+    data = [build_root_datum("A1", v) for v in ("sc", "adjoint")]
+    for datum in data:
+        m = decomposition_matrix(datum, 5, max_len=30, entries="lcf")
+        top = dominant_orbit(datum, 5, 30)[-1][0]
+        assert len(lcf_coefficients(top, 5)) == len(m.labels) == 31
+    for datum in data:
+        assert _context(datum).alcoves not in (
+            weylkit.hecke._recursions(datum))
+
+
+def test_basis_searches_the_images_of_each_row_once(fresh_context,
+                                                    monkeypatch):
+    # a row that must be stepped is searched for a held image once, not
+    # again each time the recursion comes back to it: over every b_x of
+    # affine A2 to length 10 asked for in shuffled order, each row made
+    # is searched exactly once, and a row already held not at all
+    searched = []
+    held_image = weylkit.hecke._KLRecursion._held_image
+
+    def counted(self, z):
+        searched.append(z)
+        return held_image(self, z)
+
+    monkeypatch.setattr(weylkit.hecke._KLRecursion, "_held_image", counted)
+    alg = HeckeAlgebra(build_root_datum("A2"))
+    table = alg._engine.table
+    n = table.up_to(10)
+    for x in random.Random(1).sample(range(n), n):
+        alg.kl_basis_element(table.elems[x])
+    assert sorted(searched) == sorted(alg._engine.kl)[1:]  # row 0 is given
+    assert len(searched) == n - 1
 
 
 def pack(coeffs, width):

@@ -488,7 +488,7 @@ def coefficients_through(alg, x, p):
     i = table.element_id(x)
     lx = table.lens[i]
     return {table.elems[y]: -m if (lx + table.lens[y]) % 2 else m
-            for y, m in zip(*_row_at_one(alg.datum, table, i))}
+            for y, m in zip(*_row_at_one(table, i))}
 
 
 def check_alcove_table(table, datum, p):
@@ -676,12 +676,12 @@ def test_first_calls_across_layers_on_one_fresh_context(
                 results[k] = {name: call() for name, call in order}
 
             in_threads([lambda k=k: run(k) for k in range(8)])
-            # the rank-one check reads the rows of A1 through no handle
-            # and builds the recursion of its alcoves alone; each of G2's
-            # three recursions is built once
+            # the rank-one check reads the rows of A1 in closed form and
+            # builds no recursion; each of G2's three recursions is built
+            # once
             assert sorted(built) == sorted(
                 [("G2", False), ("G2", True), ("constants",)]
-                + [("rows", "A1")] + [("rows", "G2")] * 3)
+                + [("rows", "G2")] * 3)
             for got in results:
                 assert got["affine"] is affine_hecke(g2)
                 assert got["finite"] is finite_hecke(g2)
@@ -714,10 +714,10 @@ def counted_rows(monkeypatch):
     calls = []
     row_at_one = weylkit.lcf._row_at_one
 
-    def counted(datum, table, x):
-        assert table is _context(datum).alcoves
+    def counted(table, x):
+        assert table is table.ctx.alcoves
         calls.append(x)
-        return row_at_one(datum, table, x)
+        return row_at_one(table, x)
 
     monkeypatch.setattr(weylkit.lcf, "_row_at_one", counted)
     return calls
@@ -1203,8 +1203,8 @@ def test_jantzen_only_raises_on_a_column_it_drops(monkeypatch):
     lcf_row = weylkit.lcf._lcf_row
     top = len(dominant_orbit(g2, 7, 16)) - 1
 
-    def padded(datum, table, x, keys):
-        row = lcf_row(datum, table, x, keys)
+    def padded(table, x, keys):
+        row = lcf_row(table, x, keys)
         row[keys[top]] = 7
         return row
 
