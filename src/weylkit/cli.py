@@ -12,6 +12,7 @@ exceeded, 141 stdout closed by its reader before the output ended
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -269,21 +270,15 @@ def _add_common(sub, formats=("text", "csv", "json")) -> None:
                      help="write output to a file instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="weylkit",
-        description="Exact root-datum, Weyl-group, Kazhdan-Lusztig, "
-                    "character and IC-stalk computations.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("root-datum", help="print a root datum summary")
+def _root_datum_args(s) -> None:
     s.add_argument("series")
     s.add_argument("variant", nargs="?", default="sc",
                    choices=("sc", "adjoint"))
     _add_common(s, ("text", "json"))
     s.set_defaults(func=_cmd_root_datum)
 
-    s = subs.add_parser("lcf", help="decomposition matrix of the zero block")
+
+def _lcf_args(s) -> None:
     s.add_argument("series", nargs="?", default=None)
     s.add_argument("--variant", default="sc", choices=("sc", "adjoint"))
     s.add_argument("--p", type=int, default=None)
@@ -300,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.set_defaults(func=_cmd_lcf)
 
-    s = subs.add_parser("kl", help="one Kazhdan-Lusztig polynomial")
+
+def _kl_args(s) -> None:
     s.add_argument("series", nargs="?", default=None)
     s.add_argument("--dihedral", action="store_true",
                    help="affine A1; elements named id, w<m>, w'<m>")
@@ -311,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, ("text", "json"))
     s.set_defaults(func=_cmd_kl)
 
-    s = subs.add_parser("char", help="simple SL2 character in char p")
+
+def _char_args(s) -> None:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS,
@@ -320,15 +317,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.set_defaults(func=_cmd_char)
 
-    s = subs.add_parser("sl2-check",
-                        help="where the character formula is exact for SL2")
+
+def _sl2_check_args(s) -> None:
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--upto", type=int, required=True,
                    help="largest orbit weight to test")
     _add_common(s)
     s.set_defaults(func=_cmd_sl2_check)
 
-    s = subs.add_parser("ic-cone", help="stalk tables for a cone")
+
+def _ic_cone_args(s) -> None:
     s.add_argument("--link", required=True,
                    help="rp3 | s3 | s1 | lens:m | inline JSON")
     s.add_argument("--d", type=int, required=True,
@@ -341,20 +339,60 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, ("text", "json"))
     s.set_defaults(func=_cmd_ic_cone)
 
-    s = subs.add_parser("intersection-form",
-                        help="mod-p nondegeneracy of a symmetric form")
+
+def _intersection_form_args(s) -> None:
     s.add_argument("--matrix", required=True,
                    help="JSON rows, e.g. [[-2]]")
     s.add_argument("--p", type=int, required=True)
     _add_common(s, ("text", "json"))
     s.set_defaults(func=_cmd_intersection_form)
 
+
+# each subcommand: its help line and the function that adds its arguments
+_COMMANDS = {
+    "root-datum": ("print a root datum summary", _root_datum_args),
+    "lcf": ("decomposition matrix of the zero block", _lcf_args),
+    "kl": ("one Kazhdan-Lusztig polynomial", _kl_args),
+    "char": ("simple SL2 character in char p", _char_args),
+    "sl2-check": ("where the character formula is exact for SL2",
+                  _sl2_check_args),
+    "ic-cone": ("stalk tables for a cone", _ic_cone_args),
+    "intersection-form": ("mod-p nondegeneracy of a symmetric form",
+                          _intersection_form_args),
+}
+
+# help and usage at the width argparse picks with no terminal, whatever
+# COLUMNS says, so that they too are a pure function of the flags
+_HelpFormatter = functools.partial(argparse.HelpFormatter, width=78)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the ``weylkit`` command line, or, given the name of
+    a subcommand, a parser that holds that subcommand alone.  The usage
+    of the latter still lists every subcommand, so for a command line
+    that starts with the name it prints the same usage, help and errors
+    as the full parser.  Only the full parser names the subcommand
+    position in an error (as ``command``: no command, or an unknown
+    one), so only a parser of one subcommand needs the list as its
+    metavar."""
+    parser = argparse.ArgumentParser(
+        prog="weylkit", formatter_class=_HelpFormatter,
+        description="Exact root-datum, Weyl-group, Kazhdan-Lusztig, "
+                    "character and IC-stalk computations.")
+    subs = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(subs.add_parser(name, help=help_line,
+                                          formatter_class=_HelpFormatter))
     return parser
 
 
-# the parser of ``main``: built on its first call, then kept for the
-# life of the process (argparse keeps no state between parses)
-_parser: argparse.ArgumentParser | None = None
+# the parsers of ``main``, by the subcommand they hold (None for the
+# full parser): each built on the first call that needs it, then kept
+# for the life of the process (argparse keeps no state between parses)
+_parsers: dict[str | None, argparse.ArgumentParser] = {}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -367,11 +405,16 @@ def main(argv: list[str] | None = None) -> int:
     semisimple: yes
     0
     """
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command line that starts with a subcommand's name is parsed by
+    # that subcommand's parser; --help, no command and an unknown one by
+    # the full parser, which alone can answer them
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _parsers.get(command)
+    if parser is None:
+        parser = _parsers[command] = build_parser(command)
     try:
-        args = _parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

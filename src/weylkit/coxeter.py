@@ -49,6 +49,7 @@ from weylkit.lattice import (
     Weight,
     _check_datum,
     _check_weight,
+    _weights,
     coxeter_number,
     is_dominant,
 )
@@ -403,7 +404,7 @@ class _Table:
         self.elems = [identity]
         self.index = {identity: 0}
         self.lens = [0]
-        self.part: list[int] = []  # set, with symmetries, at the first level
+        self.part = [ctx.number(identity.finite)]  # ctx is not shared yet
         self.right = [[-1] for _ in gens]
         self.last = [-1]
         self.inverse = [0] if member is None else None
@@ -412,12 +413,11 @@ class _Table:
         self.complete = False
 
     def _start(self) -> None:
-        """Number the identity's part and read off the context which
-        automorphisms map the table to itself: all of them for the whole
-        affine group, those that fix s0 otherwise, as W_f and ^fW are
-        made of s0 and the finite letters."""
+        """Read off the context which automorphisms map the table to
+        itself: all of them for the whole affine group, those that fix s0
+        otherwise, as W_f and ^fW are made of s0 and the finite
+        letters."""
         ctx = self.ctx
-        self.part.append(ctx.number(ctx.identity.finite))
         n = len(self.gens)
         whole = self.member is None and n == len(ctx.gens)
         cols = {sigma[:n]: [0] for sigma in ctx.automorphisms
@@ -825,8 +825,15 @@ def dominant_orbit(datum: RootDatum, p: int, max_len: int
     _check_p(datum, p)
     check_int("max_len", max_len, 0)
     ctx = _context(datum)
-    n = ctx.alcoves.up_to(max_len)
-    return [(x, dot_p(x, ctx.origin, p)) for x in ctx.alcoves.elems[:n]]
+    table = ctx.alcoves
+    n = table.up_to(max_len)
+    elems = table.elems[:n]
+    # x . 0 = w(rho) - rho + p gamma for x = t_gamma w, and the context
+    # keeps w(rho) - rho per numbered finite part
+    shifts = map(ctx.rho_shifts.__getitem__, table.part[:n])
+    return list(zip(elems, _weights([
+        tuple([c + p * g for c, g in zip(shift, x.translation)])
+        for shift, x in zip(shifts, elems)])))
 
 
 def _rho_pairings(datum: RootDatum, coords: tuple[int, ...]) -> list[int]:

@@ -161,10 +161,6 @@ def lcf_character(x: AffineWeylElement, p: int) -> Character:
     return Character.from_dict({Weight(k): c for k, c in acc.items()})
 
 
-def _weight_label(prefix: str, w: Weight) -> str:
-    return prefix + "_".join(str(c) for c in w.coords)
-
-
 def _sparse_row(row: dict[int, int]) -> SparseRow:
     """A row given as {column: entry}, by ascending column.  A column of
     None is a weight outside the labels, which a row must not reach:
@@ -181,6 +177,27 @@ def _dense(cols: Iterable[int], vals: Iterable, n: int, zero=0) -> list:
     for j, e in zip(cols, vals):
         cells[j] = e
     return cells
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """Items written as JSON, as ``json.dumps(..., indent=2)`` writes a
+    list of them ``depth`` levels deep: each on its own line, two spaces
+    deeper than the brackets, or "[]" when there is none."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+
+
+def _json_item(value) -> str:
+    """An item of a matrix's header list, a label, a flag or a list of
+    ints (a weight or a word), as ``json.dumps(..., indent=2)`` writes
+    it one level inside the list."""
+    if isinstance(value, list):
+        return _json_list(list(map(str, value)), 2)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return json.dumps(value)
 
 
 @dataclass(frozen=True)
@@ -223,10 +240,13 @@ class DecompositionMatrix:
         cols, vals = self.rows[ws.index(row)]
         return dict(zip(cols, vals)).get(ws.index(col), 0)
 
-    def _prefixes(self) -> tuple[str, str]:
-        if self.kind == "simple-in-standard":
-            return "L_", "nabla_"
-        return "nabla_", "L_"
+    def _label_lists(self) -> tuple[list[str], list[str]]:
+        """The row labels and the column labels, L_ or nabla_ by kind
+        and a weight's coordinates, each weight written once."""
+        coords = ["_".join(map(str, w.coords)) for _, w in self.labels]
+        rp, cp = (("L_", "nabla_") if self.kind == "simple-in-standard"
+                  else ("nabla_", "L_"))
+        return [rp + c for c in coords], [cp + c for c in coords]
 
     def restrict_to_jantzen(self) -> "DecompositionMatrix":
         keep = [i for i, ok in enumerate(self.jantzen) if ok]
@@ -240,27 +260,25 @@ class DecompositionMatrix:
 
     def csv_lines(self) -> Iterator[str]:
         """The lines of ``to_csv``, one per row after the header."""
-        rp, cp = self._prefixes()
-        yield ",".join([""] + [_weight_label(cp, w) for _, w in self.labels]
-                       + ["jantzen"]) + "\n"
-        for (_, w), ok, cells in zip(self.labels, self.jantzen,
-                                     self._cells("")):
-            yield ",".join([_weight_label(rp, w)] + cells
-                           + ["yes" if ok else "no"]) + "\n"
+        row_labels, col_labels = self._label_lists()
+        yield ",".join(["", *col_labels, "jantzen"]) + "\n"
+        for label, ok, cells in zip(row_labels, self.jantzen,
+                                    self._cells("")):
+            yield ",".join([label, *cells, "yes" if ok else "no"]) + "\n"
 
     def to_csv(self) -> str:
         return "".join(self.csv_lines())
 
     def _json_body(self, entries: list) -> dict:
-        rp, cp = self._prefixes()
+        row_labels, col_labels = self._label_lists()
         return {
             "schema": "weylkit/decomposition-matrix/1",
             "series": self.datum.series,
             "variant": self.datum.variant,
             "p": self.p,
             "kind": self.kind,
-            "row_labels": [_weight_label(rp, w) for _, w in self.labels],
-            "col_labels": [_weight_label(cp, w) for _, w in self.labels],
+            "row_labels": row_labels,
+            "col_labels": col_labels,
             "weights": [list(w.coords) for _, w in self.labels],
             "words": [reduced_word(x) for x, _ in self.labels],
             "entries": entries,
@@ -275,43 +293,50 @@ class DecompositionMatrix:
         """The text of ``json.dumps(self.to_json_dict(), indent=2)`` and
         a newline, one piece per row of entries.  With an indent, dumps
         writes a value k levels deep as its own text with 2k more spaces
-        after each newline; the pieces are joined the same way."""
+        after each newline; every list, of the header and of entries, is
+        written by ``_json_list``, with no call of the encoder per
+        item."""
         sep = "{"
         for key, value in self._json_body(None).items():
             yield f"{sep}\n  {json.dumps(key)}: "
             sep = ","
-            if key != "entries":
-                yield json.dumps(value, indent=2).replace("\n", "\n  ")
-                continue
-            row_sep = "["
-            for cells in self._cells("0"):
-                yield f"{row_sep}\n    [\n      " + ",\n      ".join(cells) \
-                    + "\n    ]"
-                row_sep = ","
-            yield "\n  ]" if self.rows else "[]"
+            if key == "entries":
+                row_sep = "["
+                for cells in self._cells("0"):
+                    yield f"{row_sep}\n    " + _json_list(cells, 2)
+                    row_sep = ","
+                yield "\n  ]" if self.rows else "[]"
+            elif isinstance(value, list):
+                yield _json_list([_json_item(v) for v in value], 1)
+            else:
+                yield json.dumps(value)
         yield "\n}\n"
 
     def text_lines(self) -> Iterator[str]:
         """The lines of ``render_text``: a header, then one per row,
-        each cell right-aligned to the widest cell of its column."""
-        rp, cp = self._prefixes()
-        header = [""] + [_weight_label(cp, w) for _, w in self.labels] + [""]
-        widths = [len(cell) for cell in header]
-        widths[0] = max([len(_weight_label(rp, w)) for _, w in self.labels],
-                        default=0)
-        widths[-1] = 1 if any(self.jantzen) else 0
+        each cell right-aligned to the widest cell of its column.  A row
+        is a copy of one row of padded "." cells with only its nonzero
+        cells written over it."""
+        row_labels, col_labels = self._label_lists()
+        widths = list(map(len, col_labels))
         for cols, vals in self.rows:
-            for j, e in zip(cols, vals):
-                widths[j + 1] = max(widths[j + 1], len(str(e)))
+            for j, k in zip(cols, map(len, map(str, vals))):
+                if k > widths[j]:
+                    widths[j] = k
+        label_width = max(map(len, row_labels), default=0)
 
-        def line(row: list[str]) -> str:
-            return "  ".join(cell.rjust(width) for cell, width
-                             in zip(row, widths)).rstrip() + "\n"
+        def line(label: str, cells: Iterable[str], mark: str) -> str:
+            return "  ".join([label.rjust(label_width), *cells,
+                              mark]).rstrip() + "\n"
 
-        yield line(header)
-        for (_, w), ok, cells in zip(self.labels, self.jantzen,
-                                     self._cells(".")):
-            yield line([_weight_label(rp, w)] + cells + ["*" if ok else ""])
+        yield line("", map(str.rjust, col_labels, widths), "")
+        blank = [".".rjust(width) for width in widths]
+        for label, ok, (cols, vals) in zip(row_labels, self.jantzen,
+                                           self.rows):
+            cells = blank.copy()
+            for j, cell in zip(cols, map(str, vals)):
+                cells[j] = cell.rjust(widths[j])
+            yield line(label, cells, "*" if ok else "")
 
     def render_text(self) -> str:
         return "".join(self.text_lines())

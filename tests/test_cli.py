@@ -1,11 +1,13 @@
 """Command-line interface: output golds, exit codes, file output,
 and a fuzz test over every subcommand."""
 
+import argparse
 import io
 import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -426,11 +428,15 @@ def fresh_process(argv):
 
 def test_shared_parser_answers_like_a_fresh_one(capsys, tmp_path,
                                                 monkeypatch):
-    monkeypatch.setattr(weylkit.cli, "_parser", None)
+    monkeypatch.setattr(weylkit.cli, "_parsers", {})
     shared = run_sequence(tmp_path, lambda argv: run(capsys, argv))
-    parser = weylkit.cli._parser
+    parsers = dict(weylkit.cli._parsers)
     assert run_sequence(tmp_path, lambda argv: run(capsys, argv)) == shared
-    assert weylkit.cli._parser is parser  # one parser for both rounds
+    # one parser per subcommand for both rounds, and the full parser for
+    # the unknown command
+    assert set(parsers) == set(weylkit.cli._COMMANDS) | {None}
+    assert all(weylkit.cli._parsers[name] is parser
+               for name, parser in parsers.items())
     # each call alone in a new process: a parser of its own
     assert run_sequence(tmp_path, fresh_process) == shared
     assert {code for _, code, *_ in shared} == {0, 2, 4}
@@ -440,19 +446,72 @@ def test_build_parser_runs_once(capsys, monkeypatch):
     built = []
     build = weylkit.cli.build_parser
 
-    def counting():
-        built.append(1)
-        return build()
+    def counting(command=None):
+        built.append(command)
+        return build(command)
 
-    monkeypatch.setattr(weylkit.cli, "_parser", None)
+    monkeypatch.setattr(weylkit.cli, "_parsers", {})
     monkeypatch.setattr(weylkit.cli, "build_parser", counting)
     for _ in range(3):
-        for argv in (["root-datum", "A2"], ["no-such-command"],
-                     ["lcf", "--preset", "sl2-p5", "--format", "csv"]):
+        for argv in (["root-datum", "A2"], ["no-such-command"], [],
+                     ["lcf", "--preset", "sl2-p5", "--format", "csv"],
+                     ["lcf", "--help"], ["--help"]):
             run(capsys, argv)
-    assert len(built) == 1
-    # the public builder still returns a new parser on each call
-    assert build() is not build()
+    # the full parser (None) answers the unknown command, no command and
+    # --help; each subcommand gets a parser of its own
+    assert sorted(built, key=str) == [None, "lcf", "root-datum"]
+    # the public builder still returns a new full parser on each call
+    full, again = build(), build()
+    assert full is not again
+    assert subcommands(full) == subcommands(again) == list(
+        weylkit.cli._COMMANDS)
+    assert subcommands(build("kl")) == ["kl"]
+
+
+def subcommands(parser):
+    """The names of the subcommands a parser holds."""
+    return [name for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+            for name in action.choices]
+
+
+GOLDEN_ARGVS = [case["argv"] for case in json.loads(
+    (Path(__file__).resolve().parent / "golden" / "commands.json")
+    .read_text(encoding="utf-8"))]
+
+BAD_ARGVS = [
+    [],
+    ["no-such-command"],
+    ["lcf", "A2", "--p", "5", "--bogus"],                # unknown flag
+    ["sl2-check", "--upto", "30"],                       # no --p
+    ["lcf", "A2", "--p", "5", "--format", "yaml"],
+    *([name, "-h"] for name in weylkit.cli._COMMANDS),
+]
+
+
+def test_each_command_parser_answers_like_the_full_one(capsys,
+                                                       monkeypatch):
+    argvs = GOLDEN_ARGVS + BAD_ARGVS
+    monkeypatch.setattr(weylkit.cli, "_parsers", {})
+    own = [run(capsys, argv) for argv in argvs]
+    assert set(weylkit.cli._parsers) == set(weylkit.cli._COMMANDS) | {None}
+    build = weylkit.cli.build_parser
+    monkeypatch.setattr(weylkit.cli, "_parsers", {})
+    monkeypatch.setattr(weylkit.cli, "build_parser",
+                        lambda command=None: build())
+    assert [run(capsys, argv) for argv in argvs] == own
+    assert {code for code, *_ in own} == {0, 2}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["lcf", "--help"]])
+def test_help_does_not_depend_on_the_terminal_width(capsys, monkeypatch,
+                                                    argv):
+    got = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        got.append(run(capsys, argv))
+    assert got[0] == got[1]
+    assert got[0][0] == 0 and got[0][1].startswith("usage: weylkit")
 
 
 # ---------------------------------------------------------------- fuzz

@@ -253,6 +253,28 @@ def test_dominant_orbit_requires_p_at_least_h():
     assert dominant_orbit(datum, 3, 0)  # p = h is allowed
 
 
+@pytest.mark.parametrize("series,h,prime", [
+    ("A1", 2, 3), ("A2", 3, 5), ("A3", 4, 5), ("A4", 5, 7), ("B2", 4, 5),
+    ("C2", 4, 5), ("G2", 6, 7)])
+def test_dominant_orbit_weights_are_dot_p(series, h, prime):
+    # the weights are built in one go from the table's finite parts;
+    # dot_p, one element at a time, is the oracle.  Each datum starts
+    # from a fresh context, whose table holds the identity alone.
+    for variant in ("sc", "adjoint"):
+        _context.cache_clear()
+        datum = build_root_datum(series, variant)
+        assert coxeter_number(datum) == h
+        zero = Weight((0,) * datum.rank)
+        for p in (h, prime):
+            for max_len in range(13):
+                orbit = dominant_orbit(datum, p, max_len)
+                assert orbit[0][1] == zero
+                assert length(orbit[-1][0]) == max_len
+                assert [w for _, w in orbit] == [dot_p(x, zero, p)
+                                                 for x, _ in orbit]
+                assert all(type(w) is Weight for _, w in orbit)
+
+
 def test_same_block_a1_p5():
     datum = build_root_datum("A1")
     assert same_block(datum, Weight((0,)), Weight((8,)), 5)

@@ -6,6 +6,7 @@ expansions, the last two differ from the formula's prediction, and the
 wall-crossing bound marks exactly those two rows as out of range.
 """
 
+import dataclasses
 import json
 import random
 import sys
@@ -212,6 +213,19 @@ def test_render_text_marks_jantzen_rows():
     assert lines[1].split() == ["L_0", "1", ".", ".", ".", ".", ".", ".", "*"]
     assert lines[5].split()[-1] == "*"  # L_20 is the last marked row
     assert lines[6].split() == ["L_28", ".", ".", ".", ".", "-1", "1", "."]
+
+
+def test_wide_entries_widen_their_columns():
+    # entries wider than their column labels, which no computed matrix
+    # has: each column of the text is as wide as its widest entry
+    m = invert_decomposition(decomposition_matrix(A1, 5, max_weight=30))
+    wide = dataclasses.replace(m, rows=tuple(
+        (cols, tuple(e * 10 ** (3 + j) for j, e in zip(cols, vals)))
+        for cols, vals in m.rows))
+    assert wide.render_text() == dense_text(wide, wide.entries)
+    assert wide.render_text().splitlines()[-1].endswith(" 1000000000")
+    assert "".join(wide.json_chunks()) == (
+        json.dumps(wide.to_json_dict(), indent=2) + "\n")
 
 
 def test_lcf_coefficients_alternate():
@@ -1134,6 +1148,19 @@ def test_sparse_rows_read_like_the_dense_oracle(series, p, bound, entries):
         assert body["entries"] == [list(row) for row in rows]
         assert "".join(mat.json_chunks()) == (
             json.dumps(body, indent=2) + "\n")
+
+
+@pytest.mark.parametrize("series,variant,p", GATE_GRID)
+def test_renderings_match_the_encoder_on_the_gate_grid(series, variant, p):
+    # the JSON and text writers against json.dumps and the dense text,
+    # on every gate matrix, its inverse and its Jantzen restriction
+    datum = build_root_datum(series, variant)
+    for bound in gate_bounds(series):
+        m = decomposition_matrix(datum, p, **bound)
+        for mat in (m, invert_decomposition(m), m.restrict_to_jantzen()):
+            assert "".join(mat.json_chunks()) == (
+                json.dumps(mat.to_json_dict(), indent=2) + "\n"), bound
+            assert mat.render_text() == dense_text(mat, mat.entries), bound
 
 
 @pytest.mark.parametrize("series,variant,p", GATE_GRID)
