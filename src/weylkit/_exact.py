@@ -23,6 +23,11 @@ range; every public function that takes an exact int, a ``p``, an
 ``n``, a length or weight bound or a term cap asks one of them.
 ``exact_ints`` is their predicate, which the scalar products ask as
 well, where a non-int is an unsupported operand (TypeError).
+
+The check of an argument's kind is written here once too:
+``check_kind`` is asked wherever a root datum, a weight, a Weyl group
+element, another value object of the package or a name is expected,
+and raises TypeError in one form, "expected a Character, got str".
 """
 
 import sys
@@ -77,6 +82,24 @@ def check_prime(p) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p
+
+
+def check_kind(value, kind: type, noun: str | None = None):
+    """The value, if it is an instance of kind; TypeError otherwise,
+    naming what was expected, the noun or else "a" and the kind's name,
+    and the type that came.
+
+    >>> check_kind("A1", str)
+    'A1'
+    >>> check_kind(3, str)
+    Traceback (most recent call last):
+    ...
+    TypeError: expected a str, got int
+    """
+    if not isinstance(value, kind):
+        raise TypeError(f"expected {noun or 'a ' + kind.__name__}, "
+                        f"got {type(value).__name__}")
+    return value
 
 
 def _bareiss(rows: list[list[int]], n: int) -> int:

@@ -66,12 +66,12 @@ from math import prod
 from operator import add, mul, sub
 
 from weylkit._exact import (base_p_digits, check_int, check_ints,
-                            check_prime, det_adjugate, exact_ints)
+                            check_kind, check_prime, det_adjugate,
+                            exact_ints)
 from weylkit.lattice import (
     ResourceLimitError,
     RootDatum,
     Weight,
-    _check_datum,
     _check_weight,
     _weights,
     build_root_datum,
@@ -198,14 +198,6 @@ class Character:
         return [{"weight": list(w.coords), "mult": c} for w, c in self.terms]
 
 
-def _check_character(ch) -> Character:
-    """ch, if it is a ``Character``: TypeError for any other object.
-    Every public function that takes a character asks it."""
-    if not isinstance(ch, Character):
-        raise TypeError(f"expected a Character, got {type(ch).__name__}")
-    return ch
-
-
 def trivial_character(rank: int) -> Character:
     """The character e^0 of the trivial module."""
     return Character(((Weight((0,) * check_int("rank", rank, 0)), 1),))
@@ -217,7 +209,7 @@ def dimension(ch: Character) -> int:
     >>> dimension(trivial_character(2))
     1
     """
-    return sum(c for _, c in _check_character(ch).terms)
+    return sum(c for _, c in check_kind(ch, Character).terms)
 
 
 def _height(datum: RootDatum):
@@ -274,7 +266,7 @@ def weyl_character(datum: RootDatum, highest: Weight,
     >>> dimension(weyl_character(d, Weight((1, 1))))
     8
     """
-    if _check_datum(datum).variant != "sc":
+    if check_kind(datum, RootDatum).variant != "sc":
         raise ValueError("characters need the simply connected variant")
     if not is_dominant(_check_weight(highest, datum.rank)):
         raise ValueError("highest weight must be dominant")
@@ -370,7 +362,7 @@ def is_weyl_invariant(datum: RootDatum, ch: Character) -> bool:
     reflection?
     """
     gens = generators(datum)[:datum.rank]
-    table = _check_character(ch).as_dict()
+    table = check_kind(ch, Character).as_dict()
     for g in gens:
         for w, c in table.items():
             if table.get(g.finite.apply(w), 0) != c:
@@ -386,13 +378,13 @@ def frobenius_twist(ch: Character, p: int) -> Character:
     """
     check_int("p", p, 1)
     return Character.from_dict({Weight(tuple(p * c for c in w.coords)): m
-                                for w, m in _check_character(ch).terms})
+                                for w, m in check_kind(ch, Character).terms})
 
 
 def tensor(a: Character, b: Character,
            max_terms: int = DEFAULT_MAX_TERMS) -> Character:
     """Product of characters (convolution of supports)."""
-    _check_character(a)._check_rank(_check_character(b))
+    check_kind(a, Character)._check_rank(check_kind(b, Character))
     check_int("max_terms", max_terms, 1)
     acc: dict[Weight, int] = {}
     for wa, ca in a.terms:

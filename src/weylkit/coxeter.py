@@ -42,12 +42,12 @@ from dataclasses import dataclass
 from functools import cached_property, wraps
 from operator import add, mul
 
-from weylkit._exact import check_int, check_ints, det_adjugate
+from weylkit._exact import check_int, check_ints, check_kind, det_adjugate
 from weylkit.lattice import (
     Coroot,
     RootDatum,
     Weight,
-    _check_datum,
+    _HashedByKey,
     _check_weight,
     _weights,
     coxeter_number,
@@ -95,7 +95,7 @@ def _mat_vec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteWeylElement:
+class FiniteWeylElement(_HashedByKey):
     """Finite Weyl group element.
 
     ``matrix`` acts on fundamental-weight coordinates.  The inverse and
@@ -104,7 +104,7 @@ class FiniteWeylElement:
 
     datum: RootDatum
     matrix: Matrix
-    _hash = None  # cached on first use; not a field, so never pickled
+    __hash__ = _HashedByKey.__hash__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteWeylElement):
@@ -112,16 +112,8 @@ class FiniteWeylElement:
         return self.matrix == other.matrix and (
             self.datum is other.datum or self.datum == other.datum)
 
-    def __hash__(self) -> int:
-        cached = self._hash
-        if cached is None:
-            cached = hash((hash(self.datum), self.matrix))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __reduce__(self):
-        # the fields only: a string hash differs between processes
-        return FiniteWeylElement, (self.datum, self.matrix)
+    def _key(self) -> tuple:
+        return hash(self.datum), self.matrix
 
     def apply(self, weight: Weight) -> Weight:
         _check_weight(weight, self.datum.rank)
@@ -129,7 +121,7 @@ class FiniteWeylElement:
 
 
 @dataclass(frozen=True, eq=False)
-class AffineWeylElement:
+class AffineWeylElement(_HashedByKey):
     """Affine Weyl group element t_gamma * w.
 
     ``translation`` is gamma, an element of the root lattice, in
@@ -141,7 +133,7 @@ class AffineWeylElement:
 
     finite: FiniteWeylElement
     translation: tuple[int, ...]
-    _hash = None
+    __hash__ = _HashedByKey.__hash__
     _gid = None
     _letter = None
 
@@ -155,15 +147,8 @@ class AffineWeylElement:
         return (self.translation == other.translation
                 and self.finite == other.finite)
 
-    def __hash__(self) -> int:
-        cached = self._hash
-        if cached is None:
-            cached = hash((hash(self.finite), self.translation))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __reduce__(self):
-        return AffineWeylElement, (self.finite, self.translation)
+    def _key(self) -> tuple:
+        return hash(self.finite), self.translation
 
 
 def _reflection(root: Weight, coroot: Coroot) -> Matrix:
@@ -250,10 +235,11 @@ class _Context:
         keep the Coxeter matrix, read off the extended Cartan matrix:
         the simple roots, and -theta for s0, theta being the root that
         s0 reflects in (the sign cancels in a_ij a_ji), and m_ij = 2, 3,
-        4, 6 for a_ij a_ji = 0, 1, 2, 3, infinite (0 here) past that.  The search places one letter at a
-        time, each image checked against the letters placed, the last
-        placed first, as it is the one a path of the graph joins.  On
-        first use, under the lock of the first table that grows."""
+        4, 6 for a_ij a_ji = 0, 1, 2, 3, infinite (0 here) past that.
+        The search places one letter at a time, each image checked
+        against the letters placed, the last placed first, as it is the
+        one a path of the graph joins.  On first use, under the lock of
+        the first table that grows."""
         datum = self.datum
         roots = [datum.simple_root(i) for i in range(datum.rank)]
         roots.append(datum.highest_coroot())
@@ -566,7 +552,7 @@ def _context(datum: RootDatum) -> _Context:
     handle built on one."""
     got = _CONTEXTS.get(datum)
     if got is None:
-        _check_datum(datum)
+        check_kind(datum, RootDatum)
         with _CONTEXTS_LOCK:
             got = _CONTEXTS.get(datum)
             if got is None:
@@ -613,9 +599,7 @@ def generators(datum: RootDatum) -> list[AffineWeylElement]:
 
 def embed_finite(w: FiniteWeylElement) -> AffineWeylElement:
     """View a finite element as an affine one (zero translation)."""
-    if not isinstance(w, FiniteWeylElement):
-        raise TypeError(
-            f"embed_finite needs a FiniteWeylElement, got {type(w).__name__}")
+    check_kind(w, FiniteWeylElement)
     return AffineWeylElement(w, (0,) * w.datum.rank)
 
 
@@ -685,10 +669,8 @@ def _as_affine(x: AffineWeylElement | FiniteWeylElement,
     to another datum than the one given.  Every public function that
     takes an element asks it."""
     if not isinstance(x, AffineWeylElement):
-        if not isinstance(x, FiniteWeylElement):
-            raise TypeError(
-                f"expected a Weyl group element, got {type(x).__name__}")
-        x = embed_finite(x)
+        x = embed_finite(check_kind(x, FiniteWeylElement,
+                                    "a Weyl group element"))
     if datum is not None and x.datum is not datum and x.datum != datum:
         raise ValueError("elements belong to different root data")
     return x
@@ -845,7 +827,7 @@ def _rho_pairings(datum: RootDatum, coords: tuple[int, ...]) -> list[int]:
 
 def is_p_regular(datum: RootDatum, weight: Weight, p: int) -> bool:
     """True iff no affine wall contains the weight (rho-shifted, mod p)."""
-    _check_datum(datum)
+    check_kind(datum, RootDatum)
     check_int("p", p, 1)
     _check_weight(weight, datum.rank)
     return all(n % p for n in _rho_pairings(datum, weight.coords))
@@ -857,7 +839,6 @@ def _canonical_chamber_point(datum: RootDatum, nu: tuple[int, ...], p: int
 
     hc is the highest coroot.  Bounded loop as an internal-error guard.
     """
-    ctx = _context(datum)
     rank = datum.rank
     beta_wt, beta_c = datum.highest_coroot()
     cur = list(nu)
@@ -883,7 +864,7 @@ def same_block(datum: RootDatum, lam: Weight, mu: Weight, p: int) -> bool:
     Each rho-shifted weight is reflected to its unique representative in
     the closed fundamental alcove and the representatives are compared.
     """
-    _check_datum(datum)
+    check_kind(datum, RootDatum)
     check_int("p", p, 1)
     _check_weight(lam, datum.rank)
     _check_weight(mu, datum.rank)
@@ -913,7 +894,9 @@ def count_p_restricted_in_orbit(datum: RootDatum, p: int) -> int:
     """Number of p-restricted weights in the dot orbit of zero.
 
     Scans the restricted box and compares canonical alcove
-    representatives; equals |W_f| / (index of connection).
+    representatives; equals |W_f| divided by the index of connection of
+    the simply connected datum, for either variant, as the orbit of
+    zero lies in the root lattice.
 
     >>> from weylkit.lattice import build_root_datum
     >>> count_p_restricted_in_orbit(build_root_datum("A2"), 5)
@@ -929,7 +912,8 @@ def count_p_restricted_in_orbit(datum: RootDatum, p: int) -> int:
     return count
 
 
-def enumerate_finite_weyl(datum: RootDatum) -> list[tuple[FiniteWeylElement, int]]:
+def enumerate_finite_weyl(datum: RootDatum
+                          ) -> list[tuple[FiniteWeylElement, int]]:
     """All finite Weyl group elements with their lengths, in (length,
     reduced word) order."""
     return _context(datum).finite_elements()

@@ -98,8 +98,8 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from operator import itemgetter
 
-from weylkit._exact import (check_ints, digit_width, exact_ints, repack,
-                            unpack)
+from weylkit._exact import (check_ints, check_kind, digit_width, exact_ints,
+                            repack, unpack)
 from weylkit.lattice import ResourceLimitError, RootDatum
 from weylkit.coxeter import (
     AffineWeylElement,
@@ -251,22 +251,13 @@ class LaurentPolynomial:
         return " + ".join(parts).replace(" + -", " - ") or "0"
 
 
-def _check_laurent_polynomial(p) -> LaurentPolynomial:
-    """p, if it is a ``LaurentPolynomial``: TypeError for any other
-    object.  Every public function that takes a polynomial asks it."""
-    if not isinstance(p, LaurentPolynomial):
-        raise TypeError(
-            f"expected a LaurentPolynomial, got {type(p).__name__}")
-    return p
-
-
 def evaluate_at_one(p: LaurentPolynomial) -> int:
     """Sum of coefficients, i.e. the specialization v = 1.
 
     >>> evaluate_at_one(LaurentPolynomial.from_dict({-1: 1, 1: 1}))
     2
     """
-    return sum(c for _, c in _check_laurent_polynomial(p).coeffs)
+    return sum(c for _, c in check_kind(p, LaurentPolynomial).coeffs)
 
 
 _ZERO = LaurentPolynomial.zero()
@@ -387,14 +378,6 @@ class HeckeElement:
     def to_json_dict(self) -> dict:
         return {"terms": [{"word": reduced_word(x), "poly": p.to_json_dict()}
                           for x, p in self.terms]}
-
-
-def _check_hecke_element(h) -> HeckeElement:
-    """h, if it is a ``HeckeElement``: TypeError for any other object.
-    Every public function that takes a Hecke element asks it."""
-    if not isinstance(h, HeckeElement):
-        raise TypeError(f"expected a HeckeElement, got {type(h).__name__}")
-    return h
 
 
 def _sum_terms(triples) -> _Terms:
@@ -696,7 +679,7 @@ class HeckeAlgebra:
         self._lock = ctx.lock
 
     def _check_same(self, other: HeckeElement) -> None:
-        if _check_hecke_element(other).algebra is not self:
+        if check_kind(other, HeckeElement).algebra is not self:
             raise ValueError("elements belong to different Hecke algebras")
 
     def _check_member(self, x: AffineWeylElement) -> AffineWeylElement:
@@ -838,13 +821,13 @@ def mult_standard_by_gen(h: HeckeElement, s, side: str = "right"
     """h * h_s (or h_s * h): h_x h_s = h_{xs} when xs > x, and
     h_{xs} + (v^{-1} - v) h_x when xs < x.
     """
-    return _check_hecke_element(h).algebra.mult_standard_by_gen(
+    return check_kind(h, HeckeElement).algebra.mult_standard_by_gen(
         h, s, side=side)
 
 
 def bar(h: HeckeElement) -> HeckeElement:
     """Bar involution of a Hecke element."""
-    return _check_hecke_element(h).algebra.bar(h)
+    return check_kind(h, HeckeElement).algebra.bar(h)
 
 
 def kl_basis_element(x) -> HeckeElement:

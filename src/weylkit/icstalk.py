@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from weylkit._exact import (check_int, check_ints, check_prime, det,
-                            smith_diagonal)
+from weylkit._exact import (check_int, check_ints, check_kind, check_prime,
+                            det, smith_diagonal)
 
 __all__ = [
     "FgAbelianGroup",
@@ -107,14 +107,6 @@ class FgAbelianGroup:
         return {"free": self.free_rank, "torsion": list(self.torsion)}
 
 
-def _check_fg_abelian_group(g) -> FgAbelianGroup:
-    """g, if it is an ``FgAbelianGroup``: TypeError for any other
-    object."""
-    if not isinstance(g, FgAbelianGroup):
-        raise TypeError(f"expected an FgAbelianGroup, got {type(g).__name__}")
-    return g
-
-
 @dataclass(frozen=True)
 class GradedAbelianGroup:
     """Finitely supported map degree -> FgAbelianGroup."""
@@ -124,7 +116,7 @@ class GradedAbelianGroup:
     def __post_init__(self) -> None:
         for d, g in self.groups:
             check_int("degrees", d, 0)
-            _check_fg_abelian_group(g)
+            check_kind(g, FgAbelianGroup, "an FgAbelianGroup")
         for (d1, _), (d2, _) in zip(self.groups, self.groups[1:]):
             if d1 >= d2:
                 raise ValueError("degrees must be strictly ascending")
@@ -176,16 +168,6 @@ def link_preset(name: str) -> GradedAbelianGroup:
     raise ValueError(f"unknown link preset {name!r}")
 
 
-def _check_graded_abelian_group(H) -> GradedAbelianGroup:
-    """H, if it is a ``GradedAbelianGroup``: TypeError for any other
-    object.  Every public function that takes a link cohomology asks
-    it."""
-    if not isinstance(H, GradedAbelianGroup):
-        raise TypeError(
-            f"expected a GradedAbelianGroup, got {type(H).__name__}")
-    return H
-
-
 def _check_characteristic(p: int) -> None:
     """A characteristic is 0 or a prime."""
     if check_int("p", p, 0):
@@ -199,7 +181,7 @@ def uct_field(H: GradedAbelianGroup, p: int) -> dict[int, int]:
     >>> uct_field(link_preset("rp3"), 2)
     {0: 1, 1: 1, 2: 1, 3: 1}
     """
-    _check_graded_abelian_group(H)
+    check_kind(H, GradedAbelianGroup)
     _check_characteristic(p)
     out = {}
     for i in range(0, H.max_degree + 1):
@@ -273,7 +255,7 @@ class StalkTable:
 
 
 def _check_link(H: GradedAbelianGroup, d: int) -> None:
-    _check_graded_abelian_group(H)
+    check_kind(H, GradedAbelianGroup)
     check_int("d", d, 1)
     if any(deg < 0 or deg > 2 * d - 1 for deg in H.degrees()):
         raise ValueError("link cohomology degrees must lie in "
@@ -384,21 +366,13 @@ def cotangent_self_intersection(euler_characteristic: int) -> int:
     return -euler_characteristic
 
 
-def _check_stalk_table(table) -> StalkTable:
-    """table, if it is a ``StalkTable``: TypeError for any other
-    object."""
-    if not isinstance(table, StalkTable):
-        raise TypeError(f"expected a StalkTable, got {type(table).__name__}")
-    return table
-
-
 def perverse_constraint_check(table: StalkTable, *, strict: bool = False
                               ) -> bool:
     """Support bounds for a two-strata cone of dimension d: open stratum
     only in degree -d; point stratum within [-d, 0], or [-d, -1] when
     strict (the genuine-IC bound).
     """
-    d = _check_stalk_table(table).cone_dimension
+    d = check_kind(table, StalkTable).cone_dimension
     if any(deg != -d for deg in table.open_support()):
         return False
     hi = -1 if strict else 0

@@ -35,8 +35,8 @@ from collections import deque
 from dataclasses import dataclass, fields
 from itertools import repeat
 
-from weylkit._exact import (check_int, check_ints, det, det_adjugate,
-                            exact_ints)
+from weylkit._exact import (check_int, check_ints, check_kind, det,
+                            det_adjugate, exact_ints)
 
 __all__ = [
     "Coroot",
@@ -121,8 +121,7 @@ def _check_weight(weight, rank: int | None = None) -> Weight:
     >>> _check_weight(Weight((1, 0)), 2)
     Weight(coords=(1, 0))
     """
-    if not isinstance(weight, Weight):
-        raise TypeError(f"expected a Weight, got {type(weight).__name__}")
+    check_kind(weight, Weight)
     if rank is not None and len(weight.coords) != rank:
         raise ValueError(f"weight of rank {len(weight.coords)} where rank "
                          f"{rank} is expected")
@@ -164,20 +163,34 @@ def pairing(weight: Weight, coroot: Coroot) -> int:
     >>> pairing(Weight((1, 1)), Coroot((1, 1)))
     2
     """
-    _check_weight(weight, len(_check_coroot(coroot).coords))
+    _check_weight(weight, len(check_kind(coroot, Coroot).coords))
     return sum(a * b for a, b in zip(weight.coords, coroot.coords))
 
 
-def _check_coroot(coroot) -> Coroot:
-    """The coroot, if it is a ``Coroot``: TypeError for any other
-    object."""
-    if not isinstance(coroot, Coroot):
-        raise TypeError(f"expected a Coroot, got {type(coroot).__name__}")
-    return coroot
+class _HashedByKey:
+    """A frozen dataclass hashed by its ``_key()``, the hash cached on
+    first use in ``_hash``, which is not a field.  Pickling and copying
+    keep the fields only: no cached hash, as a string hash differs
+    between processes, and no tag of a table.  A subclass repeats
+    ``__hash__ = _HashedByKey.__hash__`` in its body, since defining
+    ``__eq__`` sets ``__hash__`` to None and a frozen dataclass with
+    ``eq=True`` is given a hash of its fields."""
+
+    _hash = None
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash(self._key())
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
-class RootDatum:
+class RootDatum(_HashedByKey):
     """Root datum of an irreducible series in a chosen lattice variant.
 
     ``positive_roots`` pairs each positive root (as a Weight) with its
@@ -193,7 +206,7 @@ class RootDatum:
     simple_indices: tuple[int, ...]
     lattice_basis: tuple[tuple[int, ...], ...]
     root_alpha: tuple[tuple[int, ...], ...]
-    _hash = None  # cached on first use; not a field
+    __hash__ = _HashedByKey.__hash__
 
     def __post_init__(self) -> None:
         for i in range(self.rank):
@@ -203,17 +216,8 @@ class RootDatum:
                 if i != j and self.cartan[i][j] > 0:
                     raise ValueError("Cartan off-diagonal must be <= 0")
 
-    def __hash__(self) -> int:
-        cached = self._hash
-        if cached is None:
-            cached = hash((self.series, self.variant, self.cartan))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __reduce__(self):
-        # the fields only: the cached hash is a string hash, which
-        # differs between processes
-        return RootDatum, tuple(getattr(self, f.name) for f in fields(self))
+    def _key(self) -> tuple:
+        return self.series, self.variant, self.cartan
 
     def simple_root(self, i: int) -> tuple[Weight, Coroot]:
         return self.positive_roots[self.simple_indices[i]]
@@ -246,23 +250,6 @@ class RootDatum:
                 for w, c in self.positive_roots
             ],
         }
-
-
-def _check_datum(datum) -> RootDatum:
-    """The datum, if it is a ``RootDatum``: TypeError for any other
-    object.  Every public function that takes a datum asks it: those of
-    this module directly, the others through the datum's context in
-    ``weylkit.coxeter``, which asks it of a datum it has no context
-    for, or directly where they read the datum before its context.
-
-    >>> _check_datum("A1")
-    Traceback (most recent call last):
-    ...
-    TypeError: expected a RootDatum, got str
-    """
-    if not isinstance(datum, RootDatum):
-        raise TypeError(f"expected a RootDatum, got {type(datum).__name__}")
-    return datum
 
 
 def _cartan_for(series: str) -> tuple[tuple[int, ...], ...]:
@@ -342,8 +329,7 @@ def build_root_datum(series: str, variant: str = "sc") -> RootDatum:
     6
     """
     for name in (series, variant):
-        if not isinstance(name, str):
-            raise TypeError(f"expected a str, got {type(name).__name__}")
+        check_kind(name, str)
     if variant not in ("sc", "adjoint"):
         raise UnsupportedDatumError(f"unsupported variant {variant!r}")
     cartan = _cartan_for(series)
@@ -408,7 +394,7 @@ def rho(datum: RootDatum) -> Weight:
     >>> rho(build_root_datum("G2"))
     Weight(coords=(1, 1))
     """
-    _check_datum(datum)
+    check_kind(datum, RootDatum)
     # x * B = (1, ..., 1) is solved by x = adj(B^T) (1, ..., 1) / det B
     det_b, adj = det_adjugate(tuple(zip(*datum.lattice_basis)))
     if det_b == 0 or any(sum(row) % det_b for row in adj):
@@ -423,7 +409,7 @@ def coxeter_number(datum: RootDatum) -> int:
     >>> [coxeter_number(build_root_datum(s)) for s in ("A1", "A2", "B2", "G2")]
     [2, 3, 4, 6]
     """
-    _check_datum(datum)
+    check_kind(datum, RootDatum)
     return 1 + max(sum(c.coords) for _, c in datum.positive_roots)
 
 
@@ -435,7 +421,7 @@ def index_of_connection(datum: RootDatum) -> int:
     >>> index_of_connection(build_root_datum("G2"))
     1
     """
-    _check_datum(datum)
+    check_kind(datum, RootDatum)
     return abs(det(datum.cartan)) // abs(det(datum.lattice_basis))
 
 
@@ -456,7 +442,7 @@ def dual_root_datum(datum: RootDatum) -> RootDatum:
     >>> dual_root_datum(dual_root_datum(d)) == d
     True
     """
-    _check_datum(datum)
+    check_kind(datum, RootDatum)
     series = _DUAL_SERIES.get(datum.series, datum.series)
     return build_root_datum(series, _DUAL_VARIANT[datum.variant])
 

@@ -86,8 +86,8 @@ from weylkit.charring import (
     _sl2_simple_in_standard_basis,
     _weyl_cached,
 )
-from weylkit._exact import (SparseRow, check_int, check_prime, is_prime,
-                            unitriangular_inverse)
+from weylkit._exact import (SparseRow, check_int, check_kind, check_prime,
+                            is_prime, unitriangular_inverse)
 
 __all__ = [
     "DecompositionMatrix",
@@ -342,15 +342,6 @@ class DecompositionMatrix:
         return "".join(self.text_lines())
 
 
-def _check_decomposition_matrix(m) -> DecompositionMatrix:
-    """m, if it is a ``DecompositionMatrix``: TypeError for any other
-    object."""
-    if not isinstance(m, DecompositionMatrix):
-        raise TypeError(
-            f"expected a DecompositionMatrix, got {type(m).__name__}")
-    return m
-
-
 def _max_len_for_weight_bound(datum: RootDatum, p: int, bound: int) -> int:
     """Number of affine walls between the base alcove and the weight
     with every coordinate equal to the bound: a sufficient search
@@ -439,7 +430,7 @@ def _decomposition_matrix(datum: RootDatum, p: int, max_len: int | None,
 
 def invert_decomposition(m: DecompositionMatrix) -> DecompositionMatrix:
     """Exact integer inverse of a unitriangular decomposition matrix."""
-    _check_decomposition_matrix(m)
+    check_kind(m, DecompositionMatrix)
     kind = ("standard-in-simple" if m.kind == "simple-in-standard"
             else "simple-in-standard")
     return DecompositionMatrix(m.datum, m.p, kind, m.labels,

@@ -9,9 +9,11 @@ Oracles used here and frozen below:
     |W_affine mod translations| / index = |W| / kappa per p-box.
 """
 
+import copy
 import dataclasses
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -35,6 +37,7 @@ from weylkit import (
     enumerate_finite_weyl,
     generators,
     identity_element,
+    index_of_connection,
     inverse,
     is_min_coset_rep_fW,
     is_p_regular,
@@ -299,13 +302,19 @@ def test_jantzen_condition_a1_p5():
 
 
 def test_restricted_counts_match_index():
-    # number of restricted regular dot-orbit points = |W_finite| / kappa
-    expected = {"A1": 1, "A2": 2, "B2": 4, "G2": 12}
+    # number of restricted regular dot-orbit points = |W_finite| / kappa,
+    # kappa the index of connection of the simply connected datum: the
+    # orbit of 0 lies in the root lattice, so both variants count alike
+    expected = {"A1": 1, "A2": 2, "A3": 6, "B2": 4, "C2": 4, "G2": 12}
     for series, count in expected.items():
-        datum = build_root_datum(series)
-        h = {"A1": 2, "A2": 3, "B2": 4, "G2": 6}[series]
-        for p in (h, h + 2):
-            assert count_p_restricted_in_orbit(datum, p) == count
+        sc = build_root_datum(series)
+        order = len(enumerate_finite_weyl(sc))
+        assert count == order // index_of_connection(sc)
+        h = {"A1": 2, "A2": 3, "A3": 4, "B2": 4, "C2": 4, "G2": 6}[series]
+        for variant in ("sc", "adjoint"):
+            datum = build_root_datum(series, variant)
+            for p in (h, h + 2):
+                assert count_p_restricted_in_orbit(datum, p) == count
 
 
 def test_element_json():
@@ -923,6 +932,25 @@ def test_pickled_elements_hash_alike_in_another_process():
         capture_output=True, env={**env, "PYTHONHASHSEED": "2"})
     assert loaded.returncode == 0, loaded.stderr.decode()
     assert loaded.stdout.split() == [b"True"] * 8
+
+
+def test_copies_and_pickles_keep_the_fields_only():
+    # the cached hash and the tags of the group table are not fields:
+    # a copy or a pickle round trip of a hashed, tagged object carries
+    # neither, and is an equal object with the same hash
+    d = build_root_datum("A2")
+    x = _elements_up_to_length(d, 3)[-1]
+    s0 = generators(d)[-1]
+    assert x._gid is not None and s0._gid is not None
+    for obj in (d, x.finite, x, s0):
+        hash(obj)
+        assert "_hash" in vars(obj)
+        for twin in (copy.copy(obj), copy.deepcopy(obj),
+                     pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj) and twin is not obj
+            assert set(vars(twin)) == {
+                f.name for f in dataclasses.fields(twin)}
+            assert twin == obj and hash(twin) == hash(obj)
 
 
 # ------------------------------------- minimality from the dot action

@@ -478,22 +478,71 @@ def test_principal_block_checks_written_once():
 
 
 def test_input_checks_written_once():
-    # each kind of argument is checked by one function, in the layer
-    # that owns its type: exact ints and primes in weylkit._exact,
-    # weights in weylkit.lattice, elements in weylkit.coxeter; the
-    # ad-hoc spellings they replaced are gone
-    source = "".join(path.read_text(encoding="utf-8")
-                     for path in sorted(SRC.rglob("*.py")))
+    # each kind of argument is checked by one function: exact ints,
+    # primes and the kind of every value object in weylkit._exact,
+    # the rank of a weight in weylkit.lattice, the datum of an element
+    # in weylkit.coxeter; the ad-hoc spellings they replaced are gone
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.rglob("*.py"))}
+    source = "".join(sources.values())
     for message in ("must be int, got", "must be at least {low}, got",
-                    "is not prime", "expected a Weight, got", "where rank",
-                    "expected a Weyl group element, got",
-                    "different root data"):
+                    "is not prime", "where rank", "different root data"):
         assert source.count(message) == 1, message
+    # "expected a Character, got str" is formatted by check_kind alone,
+    # so a kind check written out by hand fails here
+    kind = "got {type("
+    assert {name: text.count(kind) for name, text in sources.items()
+            if kind in text} == {"_exact.py": 1}
     for spelling in ("p must be at least 1", "rank mismatch",
                      "must be an int,", "an int at least", "must be integers",
                      "must be nonnegative", "different root datum",
                      "different ranks"):
         assert spelling not in source, spelling
+
+
+def _unused_locals(tree: ast.Module) -> list[int]:
+    """Lines of a plain ``name = value`` in a function that never reads
+    the name, nested functions included; tuple and loop targets are
+    not scanned, and a ``global`` or ``nonlocal`` name counts as read."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        read.update(*(node.names for node in ast.walk(func)
+                      if isinstance(node, (ast.Global, ast.Nonlocal))))
+        found.update(node.lineno for node in ast.walk(func)
+                     if isinstance(node, ast.Assign)
+                     and any(isinstance(t, ast.Name) and t.id not in read
+                             for t in node.targets))
+    return sorted(found)
+
+
+def test_no_unused_locals():
+    found = [f"{path.name}: line {line}" for path in MODULES
+             for line in _unused_locals(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, f"locals assigned and never read: {found}"
+
+
+def test_scan_flags_an_unused_local():
+    tree = ast.parse(
+        "def f(x):\n"
+        "    dead = g(x)\n"
+        "    live = kept = g(x)\n"
+        "    a, b = live\n"
+        "    for i in a:\n"
+        "        pass\n"
+        "    shared = 1\n"
+        "    def inner():\n"
+        "        global G\n"
+        "        G = unread = shared\n"
+        "        return f'{kept}'\n"
+        "    return inner\n"
+        "top = 2\n")
+    assert _unused_locals(tree) == [2, 10]
 
 
 def test_importing_the_cli_builds_no_parser():

@@ -111,6 +111,8 @@ RP3 = link_preset("rp3")
     (lambda: element_to_json(None), TypeError, "got NoneType"),
     (lambda: multiply(X, "x"), TypeError, "got str"),
     (lambda: kl_basis_element("x"), TypeError, "got str"),
+    (lambda: embed_finite("x"), TypeError,
+     "expected a FiniteWeylElement, got str"),
     # a foreign operand is unsupported, and a scalar product asks
     # exact_ints: neither yields a result or a bare AttributeError
     (lambda: ONE + None, TypeError, "unsupported operand"),
@@ -169,6 +171,7 @@ RP3 = link_preset("rp3")
 ], ids=["same_block-rank", "length-str", "reduced_word-None",
         "bruhat_leq-str", "inverse-None", "is_min_coset_rep_fW-None",
         "element_to_json-None", "multiply-str", "kl_basis_element-str",
+        "embed_finite-str",
         "Character-add-None", "Character-sub-int",
         "LaurentPolynomial-add-int", "HeckeElement-add-None",
         "Weight-rmul-bool", "Weight-rmul-float", "tensor-right-str",
