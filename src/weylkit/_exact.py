@@ -28,12 +28,19 @@ The check of an argument's kind is written here once too:
 ``check_kind`` is asked wherever a root datum, a weight, a Weyl group
 element, another value object of the package or a name is expected,
 and raises TypeError in one form, "expected a Character, got str".
+
+So is the arithmetic of the value objects: ``_Linear`` gives a weight,
+a character, a Laurent polynomial and a Hecke element their -x, x - y
+and n * x == x * n, and ``_Combination`` gives a character and a
+Laurent polynomial their one invariant (keys strictly ascending, no
+zero coefficient), its check, their ``+`` and their sum by key.
 """
 
 import sys
 from array import array
 from itertools import compress
 from math import gcd
+from operator import itemgetter
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI13 = 3317044064679887385961981
@@ -100,6 +107,94 @@ def check_kind(value, kind: type, noun: str | None = None):
         raise TypeError(f"expected {noun or 'a ' + kind.__name__}, "
                         f"got {type(value).__name__}")
     return value
+
+
+class _Linear:
+    """The operators of a value object in a Z-module, written once: -x,
+    x - y for y of the same kind, and n * x == x * n for a plain int n
+    (see ``exact_ints``), over the class's own ``+``, ``_scaled(n)``
+    and ``_times(other)``, its product with anything but an int
+    (NotImplemented unless the class has one).  The reflected product
+    is the same call: Python makes it only when the left operand does
+    not multiply, such as an int or a scalar of the class's ring.  Any
+    other operand is unsupported (TypeError).
+    """
+
+    __slots__ = ()
+
+    def __neg__(self):
+        return self._scaled(-1)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + -other
+
+    def __mul__(self, other):
+        return (self._scaled(other) if exact_ints((other,))
+                else self._times(other))
+
+    __rmul__ = __mul__
+
+    def _times(self, other):
+        return NotImplemented
+
+
+class _Combination(_Linear):
+    """A finitely supported integer combination, held in the class's one
+    field, named by ``_field``, as (key, coefficient) pairs: strictly
+    ascending by ``_order``, a sort key of a pair, with no zero
+    coefficient.  ``_check`` raises ValueError for pairs that break
+    this, in words naming the keys and the coefficients (``_nouns``);
+    ``_trusted`` wraps pairs that keep it with no check, and ``_sum``
+    sums pairs by key.  ``+`` sums two combinations of one kind, once
+    ``_check_operand`` has passed the right one.
+    """
+
+    __slots__ = ()
+    _field: str
+    _nouns: tuple[str, str]
+    _order = itemgetter(0)
+
+    def _check(self, pairs) -> None:
+        keys = list(map(self._order, pairs))
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError(f"{self._nouns[0]} must be strictly ascending")
+        if any(c == 0 for _, c in pairs):
+            raise ValueError(f"zero {self._nouns[1]} must not be stored")
+
+    @classmethod
+    def _trusted(cls, pairs: tuple):
+        """A combination of pairs known to be ascending and nonzero,
+        such as the ones ``_sum`` makes: skips the checks of the public
+        constructor."""
+        new = object.__new__(cls)
+        object.__setattr__(new, cls._field, pairs)  # as a frozen __init__
+        return new
+
+    @classmethod
+    def _sum(cls, pairs):
+        """The combination of the sum of pairs, by key."""
+        acc: dict = {}
+        for key, c in pairs:
+            acc[key] = acc.get(key, 0) + c
+        return cls._trusted(tuple(sorted(
+            [kc for kc in acc.items() if kc[1]], key=cls._order)))
+
+    def _check_operand(self, other) -> None:
+        """Raise if other, of this kind, cannot be added to this one."""
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_operand(other)
+        return self._sum(getattr(self, self._field)
+                         + getattr(other, self._field))
+
+    def _scaled(self, n: int):
+        return self._trusted(tuple(
+            [(key, c * n) for key, c in getattr(self, self._field)])
+            if n else ())
 
 
 def _bareiss(rows: list[list[int]], n: int) -> int:

@@ -65,9 +65,9 @@ from itertools import repeat, zip_longest
 from math import prod
 from operator import add, mul, sub
 
-from weylkit._exact import (base_p_digits, check_int, check_ints,
-                            check_kind, check_prime, det_adjugate,
-                            exact_ints)
+from weylkit._exact import (_Combination, base_p_digits, check_int,
+                            check_ints, check_kind, check_prime,
+                            det_adjugate)
 from weylkit.lattice import (
     ResourceLimitError,
     RootDatum,
@@ -98,36 +98,25 @@ DEFAULT_MAX_TERMS = 10 ** 6
 
 
 @dataclass(frozen=True)
-class Character:
+class Character(_Combination):
     """Finitely supported integer combination of e^weight terms."""
 
     terms: tuple[tuple[Weight, int], ...]
+
+    _field, _nouns = "terms", ("weights", "multiplicities")
+    _order = staticmethod(lambda term: term[0].coords)
 
     def __post_init__(self) -> None:
         rank = None  # that of the first weight
         for w, _ in self.terms:
             rank = len(_check_weight(w, rank).coords)
         check_ints("multiplicities", [c for _, c in self.terms])
-        for (w1, c1), (w2, _) in zip(self.terms, self.terms[1:]):
-            if w1.coords >= w2.coords:
-                raise ValueError("weights must be strictly ascending")
-        if any(c == 0 for _, c in self.terms):
-            raise ValueError("zero multiplicities must not be stored")
-
-    @classmethod
-    def _trusted(cls, terms: tuple[tuple[Weight, int], ...]) -> "Character":
-        """A character from terms known to be strictly ascending and
-        nonzero, such as the ones ``weyl_character`` builds: skips the
-        checks of the public constructor."""
-        ch = object.__new__(cls)
-        object.__setattr__(ch, "terms", terms)  # as a frozen __init__ does
-        return ch
+        self._check(self.terms)
 
     @classmethod
     def from_dict(cls, d: dict[Weight, int]) -> "Character":
         return cls(tuple(sorted(
-            ((w, c) for w, c in d.items() if c != 0),
-            key=lambda wc: wc[0].coords)))
+            ((w, c) for w, c in d.items() if c != 0), key=cls._order)))
 
     def as_dict(self) -> dict[Weight, int]:
         return dict(self.terms)
@@ -135,7 +124,7 @@ class Character:
     def coefficient(self, w: Weight) -> int:
         terms = self.terms
         _check_weight(w, self.rank)
-        i = bisect_left(terms, w.coords, key=lambda t: t[0].coords)
+        i = bisect_left(terms, w.coords, key=self._order)
         if i < len(terms) and terms[i][0].coords == w.coords:
             return terms[i][1]
         return 0
@@ -144,36 +133,13 @@ class Character:
     def rank(self) -> int | None:
         return len(self.terms[0][0].coords) if self.terms else None
 
-    def _check_rank(self, other: "Character") -> None:
+    def _check_operand(self, other: "Character") -> None:
         if other.terms:
             _check_weight(other.terms[0][0], self.rank)
 
-    def __add__(self, other: "Character") -> "Character":
-        if not isinstance(other, Character):
-            return NotImplemented
-        self._check_rank(other)
-        acc = dict(self.terms)
-        for w, c in other.terms:
-            acc[w] = acc.get(w, 0) + c
-        return Character.from_dict(acc)
-
-    def __neg__(self) -> "Character":
-        return Character(tuple((w, -c) for w, c in self.terms))
-
-    def __sub__(self, other: "Character") -> "Character":
-        return (self + -other if isinstance(other, Character)
+    def _times(self, other) -> "Character":
+        return (tensor(self, other) if isinstance(other, Character)
                 else NotImplemented)
-
-    def __mul__(self, other) -> "Character":
-        if exact_ints((other,)):
-            if other == 0:
-                return Character(())
-            return Character(tuple((w, c * other) for w, c in self.terms))
-        if isinstance(other, Character):
-            return tensor(self, other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if not self.terms:
@@ -384,7 +350,7 @@ def frobenius_twist(ch: Character, p: int) -> Character:
 def tensor(a: Character, b: Character,
            max_terms: int = DEFAULT_MAX_TERMS) -> Character:
     """Product of characters (convolution of supports)."""
-    check_kind(a, Character)._check_rank(check_kind(b, Character))
+    check_kind(a, Character)._check_operand(check_kind(b, Character))
     check_int("max_terms", max_terms, 1)
     acc: dict[Weight, int] = {}
     for wa, ca in a.terms:

@@ -98,8 +98,8 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from operator import itemgetter
 
-from weylkit._exact import (check_ints, check_kind, digit_width, exact_ints,
-                            repack, unpack)
+from weylkit._exact import (_Combination, _Linear, check_ints, check_kind,
+                            digit_width, exact_ints, repack, unpack)
 from weylkit.lattice import ResourceLimitError, RootDatum
 from weylkit.coxeter import (
     AffineWeylElement,
@@ -125,20 +125,8 @@ __all__ = [
 ]
 
 
-def _nonzero(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    """The nonzero (exponent, coefficient) pairs of acc, ascending."""
-    return tuple([ec for ec in sorted(acc.items()) if ec[1]])
-
-
-def _norm_coeffs(pairs) -> tuple[tuple[int, int], ...]:
-    acc: dict[int, int] = {}
-    for exp, c in pairs:
-        acc[exp] = acc.get(exp, 0) + c
-    return _nonzero(acc)
-
-
 @dataclass(frozen=True)
-class LaurentPolynomial:
+class LaurentPolynomial(_Combination):
     """Sparse integer Laurent polynomial in v.
 
     ``coeffs`` holds (exponent, coefficient) pairs, ascending, with no
@@ -153,24 +141,12 @@ class LaurentPolynomial:
 
     coeffs: tuple[tuple[int, int], ...] = ()
 
+    _field, _nouns = "coeffs", ("exponents", "coefficients")
+
     def __post_init__(self) -> None:
         check_ints("exponents and coefficients",
                    tuple(chain.from_iterable(self.coeffs)))
-        for (e1, c1), (e2, _) in zip(self.coeffs, self.coeffs[1:]):
-            if e1 >= e2:
-                raise ValueError("exponents must be strictly ascending")
-        if any(c == 0 for _, c in self.coeffs):
-            raise ValueError("zero coefficients must not be stored")
-
-    @classmethod
-    def _trusted(cls, coeffs: tuple[tuple[int, int], ...]
-                 ) -> "LaurentPolynomial":
-        """A polynomial from pairs known to be ascending and nonzero,
-        such as the output of ``_nonzero``: skips the checks of the
-        public constructor."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", coeffs)  # as a frozen __init__ does
-        return p
+        self._check(self.coeffs)
 
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
@@ -191,40 +167,21 @@ class LaurentPolynomial:
     @classmethod
     def from_dict(cls, d: dict[int, int]) -> "LaurentPolynomial":
         check_ints("exponents and coefficients", (*d, *d.values()))
-        return cls._trusted(_norm_coeffs(d.items()))
+        return cls._sum(d.items())
 
     def coefficient(self, exponent: int) -> int:
+        check_ints("exponent", (exponent,))
         return dict(self.coeffs).get(exponent, 0)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
+    def _times(self, other) -> "LaurentPolynomial":
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return LaurentPolynomial._trusted(
-            _norm_coeffs(self.coeffs + other.coeffs))
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial._trusted(
-            tuple((e, -c) for e, c in self.coeffs))
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return (self + -other if isinstance(other, LaurentPolynomial)
-                else NotImplemented)
-
-    def __mul__(self, other) -> "LaurentPolynomial":
-        if exact_ints((other,)):
-            return LaurentPolynomial._trusted(
-                tuple((e, c * other) for e, c in self.coeffs)
-                if other else ())
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return LaurentPolynomial._trusted(_norm_coeffs(
+        return LaurentPolynomial._sum(
             (e1 + e2, c1 * c2)
-            for e1, c1 in self.coeffs for e2, c2 in other.coeffs))
-
-    __rmul__ = __mul__
+            for e1, c1 in self.coeffs for e2, c2 in other.coeffs)
 
     def bar(self) -> "LaurentPolynomial":
         """The involution v -> v^{-1}."""
@@ -268,7 +225,7 @@ _Terms = tuple[tuple[int, LaurentPolynomial], ...]  # (id of x, coefficient)
 _Row = tuple[array, array]  # (ids of y, ascending; pool ids of P_{y,x})
 
 
-class HeckeElement:
+class HeckeElement(_Linear):
     """Finitely supported combination of standard basis elements h_x.
 
     ``terms`` pairs group elements with nonzero Laurent polynomials,
@@ -340,21 +297,12 @@ class HeckeElement:
         return HeckeElement(self.algebra, _sum_terms(
             (x, p, _ONE) for x, p in self._terms + other._terms))
 
-    def __neg__(self) -> "HeckeElement":
-        return self.scale(-1)
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return (self + -other if isinstance(other, HeckeElement)
-                else NotImplemented)
-
-    def __mul__(self, other) -> "HeckeElement":
+    def _times(self, other) -> "HeckeElement":
         if isinstance(other, HeckeElement):
             return self.algebra._product(self, other)
-        if exact_ints((other,)) or isinstance(other, LaurentPolynomial):
+        if isinstance(other, LaurentPolynomial):
             return self.scale(other)
         return NotImplemented
-
-    __rmul__ = __mul__  # reflected only for a scalar on the left
 
     def scale(self, c) -> "HeckeElement":
         if exact_ints((c,)):
@@ -363,6 +311,8 @@ class HeckeElement:
             raise ValueError(f"scalar must be an int or a polynomial: {c!r}")
         return HeckeElement(self.algebra,
                             _sum_terms((x, p, c) for x, p in self._terms))
+
+    _scaled = scale
 
     def __str__(self) -> str:
         parts = []
@@ -383,17 +333,12 @@ class HeckeElement:
 def _sum_terms(triples) -> _Terms:
     """Sum of p q h_x over (id of x, p, q) triples, as nonzero terms by
     id; the products are summed without building them."""
-    acc: dict[int, dict[int, int]] = {}
+    acc: dict[int, list[tuple[int, int]]] = {}
     for x, p, q in triples:
-        a = acc.get(x)
-        if a is None:
-            a = acc[x] = {}
-        for e1, c1 in p.coeffs:
-            for e2, c2 in q.coeffs:
-                e = e1 + e2
-                a[e] = a.get(e, 0) + c1 * c2
-    terms = ((x, _nonzero(acc[x])) for x in sorted(acc))
-    return tuple((x, LaurentPolynomial._trusted(c)) for x, c in terms if c)
+        acc.setdefault(x, []).extend(
+            (e1 + e2, c1 * c2) for e1, c1 in p.coeffs for e2, c2 in q.coeffs)
+    terms = ((x, LaurentPolynomial._sum(acc[x])) for x in sorted(acc))
+    return tuple((x, p) for x, p in terms if p)
 
 
 class _KLRecursion:

@@ -90,7 +90,7 @@ class FgAbelianGroup:
 
     def p_torsion_count(self, p: int) -> int:
         """Number of invariant factors divisible by p; 0 when p = 0."""
-        if p == 0:
+        if check_int("p", p, 0) == 0:
             return 0
         return sum(1 for t in self.torsion if t % p == 0)
 
@@ -129,6 +129,7 @@ class GradedAbelianGroup:
             (deg, g) for deg, g in d.items() if not g.is_trivial)))
 
     def group(self, degree: int) -> FgAbelianGroup:
+        check_ints("degree", (degree,))
         for deg, g in self.groups:
             if deg == degree:
                 return g

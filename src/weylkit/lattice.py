@@ -35,8 +35,8 @@ from collections import deque
 from dataclasses import dataclass, fields
 from itertools import repeat
 
-from weylkit._exact import (check_int, check_ints, check_kind, det,
-                            det_adjugate, exact_ints)
+from weylkit._exact import (_Linear, check_int, check_ints, check_kind, det,
+                            det_adjugate)
 
 __all__ = [
     "Coroot",
@@ -65,7 +65,7 @@ class ResourceLimitError(RuntimeError):
 
 
 @dataclass(frozen=True, slots=True)
-class Weight:
+class Weight(_Linear):
     """Element of the weight lattice, in fundamental-weight coordinates.
 
     Slotted: a weight holds its coordinates and nothing else, with no
@@ -94,19 +94,8 @@ class Weight:
         _check_weight(other, len(self.coords))
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "Weight") -> "Weight":
-        _check_weight(other, len(self.coords))
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
-
-    def __mul__(self, n: int) -> "Weight":
-        if not exact_ints((n,)):
-            return NotImplemented
+    def _scaled(self, n: int) -> "Weight":
         return Weight(tuple(n * a for a in self.coords))
-
-    __rmul__ = __mul__
 
 
 _set_coords = Weight.coords.__set__  # the slot's own setter

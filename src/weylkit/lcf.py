@@ -64,7 +64,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
-from weylkit.lattice import RootDatum, Weight, build_root_datum
+from weylkit.lattice import RootDatum, Weight, _check_weight, build_root_datum
 from weylkit.coxeter import (
     AffineWeylElement,
     FiniteWeylElement,
@@ -236,7 +236,12 @@ class DecompositionMatrix:
         return [w for _, w in self.labels]
 
     def entry(self, row: Weight, col: Weight) -> int:
+        """The entry at two labels' weights; ValueError for a weight that
+        labels no row."""
         ws = self.weights()
+        for w in (row, col):
+            if _check_weight(w, self.datum.rank) not in ws:
+                raise ValueError(f"no label has the weight {w.coords}")
         cols, vals = self.rows[ws.index(row)]
         return dict(zip(cols, vals)).get(ws.index(col), 0)
 

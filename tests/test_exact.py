@@ -5,7 +5,8 @@ replaced (a ``Fraction`` determinant, and ``Fraction`` heights from the
 inverse Cartan matrix), Bareiss's adjugate for the unitriangular
 inverse, sums of shifted digits for the packed-digit kernel, a sieve
 for primality, and the classical invariant-factor identities for the
-Smith diagonal.
+Smith diagonal.  The arithmetic of the value objects, written once
+there too, is checked as one table over every class that shares it.
 """
 
 import math
@@ -18,7 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylkit._exact
-from weylkit import build_root_datum
+from weylkit import (Character, FgAbelianGroup, GradedAbelianGroup,
+                     LaurentPolynomial, Weight, affine_hecke,
+                     build_root_datum, generators, trivial_character,
+                     weyl_character)
 from weylkit._exact import (
     base_p_digits, det_adjugate, exact_ints, is_prime, repack,
     smith_diagonal, unitriangular_inverse, unpack_signed)
@@ -365,3 +369,58 @@ def test_one_exact_int_test_rejects_int_subclasses():
                                          Weight((1, 0)), max_terms=Wide(9))):
         with pytest.raises(ValueError):
             build()
+
+
+_A = Weight((-1,))
+_B = Weight((1,))
+_Z = FgAbelianGroup.free(1)
+
+
+@pytest.mark.parametrize("cls,pairs,message", [
+    (LaurentPolynomial, ((2, 1), (1, 1)),
+     "exponents must be strictly ascending"),
+    (LaurentPolynomial, ((1, 1), (1, 2)),
+     "exponents must be strictly ascending"),
+    (LaurentPolynomial, ((0, 1), (1, 0)),
+     "zero coefficients must not be stored"),
+    (Character, ((_B, 1), (_A, 1)), "weights must be strictly ascending"),
+    (Character, ((_A, 1), (_A, 2)), "weights must be strictly ascending"),
+    (Character, ((_A, 1), (_B, 0)), "zero multiplicities must not be stored"),
+    (GradedAbelianGroup, ((2, _Z), (1, _Z)),
+     "degrees must be strictly ascending"),
+    (GradedAbelianGroup, ((1, _Z), (1, _Z)),
+     "degrees must be strictly ascending"),
+    (GradedAbelianGroup, ((0, _Z), (1, FgAbelianGroup.zero())),
+     "trivial groups must not be stored"),
+], ids=[f"{cls}-{case}" for cls in ("LaurentPolynomial", "Character",
+                                    "GradedAbelianGroup")
+        for case in ("unsorted", "duplicate", "zero")])
+def test_combinations_keep_keys_ascending_and_nonzero(cls, pairs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cls(pairs)
+
+
+def _operands():
+    """Two operands of each class that takes the shared operators."""
+    a1 = build_root_datum("A1")
+    alg = affine_hecke(a1)
+    return [
+        (Weight((1, -2)), Weight((3, 0))),
+        (weyl_character(a1, Weight((2,))), trivial_character(1)),
+        (LaurentPolynomial.from_dict({-1: 2, 3: -1}), LaurentPolynomial.v()),
+        (alg.kl_basis_element(generators(a1)[0]), alg.unit()),
+    ]
+
+
+@pytest.mark.parametrize("x,y", _operands(), ids=[
+    "Weight", "Character", "LaurentPolynomial", "HeckeElement"])
+def test_operators_agree_on_every_class(x, y):
+    assert -x == (-1) * x != x
+    assert x - y == x + (-y)
+    assert x - x == 0 * x
+    for n in (0, 1, 3, -2):
+        assert n * x == x * n
+    assert 2 * x == x + x
+    for bad in (lambda: x * True, lambda: 2.0 * x, lambda: x - 3):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            bad()

@@ -500,10 +500,44 @@ def test_input_checks_written_once():
         assert spelling not in source, spelling
 
 
+def _operators(tree: ast.Module) -> list[int]:
+    """Lines that define ``__neg__``, ``__sub__`` or ``__rmul__``, by a
+    ``def`` or an assignment."""
+    ops = ("__neg__", "__sub__", "__rmul__")
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and node.name in ops)
+                  or (isinstance(node, ast.Assign)
+                      and any(isinstance(t, ast.Name) and t.id in ops
+                              for t in node.targets)))
+
+
+def test_operators_written_once():
+    # -x, x - y and n * x == x * n of every value object come from
+    # _exact._Linear; a class writes only its own + and products
+    found = {path.name for path in sorted(SRC.rglob("*.py"))
+             if _operators(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {"_exact.py"}, f"operators defined in {sorted(found)}"
+
+
+def test_scan_flags_a_hand_written_operator():
+    tree = ast.parse(
+        "class Weight:\n"
+        "    def __add__(self, other): pass\n"
+        "    def __sub__(self, other):\n"
+        "        return self + -other\n"
+        "    __rmul__ = __mul__\n"
+        "    def _neg(self): pass\n"
+        "s = '__neg__'\n")
+    assert _operators(tree) == [3, 5]
+
+
 def _unused_locals(tree: ast.Module) -> list[int]:
-    """Lines of a plain ``name = value`` in a function that never reads
-    the name, nested functions included; tuple and loop targets are
-    not scanned, and a ``global`` or ``nonlocal`` name counts as read."""
+    """Lines that bind a name in a function that never reads it, nested
+    functions included: a target of an assignment, plain or a tuple, of
+    a ``for`` loop or of a comprehension.  A name starting with "_" is
+    exempt unless it is a plain ``name = value``, and a ``global`` or
+    ``nonlocal`` name counts as read."""
     found = set()
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -513,10 +547,18 @@ def _unused_locals(tree: ast.Module) -> list[int]:
                 and not isinstance(node.ctx, ast.Store)}
         read.update(*(node.names for node in ast.walk(func)
                       if isinstance(node, (ast.Global, ast.Nonlocal))))
-        found.update(node.lineno for node in ast.walk(func)
-                     if isinstance(node, ast.Assign)
-                     and any(isinstance(t, ast.Name) and t.id not in read
-                             for t in node.targets))
+        targets = [t for node in ast.walk(func) for t in (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(
+                node, (ast.For, ast.AsyncFor, ast.comprehension))
+            else [])]
+        plain = {t for node in ast.walk(func) if isinstance(node, ast.Assign)
+                 for t in node.targets if isinstance(t, ast.Name)}
+        found.update(name.lineno for t in targets for name in ast.walk(t)
+                     if isinstance(name, ast.Name)
+                     and isinstance(name.ctx, ast.Store)
+                     and (name in plain or not name.id.startswith("_"))
+                     and name.id not in read)
     return sorted(found)
 
 
@@ -540,9 +582,11 @@ def test_scan_flags_an_unused_local():
         "        global G\n"
         "        G = unread = shared\n"
         "        return f'{kept}'\n"
-        "    return inner\n"
+        "    for (j, k), _ in zip(a, a):\n"
+        "        _unread = print(k)\n"
+        "    return [y for y, z in inner()]\n"
         "top = 2\n")
-    assert _unused_locals(tree) == [2, 10]
+    assert _unused_locals(tree) == [2, 4, 5, 10, 12, 13, 14]
 
 
 def test_importing_the_cli_builds_no_parser():

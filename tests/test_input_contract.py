@@ -1,16 +1,16 @@
 """The input contract at the public boundary.
 
-Each kind of argument is checked by one function, in the layer that owns
-its type: an exact int with a lower bound and a prime in
-``weylkit._exact``, a root datum, a coroot and a weight of the datum's
-rank in ``weylkit.lattice`` and an element of the datum in
-``weylkit.coxeter``.  A float, a bool or any other non-int where an int
-is expected is a ValueError, and so is a value out of range, a weight
-of another rank or an element of another datum; an object of the wrong
-kind where a datum, a coroot, an element, a weight or another value
-object of the package (a character, a Hecke element, a polynomial, a
-graded group, a stalk table, a decomposition matrix) is expected is a
-TypeError.
+Each kind of argument is checked by one function.  An exact int, with
+or without a lower bound, and a prime are checked in
+``weylkit._exact``, and so is the kind of every argument: a root datum,
+a coroot, a weight, a Weyl group element or another value object of
+the package (a character, a Hecke element, a polynomial, a graded
+group, a stalk table, a decomposition matrix), by ``_exact.check_kind``.
+The rank of a weight is checked in ``weylkit.lattice``, and the datum
+of an element in ``weylkit.coxeter``.  A float, a bool or any other
+non-int where an int is expected is a ValueError, and so is a value out
+of range, a weight of another rank or an element of another datum; an
+object of the wrong kind is a TypeError.
 """
 
 import inspect
@@ -23,6 +23,7 @@ import weylkit
 from weylkit import (
     Character,
     Coroot,
+    FgAbelianGroup,
     GradedAbelianGroup,
     HeckeAlgebra,
     LaurentPolynomial,
@@ -96,6 +97,8 @@ W = Weight((1, 1))
 ALG = affine_hecke(A2)
 ONE = trivial_character(1)
 RP3 = link_preset("rp3")
+M = decomposition_matrix(A1, 5, max_len=4)
+W0 = M.weights()[0]  # the labels' weights are 0, 8, 10, 18 and 20
 
 
 # ---------------------------- documented errors, not bare ones or results
@@ -168,6 +171,14 @@ RP3 = link_preset("rp3")
     (lambda: build_root_datum(3), TypeError, "expected a str, got int"),
     (lambda: build_root_datum("A1", None), TypeError,
      "expected a str, got NoneType"),
+    # a value object's own methods follow the contract too
+    (lambda: LaurentPolynomial.v().coefficient("x"), ValueError,
+     "exponent must be int, got 'x'"),
+    (lambda: FgAbelianGroup.cyclic(2).p_torsion_count(-2), ValueError,
+     "p must be at least 0, got -2"),
+    (lambda: M.entry("x", W0), TypeError, "expected a Weight, got str"),
+    (lambda: M.entry(W0, Weight((1,))), ValueError,
+     r"no label has the weight \(1,\)"),
 ], ids=["same_block-rank", "length-str", "reduced_word-None",
         "bruhat_leq-str", "inverse-None", "is_min_coset_rep_fW-None",
         "element_to_json-None", "multiply-str", "kl_basis_element-str",
@@ -186,7 +197,10 @@ RP3 = link_preset("rp3")
         "rho-datum-str", "decomposition_matrix-datum-str",
         "affine_hecke-datum-str", "HeckeAlgebra-datum-str",
         "is_p_regular-datum-str", "pairing-coroot-str",
-        "build_root_datum-series-int", "build_root_datum-variant-None"])
+        "build_root_datum-series-int", "build_root_datum-variant-None",
+        "LaurentPolynomial.coefficient-str", "p_torsion_count-negative",
+        "DecompositionMatrix.entry-str",
+        "DecompositionMatrix.entry-unlabelled"])
 def test_bare_errors_are_documented_ones(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -210,12 +224,23 @@ def test_bare_errors_are_documented_ones(call, error, message):
     (lambda: count_p_restricted_in_orbit(A2, 5.0), "p must be int, got 5.0"),
     (lambda: cotangent_self_intersection(2.5),
      "Euler characteristic must be int, got 2.5"),
+    (lambda: LaurentPolynomial.v().coefficient(1.0),
+     "exponent must be int, got 1.0"),
+    (lambda: LaurentPolynomial.v().coefficient(True),
+     "exponent must be int, got True"),
+    (lambda: RP3.group(2.0), "degree must be int, got 2.0"),
+    (lambda: RP3.group(True), "degree must be int, got True"),
+    (lambda: FgAbelianGroup.cyclic(2).p_torsion_count(2.0),
+     "p must be int, got 2.0"),
 ], ids=["decomposition_matrix-max_len", "decomposition_matrix-max_weight",
         "dominant_orbit-max_len", "lcf_coefficients-p", "is_p_regular-p",
         "same_block-p", "is_p_restricted-p", "dot_p-p", "base_p_digits-p",
         "sl2_lcf_valid-p", "decomposition_matrix-p",
         "count_p_restricted_in_orbit-p",
-        "cotangent_self_intersection-euler_characteristic"])
+        "cotangent_self_intersection-euler_characteristic",
+        "LaurentPolynomial.coefficient-float",
+        "LaurentPolynomial.coefficient-bool", "GradedAbelianGroup.group-float",
+        "GradedAbelianGroup.group-bool", "p_torsion_count-float"])
 def test_floats_and_bools_are_rejected(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
